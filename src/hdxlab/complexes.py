@@ -33,6 +33,7 @@ from .errors import (
     NotAFace,
     SizeCapError,
     TruncationExceedsRank,
+    UsageError,
     ZeroWeight,
 )
 
@@ -49,9 +50,12 @@ def size_cap_multiplier() -> float:
     if not raw:
         return 1.0
     try:
-        return max(1.0, float(raw))
+        value = float(raw)
     except ValueError:
-        return 1.0
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"HDX_SIZE_CAP must be a finite number, got {raw!r}")
+    return max(1.0, value)
 
 
 def level_cap() -> int:
@@ -77,6 +81,14 @@ def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
         keys *= n
         keys += rows[:, j].astype(np.int64)
     return keys
+
+
+def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Positions of sorted vertex rows among ascending ``_encode_rows`` keys;
+    rows that are absent map to -1."""
+    keys = _encode_rows(np.asarray(rows, dtype=np.int64), n)
+    pos = np.clip(np.searchsorted(sorted_keys, keys), 0, len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
 @dataclass(frozen=True)
@@ -115,14 +127,10 @@ class LevelIndex:
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
         """Vectorized face-row lookup; missing rows raise or yield -1."""
-        keys = _encode_rows(np.asarray(rows, dtype=np.int64), self.n_vertices)
-        pos = np.searchsorted(self._keys, keys)
-        pos_c = np.clip(pos, 0, len(self._keys) - 1)
-        ok = self._keys[pos_c] == keys
-        if strict and not ok.all():
-            bad = np.asarray(rows)[~ok][0]
+        out = _lookup_rows(self._keys, rows, self.n_vertices)
+        if strict and (out < 0).any():
+            bad = np.asarray(rows)[out < 0][0]
             raise NotAFace(f"{tuple(int(v) for v in bad)} is not a face of this complex")
-        out = np.where(ok, pos_c, -1)
         return out
 
     def measure_of_rows(self, rows: np.ndarray) -> np.ndarray:

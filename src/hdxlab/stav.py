@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Complex
+from .complexes import Complex, _encode_rows, _lookup_rows
 from .errors import (
     ColorSize,
     HdxError,
@@ -494,11 +494,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
             comp = complement_walk(lk, k, k)
             joint = comp.joint()
             joint = np.asarray(joint.todense()) if sp.issparse(joint) else joint
-            zids = []
-            for row in comp.source_faces:
-                z = tuple(sorted(lab[v] for v in row))
-                zids.append(z_faces.index(z))
-            zids = np.array(zids)
+            zids = lev_z.index_rows(np.sort(np.asarray(lab)[comp.source_faces], axis=1))
             nz = np.nonzero(joint)
             tables.append(("pairs", zids[nz[0]], zids[nz[1]], joint[nz]))
     sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(z_faces))
@@ -518,8 +514,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
             comp = complement_walk(lk2, l - 1, l - 1)
             joint = comp.joint()
             joint = np.asarray(joint.todense()) if sp.issparse(joint) else joint
-            a_ids = [a_pos[tuple(sorted(lab2[x] for x in row))]
-                     for row in comp.source_faces]
+            a_ids = lev_a.index_rows(np.sort(np.asarray(lab2)[comp.source_faces], axis=1))
             nz = np.nonzero(joint)
             for i1, i2 in zip(*nz):
                 vas_v.append(v)
@@ -678,7 +673,7 @@ def derive_graph(x: StavInstance, kind: str, element=None):
         j = x.reach_joint()
         return BipartiteGraph(x.a_labels, x.v_labels, _densify(j))
     if kind == "local_reach":
-        si = _find(x.s_labels, element)
+        si = _find(x, "s_labels", element)
         vv, aa, ss, pp = x.vas_triples()
         sel = ss == si
         j = _accumulate((aa[sel], vv[sel], pp[sel]),
@@ -688,16 +683,16 @@ def derive_graph(x: StavInstance, kind: str, element=None):
             raise ZeroConditioning(f"s element {element} has no mass")
         return BipartiteGraph(x.a_labels, x.v_labels, _densify(j) / total)
     if kind == "sts_a":
-        ai = _find(x.a_labels, element)
+        ai = _find(x, "a_labels", element)
         return _sts_conditioned(x, set(x.a_supports[ai]))
     if kind == "sts_av":
         a_el, v_el = element
-        ai = _find(x.a_labels, a_el)
-        vi = _find(x.v_labels, v_el)
+        ai = _find(x, "a_labels", a_el)
+        vi = _find(x, "v_labels", v_el)
         need = set(x.a_supports[ai]) | {int(x.v_ground[vi])}
         return _sts_conditioned(x, need)
     if kind == "vasa_v":
-        vi = _find(x.v_labels, element)
+        vi = _find(x, "v_labels", element)
         sel = x.vasa.v_idx == vi
         if not sel.any():
             raise ZeroConditioning(f"v element {element} has no mass")
@@ -709,7 +704,7 @@ def derive_graph(x: StavInstance, kind: str, element=None):
         dense = dense / dense.sum()
         return WeightedGraph([x.a_labels[i] for i in keep], dense)
     if kind == "vas_a":
-        ai = _find(x.a_labels, element)
+        ai = _find(x, "a_labels", element)
         sel = x.vasa.a1_idx == ai
         if not sel.any():
             raise ZeroConditioning(f"a element {element} has no mass")
@@ -729,7 +724,7 @@ def derive_graph(x: StavInstance, kind: str, element=None):
             labels[i] = (x.a_labels[a2], x.s_labels[s])
         return BipartiteGraph([x.v_labels[i] for i in keep], labels, dense)
     if kind == "t_lower":
-        ti = _find(x.t_labels, element)
+        ti = _find(x, "t_labels", element)
         t_sup = set(x.t_supports[ti])
         a_in = [ai for ai, sup in enumerate(x.a_supports) if set(sup) <= t_sup]
         if not a_in:
@@ -750,10 +745,15 @@ def derive_graph(x: StavInstance, kind: str, element=None):
     raise HdxError(f"unknown graph kind {kind!r}")
 
 
-def _find(labels, element):
+def _find(x: StavInstance, layer: str, element) -> int:
+    """Position of ``element`` in a layer's label list (first occurrence)."""
+    key = ("pos", layer)
+    if key not in x._cache:
+        labels = getattr(x, layer)
+        x._cache[key] = {lab: i for i, lab in reversed(list(enumerate(labels)))}
     try:
-        return labels.index(element)
-    except ValueError:
+        return x._cache[key][element]
+    except (KeyError, TypeError):
         raise ZeroConditioning(f"element {element!r} not in layer") from None
 
 
@@ -768,24 +768,62 @@ def _accumulate(triplet, shape):
     return m
 
 
+def _sts_index(x: StavInstance):
+    """Per-instance arrays behind the conditioned pair graphs.
+
+    ``ground_t`` is the (ground x T) containment incidence of the middle faces;
+    ``cond`` is the (S x T) conditional matrix of the "indep" tables, with the
+    same entries as ``st_joint`` and empty columns for "pairs" tables, which
+    ``is_pairs`` marks.
+    """
+    if "sts_index" not in x._cache:
+        sizes = np.array([len(sup) for sup in x.t_supports], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(x.t_supports),
+                           dtype=np.int64, count=int(sizes.sum()))
+        n_g = max(len(x.ground_labels), int(flat.max(initial=-1)) + 1)
+        t_of = np.repeat(np.arange(len(sizes)), sizes)
+        ground_t = sp.csr_matrix((np.ones(len(flat)), (flat, t_of)),
+                                 shape=(n_g, len(sizes)))
+        is_pairs = np.array([tab[0] == "pairs" for tab in x.sts.tables], dtype=bool)
+        empty = (np.empty(0, np.int64), np.empty(0))
+        cols = [empty if tab[0] == "pairs" else tab[1:] for tab in x.sts.tables]
+        cond = sp.csc_matrix((np.concatenate([empty[1]] + [p for _, p in cols]),
+                              np.concatenate([empty[0]] + [i for i, _ in cols]),
+                              np.cumsum([0] + [len(i) for i, _ in cols])),
+                             shape=(x.n_s, len(cols)))
+        x._cache["sts_index"] = (ground_t, cond, is_pairs)
+    return x._cache["sts_index"]
+
+
 def _sts_conditioned(x: StavInstance, need: set) -> WeightedGraph:
-    """Pair graph conditioned on the middle face containing ``need``."""
-    t_sel = [ti for ti, sup in enumerate(x.t_supports)
-             if need <= set(sup) and x.t_probs[ti] > 0]
-    if not t_sel:
+    """Pair graph conditioned on the middle face containing ``need``.
+
+    The "indep" tables of the selected t sum to C diag(w) C^T over the
+    conditional matrix C, taken on the live rows; explicit "pairs" tables are
+    added entry by entry.
+    """
+    ground_t, cond, is_pairs = _sts_index(x)
+    if not all(0 <= g < ground_t.shape[0] for g in need):
         raise ZeroConditioning("conditioning event has zero probability")
-    z = sum(float(x.t_probs[ti]) for ti in t_sel)
-    acc = defaultdict(float)
-    for ti in t_sel:
-        i_idx, j_idx, p = x.sts.pair_arrays(ti)
-        w = float(x.t_probs[ti]) / z
-        for a, b, q in zip(i_idx, j_idx, p):
-            acc[(int(a), int(b))] += w * float(q)
-    live = sorted({a for a, _ in acc} | {b for _, b in acc})
-    pos = {s: i for i, s in enumerate(live)}
-    dense = np.zeros((len(live), len(live)))
-    for (a, b), q in acc.items():
-        dense[pos[a], pos[b]] += q
+    hits = np.bincount(ground_t[sorted(need)].indices, minlength=ground_t.shape[1])
+    t_sel = np.flatnonzero((hits == len(need)) & (x.t_probs > 0))
+    if not len(t_sel):
+        raise ZeroConditioning("conditioning event has zero probability")
+    w = x.t_probs[t_sel] / x.t_probs[t_sel].sum()
+    tabs = [x.sts.tables[ti] for ti in t_sel[is_pairs[t_sel]]]
+    p_i = np.concatenate([np.empty(0, np.int64)] + [tab[1] for tab in tabs])
+    p_j = np.concatenate([np.empty(0, np.int64)] + [tab[2] for tab in tabs])
+    p_w = np.concatenate([np.empty(0)] + [wt * tab[3] for wt, tab
+                                          in zip(w[is_pairs[t_sel]], tabs)])
+    c_sel = cond[:, t_sel]
+    live = np.unique(np.concatenate([c_sel.indices, p_i, p_j]))
+    pos = np.zeros(x.n_s, dtype=np.int64)
+    pos[live] = np.arange(len(live))
+    # C restricted to the live rows and selected columns is small and dense
+    block = sp.csc_matrix((c_sel.data, pos[c_sel.indices], c_sel.indptr),
+                          shape=(len(live), len(t_sel))).toarray()
+    dense = (block * w) @ block.T
+    np.add.at(dense, (pos[p_i], pos[p_j]), p_w)
     return WeightedGraph([x.s_labels[i] for i in live], dense)
 
 
@@ -901,24 +939,19 @@ def _sampler_spot_checks(joint: np.ndarray, delta: float, n_checks: int,
     pi_l = joint.sum(axis=1)
     pi_r = joint.sum(axis=0)
     nr = joint.shape[1]
-    failures = 0
     if nr <= 12:
-        candidates = [np.array(c) for size in range(1, nr + 1)
-                      for c in itertools.combinations(range(nr), size)]
+        # every nonempty subset, one bit per right vertex
+        members = (np.arange(1, 2 ** nr)[:, None] >> np.arange(nr)) & 1 == 1
     else:
-        candidates = [np.flatnonzero(rng.random(nr) < rng.uniform(0.2, 0.8))
-                      for _ in range(n_checks)]
-    for cset in candidates:
-        if len(cset) == 0:
-            continue
-        pr_c = pi_r[cset].sum()
-        if pr_c < delta:
-            continue
-        cond = joint[:, cset].sum(axis=1) / pi_l
-        good = cond >= delta / 3.0
-        if pi_l[good].sum() < 1.0 / 3.0 - 1e-12:
-            failures += 1
-    return failures
+        # row k holds the draws of rng.random(nr) < rng.uniform(0.2, 0.8),
+        # in the order a loop over k would make them
+        u = rng.random((n_checks, nr + 1))
+        members = u[:, :nr] < 0.2 + (0.8 - 0.2) * u[:, nr:]
+        members = members[members.any(axis=1)]
+    members = members[members @ pi_r >= delta]
+    cond = (joint @ members.T) / pi_l[:, None]
+    good_mass = pi_l @ (cond >= delta / 3.0)
+    return int(np.count_nonzero(good_mass < 1.0 / 3.0 - 1e-12))
 
 
 def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
@@ -1024,9 +1057,19 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
 # -- structured goodness path -----------------------------------------------------
 
 
+def _one_orbit(c: Complex) -> bool:
+    """Whether the automorphisms of ``c`` act transitively on every level, so
+    one representative face stands for all (the uniform complete complex)."""
+    return c.uniform_complete
+
+
 def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     c, d, l = x.complex, x.d, x.l
     notes = {"path": "structured (containment-mass reductions in a pure complex)"}
+    dedupe = _one_orbit(c)
+    if dedupe:
+        notes["orbits"] = ("one representative a-face (A2a, A3b) and vertex (A3a), "
+                           "exact A5 ratio: all faces of a level are isomorphic")
     lev_t = c.level(l)
     lev_a = c.level(l - 1)
 
@@ -1054,7 +1097,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     # A2a and A3b share the level-(l+1) mass ratios
     min_l2 = -np.inf
     a3b = 0.0
-    for ai in range(lev_a.size):
+    for ai in range(1 if dedupe else lev_a.size):
         a = lev_a.faces[ai]
         vs = candidates(ai)
         m = len(vs)
@@ -1093,11 +1136,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
 
     # A3a: v-conditioned amplification graph = disjointness walk in the link
     a3a = 0.0
-    dedupe = c.uniform_complete
-    v_list = [0] if dedupe else list(range(c.n_vertices))
-    if dedupe:
-        notes["a3a"] = "single representative vertex (all links isomorphic)"
-    for v in v_list:
+    for v in range(1 if dedupe else c.n_vertices):
         a3a = max(a3a, _structured_vasa_v_lambda(c, d, l, v))
 
     # A4: the local reach graph depends only on (d, l) in a pure complex
@@ -1107,20 +1146,16 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     # A5: the reach of a inside s is exactly s minus a.  With a uniform
     # vertex measure the conditional is the exact count ratio; otherwise we
     # bound it from below without enumerating the top level.
-    if c.uniform_complete:
+    if dedupe:
         a5 = (d + 1 - l) / (d + 1)
         notes["a5"] = "exact ratio |s minus a| / |s|"
     else:
         pi0 = np.zeros(c.n_vertices)
         lev0 = c.level(0)
         pi0[lev0.faces[:, 0]] = lev0.measure
-        order = np.sort(pi0)
-        a5 = np.inf
-        for a in lev_a.faces:
-            m_a = float(pi0[a].sum())
-            light = [p for p in order if p > 0][: d + 1 - l]
-            m_low = float(np.sum(light))
-            a5 = min(a5, m_low / (m_a + m_low))
+        m_low = float(np.sum(np.sort(pi0[pi0 > 0])[: d + 1 - l]))
+        m_a = pi0[lev_a.faces].sum(axis=1)
+        a5 = float(np.min(m_low / (m_a + m_low)))
         notes["a5"] = "lower bound from the lightest possible complement"
 
     vals = dict(a1_reach_lambda=a1, a2a_min_edge_expansion=float(min_phi),
@@ -1150,9 +1185,10 @@ def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
         mass = c.containment_mass_rows(
             np.sort(np.concatenate([union_rows,
                                     np.full((len(union_rows), 1), v)], axis=1), axis=1))
-    # index a-faces inside the link by rank over `others`
-    a_combos = list(itertools.combinations(range(len(others)), l))
-    a_rank = {comb: i for i, comb in enumerate(a_combos)}
+    # a-faces inside the link, as rows of positions in `others`, key-sorted
+    n_o = len(others)
+    a_keys = _encode_rows(np.array(list(itertools.combinations(range(n_o), l)),
+                                   dtype=np.int64), n_o)
     pos_of = np.zeros(c.n_vertices, dtype=np.int64)
     pos_of[others] = np.arange(len(others))
     splits = list(itertools.combinations(range(2 * l), l))
@@ -1161,14 +1197,12 @@ def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
         rest = tuple(i for i in range(2 * l) if i not in keep)
         left = np.sort(pos_of[union_rows[:, keep]], axis=1)
         right = np.sort(pos_of[union_rows[:, rest]], axis=1)
-        li = np.array([a_rank[tuple(row)] for row in left])
-        ri = np.array([a_rank[tuple(row)] for row in right])
-        rows_i.append(li)
-        cols_j.append(ri)
+        rows_i.append(_lookup_rows(a_keys, left, n_o))
+        cols_j.append(_lookup_rows(a_keys, right, n_o))
         vals.append(mass)
     j = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows_i), np.concatenate(cols_j))),
-                      shape=(len(a_combos), len(a_combos))).tocsr()
+                      shape=(len(a_keys), len(a_keys))).tocsr()
     j.sum_duplicates()
     live = np.asarray(j.sum(axis=1)).ravel() > 0
     keep_idx = np.flatnonzero(live)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Complex
+from .complexes import Complex, _encode_rows, _lookup_rows
 from .errors import (
     EmptyWalk,
     HdxError,
@@ -327,16 +327,9 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
     s_rows = np.sort(faces_u[in_i].reshape(len(faces_u), len(I)), axis=1)
     t_rows = np.sort(faces_u[~in_i].reshape(len(faces_u), len(J)), axis=1)
 
-    def rows_to_idx(rows, ref_faces):
-        from .complexes import _encode_rows
-        ref_keys = _encode_rows(ref_faces.astype(np.int64), c.n_vertices)
-        order = np.argsort(ref_keys)
-        keys = _encode_rows(rows.astype(np.int64), c.n_vertices)
-        pos = np.searchsorted(ref_keys[order], keys)
-        return order[pos]
-
-    s_idx = rows_to_idx(s_rows, faces_i)
-    t_idx = rows_to_idx(t_rows, faces_j)
+    # colored levels are stored in key order, as every level is
+    s_idx = _lookup_rows(_encode_rows(faces_i, c.n_vertices), s_rows, c.n_vertices)
+    t_idx = _lookup_rows(_encode_rows(faces_j, c.n_vertices), t_rows, c.n_vertices)
     joint = sp.coo_matrix((meas_u, (s_idx, t_idx)),
                           shape=(len(faces_i), len(faces_j))).tocsr()
     joint.sum_duplicates()

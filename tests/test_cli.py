@@ -121,6 +121,12 @@ def test_size_cap_exit_code(tmp_path):
     assert run_cli(["build", "--complete", "40", "12", "-o", str(out)]) == 2
 
 
+def test_malformed_size_cap_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HDX_SIZE_CAP", "lots")
+    assert run_cli(["build", "--complete", "9", "5", "-o", str(tmp_path / "c.json")]) == 1
+    assert "usage error: HDX_SIZE_CAP" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run_cli(["verify", "/nonexistent-dir/nothing.json"]) == 1
     assert run_cli(["build", "-o", "/tmp/x.json"]) == 1

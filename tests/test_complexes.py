@@ -12,6 +12,7 @@ from hdxlab.complexes import (
     graphic_matroid_complex,
     load_complex,
     partite_complete_complex,
+    size_cap_multiplier,
 )
 from hdxlab.errors import (
     DimensionTooLarge,
@@ -22,6 +23,7 @@ from hdxlab.errors import (
     MixedDimension,
     NotAFace,
     TruncationExceedsRank,
+    UsageError,
     ZeroWeight,
 )
 
@@ -226,3 +228,16 @@ def test_json_rejects_malformed():
     with pytest.raises(MixedDimension):
         complex_from_json_dict({"n_vertices": 3, "d": 2, "coloring": None,
                                 "top_faces": [{"verts": [0, 1], "weight": 1.0}]})
+
+
+def test_size_cap_multiplier(monkeypatch):
+    monkeypatch.delenv("HDX_SIZE_CAP", raising=False)
+    assert size_cap_multiplier() == 1.0
+    monkeypatch.setenv("HDX_SIZE_CAP", "4")
+    assert size_cap_multiplier() == 4.0
+    monkeypatch.setenv("HDX_SIZE_CAP", "0.5")
+    assert size_cap_multiplier() == 1.0
+    for bad in ("abc", "1e", "nan", "inf"):
+        monkeypatch.setenv("HDX_SIZE_CAP", bad)
+        with pytest.raises(UsageError):
+            size_cap_multiplier()
