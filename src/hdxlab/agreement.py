@@ -15,7 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import Complex
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .stav import STSTable, StavInstance, neighborhood_stav
 from .spectra import square_lambda
+from .walks import _containment_joint
 
 BRUTE_FORCE_CAP = 10_000_000
 
@@ -429,24 +429,7 @@ def d_l_test(c: Complex, d: int, l: int) -> AgreementTest:
     if not 0 <= l < d <= c.d:
         raise ParameterRange(f"need 0 <= l < d <= {c.d}")
     lev_s, lev_t = c.level(d), c.level(l)
-    rows, cols, vals = [], [], []
-    p_ts = 1.0 / math.comb(d + 1, l + 1)
-    for keep in itertools.combinations(range(d + 1), l + 1):
-        t_idx = lev_t.index_rows(lev_s.faces[:, list(keep)])
-        rows.append(np.arange(lev_s.size))
-        cols.append(t_idx)
-        vals.append(lev_s.measure * p_ts)
-    st = sp.coo_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(lev_s.size, lev_t.size)).tocsr()
-    st.sum_duplicates()
-    t_probs = np.asarray(st.sum(axis=0)).ravel()
-    stc = st.tocsc()
-    tables = []
-    for ti in range(lev_t.size):
-        col = stc[:, ti]
-        tables.append(("indep", col.indices.astype(np.int64), col.data / t_probs[ti]))
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=lev_s.size)
+    sts = STSTable.from_joint(_containment_joint(c, d, l))
     return AgreementTest(list(lev_s.iter_faces()),
                          [tuple(int(v) for v in row) for row in lev_s.faces],
                          sts, list(lev_t.iter_faces()),

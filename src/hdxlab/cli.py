@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments with JSON/CSV reports.
 
 Every written report has the shape {"manifest": ..., "report": ...}.  The
-manifest records the command, flags, seed, library version, input hashes,
-thread count and wall time; the report payload is deterministic in exact
-mode, so re-running a manifest reproduces it bit for bit (the wall-time field
-lives in the manifest, outside the reproducible payload).
+manifest records the command, flags, seed, library version, input hashes and
+wall time; the report payload is deterministic in exact mode, so re-running a
+manifest reproduces it bit for bit (the wall-time field lives in the
+manifest, outside the reproducible payload).
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _manifest(args, inputs, started, seed=None) -> dict:
         "flags": flags,
         "seed": seed,
         "version": __version__,
-        "threads": getattr(args, "threads", 1),
         "input_hashes": {p: _hash_file(p) for p in inputs},
         "wall_time_s": round(time.time() - started, 6),
     }
@@ -415,8 +414,6 @@ def _add_instance_flags(sub):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hdxlab")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in the manifest")
     subs = parser.add_subparsers(dest="command", required=True)
 
     b = subs.add_parser("build")

@@ -478,7 +478,8 @@ def graphic_matroid_complex(edges, truncation: int) -> Complex:
     nodes = sorted({u for e in edge_list for u in e})
     node_id = {u: i for i, u in enumerate(nodes)}
 
-    def forest_rank(edge_idxs) -> bool:
+    def spanning_forest(edge_idxs) -> list:
+        """Edges of ``edge_idxs`` that join two components of the ones before."""
         parent = list(range(len(nodes)))
 
         def find(x):
@@ -487,34 +488,22 @@ def graphic_matroid_complex(edges, truncation: int) -> Complex:
                 x = parent[x]
             return x
 
+        kept = []
         for i in edge_idxs:
             u, v = edge_list[i]
             ru, rv = find(node_id[u]), find(node_id[v])
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                kept.append(i)
+        return kept
 
     # matroid rank = largest forest
-    rank = 0
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edge_list:
-        ru, rv = find(node_id[u]), find(node_id[v])
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
+    rank = len(spanning_forest(range(len(edge_list))))
     if truncation + 1 > rank:
         raise TruncationExceedsRank(
             f"truncation {truncation} needs rank >= {truncation + 1}, rank is {rank}")
     tops = [c for c in itertools.combinations(range(len(edge_list)), truncation + 1)
-            if forest_rank(c)]
+            if len(spanning_forest(c)) == len(c)]
     rows = np.array(tops, dtype=np.int32).reshape(-1, truncation + 1)
     weights = np.full(len(rows), 1.0 / len(rows))
     return Complex(len(edge_list), truncation, rows, weights)

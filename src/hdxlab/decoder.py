@@ -30,7 +30,7 @@ from .agreement import (
     rejection,
     surprise,
 )
-from .stav import STSTable, StavInstance, partite_ij_stav
+from .stav import STSTable, StavInstance, _restricted_joint, partite_ij_stav
 
 DEFAULT_TAU_GLOBAL = 1.0 / 40.0
 DEFAULT_TAU_LOCAL = 1.0 / 20.0
@@ -362,30 +362,11 @@ def in_one_set_test(c: Complex, colors_i, colors_j, k: int, l: int) -> Agreement
     col = np.asarray(c.coloring)
     lev_t = c.level(l)
     lev_k = c.level(k)
-    s_keep = [i for i in range(lev_k.size)
-              if I | J <= frozenset(col[lev_k.faces[i]].tolist())]
+    s_keep = np.flatnonzero(
+        np.isin(col[lev_k.faces], sorted(I | J)).sum(axis=1) == len(I | J))
     s_faces = [tuple(int(x) for x in lev_k.faces[i]) for i in s_keep]
-    s_sets = [frozenset(fc) for fc in s_faces]
-    s_meas = lev_k.measure[s_keep]
-    t_probs = []
-    tables = []
-    t_supports = []
-    for ti in range(lev_t.size):
-        t = tuple(int(v) for v in lev_t.faces[ti])
-        sup = [si for si, ss in enumerate(s_sets) if frozenset(t) <= ss]
-        if not sup:
-            t_probs.append(0.0)
-            tables.append(("indep", np.array([], dtype=np.int64), np.array([])))
-            t_supports.append(t)
-            continue
-        w = s_meas[sup] / s_meas[sup].sum()
-        t_probs.append(float(lev_t.measure[ti]))
-        tables.append(("indep", np.array(sup, dtype=np.int64), w))
-        t_supports.append(t)
-    t_probs = np.array(t_probs)
-    t_probs = t_probs / t_probs.sum()
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(s_faces))
-    return AgreementTest(s_faces, s_faces, sts, t_supports,
+    sts = STSTable.from_joint(_restricted_joint(c, k, l, s_keep, np.arange(lev_t.size)))
+    return AgreementTest(s_faces, s_faces, sts, list(lev_t.iter_faces()),
                          meta={"kind": "in_one_set", "I": sorted(I), "J": sorted(J)})
 
 

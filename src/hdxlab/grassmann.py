@@ -27,7 +27,7 @@ from .errors import (
 )
 from .complexes import size_cap_multiplier
 from .stav import STSTable, StavInstance, VasaTable
-from .walks import MarkovOperator
+from .walks import MarkovOperator, _from_joint
 
 MAX_Q = 9
 _BASE_POINTS = 1_100_000
@@ -417,23 +417,16 @@ def enumerate_level(p: GrassmannPoset, k: int) -> list[Subspace]:
 # -- walks ------------------------------------------------------------------------
 
 
-def _uniform_operator(n_l: int, n_r: int, edges) -> MarkovOperator:
-    rows = np.array([e[0] for e in edges])
-    cols = np.array([e[1] for e in edges])
-    if len(rows) == 0:
+def _uniform_operator(edges) -> MarkovOperator:
+    """Walk of the uniform joint over distinct (left, right) edges, between the
+    elements that some edge touches."""
+    if not edges:
         raise EmptyWalk("walk has no edges")
-    vals = np.full(len(rows), 1.0 / len(rows))
-    joint = sp.coo_matrix((vals, (rows, cols)), shape=(n_l, n_r)).tocsr()
-    joint.sum_duplicates()
-    left = np.asarray(joint.sum(axis=1)).ravel()
-    right = np.asarray(joint.sum(axis=0)).ravel()
-    live_l = np.flatnonzero(left > 0)
-    live_r = np.flatnonzero(right > 0)
-    joint = joint[live_l][:, live_r]
-    left, right = left[live_l], right[live_r]
-    mat = sp.diags(1.0 / left) @ joint
-    mat = np.asarray(mat.todense()) if max(joint.shape) <= 5000 else mat.tocsr()
-    return MarkovOperator(live_l[:, None], left, live_r[:, None], right, mat)
+    live_l, r = np.unique([e[0] for e in edges], return_inverse=True)
+    live_r, c = np.unique([e[1] for e in edges], return_inverse=True)
+    vals = np.full(len(edges), 1.0 / len(edges))
+    return _from_joint(live_l[:, None], np.bincount(r, weights=vals),
+                       live_r[:, None], np.bincount(c, weights=vals), [r], [c], [vals])
 
 
 def grassmann_containment_walk(p: GrassmannPoset, k: int, l: int) -> MarkovOperator:
@@ -447,7 +440,7 @@ def grassmann_containment_walk(p: GrassmannPoset, k: int, l: int) -> MarkovOpera
     for si, s in enumerate(big):
         for t in p.contained_level(s, l):
             edges.append((si, idx[t]))
-    return _uniform_operator(len(big), len(small), edges)
+    return _uniform_operator(edges)
 
 
 def conditioned_complement_walk(p: GrassmannPoset, l1: int, l2: int,
@@ -496,29 +489,26 @@ def conditioned_complement_walk(p: GrassmannPoset, l1: int, l2: int,
                 target += 1 + (0 if u0 is None else 1)
             if p.joint_dim([v, w] + parts0) == target:
                 edges.append((li, rj))
-    return _uniform_operator(len(left_all), len(right_all), edges)
+    return _uniform_operator(edges)
 
 
 # -- test distributions and the subspace instance -----------------------------------
 
 
 def _sts_from_levels(p: GrassmannPoset, d: int, l: int):
-    """Uniform t, then independent uniform tops above it."""
+    """Uniform t, then independent uniform tops above it: the pair tables, the
+    (S x T) joint and both levels."""
     tops = p.level(d)
     mids = p.level(l)
     mid_idx = {t: i for i, t in enumerate(mids)}
-    sup = [[] for _ in mids]
-    for si, s in enumerate(tops):
-        for t in p.contained_level(s, l):
-            sup[mid_idx[t]].append(si)
-    t_probs = np.full(len(mids), 1.0 / len(mids))
-    tables = []
-    for ti in range(len(mids)):
-        s_idx = np.array(sorted(sup[ti]), dtype=np.int64)
-        if len(s_idx) == 0:
-            raise EmptyWalk(f"level-{l} element {ti} extends to no top")
-        tables.append(("indep", s_idx, np.full(len(s_idx), 1.0 / len(s_idx))))
-    return STSTable(t_probs=t_probs, tables=tables, n_s=len(tops)), tops, mids
+    pairs = np.array([(si, mid_idx[t]) for si, s in enumerate(tops)
+                      for t in p.contained_level(s, l)], dtype=np.int64)
+    n_up = np.bincount(pairs[:, 1], minlength=len(mids))
+    if not n_up.all():
+        raise EmptyWalk(f"level-{l} element {int(np.argmin(n_up))} extends to no top")
+    st = sp.csr_matrix((1.0 / (len(mids) * n_up[pairs[:, 1]]), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(tops), len(mids)))
+    return STSTable.from_joint(st), st, tops, mids
 
 
 def agd_distribution(p: GrassmannPoset, d: int, l: int):
@@ -537,7 +527,7 @@ def _grassmann_test(p: GrassmannPoset, d: int, l: int):
     from .agreement import AgreementTest
     if not 0 <= l < d <= p.d:
         raise LevelOutOfRange(f"need 0 <= l < d <= {p.d}")
-    sts, tops, mids = _sts_from_levels(p, d, l)
+    sts, _, tops, mids = _sts_from_levels(p, d, l)
     points = p.level(0)
     pt_idx = {v: i for i, v in enumerate(points)}
     supports = [tuple(sorted(pt_idx[v] for v in p.contained_level(s, 0)))
@@ -570,18 +560,10 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
             f"amplification table would hold about {est} rows, over the cap "
             f"{_stav_table_cap()}")
 
-    sts, tops, mids = _sts_from_levels(p, d, l)
+    sts, st, tops, mids = _sts_from_levels(p, d, l)
     amps = p.level(l - 1)
     amp_idx = {a: i for i, a in enumerate(amps)}
-    mid_idx = {t: i for i, t in enumerate(mids)}
     pt_idx = {v: i for i, v in enumerate(points)}
-
-    st = sp.lil_matrix((len(tops), len(mids)))
-    for ti, tab in enumerate(sts.tables):
-        _, s_idx, cond = tab
-        for si, q in zip(s_idx, cond):
-            st[si, ti] = sts.t_probs[ti] * q
-    st = st.tocsr()
 
     av_tables = []
     for t in mids:
@@ -639,9 +621,3 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
         t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts,
         vasa=vasa,
         meta={"poset": p, "d": d, "l": l})
-
-
-def _first(p: GrassmannPoset, d: int, k: int):
-    """Sub-level enumeration of one representative top element."""
-    tops = p.level(d)
-    return p.contained_level(tops[0], k)

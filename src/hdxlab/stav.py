@@ -11,6 +11,10 @@ Two representations coexist:
   pure weighted complex, to a small matrix whose entries are ratios of
   containment masses at levels l and l+1 (or a sparse matrix from level 2l),
   so the checks run without ever materializing the top level.
+
+Every builder of independent pair tables writes its (S x T) main distribution
+as one sparse joint, usually a block of the containment joint
+``walks._containment_joint``, and hands it to ``STSTable.from_joint``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     ZeroConditioning,
 )
 from .spectra import bipartite_lambda, edge_expansion_exact, square_lambda
-from .walks import BipartiteGraph, WeightedGraph, complement_walk
+from .walks import BipartiteGraph, WeightedGraph, _containment_joint, complement_walk
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
@@ -56,6 +60,20 @@ class STSTable:
     t_probs: np.ndarray
     tables: list
     n_s: int
+
+    @classmethod
+    def from_joint(cls, st) -> "STSTable":
+        """Independent pair tables of an (S x T) joint: t by its column mass,
+        then two independent s from its column.  A t without mass gets an
+        empty table."""
+        stc = sp.csc_matrix(st)
+        stc.sum_duplicates()
+        t_probs = np.asarray(stc.sum(axis=0)).ravel()
+        ptr = stc.indptr
+        tables = [("indep", stc.indices[a:b].astype(np.int64),
+                   stc.data[a:b] / pt if pt > 0 else np.empty(0))
+                  for a, b, pt in zip(ptr[:-1], ptr[1:], t_probs)]
+        return cls(t_probs=t_probs, tables=tables, n_s=stc.shape[0])
 
     def s_marginal(self) -> np.ndarray:
         out = np.zeros(self.n_s)
@@ -169,9 +187,8 @@ class StavInstance:
             st = self.st_joint.tocsc()
             v_rows, a_rows, s_rows, p_rows = [], [], [], []
             for ti, (a_idx, v_idx, p_av) in enumerate(self.av_tables):
-                col = st[:, ti]
-                s_idx = col.indices
-                p_st = col.data
+                s_idx = st.indices[st.indptr[ti]:st.indptr[ti + 1]]
+                p_st = st.data[st.indptr[ti]:st.indptr[ti + 1]]
                 v_rows.append(np.repeat(v_idx, len(s_idx)))
                 a_rows.append(np.repeat(a_idx, len(s_idx)))
                 s_rows.append(np.tile(s_idx, len(v_idx)))
@@ -216,6 +233,17 @@ def _faces_as_supports(lev):
     return [tuple(int(v) for v in row) for row in lev.faces]
 
 
+def _restricted_joint(c: Complex, k: int, l: int, s_keep, t_keep) -> sp.csr_matrix:
+    """Rows ``s_keep`` and columns ``t_keep`` of the X(k) x X(l) containment
+    joint, each column with mass rescaled to the level measure of its t,
+    renormalised over those columns."""
+    st = _containment_joint(c, k, l)[s_keep][:, t_keep]
+    col_tot = np.asarray(st.sum(axis=0)).ravel()
+    w = np.where(col_tot > 0, c.level(l).measure[t_keep], 0.0)
+    scale = np.divide(w, col_tot * w.sum(), out=np.zeros(len(w)), where=col_tot > 0)
+    return (st @ sp.diags(scale)).tocsr()
+
+
 def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
     """Simplicial instance: S = X(d), T = X(l), A = X(l-1), V = X(0).
 
@@ -240,18 +268,8 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
             f"{TABULAR_TABLE_CAP}; got {n_top} top faces")
 
     lev_s, lev_t, lev_a, lev_v = c.level(d), c.level(l), c.level(l - 1), c.level(0)
-    # (s, t) joint: P(t | s) uniform over contained l-faces
-    rows, cols, vals = [], [], []
-    p_ts = 1.0 / math.comb(d + 1, l + 1)
-    for keep in itertools.combinations(range(d + 1), l + 1):
-        t_idx = lev_t.index_rows(lev_s.faces[:, list(keep)])
-        rows.append(np.arange(lev_s.size))
-        cols.append(t_idx)
-        vals.append(lev_s.measure * p_ts)
-    st = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(lev_s.size, lev_t.size)).tocsr()
-    st.sum_duplicates()
-    t_probs = np.asarray(st.sum(axis=0)).ravel()
+    st = _containment_joint(c, d, l)
+    sts = STSTable.from_joint(st)
 
     av_tables = []
     for ti in range(lev_t.size):
@@ -263,14 +281,6 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
             a_idx[pos] = lev_a.index_of(tuple(int(x) for x in rest))
             v_idx[pos] = int(t[pos])
         av_tables.append((a_idx, v_idx, np.full(l + 1, 1.0 / (l + 1))))
-
-    # independent pair tables per t
-    stc = st.tocsc()
-    tables = []
-    for ti in range(lev_t.size):
-        col = stc[:, ti]
-        tables.append(("indep", col.indices.astype(np.int64), col.data / t_probs[ti]))
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=lev_s.size)
 
     # amplification table: uniform disjoint (a1, a2, v) inside each s
     v_rows, a1_rows, s_rows, a2_rows, p_rows = [], [], [], [], []
@@ -305,7 +315,7 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
         a_supports=_faces_as_supports(lev_a),
         t_supports=_faces_as_supports(lev_t),
         s_supports=_faces_as_supports(lev_s),
-        t_probs=t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
+        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
         meta={"complex": c, "d": d, "l": l})
 
 
@@ -325,22 +335,19 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     col = np.asarray(c.coloring)
 
     lev_k = c.level(k)
-    s_keep = [i for i in range(lev_k.size)
-              if I | J <= frozenset(col[lev_k.faces[i]].tolist())]
-    if not s_keep:
+    s_keep = np.flatnonzero(np.isin(col[lev_k.faces], sorted(I | J)).sum(axis=1) == 2 * l)
+    if not len(s_keep):
         raise ParameterRange("no k-face carries both color sets")
     s_faces = [tuple(int(x) for x in lev_k.faces[i]) for i in s_keep]
-    s_meas = lev_k.measure[s_keep]
 
+    # t carries one of the two color sets and one color outside both
     lev_t = c.level(l)
-    t_faces, t_meas_raw = [], []
-    for i in range(lev_t.size):
-        cols_t = frozenset(col[lev_t.faces[i]].tolist())
-        if cols_t & (I | J) in (I, J):
-            t_faces.append(tuple(int(x) for x in lev_t.faces[i]))
-            t_meas_raw.append(float(lev_t.measure[i]))
-    if not t_faces:
+    n_i = np.isin(col[lev_t.faces], sorted(I)).sum(axis=1)
+    n_j = np.isin(col[lev_t.faces], sorted(J)).sum(axis=1)
+    t_keep = np.flatnonzero(((n_i == l) & (n_j == 0)) | ((n_j == l) & (n_i == 0)))
+    if not len(t_keep):
         raise ParameterRange("no l-face matches the color pattern")
+    t_faces = [tuple(int(x) for x in lev_t.faces[i]) for i in t_keep]
 
     lev_a = c.level(l - 1)
     a_faces = [tuple(int(x) for x in lev_a.faces[i]) for i in range(lev_a.size)
@@ -348,27 +355,12 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     v_labels = [v for v in range(c.n_vertices) if col[v] not in I | J]
     v_pos = {v: i for i, v in enumerate(v_labels)}
     a_pos = {f: i for i, f in enumerate(a_faces)}
-    t_pos = {f: i for i, f in enumerate(t_faces)}
-    s_pos = {f: i for i, f in enumerate(s_faces)}
 
     # (s, t) joint: P(t) conditional measure, P(s | t) prop to level measure
-    t_probs = np.array(t_meas_raw)
-    t_probs = t_probs / t_probs.sum()
-    rows, cols_, raw = [], [], []
-    for si, s in enumerate(s_faces):
-        for sub in itertools.combinations(s, l + 1):
-            ti = t_pos.get(sub)
-            if ti is None:
-                continue
-            rows.append(si)
-            cols_.append(ti)
-            raw.append(float(s_meas[si]))
-    st = sp.coo_matrix((raw, (rows, cols_)),
-                       shape=(len(s_faces), len(t_faces))).tocsr()
-    col_tot = np.asarray(st.sum(axis=0)).ravel()
-    if np.any(col_tot <= 0):
+    st = _restricted_joint(c, k, l, s_keep, t_keep)
+    sts = STSTable.from_joint(st)
+    if not np.all(sts.t_probs > 0):
         raise ParameterRange("some t-face extends to no valid k-face")
-    st = (st @ sp.diags(t_probs / col_tot)).tocsr()
 
     av_tables = []
     for t in t_faces:
@@ -379,13 +371,6 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
         assert len(v) == 1
         av_tables.append((np.array([a_pos[a]]), np.array([v_pos[v[0]]]),
                           np.array([1.0])))
-
-    stc = st.tocsc()
-    tables = []
-    for ti in range(len(t_faces)):
-        colv = stc[:, ti]
-        tables.append(("indep", colv.indices.astype(np.int64), colv.data / t_probs[ti]))
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(s_faces))
 
     # amplification: deterministic colored subfaces, v from the (v | s) marginal
     vas_v, vas_a1, vas_s, vas_a2, vas_p = [], [], [], [], []
@@ -420,7 +405,7 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=s_faces,
-        t_probs=t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
+        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
         meta={"complex": c, "I": sorted(I), "J": sorted(J), "k": k, "l": l})
     return inst
 
@@ -465,8 +450,8 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
     st = sp.coo_matrix((vals, (rows, cols_)),
                        shape=(len(z_faces), len(t_faces))).tocsr()
     st.sum_duplicates()
-    t_probs = np.asarray(st.sum(axis=0)).ravel()
-    live_t = t_probs > 0
+    sts = STSTable.from_joint(st)
+    live_t = sts.t_probs > 0
 
     av_tables = []
     for ti, t in enumerate(t_faces):
@@ -478,26 +463,16 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
             v_idx[pos] = t[pos]
         av_tables.append((a_idx, v_idx, np.full(l + 1, 1.0 / (l + 1))))
 
-    stc = st.tocsc()
-    tables = []
-    for ti in range(len(t_faces)):
-        colv = stc[:, ti]
-        if t_probs[ti] <= 0:
-            tables.append(("indep", np.array([], dtype=np.int64), np.array([])))
-            continue
-        cond = colv.data / t_probs[ti]
-        if mode == "independent":
-            tables.append(("indep", colv.indices.astype(np.int64), cond))
-        else:
+    if mode == "complement":
+        # the two balls come from disjoint k-faces of the link of t
+        for ti in np.flatnonzero(live_t):
             lk = c.link(t_faces[ti])
-            lab = lk.vertex_labels
             comp = complement_walk(lk, k, k)
-            joint = comp.joint()
-            joint = np.asarray(joint.todense()) if sp.issparse(joint) else joint
-            zids = lev_z.index_rows(np.sort(np.asarray(lab)[comp.source_faces], axis=1))
+            joint = _densify(comp.joint())
+            lab = np.asarray(lk.vertex_labels)
+            zids = lev_z.index_rows(np.sort(lab[comp.source_faces], axis=1))
             nz = np.nonzero(joint)
-            tables.append(("pairs", zids[nz[0]], zids[nz[1]], joint[nz]))
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(z_faces))
+            sts.tables[ti] = ("pairs", zids[nz[0]], zids[nz[1]], joint[nz])
 
     # amplification: z, then v in the link, then disjoint (a1, a2) via the
     # complement walk inside the link of z + v
@@ -536,7 +511,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=[balls[z] for z in z_faces],
-        t_probs=t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
+        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
         meta={"complex": c, "l": l, "k": k, "mode": mode, "live_t": live_t})
     return inst
 
@@ -578,48 +553,29 @@ def invariant_report(x) -> InvariantReport:
     uniform_dev = float(np.max(np.abs(vm - 1.0 / len(vm))))
     # (a, v) | t factor is stored once per t: independence from s holds by
     # representation; report it as structural.
-    sym_dev = 0.0
-    for ti in range(len(x.t_probs)):
-        tab = x.sts.tables[ti]
-        if tab[0] == "pairs":
-            _, i_idx, j_idx, p = tab
-            fwd = defaultdict(float)
-            for a, b, q in zip(i_idx, j_idx, p):
-                fwd[(int(a), int(b))] += float(q)
-            for (a, b), q in fwd.items():
-                sym_dev = max(sym_dev, abs(q - fwd.get((b, a), 0.0)))
+    n_t, n_s, n_a = len(x.t_probs), x.n_s, len(x.a_labels)
+    tabs = x.sts.tables
+    sizes = [len(tab[1]) for tab in tabs]
+    t_of = np.repeat(np.arange(n_t), sizes)
+    i_of = np.concatenate([np.empty(0, np.int64)] + [tab[1] for tab in tabs])
+    w = np.concatenate([np.empty(0)] + [tab[-1] for tab in tabs])  # cond or p
+    pair = np.repeat(np.array([tab[0] == "pairs" for tab in tabs], dtype=bool), sizes)
+    j_of = np.concatenate([np.empty(0, np.int64)]
+                          + [tab[2] for tab in tabs if tab[0] == "pairs"])
+    sym_dev = _max_gap((n_t, n_s, n_s), (t_of[pair], i_of[pair], j_of), w[pair],
+                       (t_of[pair], j_of, i_of[pair]), w[pair])
     # (s, t) marginal of the pair distribution vs the main distribution
-    marg_dev = 0.0
-    stc = x.st_joint.tocsc()
-    for ti in range(len(x.t_probs)):
-        col = stc[:, ti]
-        main = np.zeros(x.n_s)
-        main[col.indices] = col.data
-        tab = x.sts.tables[ti]
-        pair = np.zeros(x.n_s)
-        if tab[0] == "indep":
-            pair[tab[1]] = x.t_probs[ti] * tab[2]
-        else:
-            np.add.at(pair, tab[1], x.t_probs[ti] * tab[3])
-        marg_dev = max(marg_dev, float(np.max(np.abs(pair - main))) if x.n_s else 0.0)
+    st = x.st_joint.tocoo()
+    marg_dev = _max_gap((n_s, n_t), (i_of, t_of), x.t_probs[t_of] * w,
+                        (st.row, st.col), st.data)
     # amplification symmetry and marginal
-    fwd = defaultdict(float)
-    for v, a1, s, a2, p in zip(x.vasa.v_idx, x.vasa.a1_idx, x.vasa.s_idx,
-                               x.vasa.a2_idx, x.vasa.probs):
-        fwd[(int(v), int(a1), int(s), int(a2))] += float(p)
-    vasa_sym = 0.0
-    for (v, a1, s, a2), p in fwd.items():
-        vasa_sym = max(vasa_sym, abs(p - fwd.get((v, a2, s, a1), 0.0)))
-    vas_marg = defaultdict(float)
-    for (v, a1, s, a2), p in fwd.items():
-        vas_marg[(v, a1, s)] += p
-    ref = defaultdict(float)
+    va = x.vasa
+    dims = (x.n_v, n_a, n_s, n_a)
+    vasa_sym = _max_gap(dims, (va.v_idx, va.a1_idx, va.s_idx, va.a2_idx), va.probs,
+                        (va.v_idx, va.a2_idx, va.s_idx, va.a1_idx), va.probs)
     vv, aa, ss, pp = x.vas_triples()
-    for v, a, s, p in zip(vv, aa, ss, pp):
-        ref[(int(v), int(a), int(s))] += float(p)
-    vasa_marg_dev = 0.0
-    for key in set(vas_marg) | set(ref):
-        vasa_marg_dev = max(vasa_marg_dev, abs(vas_marg.get(key, 0.0) - ref.get(key, 0.0)))
+    vasa_marg_dev = _max_gap(dims[:3], (va.v_idx, va.a1_idx, va.s_idx), va.probs,
+                             (vv, aa, ss), pp)
     positive = (bool(np.all(x.s_probs() > 0)) and bool(np.all(vm > 0))
                 and bool(np.all(np.asarray(x.reach_joint().sum(axis=1)).ravel() > 0)))
     return InvariantReport(
@@ -632,6 +588,19 @@ def invariant_report(x) -> InvariantReport:
         positive_layers=positive,
         methods={"av_independent_of_s": "structural (factored through t)",
                  "others": "exact summation"})
+
+
+def _max_gap(dims, idx_a, p_a, idx_b, p_b) -> float:
+    """Largest |P_a(key) - P_b(key)| of two distributions given as entries
+    (index tuples into ``dims``, probabilities); repeated keys add up in entry
+    order.  With idx_b the entries of P_a with two coordinates swapped, this is
+    the largest asymmetry of P_a."""
+    key_a = np.ravel_multi_index(idx_a, dims)
+    key_b = np.ravel_multi_index(idx_b, dims)
+    keys = np.union1d(key_a, key_b)
+    mass_a = np.bincount(np.searchsorted(keys, key_a), weights=p_a, minlength=len(keys))
+    mass_b = np.bincount(np.searchsorted(keys, key_b), weights=p_b, minlength=len(keys))
+    return float(np.max(np.abs(mass_a - mass_b), initial=0.0))
 
 
 def _structured_invariants(x: StructuredHdxStav) -> InvariantReport:

@@ -2,8 +2,12 @@
 
 Every operator pairs a transition matrix with the stationary measures of its
 source and target levels; the joint distribution source(u) * P(u, v) is what
-the spectra module symmetrizes.  Operators are dense when both levels have at
-most 5000 faces and sparse (CSR) otherwise.
+the spectra module symmetrizes.  Each walk is written down as its joint over
+the two levels and turned into an operator by one constructor, ``_from_joint``
+(P = diag(1/source) J).  ``_containment_joint`` builds the joint of "s by level
+measure, then an l-face inside s", which is also the (S, T) main distribution
+of the agreement tests.  Operators are dense when both levels have at most
+5000 faces and sparse (CSR) otherwise.
 """
 
 from __future__ import annotations
@@ -108,11 +112,6 @@ class MarkovOperator:
     def to_bipartite_graph(self) -> "BipartiteGraph":
         return BipartiteGraph(self.source_faces, self.target_faces, self.joint())
 
-    def to_weighted_graph(self) -> "WeightedGraph":
-        if not self.is_square:
-            raise HdxError("not a square operator")
-        return WeightedGraph(self.source_faces, self.joint())
-
     def triplets(self):
         """Yield (source_face, target_face, prob) rows for CSV export."""
         mat = self.matrix.tocoo() if sp.issparse(self.matrix) else None
@@ -182,8 +181,6 @@ class WeightedGraph:
         """Ordered-pair mass J(A x B)."""
         a = np.asarray(sorted(a), dtype=int)
         b = np.asarray(sorted(b), dtype=int)
-        if sp.issparse(self.joint):
-            return float(self.joint[np.ix_(a, b)].sum())
         return float(self.joint[np.ix_(a, b)].sum())
 
 
@@ -196,69 +193,65 @@ def _check_level(c: Complex, k: int, hi: int | None = None):
         raise LevelOutOfRange(f"level {k} out of range [0, {top}]")
 
 
-def _operator(c, src_level, tgt_level, rows, cols, vals) -> MarkovOperator:
-    src = c.level(src_level)
-    tgt = c.level(tgt_level)
-    shape = (src.size, tgt.size)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure,
-                          _maybe_dense(mat))
+def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, rows, cols,
+                vals) -> MarkovOperator:
+    """Operator P = diag(1/src_meas) J of the joint J with COO entries
+    (rows, cols, vals), each a list of arrays; repeated entries add up."""
+    joint = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(len(src_meas), len(tgt_meas))).tocsr()
+    joint.sum_duplicates()
+    if joint.nnz == 0:
+        raise EmptyWalk("no face joins the source and target levels")
+    mat = sp.diags(1.0 / src_meas) @ joint
+    return MarkovOperator(src_faces, src_meas, tgt_faces, tgt_meas,
+                          _maybe_dense(mat.tocsr()))
+
+
+def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:
+    """Joint of X(k) and X(l): a k-face s by level measure, then one of its
+    l-faces uniformly, so J[s, t] = measure(s) / C(k+1, l+1) for t in s."""
+    src = c.level(k)
+    tgt = c.level(l)
+    keeps = list(itertools.combinations(range(k + 1), l + 1))
+    cols = [tgt.index_rows(src.faces[:, list(keep)]) for keep in keeps]
+    return sp.coo_matrix((np.tile(src.measure / len(keeps), len(keeps)),
+                          (np.tile(np.arange(src.size), len(keeps)),
+                           np.concatenate(cols))),
+                         shape=(src.size, tgt.size)).tocsr()
 
 
 def up_operator(c: Complex, k: int) -> MarkovOperator:
     """Walk one level up; P(t -> s) = measure(s) / ((k+2) measure(t))."""
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"up operator needs 0 <= k <= d-1, got {k}")
-    src = c.level(k)
-    tgt = c.level(k + 1)
-    rows, cols, vals = [], [], []
-    for drop in range(k + 2):
-        keep = [j for j in range(k + 2) if j != drop]
-        sub_idx = src.index_rows(tgt.faces[:, keep])
-        rows.append(sub_idx)
-        cols.append(np.arange(tgt.size))
-        vals.append(tgt.measure / ((k + 2) * src.measure[sub_idx]))
-    return _operator(c, k, k + 1, np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals))
+    src, tgt = c.level(k), c.level(k + 1)
+    j = _containment_joint(c, k + 1, k).tocoo()
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       [j.col], [j.row], [j.data])
 
 
 def down_operator(c: Complex, k: int) -> MarkovOperator:
     """Walk one level down; uniform over the k+2 facets."""
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"down operator needs 0 <= k <= d-1, got {k}")
-    src = c.level(k + 1)
-    tgt = c.level(k)
-    rows, cols, vals = [], [], []
-    for drop in range(k + 2):
-        keep = [j for j in range(k + 2) if j != drop]
-        sub_idx = tgt.index_rows(src.faces[:, keep])
-        rows.append(np.arange(src.size))
-        cols.append(sub_idx)
-        vals.append(np.full(src.size, 1.0 / (k + 2)))
-    return _operator(c, k + 1, k, np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals))
+    src, tgt = c.level(k + 1), c.level(k)
+    j = _containment_joint(c, k + 1, k).tocoo()
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       [j.row], [j.col], [j.data])
 
 
 def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
     """Multi-level down walk X(k) -> X(l); uniform over contained l-faces."""
     if not (-1 <= l < k <= c.d):
         raise LevelOutOfRange(f"containment needs -1 <= l < k <= d, got k={k}, l={l}")
-    src = c.level(k)
+    src, tgt = c.level(k), c.level(l)
     if l == -1:
-        mat = np.ones((src.size, 1))
-        tgt = c.level(-1)
-        return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure, mat)
-    tgt = c.level(l)
-    p = 1.0 / math.comb(k + 1, l + 1)
-    rows, cols, vals = [], [], []
-    for keep in itertools.combinations(range(k + 1), l + 1):
-        sub_idx = tgt.index_rows(src.faces[:, list(keep)])
-        rows.append(np.arange(src.size))
-        cols.append(sub_idx)
-        vals.append(np.full(src.size, p))
-    return _operator(c, k, l, np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals))
+        return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure,
+                              np.ones((src.size, 1)))
+    j = _containment_joint(c, k, l).tocoo()
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       [j.row], [j.col], [j.data])
 
 
 def containment_operator_by_product(c: Complex, k: int, l: int) -> MarkovOperator:
@@ -298,15 +291,8 @@ def complement_walk(c: Complex, l1: int, l2: int) -> MarkovOperator:
         rows.append(s_idx)
         cols.append(t_idx)
         vals.append(union.measure * split)
-    joint = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(src.size, tgt.size)).tocsr()
-    joint.sum_duplicates()
-    if joint.nnz == 0:
-        raise EmptyWalk("no union face exists for this complement walk")
-    mat = sp.diags(1.0 / src.measure) @ joint
-    return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure,
-                          _maybe_dense(mat.tocsr()))
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       rows, cols, vals)
 
 
 def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
@@ -330,14 +316,7 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
     # colored levels are stored in key order, as every level is
     s_idx = _lookup_rows(_encode_rows(faces_i, c.n_vertices), s_rows, c.n_vertices)
     t_idx = _lookup_rows(_encode_rows(faces_j, c.n_vertices), t_rows, c.n_vertices)
-    joint = sp.coo_matrix((meas_u, (s_idx, t_idx)),
-                          shape=(len(faces_i), len(faces_j))).tocsr()
-    joint.sum_duplicates()
-    if joint.nnz == 0:
-        raise EmptyWalk("no face carries both color sets")
-    mat = sp.diags(1.0 / meas_i) @ joint
-    return MarkovOperator(faces_i, meas_i, faces_j, meas_j,
-                          _maybe_dense(mat.tocsr()))
+    return _from_joint(faces_i, meas_i, faces_j, meas_j, [s_idx], [t_idx], [meas_u])
 
 
 def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
@@ -362,13 +341,8 @@ def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
             rows.append(t_idx)
             cols.append(t2_idx)
             vals.append(union.measure * norm)
-    joint = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(lev.size, lev.size)).tocsr()
-    joint.sum_duplicates()
-    mat = sp.diags(1.0 / lev.measure) @ joint
-    return MarkovOperator(lev.faces, lev.measure, lev.faces, lev.measure,
-                          _maybe_dense(mat.tocsr()))
+    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
+                       rows, cols, vals)
 
 
 def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
@@ -389,13 +363,8 @@ def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
             rows.append(t1)
             cols.append(t2)
             vals.append(upper.measure / ((l + 2) * (l + 1)))
-    joint = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(lev.size, lev.size)).tocsr()
-    joint.sum_duplicates()
-    mat = sp.diags(1.0 / lev.measure) @ joint
-    return MarkovOperator(lev.faces, lev.measure, lev.faces, lev.measure,
-                          _maybe_dense(mat.tocsr()))
+    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
+                       rows, cols, vals)
 
 
 def neighborhood_system(c: Complex, k: int):

@@ -1,13 +1,17 @@
-"""Frozen exact-mode ``hdxlab stav-check`` reports.
+"""Frozen exact-mode CLI reports.
 
-Each case builds its complex through the CLI, runs ``stav-check`` and compares
-the ``report`` payload with the file under ``tests/golden/`` at 1e-12 (the
-manifest holds paths, hashes and wall time and is ignored).  Regenerate the
-files only on purpose, from a commit whose reports are trusted:
+Each case builds or writes its complex, runs one CLI command and compares the
+``report`` payload with the file under ``tests/golden/`` at 1e-12 (the
+manifest holds paths, hashes and wall time and is ignored).  A ``spectrum``
+case that exports its operator as CSV also compares the (row, column, prob)
+triplets, sorted.  Regenerate files only on purpose, from a commit whose
+reports are trusted, naming the cases to write (all cases when none given):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
+import csv
+import itertools
 import json
 import os
 import sys
@@ -15,41 +19,107 @@ import sys
 import pytest
 
 from hdxlab.cli import main
+from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-12
 
-# name -> (build flags, stav-check flags)
+
+def _weighted_complex() -> Complex:
+    """Non-uniform 3-complex on 8 vertices: not every 4-set, uneven weights."""
+    tops = [t for t in itertools.combinations(range(8), 4) if sum(t) % 3]
+    w = [1.0 + sum(v * v for v in t) % 7 for t in tops]
+    return build_from_top_faces(8, [(t, x / sum(w)) for t, x in zip(tops, w)])
+
+
+def _weighted_partite() -> Complex:
+    """All transversals of three parts of 3, with uneven weights."""
+    base = partite_complete_complex([3, 3, 3])
+    tops, _ = base.top_arrays()
+    w = 1.0 + (7 * tops[:, 0] + 3 * tops[:, 1] + tops[:, 2]) % 5
+    return Complex(base.n_vertices, base.d, tops.copy(), w / w.sum(),
+                   coloring=base.coloring)
+
+
+# complexes written with Complex.save; any other complex is `hdxlab build` flags
+FIXED = {"weighted": _weighted_complex, "weighted_partite": _weighted_partite}
+
+C95 = ["--complete", "9", "5"]
+P2X9 = ["--partite", ",".join(["2"] * 9)]
+PLANT = ["--plant-seed", "3", "--alpha", "0.2", "--mode", "exact"]
+
+
+def _spectrum(walk, *flags, on="weighted"):
+    return (on, ["spectrum", "{complex}", "--walk", walk, *flags,
+                 "--export-csv", "{csv}"])
+
+
+# name -> (complex, command argv with {complex} and {csv} placeholders)
 CASES = {
     "stav_check_complete_9_5_l1": (
-        ["--complete", "9", "5"],
-        ["--stav", "hdx", "--l", "1", "--gamma", "0.5"]),
+        C95, ["stav-check", "--complex", "{complex}", "--stav", "hdx", "--l", "1",
+              "--gamma", "0.5"]),
     "stav_check_saved_complete_14_8_l3": (
         ["--complete", "14", "8"],
-        ["--stav", "hdx", "--l", "3", "--gamma", str(1 / 3)]),
+        ["stav-check", "--complex", "{complex}", "--stav", "hdx", "--l", "3",
+         "--gamma", str(1 / 3)]),
     "stav_check_partite_2x9_i0_j1_k8": (
-        ["--partite", ",".join(["2"] * 9)],
-        ["--stav", "partite", "--colors-i", "0", "--colors-j", "1", "--k", "8",
-         "--gamma", "0.5"]),
+        P2X9, ["stav-check", "--complex", "{complex}", "--stav", "partite",
+               "--colors-i", "0", "--colors-j", "1", "--k", "8", "--gamma", "0.5"]),
     "stav_check_neighborhood_independent_9_5": (
-        ["--complete", "9", "5"],
-        ["--stav", "neighborhood", "--l", "1", "--k", "0",
-         "--nbhd-mode", "independent", "--gamma", "0.6"]),
+        C95, ["stav-check", "--complex", "{complex}", "--stav", "neighborhood",
+              "--l", "1", "--k", "0", "--nbhd-mode", "independent", "--gamma", "0.6"]),
     "stav_check_neighborhood_complement_9_5": (
-        ["--complete", "9", "5"],
-        ["--stav", "neighborhood", "--l", "1", "--k", "0",
-         "--nbhd-mode", "complement", "--gamma", "0.6"]),
+        C95, ["stav-check", "--complex", "{complex}", "--stav", "neighborhood",
+              "--l", "1", "--k", "0", "--nbhd-mode", "complement", "--gamma", "0.6"]),
+    "spectrum_up_weighted_k1": _spectrum("up", "--k", "1"),
+    "spectrum_down_weighted_k1": _spectrum("down", "--k", "1"),
+    "spectrum_containment_weighted_3_1": _spectrum("containment", "--k", "3", "--l", "1"),
+    "spectrum_lower_weighted_2_1": _spectrum("lower", "--k", "2", "--l", "1"),
+    "spectrum_complement_weighted_0_1": _spectrum("complement", "--l1", "0", "--l2", "1"),
+    "spectrum_colored_weighted_partite_0_1": _spectrum(
+        "colored", "--colors-i", "0", "--colors-j", "1", on="weighted_partite"),
+    "spectrum_fixed_union_weighted_1_1": _spectrum("fixed-union", "--l", "1", "--j", "1"),
+    "spectrum_underlying_weighted": ("weighted", ["spectrum", "{complex}", "--walk",
+                                                  "underlying"]),
+    "verify_all_complete_9_5": (C95, ["verify", "{complex}", "--all"]),
+    "verify_all_weighted_partite": ("weighted_partite", ["verify", "{complex}", "--all"]),
+    "grassmann_containment_linear_2_4": (
+        None, ["grassmann", "--q", "2", "--n", "4", "--d", "2", "--flavor", "linear",
+               "--walk", "containment", "--k", "1", "--l", "0"]),
+    "grassmann_complement_affine_3_4_cond1": (
+        None, ["grassmann", "--q", "3", "--n", "4", "--d", "1", "--flavor", "affine",
+               "--walk", "complement", "--l1", "0", "--l2", "0", "--cond-dim", "1"]),
+    "agree_run_hdx_9_5_l1": (
+        C95, ["agree-run", "--complex", "{complex}", "--stav", "hdx", "--l", "1", *PLANT]),
+    "agree_run_partite_2x9_i0_j1_k8": (
+        P2X9, ["agree-run", "--complex", "{complex}", "--stav", "partite",
+               "--colors-i", "0", "--colors-j", "1", "--k", "8", *PLANT]),
+    "agree_run_neighborhood_9_5": (
+        C95, ["agree-run", "--complex", "{complex}", "--stav", "neighborhood",
+              "--l", "1", "--k", "0", *PLANT]),
 }
 
 
-def run_case(name: str, workdir: str) -> dict:
-    build, check = CASES[name]
+def run_case(name: str, workdir: str):
+    source, argv = CASES[name]
     cpath = os.path.join(workdir, f"{name}.complex.json")
+    csv_path = os.path.join(workdir, f"{name}.csv")
     out = os.path.join(workdir, f"{name}.report.json")
-    assert main(["build", *build, "-o", cpath]) == 0
-    assert main(["stav-check", "--complex", cpath, *check, "-o", out]) == 0
+    if isinstance(source, str):
+        FIXED[source]().save(cpath)
+    elif source is not None:
+        assert main(["build", *source, "-o", cpath]) == 0
+    argv = [a.format(complex=cpath, csv=csv_path) for a in argv]
+    assert main([*argv, "-o", out]) == 0
     with open(out) as fh:
-        return json.load(fh)["report"]
+        report = json.load(fh)["report"]
+    if "--export-csv" not in argv:
+        return report
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    triplets = sorted([row, col, float(p)] for row, col, p in rows)
+    return {"report": report, "triplets": triplets}
 
 
 def assert_close(got, want, path="report"):
@@ -68,11 +138,23 @@ def assert_close(got, want, path="report"):
         assert abs(got - want) <= TOL, f"{path}: {got!r} vs {want!r}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stav_check_matches_golden(name, tmp_path):
+def _check(name, workdir):
     with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
         want = json.load(fh)
-    assert_close(run_case(name, str(tmp_path)), want)
+    assert_close(run_case(name, workdir), want)
+
+
+STAV_CHECK = sorted(n for n in CASES if n.startswith("stav_check"))
+
+
+@pytest.mark.parametrize("name", STAV_CHECK)
+def test_stav_check_matches_golden(name, tmp_path):
+    _check(name, str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - set(STAV_CHECK)))
+def test_report_matches_golden(name, tmp_path):
+    _check(name, str(tmp_path))
 
 
 if __name__ == "__main__":
@@ -80,7 +162,7 @@ if __name__ == "__main__":
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             report = run_case(case, tmp)
             with open(os.path.join(GOLDEN_DIR, f"{case}.json"), "w") as fh:
                 json.dump(report, fh, indent=1, sort_keys=True)

@@ -1,30 +1,42 @@
-"""Loop-based reference versions of the goodness checker's array code.
+"""Loop-based reference versions of the four-layer array code.
 
-Each oracle is the per-element loop the array version replaced; the tests
-require equal labels, matrices within 1e-12 and equal counts.
+Each oracle is the per-element loop the array version replaced: the goodness
+checker's conditioned pair graphs and spot checks, the invariant report, and
+the builders of the (S, T) main distribution and its pair tables.  The tests
+require equal labels and index arrays, values within 1e-12 and equal counts.
 """
 
+import dataclasses
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hdxlab.agreement import d_l_test
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
+from hdxlab.decoder import in_one_set_test
 from hdxlab.errors import ZeroConditioning
+from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
 from hdxlab.spectra import square_lambda
 from hdxlab.stav import (
+    STSTable,
+    VasaTable,
     _sampler_spot_checks,
     _structured_vasa_v_lambda,
     derive_graph,
     hdx_stav,
+    invariant_report,
     neighborhood_stav,
     partite_ij_stav,
     stav_from_json_dict,
     stav_to_json_dict,
 )
+
+from conftest import random_partite_complex
 
 
 def sts_conditioned_loop(x, need):
@@ -220,3 +232,244 @@ def test_sampler_spot_checks_match_loop(delta):
         fired += want > 0
     if delta < 0.2:
         assert fired > 0
+
+
+# -- invariant report -------------------------------------------------------------
+
+
+def invariant_devs_dict(x):
+    """Pair-table symmetry, (s, t) marginal, vasa symmetry and vasa marginal
+    deviations, summed in per-key dicts."""
+    sym_dev = 0.0
+    for tab in x.sts.tables:
+        if tab[0] == "pairs":
+            fwd = defaultdict(float)
+            for a, b, q in zip(tab[1], tab[2], tab[3]):
+                fwd[(int(a), int(b))] += float(q)
+            for (a, b), q in fwd.items():
+                sym_dev = max(sym_dev, abs(q - fwd.get((b, a), 0.0)))
+    marg_dev = 0.0
+    stc = x.st_joint.tocsc()
+    for ti in range(len(x.t_probs)):
+        col = stc[:, ti]
+        main = np.zeros(x.n_s)
+        main[col.indices] = col.data
+        tab = x.sts.tables[ti]
+        pair = np.zeros(x.n_s)
+        if tab[0] == "indep":
+            pair[tab[1]] = x.t_probs[ti] * tab[2]
+        else:
+            np.add.at(pair, tab[1], x.t_probs[ti] * tab[3])
+        marg_dev = max(marg_dev, float(np.max(np.abs(pair - main))) if x.n_s else 0.0)
+    fwd = defaultdict(float)
+    for v, a1, s, a2, p in zip(x.vasa.v_idx, x.vasa.a1_idx, x.vasa.s_idx,
+                               x.vasa.a2_idx, x.vasa.probs):
+        fwd[(int(v), int(a1), int(s), int(a2))] += float(p)
+    vasa_sym = 0.0
+    for (v, a1, s, a2), p in fwd.items():
+        vasa_sym = max(vasa_sym, abs(p - fwd.get((v, a2, s, a1), 0.0)))
+    vas_marg = defaultdict(float)
+    for (v, a1, s, a2), p in fwd.items():
+        vas_marg[(v, a1, s)] += p
+    ref = defaultdict(float)
+    for v, a, s, p in zip(*x.vas_triples()):
+        ref[(int(v), int(a), int(s))] += float(p)
+    vasa_marg_dev = max((abs(vas_marg.get(key, 0.0) - ref.get(key, 0.0))
+                         for key in set(vas_marg) | set(ref)), default=0.0)
+    return {"sts_symmetry_dev": sym_dev, "sts_marginal_dev": marg_dev,
+            "vasa_symmetry_dev": vasa_sym, "vasa_marginal_dev": vasa_marg_dev}
+
+
+def _perturbed(x, seed):
+    """A copy whose pair tables, main joint and amplification table are all
+    off by a few percent, so that every deviation is far from zero."""
+    rng = np.random.default_rng(seed)
+    tables = [tab[:-1] + (tab[-1] * rng.uniform(0.95, 1.05, len(tab[-1])),)
+              for tab in x.sts.tables]
+    st = x.st_joint.copy()
+    st.data = st.data * rng.uniform(0.95, 1.05, len(st.data))
+    keep = rng.random(len(x.vasa)) < 0.9
+    vasa = VasaTable(*(arr[keep] for arr in (x.vasa.v_idx, x.vasa.a1_idx,
+                                             x.vasa.s_idx, x.vasa.a2_idx)),
+                     x.vasa.probs[keep] * rng.uniform(0.95, 1.05, int(keep.sum())))
+    return dataclasses.replace(x, st_joint=st, vasa=vasa,
+                               sts=STSTable(x.t_probs, tables, x.n_s))
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip"])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_invariant_report_matches_dicts(instances, name, perturb):
+    x = _perturbed(instances[name], 7) if perturb else instances[name]
+    got = invariant_report(x).to_json_dict()
+    for key, want in invariant_devs_dict(x).items():
+        assert got[key] == pytest.approx(want, abs=1e-12), key
+        if perturb and not (key == "sts_symmetry_dev" and name.startswith(
+                ("hdx", "partite", "nbhd_independent"))):
+            assert want > 1e-9, key  # only "pairs" tables can be asymmetric
+
+
+# -- (S, T) main distribution and its pair tables ----------------------------------
+
+
+def containment_st_loop(c, d, l):
+    """The (S, T) joint of hdx_stav and d_l_test, one block per l-subset."""
+    lev_s, lev_t = c.level(d), c.level(l)
+    rows, cols, vals = [], [], []
+    p_ts = 1.0 / math.comb(d + 1, l + 1)
+    for keep in itertools.combinations(range(d + 1), l + 1):
+        rows.append(np.arange(lev_s.size))
+        cols.append(lev_t.index_rows(lev_s.faces[:, list(keep)]))
+        vals.append(lev_s.measure * p_ts)
+    st = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(lev_s.size, lev_t.size)).tocsr()
+    st.sum_duplicates()
+    return st
+
+
+def column_tables_loop(st):
+    """t_probs and one "indep" table per t, read column by column."""
+    t_probs = np.asarray(st.sum(axis=0)).ravel()
+    stc = st.tocsc()
+    tables = []
+    for ti in range(st.shape[1]):
+        col = stc[:, ti]
+        if t_probs[ti] <= 0:
+            tables.append(("indep", np.array([], dtype=np.int64), np.array([])))
+            continue
+        tables.append(("indep", col.indices.astype(np.int64), col.data / t_probs[ti]))
+    return t_probs, tables
+
+
+def partite_st_loop(c, colors_i, colors_j, k):
+    """partite_ij_stav's joint: a dict scan over the (l+1)-subsets of each s."""
+    I, J = frozenset(colors_i), frozenset(colors_j)
+    l = len(I)
+    col = np.asarray(c.coloring)
+    lev_k, lev_t = c.level(k), c.level(l)
+    s_keep = [i for i in range(lev_k.size)
+              if I | J <= frozenset(col[lev_k.faces[i]].tolist())]
+    s_faces = [tuple(int(x) for x in lev_k.faces[i]) for i in s_keep]
+    t_faces, t_meas = [], []
+    for i in range(lev_t.size):
+        if frozenset(col[lev_t.faces[i]].tolist()) & (I | J) in (I, J):
+            t_faces.append(tuple(int(x) for x in lev_t.faces[i]))
+            t_meas.append(float(lev_t.measure[i]))
+    t_pos = {f: i for i, f in enumerate(t_faces)}
+    t_probs = np.array(t_meas) / sum(t_meas)
+    rows, cols, raw = [], [], []
+    for si, s in enumerate(s_faces):
+        for sub in itertools.combinations(s, l + 1):
+            if sub in t_pos:
+                rows.append(si)
+                cols.append(t_pos[sub])
+                raw.append(float(lev_k.measure[s_keep[si]]))
+    st = sp.coo_matrix((raw, (rows, cols)), shape=(len(s_faces), len(t_faces))).tocsr()
+    col_tot = np.asarray(st.sum(axis=0)).ravel()
+    return s_faces, t_faces, (st @ sp.diags(t_probs / col_tot)).tocsr()
+
+
+def in_one_set_loop(c, colors_i, colors_j, k, l):
+    """in_one_set_test's tables: a frozenset scan of S for every t."""
+    I, J = frozenset(colors_i), frozenset(colors_j)
+    col = np.asarray(c.coloring)
+    lev_t, lev_k = c.level(l), c.level(k)
+    s_keep = [i for i in range(lev_k.size)
+              if I | J <= frozenset(col[lev_k.faces[i]].tolist())]
+    s_sets = [frozenset(lev_k.faces[i].tolist()) for i in s_keep]
+    s_meas = lev_k.measure[s_keep]
+    t_probs, tables = [], []
+    for ti in range(lev_t.size):
+        sup = [si for si, ss in enumerate(s_sets) if frozenset(lev_t.faces[ti].tolist()) <= ss]
+        if not sup:
+            t_probs.append(0.0)
+            tables.append(("indep", np.array([], dtype=np.int64), np.array([])))
+            continue
+        t_probs.append(float(lev_t.measure[ti]))
+        tables.append(("indep", np.array(sup, dtype=np.int64), s_meas[sup] / s_meas[sup].sum()))
+    return np.array(t_probs) / sum(t_probs), tables
+
+
+def grassmann_sts_loop(p, d, l):
+    """Uniform t, uniform tops above it, then st rebuilt entry by entry in a
+    lil_matrix from the tables."""
+    tops, mids = p.level(d), p.level(l)
+    mid_idx = {t: i for i, t in enumerate(mids)}
+    sup = [[] for _ in mids]
+    for si, s in enumerate(tops):
+        for t in p.contained_level(s, l):
+            sup[mid_idx[t]].append(si)
+    t_probs = np.full(len(mids), 1.0 / len(mids))
+    tables = []
+    for ti in range(len(mids)):
+        s_idx = np.array(sorted(sup[ti]), dtype=np.int64)
+        tables.append(("indep", s_idx, np.full(len(s_idx), 1.0 / len(s_idx))))
+    st = sp.lil_matrix((len(tops), len(mids)))
+    for ti, (_, s_idx, cond) in enumerate(tables):
+        for si, q in zip(s_idx, cond):
+            st[si, ti] = t_probs[ti] * q
+    return st.tocsr(), t_probs, tables
+
+
+def assert_sts_close(sts, t_probs, tables):
+    np.testing.assert_allclose(sts.t_probs, t_probs, rtol=0, atol=1e-12)
+    assert len(sts.tables) == len(tables)
+    for got, want in zip(sts.tables, tables):
+        assert got[0] == want[0] == "indep"
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+
+
+def assert_joint_close(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.toarray() != 0, want.toarray() != 0)
+    np.testing.assert_allclose(got.toarray(), want.toarray(), rtol=0, atol=1e-12)
+
+
+def _sparse_weighted_complex(seed, n, d):
+    """Random weights on a random share of the (d+1)-sets, every vertex kept
+    by one cyclic window of d+1 consecutive vertices."""
+    rng = np.random.default_rng(seed)
+    tops = {tuple(sorted((v + i) % n for i in range(d + 1))) for v in range(n)}
+    tops |= {t for t in itertools.combinations(range(n), d + 1) if rng.random() < 0.5}
+    tops = sorted(tops)
+    w = rng.gamma(2.0, 1.0, size=len(tops))
+    return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_containment_sts_match_loops(seed):
+    c = _sparse_weighted_complex(seed, 9, 5)
+    x = hdx_stav(c, 5, 1, force_mode="tabular")
+    want_st = containment_st_loop(c, 5, 1)
+    assert_joint_close(x.st_joint, want_st)
+    assert_sts_close(x.sts, *column_tables_loop(want_st))
+    for l in (0, 1, 2):
+        assert_sts_close(d_l_test(c, 5, l).sts,
+                         *column_tables_loop(containment_st_loop(c, 5, l)))
+    nb = neighborhood_stav(c, 1, 0, "independent")
+    assert_sts_close(nb.sts, *column_tables_loop(nb.st_joint))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_partite_sts_match_loops(seed):
+    c = random_partite_complex(seed, [2] * 9)
+    for ci, cj in (([0], [1]), ([3], [7])):
+        x = partite_ij_stav(c, ci, cj, 8)
+        s_faces, t_faces, want_st = partite_st_loop(c, ci, cj, 8)
+        assert (x.s_labels, x.t_labels) == (s_faces, t_faces)
+        assert_joint_close(x.st_joint, want_st)
+        assert_sts_close(x.sts, *column_tables_loop(want_st))
+        for k, l in ((8, 1), (6, 0), (6, 2)):
+            test = in_one_set_test(c, ci, cj, k, l)
+            assert_sts_close(test.sts, *in_one_set_loop(c, ci, cj, k, l))
+
+
+@pytest.mark.parametrize("q,n,d,l,flavor", [(2, 4, 2, 0, "linear"), (2, 4, 2, 1, "linear"),
+                                            (2, 3, 2, 1, "affine"), (3, 3, 2, 0, "affine")])
+def test_grassmann_sts_match_lil_rebuild(q, n, d, l, flavor):
+    p = GrassmannPoset(q, n, d, flavor)
+    sts, st, _, _ = _sts_from_levels(p, d, l)
+    want_st, t_probs, tables = grassmann_sts_loop(p, d, l)
+    assert_joint_close(st, want_st)
+    assert_sts_close(sts, t_probs, tables)
