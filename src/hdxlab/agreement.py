@@ -1,9 +1,12 @@
 """Ensembles of local functions, test distributions, rejection probabilities,
 distances, distance-promise checks, and the surprise parameter.
 
-Rejection and surprise are computed exactly by summing the full pair tables
-(grouping tops by their restriction signature keeps independent pairs linear
-in the support), with a seeded Monte Carlo fallback for larger supports.
+Every computation reads the ensemble lifted onto the ground set: one integer
+matrix with F[s, support(s)] = f_s and -1 elsewhere.  Grouping sets by their
+restriction to a face is then a group-by on integer row codes, so rejection
+and surprise are exact sums over the pair tables (independent pairs stay
+linear in the support), with a seeded Monte Carlo fallback that samples in
+batches.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import Complex
-from .errors import (
-    ParameterRange,
-    PartialGlobal,
-    SizeCapError,
-    SupportMismatch,
-)
+from .errors import ParameterRange, PartialGlobal, SizeCapError, SupportMismatch
 from .stav import STSTable, StavInstance, neighborhood_stav
 from .spectra import square_lambda
 from .walks import _containment_joint
@@ -84,7 +82,6 @@ class TestResult:
     method: str
     samples: int | None = None
     std_error: float | None = None
-    breakdown: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {"epsilon": self.epsilon, "method": self.method,
@@ -101,12 +98,16 @@ class AgreementTest:
     t_supports: list | None  # None => compare on the support intersection
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._cache = {}
+
 
 def _as_test(x) -> AgreementTest:
     if isinstance(x, AgreementTest):
         return x
     if isinstance(x, StavInstance):
-        return AgreementTest(x.s_labels, x.s_supports, x.sts, x.t_supports)
+        return _cached(x, "test", lambda: AgreementTest(
+            x.s_labels, x.s_supports, x.sts, x.t_supports))
     raise SupportMismatch(f"cannot run an agreement test on {type(x)!r}")
 
 
@@ -162,29 +163,150 @@ def corrupt(f: Ensemble, alpha: float, mode: str, seed: int) -> Ensemble:
     return out
 
 
-# -- restriction helpers ----------------------------------------------------------
+# -- the lifted ensemble --------------------------------------------------------------
 
 
-def _position_maps(test: AgreementTest):
-    return [{v: i for i, v in enumerate(sup)} for sup in test.s_supports]
+def _cached(obj, key, build):
+    """``obj._cache[key]``, built on first use."""
+    if key not in obj._cache:
+        obj._cache[key] = build()
+    return obj._cache[key]
 
 
-def _restriction(f: Ensemble, test: AgreementTest, pos_maps, si: int, verts):
-    vals = f.assignments[test.s_labels[si]]
-    pm = pos_maps[si]
+def _layout(test: AgreementTest):
+    """Entry k of the concatenated local functions sits at (rows[k], cols[k])
+    of the lifted matrix, whose last column ``n_ground`` is padding."""
+    def build():
+        sizes = np.array([len(sup) for sup in test.s_supports], dtype=np.int64)
+        cols = np.fromiter(itertools.chain.from_iterable(test.s_supports),
+                           dtype=np.int64, count=int(sizes.sum()))
+        return np.repeat(np.arange(len(sizes)), sizes), cols, sizes, int(cols.max()) + 1
+    return _cached(test, "layout", build)
+
+
+def _padded(test: AgreementTest, key: str, supports) -> np.ndarray:
+    """Face supports as rows of one width, padded with the padding column."""
+    def build():
+        n_ground = _layout(test)[3]
+        sizes = np.array([len(sup) for sup in supports], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64,
+                           count=int(sizes.sum()))
+        if flat.size and (flat.min() < 0 or flat.max() >= n_ground):
+            raise SupportMismatch("a face holds a vertex that no set covers")
+        out = np.full((len(sizes), int(sizes.max(initial=0))), n_ground, dtype=np.int64)
+        out[np.arange(out.shape[1]) < sizes[:, None]] = flat
+        return out
+    return _cached(test, key, build)
+
+
+def _lift(test: AgreementTest, f: Ensemble) -> np.ndarray:
+    """The ensemble on the ground set: F[s, support(s)] = f_s, -1 elsewhere,
+    and 0 in the padding column."""
+    rows, cols, sizes, n_ground = _layout(test)
     try:
-        return tuple(int(vals[pm[v]]) for v in verts)
+        vals = [f.assignments[label] for label in test.s_labels]
     except KeyError as exc:
-        raise SupportMismatch(
-            f"set {test.s_labels[si]} does not cover vertex {exc}") from exc
+        raise SupportMismatch(f"ensemble misses set {exc.args[0]}") from None
+    wrong = np.flatnonzero(np.fromiter(map(len, vals), np.int64, len(vals)) != sizes)
+    if wrong.size:
+        raise SupportMismatch(f"wrong domain size for {test.s_labels[wrong[0]]}")
+    lifted = np.full((len(sizes), n_ground + 1), -1, dtype=np.int64)
+    lifted[:, n_ground] = 0
+    lifted[rows, cols] = np.concatenate(vals)
+    if (lifted[rows, cols] < 0).any():
+        raise SupportMismatch("an ensemble value is negative")
+    return lifted
 
 
-def _check_cover(f: Ensemble, test: AgreementTest):
-    for label, sup in zip(test.s_labels, test.s_supports):
-        if label not in f.assignments:
-            raise SupportMismatch(f"ensemble misses set {label}")
-        if len(f.assignments[label]) != len(sup):
-            raise SupportMismatch(f"wrong domain size for {label}")
+def _restrict(lifted: np.ndarray, s_idx, cols) -> np.ndarray:
+    """Row k holds the local function of set s_idx[k] on the vertices cols[k]."""
+    out = lifted[s_idx[:, None], cols]
+    bad = np.argwhere(out < 0)
+    if bad.size:
+        k, pos = bad[0]
+        raise SupportMismatch(f"set #{s_idx[k]} does not cover vertex {cols[k, pos]}")
+    return out
+
+
+def _diff(lifted: np.ndarray, i, j, cols=None) -> np.ndarray:
+    """Where sets i[k] and j[k] disagree: on the vertices cols[k], or on their
+    common support when cols is None."""
+    if cols is not None:
+        return _restrict(lifted, i, cols) != _restrict(lifted, j, cols)
+    fi, fj = lifted[i], lifted[j]
+    return (fi != fj) & (fi >= 0) & (fj >= 0)
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One integer per row, equal for equal rows and ordered as the rows are
+    lexicographically."""
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] < 2 ** 62:
+        return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+def _group(*keys):
+    """Ids of the distinct key tuples, numbered in lexicographic order, and the
+    index of each group's first member."""
+    order = np.lexsort(keys[::-1])
+    new = np.arange(len(order)) == 0
+    for k in keys:
+        new[1:] |= k[order][1:] != k[order][:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _segment_pairs(n_a, n_b):
+    """Index pairs over segment k of a times segment k of b, for each k in
+    turn, a major; a's segments hold n_a[0], n_a[1], ... entries, b's n_b."""
+    n = n_a * n_b
+    seg = np.repeat(np.arange(len(n)), n)
+    local = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    return ((np.cumsum(n_a) - n_a)[seg] + local // n_b[seg],
+            (np.cumsum(n_b) - n_b)[seg] + local % n_b[seg])
+
+
+def _tables(test: AgreementTest):
+    """The tables of every t with mass, flattened in t order: "indep" entries
+    (t, s, cond) and "pairs" entries (t, i, j, p)."""
+    def build():
+        indep, pairs = [], []
+        for ti in np.flatnonzero(test.sts.t_probs > 0):
+            tab = test.sts.tables[ti]
+            (indep if tab[0] == "indep" else pairs).append(
+                (np.full(len(tab[1]), ti, dtype=np.int64), *tab[1:]))
+        empty = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+        return (tuple(np.concatenate(c) for c in zip(empty[1:], *indep)),
+                tuple(np.concatenate(c) for c in zip(empty, *pairs)))
+    return _cached(test, "tables", build)
+
+
+def _all_pairs(test: AgreementTest):
+    """Every pair (t, i, j, p) in t order, "indep" tables expanded."""
+    def build():
+        (it, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
+        n = np.bincount(it, minlength=len(test.sts.t_probs))
+        a, b = _segment_pairs(n, n)
+        t = np.concatenate([it[a], pt])
+        order = np.argsort(t, kind="stable")
+        return (t[order], np.concatenate([i_s[a], p_i])[order],
+                np.concatenate([i_s[b], p_j])[order],
+                np.concatenate([i_p[a] * i_p[b], p_p])[order])
+    return _cached(test, "all_pairs", build)
+
+
+def _indep_spread(test: AgreementTest, lifted: np.ndarray) -> np.ndarray:
+    """Per t with an "indep" table, the probability that two sets drawn from
+    it restrict differently to t: 1 - sum of squared group masses."""
+    (it, i_s, i_p), _ = _tables(test)
+    t_pad = _padded(test, "t_pad", test.t_supports)
+    ids, first = _group(it, _row_codes(_restrict(lifted, i_s, t_pad[it])))
+    mass = np.bincount(ids, i_p, minlength=len(first))
+    n_t = len(test.sts.t_probs)
+    sq = np.bincount(it[first], mass * mass, minlength=n_t)
+    return np.where(np.bincount(it[first], minlength=n_t) > 1, np.maximum(1 - sq, 0.0), 0.0)
 
 
 # -- rejection ---------------------------------------------------------------------
@@ -194,81 +316,45 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
               seed: int = 0) -> TestResult:
     """Probability that two sampled sets disagree on the compared face."""
     test = _as_test(x)
-    _check_cover(f, test)
-    pos_maps = _position_maps(test)
+    lifted = _lift(test, f)
+    t_pad = None if test.t_supports is None else _padded(test, "t_pad", test.t_supports)
     if mode == "exact":
-        eps = 0.0
-        per_t = {}
-        for ti, pt in enumerate(test.sts.t_probs):
-            if pt <= 0:
-                continue
-            eps_t = _exact_rejection_at_t(f, test, pos_maps, ti)
-            per_t[ti] = eps_t
-            eps += pt * eps_t
-        return TestResult(float(eps), "exact", breakdown=per_t)
+        eps_t = np.zeros(len(test.sts.t_probs))
+        if t_pad is None:
+            t, i, j, p = _all_pairs(test)
+        else:
+            eps_t += _indep_spread(test, lifted)
+            _, (t, i, j, p) = _tables(test)
+        differ = _diff(lifted, i, j, None if t_pad is None else t_pad[t]).any(axis=1)
+        eps_t += np.bincount(t, p * differ, minlength=len(eps_t))
+        return TestResult(float(test.sts.t_probs @ eps_t), "exact")
     if mode != "mc":
         raise ParameterRange(f"unknown rejection mode {mode!r}")
     rng = np.random.default_rng(seed)
-    t_choices = rng.choice(len(test.sts.t_probs), size=samples, p=test.sts.t_probs)
-    rejects = 0
-    for ti in t_choices:
-        tab = test.sts.tables[ti]
-        if tab[0] == "indep":
-            _, s_idx, cond = tab
-            i, j = rng.choice(len(s_idx), size=2, p=cond)
-            si, sj = int(s_idx[i]), int(s_idx[j])
-        else:
-            _, i_idx, j_idx, p = tab
-            k = rng.choice(len(p), p=p / p.sum())
-            si, sj = int(i_idx[k]), int(j_idx[k])
-        verts = _compare_verts(test, ti, si, sj)
-        if (_restriction(f, test, pos_maps, si, verts)
-                != _restriction(f, test, pos_maps, sj, verts)):
-            rejects += 1
-    eps = rejects / samples
+    t = rng.choice(len(test.sts.t_probs), size=samples, p=test.sts.t_probs)
+    u = rng.random((samples, 2))
+    (it, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
+    on_pair = np.isin(t, pt)
+    si, sj = np.empty((2, samples), dtype=np.int64)
+    k = _draw(it, i_p, t[~on_pair], u[~on_pair])
+    si[~on_pair], sj[~on_pair] = i_s[k[:, 0]], i_s[k[:, 1]]
+    k = _draw(pt, p_p, t[on_pair], u[on_pair])[:, 0]
+    si[on_pair], sj[on_pair] = p_i[k], p_j[k]
+    eps = _diff(lifted, si, sj, None if t_pad is None else t_pad[t]).any(axis=1).mean()
     return TestResult(float(eps), "monte_carlo", samples=samples,
                       std_error=math.sqrt(max(eps * (1 - eps), 1e-12) / samples))
 
 
-def _compare_verts(test: AgreementTest, ti: int, si: int, sj: int):
-    if test.t_supports is not None:
-        return test.t_supports[ti]
-    return tuple(sorted(set(test.s_supports[si]) & set(test.s_supports[sj])))
-
-
-def _signature_groups(f, test, pos_maps, ti):
-    """Group the conditional s-support at t by restriction signature."""
-    tab = test.sts.tables[ti]
-    if tab[0] == "indep":
-        _, s_idx, cond = tab
-        groups = defaultdict(float)
-        members = {}
-        for si, p in zip(s_idx, cond):
-            verts = (test.t_supports[ti] if test.t_supports is not None
-                     else test.s_supports[int(si)])
-            sig = _restriction(f, test, pos_maps, int(si), verts)
-            groups[sig] += float(p)
-            members.setdefault(sig, int(si))
-        return groups, members
-    return None, None
-
-
-def _exact_rejection_at_t(f, test, pos_maps, ti) -> float:
-    tab = test.sts.tables[ti]
-    if tab[0] == "indep" and test.t_supports is not None:
-        groups, _ = _signature_groups(f, test, pos_maps, ti)
-        if len(groups) <= 1:
-            return 0.0
-        return max(1.0 - sum(p * p for p in groups.values()), 0.0)
-    # explicit pairs, or intersection-compared tests
-    i_idx, j_idx, p = test.sts.pair_arrays(ti)
-    eps_t = 0.0
-    for si, sj, q in zip(i_idx, j_idx, p):
-        verts = _compare_verts(test, ti, int(si), int(sj))
-        if (_restriction(f, test, pos_maps, int(si), verts)
-                != _restriction(f, test, pos_maps, int(sj), verts)):
-            eps_t += float(q)
-    return eps_t
+def _draw(t_of, weights, t, u) -> np.ndarray:
+    """Entries drawn for each sample from the entries of its t, with
+    probability proportional to ``weights``: one per column of the uniforms
+    u, by inverting the concatenated cumulative table."""
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    n = np.bincount(t_of, minlength=int(t.max(initial=-1)) + 1)
+    stop = np.cumsum(n)[t][:, None]
+    start = stop - n[t][:, None]
+    k = np.searchsorted(cum, cum[start] + u * (cum[stop] - cum[start]), side="right")
+    return np.clip(k - 1, start, stop - 1)
 
 
 # -- distances ---------------------------------------------------------------------
@@ -278,67 +364,75 @@ def dist_gamma(f: Ensemble, global_fn, gamma: float, x) -> float:
     """Weighted fraction of sets that differ from the restriction of the
     global assignment on more than a gamma fraction of their points."""
     test = _as_test(x)
-    _check_cover(f, test)
+    lifted = _lift(test, f)
+    rows, cols, sizes, _ = _layout(test)
     g = np.asarray(global_fn, dtype=np.int64)
-    weights = test.sts.s_marginal()
-    out = 0.0
-    for si, (label, sup) in enumerate(zip(test.s_labels, test.s_supports)):
-        frac = np.mean(f.assignments[label] != g[np.asarray(sup, dtype=np.int64)])
-        if frac > gamma:
-            out += float(weights[si])
-    return out
+    miss = np.bincount(rows, lifted[rows, cols] != g[cols], minlength=len(sizes))
+    return float(_cached(test, "s_marginal", test.sts.s_marginal)[miss / sizes > gamma].sum())
 
 
 def dist_to_perfect_bruteforce(x, f: Ensemble, gamma: float) -> float:
-    """Exact minimum of dist_gamma over every global assignment."""
+    """Exact minimum of dist_gamma over every global assignment, evaluated in
+    chunks of globals of about 4 MB each."""
     test = _as_test(x)
-    n_v = max(max(sup) for sup in test.s_supports) + 1
+    lifted = _lift(test, f)
+    rows, cols, sizes, n_v = _layout(test)
     total = f.alphabet ** n_v
     if total > BRUTE_FORCE_CAP:
         raise SizeCapError(f"{total} global assignments exceed the brute-force cap")
+    live = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[live]
+    weights = _cached(test, "s_marginal", test.sts.s_marginal)[live]
+    powers = f.alphabet ** np.arange(n_v - 1, -1, -1, dtype=np.int64)
+    chunk = max(1, (1 << 22) // (8 * len(cols)))
     best = np.inf
-    for combo in itertools.product(range(f.alphabet), repeat=n_v):
-        val = dist_gamma(f, np.array(combo), gamma, test)
-        if val < best:
-            best = val
-            if best == 0.0:
-                break
-    return float(best)
+    for lo in range(0, total, chunk):
+        digits = np.arange(lo, min(lo + chunk, total))[:, None] // powers % f.alphabet
+        miss = np.add.reduceat(digits[:, cols] != lifted[rows, cols], starts, axis=1,
+                               dtype=np.int64)
+        best = min(best, float(((miss / sizes[live] > gamma) @ weights).min()))
+        if best == 0.0:
+            break
+    return best
 
 
 # -- distance-promise and surprise ----------------------------------------------------
 
 
 def delta_ensemble_check(x, f: Ensemble, delta: float):
-    """Every disagreeing pair must differ on more than a delta fraction of t."""
+    """Every disagreeing pair must differ on more than a delta fraction of t.
+
+    The witness is the first offending pair of positive mass, in t order and
+    then in table order.
+    """
     test = _as_test(x)
-    _check_cover(f, test)
-    pos_maps = _position_maps(test)
-    for ti, pt in enumerate(test.sts.t_probs):
-        if pt <= 0:
-            continue
-        verts = test.t_supports[ti]
-        tab = test.sts.tables[ti]
-        if tab[0] == "indep":
-            groups, members = _signature_groups(f, test, pos_maps, ti)
-            sigs = list(groups)
-            for g1, g2 in itertools.combinations(sigs, 2):
-                d = np.mean(np.array(g1) != np.array(g2))
-                if 0 < d <= delta:
-                    return False, (test.s_labels[members[g1]],
-                                   test.t_supports[ti], test.s_labels[members[g2]])
-        else:
-            _, i_idx, j_idx, p = tab
-            for si, sj, q in zip(i_idx, j_idx, p):
-                if q <= 0:
-                    continue
-                r1 = np.array(_restriction(f, test, pos_maps, int(si), verts))
-                r2 = np.array(_restriction(f, test, pos_maps, int(sj), verts))
-                d = np.mean(r1 != r2)
-                if 0 < d <= delta:
-                    return False, (test.s_labels[int(si)], verts,
-                                   test.s_labels[int(sj)])
-    return True, None
+    lifted = _lift(test, f)
+    t, i, j, p = _all_pairs(test)
+    t, i, j = t[p > 0], i[p > 0], j[p > 0]
+    cols = _padded(test, "t_pad", test.t_supports)[t]
+    d = _diff(lifted, i, j, cols).sum(axis=1) / (cols < _layout(test)[3]).sum(axis=1)
+    hit = np.flatnonzero((d > 0) & (d <= delta))
+    if not hit.size:
+        return True, None
+    k = hit[0]
+    return False, (test.s_labels[i[k]], test.t_supports[t[k]], test.s_labels[j[k]])
+
+
+def _av_index(x: StavInstance):
+    """The (a, v) entries of every t with mass, flattened in t order as
+    (t, a, v, p), with index pairs into them and the "indep" entries, and
+    into the "pairs" entries and them, that share a t."""
+    def build():
+        (it, _, _), (pt, _, _, _) = _tables(_as_test(x))
+        n_t = len(x.t_probs)
+        live = np.flatnonzero(x.t_probs > 0)
+        n_av = np.zeros(n_t, dtype=np.int64)
+        n_av[live] = [len(x.av_tables[ti][0]) for ti in live]
+        return (np.repeat(np.arange(n_t), n_av),
+                *(np.concatenate([x.av_tables[ti][c] for ti in live]) for c in range(3)),
+                _segment_pairs(n_av, np.bincount(it, minlength=n_t)),
+                _segment_pairs(np.bincount(pt, minlength=n_t), n_av))
+    return _cached(x, "av_index", build)
 
 
 def surprise(x: StavInstance, f: Ensemble):
@@ -350,55 +444,28 @@ def surprise(x: StavInstance, f: Ensemble):
     if not isinstance(x, StavInstance):
         raise SupportMismatch("surprise needs a tabular four-layer instance")
     test = _as_test(x)
-    _check_cover(f, test)
-    pos_maps = _position_maps(test)
-    num = 0.0
-    den = 0.0
-    for ti, pt in enumerate(x.t_probs):
-        if pt <= 0:
-            continue
-        t_verts = x.t_supports[ti]
-        a_idx, v_idx, p_av = x.av_tables[ti]
-        tab = x.sts.tables[ti]
-        if tab[0] == "indep":
-            _, s_idx, cond = tab
-            full = defaultdict(float)
-            for si, q in zip(s_idx, cond):
-                full[_restriction(f, test, pos_maps, int(si), t_verts)] += float(q)
-            if len(full) > 1:
-                den += pt * max(1.0 - sum(q * q for q in full.values()), 0.0)
-            for ai, vi, q_av in zip(a_idx, v_idx, p_av):
-                a_verts = x.a_supports[int(ai)]
-                gv = int(x.v_ground[int(vi)])
-                agree_a = defaultdict(float)
-                agree_av = defaultdict(float)
-                for si, q in zip(s_idx, cond):
-                    ra = _restriction(f, test, pos_maps, int(si), a_verts)
-                    rv = _restriction(f, test, pos_maps, int(si), (gv,))
-                    agree_a[ra] += float(q)
-                    agree_av[(ra, rv)] += float(q)
-                pa = sum(q * q for q in agree_a.values())
-                pav = sum(q * q for q in agree_av.values())
-                num += pt * float(q_av) * (pa - pav)
-        else:
-            _, i_idx, j_idx, p = tab
-            for si, sj, q in zip(i_idx, j_idx, p):
-                r1 = _restriction(f, test, pos_maps, int(si), t_verts)
-                r2 = _restriction(f, test, pos_maps, int(sj), t_verts)
-                if r1 == r2:
-                    continue
-                den += pt * float(q)
-                for ai, vi, q_av in zip(a_idx, v_idx, p_av):
-                    a_verts = x.a_supports[int(ai)]
-                    gv = int(x.v_ground[int(vi)])
-                    ra1 = _restriction(f, test, pos_maps, int(si), a_verts)
-                    ra2 = _restriction(f, test, pos_maps, int(sj), a_verts)
-                    if ra1 != ra2:
-                        continue
-                    v1 = _restriction(f, test, pos_maps, int(si), (gv,))
-                    v2 = _restriction(f, test, pos_maps, int(sj), (gv,))
-                    if v1 != v2:
-                        num += pt * float(q) * float(q_av)
+    lifted = _lift(test, f)
+    av_t, av_a, av_v, av_p, (e, k), (kp, ep) = _av_index(x)
+    (_, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
+    a_pad = _padded(test, "a_pad", x.a_supports)[av_a]
+    v_col = np.asarray(x.v_ground, dtype=np.int64)[av_v, None]
+    # "indep" tables: per (a, v) entry, Pr[agree on a] - Pr[agree on a and at v]
+    ca = _row_codes(_restrict(lifted, i_s[k], a_pad[e]))
+    cv = _restrict(lifted, i_s[k], v_col[e])[:, 0]
+    agree = np.zeros(len(av_t))
+    for sign, keys in ((1.0, (e, ca)), (-1.0, (e, ca, cv))):
+        ids, first = _group(*keys)
+        mass = np.bincount(ids, i_p[k], minlength=len(first))
+        agree += sign * np.bincount(e[first], mass * mass, minlength=len(av_t))
+    num = (x.t_probs[av_t] * av_p) @ agree
+    den = x.t_probs @ _indep_spread(test, lifted)
+    # "pairs" tables: pairs that differ on t, then agree on a and differ at v
+    differ = _diff(lifted, p_i, p_j, _padded(test, "t_pad", test.t_supports)[pt]).any(1)
+    den += x.t_probs[pt] @ (p_p * differ)
+    kp, ep = kp[differ[kp]], ep[differ[kp]]
+    hit = (~_diff(lifted, p_i[kp], p_j[kp], a_pad[ep]).any(axis=1)
+           & _diff(lifted, p_i[kp], p_j[kp], v_col[ep])[:, 0])
+    num += (x.t_probs[pt[kp]] * p_p[kp] * av_p[ep]) @ hit
     if den <= 0:
         return 0.0, False
     return float(num / den), True
@@ -442,61 +509,40 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
     on the support intersection otherwise)."""
     if 2 * k > c.d:
         raise ParameterRange(f"need 2k <= d, got 2*{k} > {c.d}")
+    if t_level is not None and t_level >= k:
+        raise ParameterRange("t_level must be below k")
     lev_r = c.level(2 * k)
     lev_s = c.level(k)
-    s_labels = list(lev_s.iter_faces())
-    s_supports = [tuple(int(v) for v in row) for row in lev_s.faces]
-    if t_level is None:
-        # single pseudo-t; pairs compared on their intersection
-        acc = defaultdict(float)
-        for ri in range(lev_r.size):
-            r = tuple(int(v) for v in lev_r.faces[ri])
-            subs = [lev_s.index_of(sf) for sf in itertools.combinations(r, k + 1)]
-            pr = float(lev_r.measure[ri]) / (len(subs) ** 2)
-            for si in subs:
-                for sj in subs:
-                    acc[(si, sj)] += pr
-        i_idx = np.array([a for a, _ in acc])
-        j_idx = np.array([b for _, b in acc])
-        p = np.array(list(acc.values()))
-        sts = STSTable(t_probs=np.array([1.0]),
-                       tables=[("pairs", i_idx, j_idx, p)], n_s=lev_s.size)
-        return AgreementTest(s_labels, s_supports, sts, t_supports=None,
-                             meta={"kind": "up2k", "k": k})
-    if t_level >= k:
-        raise ParameterRange("t_level must be below k")
-    lev_t = c.level(t_level)
-    acc_t = defaultdict(lambda: defaultdict(float))
+    # without t_level, one pseudo-t: the empty face
+    m = 0 if t_level is None else t_level + 1
+    t_faces = [()] if t_level is None else list(c.level(t_level).iter_faces())
+    t_pos = {t: i for i, t in enumerate(t_faces)}
+    acc_t = [defaultdict(float) for _ in t_faces]
     for ri in range(lev_r.size):
         r = tuple(int(v) for v in lev_r.faces[ri])
-        p_r = float(lev_r.measure[ri])
-        tsubs = list(itertools.combinations(r, t_level + 1))
+        tsubs = list(itertools.combinations(r, m))
         for tf in tsubs:
-            ti = lev_t.index_of(tf)
             ssubs = [lev_s.index_of(tuple(sorted(tf + extra)))
                      for extra in itertools.combinations(
-                         tuple(v for v in r if v not in tf), k - t_level)]
-            pr = p_r / (len(tsubs) * len(ssubs) ** 2)
+                         tuple(v for v in r if v not in tf), k + 1 - m)]
+            pr = float(lev_r.measure[ri]) / (len(tsubs) * len(ssubs) ** 2)
+            acc = acc_t[t_pos[tf]]
             for si in ssubs:
                 for sj in ssubs:
-                    acc_t[ti][(si, sj)] += pr
-    t_probs = np.zeros(lev_t.size)
+                    acc[(si, sj)] += pr
+    t_probs = (np.ones(1) if t_level is None
+               else np.array([sum(acc.values()) for acc in acc_t]))
     tables = []
-    for ti in range(lev_t.size):
-        acc = acc_t.get(ti, {})
-        tot = sum(acc.values())
-        t_probs[ti] = tot
-        if tot <= 0:
-            tables.append(("pairs", np.array([], dtype=np.int64),
-                           np.array([], dtype=np.int64), np.array([])))
-            continue
-        i_idx = np.array([a for a, _ in acc])
-        j_idx = np.array([b for _, b in acc])
-        p = np.array(list(acc.values())) / tot
-        tables.append(("pairs", i_idx, j_idx, p))
+    for acc, tot in zip(acc_t, t_probs if t_level is not None else [1.0]):
+        ij = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
+        tables.append(("pairs", ij[:, 0], ij[:, 1],
+                       np.array(list(acc.values())) / tot if tot > 0 else np.array([])))
     sts = STSTable(t_probs=t_probs, tables=tables, n_s=lev_s.size)
-    return AgreementTest(s_labels, s_supports, sts,
-                         list(lev_t.iter_faces()),
+    s_supports = [tuple(int(v) for v in row) for row in lev_s.faces]
+    if t_level is None:
+        return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_supports=None,
+                             meta={"kind": "up2k", "k": k})
+    return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_faces,
                          meta={"kind": "up2k_t", "k": k, "t_level": t_level})
 
 
@@ -509,11 +555,9 @@ def sts_t_expansions(x) -> list[float]:
         if pt <= 0:
             continue
         i_idx, j_idx, p = test.sts.pair_arrays(ti)
-        live = sorted(set(int(i) for i in i_idx) | set(int(j) for j in j_idx))
-        pos = {s: i for i, s in enumerate(live)}
+        live, pos = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
         dense = np.zeros((len(live), len(live)))
-        for a, b, q in zip(i_idx, j_idx, p):
-            dense[pos[int(a)], pos[int(b)]] += float(q)
+        np.add.at(dense, (pos[:len(i_idx)], pos[len(i_idx):]), p)
         rep = square_lambda(dense, dense.sum(axis=1))
         out.append(rep.two_sided)
     return out

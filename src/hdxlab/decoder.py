@@ -10,26 +10,15 @@ deterministic (and alphabet-permutation equivariant whenever no tie fires).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import Complex
-from .errors import (
-    HdxError,
-    MarginalMismatch,
-    NoGoodColors,
-    OrphanA,
-    ParameterRange,
-)
-from .agreement import (
-    AgreementTest,
-    Ensemble,
-    d_l_test,
-    rejection,
-    surprise,
-)
+from .errors import (HdxError, MarginalMismatch, NoGoodColors, OrphanA, ParameterRange,
+                     SupportMismatch)
+from .agreement import (AgreementTest, Ensemble, _as_test, _cached, _group, _layout, _lift,
+                        _padded, _restrict, _row_codes, d_l_test, rejection, surprise)
 from .stav import STSTable, StavInstance, _restricted_joint, partite_ij_stav
 
 DEFAULT_TAU_GLOBAL = 1.0 / 40.0
@@ -69,47 +58,66 @@ class DecodeOutput:
         }
 
 
-def _plurality(weights: dict, ties: list):
-    """Heaviest key; ties resolved toward the smallest key."""
-    best = None
-    best_w = -1.0
-    tie = False
-    for key in sorted(weights):
-        w = weights[key]
-        if w > best_w + 1e-15:
-            best, best_w, tie = key, w, False
+def _vote(seg, key, weight):
+    """Plurality of ``key`` within each segment, weights summed in input order:
+    keys are scanned in ascending order, a weight over 1e-15 above the best
+    takes over and one within 1e-15 of it ties, so ties go to the smallest key.
+    Returns per segment the index of an input row with the winner, and ties."""
+    ids, first = _group(seg, key)
+    total = np.bincount(ids, weight, minlength=len(first))
+    win, tied = [], []
+    for gi, (sg, w) in enumerate(zip(seg[first].tolist(), total.tolist())):
+        if gi == 0 or sg != prev:
+            win.append(gi)
+            tied.append(False)
+            prev, best_w = sg, w
+        elif w > best_w + 1e-15:
+            win[-1], tied[-1], best_w = gi, False, w
         elif abs(w - best_w) <= 1e-15:
-            tie = True
-    if tie:
-        ties.append(best)
-    return best
+            tied[-1] = True
+    return first[np.array(win, dtype=np.int64)], np.array(tied, dtype=bool)
 
 
-def _restrict(vals: np.ndarray, pos_map: dict, verts) -> tuple:
-    return tuple(int(vals[pos_map[v]]) for v in verts)
+def _as_pairs(x: StavInstance):
+    """The (a, s) pairs of the (v, a, s) triples by first appearance, and the
+    pair of each triple."""
+    def build():
+        _, aa, ss, _ = x.vas_triples()
+        ids, first = _group(aa, ss)
+        order = np.argsort(first)
+        return aa[first[order]], ss[first[order]], np.argsort(order)[ids]
+    return _cached(x, "as_pairs", build)
 
 
-def _pos_maps(x: StavInstance):
-    return [{v: i for i, v in enumerate(sup)} for sup in x.s_supports]
+def _agrees(x: StavInstance, lifted, h: dict, a_idx, s_idx) -> np.ndarray:
+    """Does f_s restrict to the popular assignment h[a], for each (a, s)?"""
+    a_pad = _padded(_as_test(x), "a_pad", x.a_supports)
+    h_pad = np.zeros(a_pad.shape, dtype=np.int64)
+    for ai in range(len(h_pad)):
+        h_pad[ai, :len(x.a_supports[ai])] = h[ai]
+    return (_restrict(lifted, s_idx, a_pad[a_idx]) == h_pad[a_idx]).all(axis=1)
+
+
+def _values_at_v(x: StavInstance, lifted):
+    """f_s at the vertex v of every (v, a, s) triple."""
+    vv, _, ss, _ = x.vas_triples()
+    return _restrict(lifted, ss, np.asarray(x.v_ground, dtype=np.int64)[vv, None])[:, 0]
 
 
 def local_popularity(x: StavInstance, f: Ensemble, ties=None):
     """Most popular restriction to each amplification face."""
     ties = [] if ties is None else ties
-    pos_maps = _pos_maps(x)
-    vv, aa, ss, pp = x.vas_triples()
-    weights = defaultdict(lambda: defaultdict(float))
-    for a, s, p in zip(aa, ss, pp):
-        weights[int(a)][int(s)] = weights[int(a)].get(int(s), 0.0) + float(p)
-    h = {}
-    for ai in range(len(x.a_labels)):
-        if ai not in weights:
-            raise OrphanA(f"amplification face {x.a_labels[ai]} is in no set")
-        verts = x.a_supports[ai]
-        votes = defaultdict(float)
-        for si, w in weights[ai].items():
-            votes[_restrict(f.assignments[x.s_labels[si]], pos_maps[si], verts)] += w
-        h[ai] = _plurality(votes, ties)
+    test = _as_test(x)
+    a, s, pair = _as_pairs(x)
+    orphan = np.setdiff1d(np.arange(len(x.a_labels)), a)
+    if orphan.size:
+        raise OrphanA(f"amplification face {x.a_labels[orphan[0]]} is in no set")
+    rows = _restrict(_lift(test, f), s, _padded(test, "a_pad", x.a_supports)[a])
+    win, tied = _vote(a, _row_codes(rows),
+                      np.bincount(pair, x.vas_triples()[3], minlength=len(a)))
+    h = {ai: tuple(r[:len(x.a_supports[ai])])
+         for ai, r in zip(a[win].tolist(), rows[win].tolist())}
+    ties.extend(h[ai] for ai in a[win][tied].tolist())
     return h
 
 
@@ -119,72 +127,49 @@ def reach_functions(x: StavInstance, f: Ensemble, h: dict, ties=None,
     agree with the local popularity function."""
     ties = [] if ties is None else ties
     flags = {} if flags is None else flags
-    pos_maps = _pos_maps(x)
-    vv, aa, ss, pp = x.vas_triples()
-    agree = _agreement_table(x, f, h, pos_maps)
-    by_av = defaultdict(lambda: defaultdict(float))
-    by_av_all = defaultdict(lambda: defaultdict(float))
-    for v, a, s, p in zip(vv, aa, ss, pp):
-        gv = int(x.v_ground[int(v)])
-        val = int(f.assignments[x.s_labels[int(s)]][pos_maps[int(s)][gv]])
-        by_av_all[(int(a), int(v))][val] += float(p)
-        if agree[(int(a), int(s))]:
-            by_av[(int(a), int(v))][val] += float(p)
-    g = defaultdict(dict)
-    empty = 0
-    for key, votes_all in by_av_all.items():
-        votes = by_av.get(key)
-        if not votes:
-            votes = votes_all
-            empty += 1
-        ai, vi = key
-        g[ai][vi] = _plurality(votes, ties)
-    flags["empty_reach_votes"] = flags.get("empty_reach_votes", 0) + empty
-    return dict(g)
+    lifted = _lift(_as_test(x), f)
+    vv, aa, _, pp = x.vas_triples()
+    pa, ps, pair = _as_pairs(x)
+    agree = _agrees(x, lifted, h, pa, ps)[pair]
+    val = _values_at_v(x, lifted)
+    av = aa * len(x.v_labels) + vv  # (a, v) as one index
+    empty = (np.bincount(av, agree) == 0) & (np.bincount(av) > 0)
+    use = np.flatnonzero(agree | empty[av])
+    win, tied = _vote(av[use], val[use], pp[use])
+    win = use[win]
+    g = {}
+    for ai, vi, value in zip(aa[win].tolist(), vv[win].tolist(), val[win].tolist()):
+        g.setdefault(ai, {})[vi] = value
+    ties.extend(val[win][tied].tolist())
+    flags["empty_reach_votes"] = flags.get("empty_reach_votes", 0) + int(empty.sum())
+    return g
 
 
-def _agreement_table(x, f, h, pos_maps):
-    """agree[(a, s)] = does f_s restrict to the popular assignment on a."""
-    vv, aa, ss, pp = x.vas_triples()
-    agree = {}
-    for a, s in {(int(a), int(s)) for a, s in zip(aa, ss)}:
-        verts = x.a_supports[a]
-        agree[(a, s)] = (_restrict(f.assignments[x.s_labels[s]],
-                                   pos_maps[s], verts) == h[a])
-    return agree
+def _share(part, total):
+    return np.divide(part, total, out=np.zeros_like(part), where=total > 0)
 
 
 def bad_sets(x: StavInstance, f: Ensemble, h: dict,
              cfg: DecoderConfig | None = None):
     """Globally bad amplification faces and the per-vertex bad sets."""
     cfg = cfg or DecoderConfig()
-    pos_maps = _pos_maps(x)
-    agree = _agreement_table(x, f, h, pos_maps)
     va = x.vasa
-    bad = np.fromiter((not (agree[(int(a1), int(s))] and agree[(int(a2), int(s))])
-                       for a1, s, a2 in zip(va.a1_idx, va.s_idx, va.a2_idx)),
-                      dtype=bool, count=len(va))
-    tot_a = defaultdict(float)
-    bad_a = defaultdict(float)
-    tot_av = defaultdict(float)
-    bad_av = defaultdict(float)
-    for i in range(len(va)):
-        a1, v, p = int(va.a1_idx[i]), int(va.v_idx[i]), float(va.probs[i])
-        tot_a[a1] += p
-        tot_av[(a1, v)] += p
-        if bad[i]:
-            bad_a[a1] += p
-            bad_av[(a1, v)] += p
-    a_star = {a for a, t in tot_a.items()
-              if t > 0 and bad_a.get(a, 0.0) / t >= cfg.tau_global - 1e-15}
-    a_star_v = defaultdict(set)
-    for (a, v), t in tot_av.items():
-        if a in a_star:
-            a_star_v[v].add(a)
-        elif t > 0 and bad_av.get((a, v), 0.0) / t > cfg.tau_local + 1e-15:
-            a_star_v[v].add(a)
-    bad_prob = float(sum(p for i, p in enumerate(va.probs) if bad[i]))
-    return a_star, dict(a_star_v), bad_prob
+    lifted = _lift(_as_test(x), f)
+    bad_p = va.probs * ~(_agrees(x, lifted, h, va.a1_idx, va.s_idx)
+                         & _agrees(x, lifted, h, va.a2_idx, va.s_idx))
+    n_a, n_v = len(x.a_labels), len(x.v_labels)
+    tot_a = np.bincount(va.a1_idx, va.probs, minlength=n_a)
+    star = (tot_a > 0) & (_share(np.bincount(va.a1_idx, bad_p, minlength=n_a), tot_a)
+                          >= cfg.tau_global - 1e-15)
+    av = va.a1_idx * n_v + va.v_idx  # (a, v) as one index
+    tot_av = np.bincount(av, va.probs, minlength=n_a * n_v)
+    local = (np.bincount(av, minlength=n_a * n_v) > 0) & (np.repeat(star, n_v) | (
+        (tot_av > 0) & (_share(np.bincount(av, bad_p, minlength=n_a * n_v), tot_av)
+                        > cfg.tau_local + 1e-15)))
+    a_star_v = {}
+    for ai, vi in zip(*(k.tolist() for k in np.divmod(np.flatnonzero(local), n_v))):
+        a_star_v.setdefault(vi, set()).add(ai)
+    return set(np.flatnonzero(star).tolist()), a_star_v, float(bad_p.sum())
 
 
 def global_decode(x: StavInstance, f: Ensemble,
@@ -194,91 +179,61 @@ def global_decode(x: StavInstance, f: Ensemble,
     if not isinstance(x, StavInstance):
         raise HdxError("decoding needs a tabular instance")
     flags = {}
-    h_ties, g_ties, v_ties = [], [], []
+    h_ties, g_ties = [], []
     h = local_popularity(x, f, ties=h_ties)
     g = reach_functions(x, f, h, ties=g_ties, flags=flags)
     a_star, a_star_v, bad_prob = bad_sets(x, f, h, cfg)
 
-    reach = x.reach_joint().tocsc()
-    n_v = len(x.v_labels)
-    g_values = np.zeros(n_v, dtype=np.int64)
-    empty_global = 0
-    for vi in range(n_v):
-        col = reach[:, vi]
-        votes = defaultdict(float)
-        votes_all = defaultdict(float)
-        for ai, p in zip(col.indices, col.data):
-            if p <= 0:
-                continue
-            val = g[int(ai)].get(vi)
-            if val is None:
-                continue
-            votes_all[val] += float(p)
-            if int(ai) not in a_star_v.get(vi, ()):
-                votes[val] += float(p)
-        if not votes:
-            votes = votes_all
-            empty_global += 1
-        g_values[vi] = _plurality(votes, v_ties)
-    flags["empty_global_votes"] = empty_global
-    flags["h_ties"] = len(h_ties)
-    flags["g_ties"] = len(g_ties)
-    flags["global_ties"] = len(v_ties)
+    n_a, n_v = len(x.a_labels), len(x.v_labels)
+    g_av = np.full((n_a, n_v), -1, dtype=np.int64)
+    for ai, row in g.items():
+        g_av[ai, list(row)] = list(row.values())
+    star_av = np.zeros((n_a, n_v), dtype=bool)
+    for vi, a_set in a_star_v.items():
+        star_av[list(a_set), vi] = True
+    reach = x.reach_joint().tocsc()  # the reach entries v major
+    ra, rp = reach.indices, reach.data
+    rv = np.repeat(np.arange(n_v), np.diff(reach.indptr))
+    val = g_av[ra, rv]
+    votes = (val >= 0) & (rp > 0)
+    empty = np.bincount(rv, votes & ~star_av[ra, rv], minlength=n_v) == 0
+    use = np.flatnonzero(votes & (~star_av[ra, rv] | empty[rv]))
+    win, tied = _vote(rv[use], val[use], rp[use])
+    if len(win) < n_v:
+        raise HdxError("some v-layer vertex receives no reach vote")
+    g_values = val[use[win]]
+    flags.update(empty_global_votes=int(empty.sum()), h_ties=len(h_ties),
+                 g_ties=len(g_ties), global_ties=int(tied.sum()))
 
-    n_ground = len(x.ground_labels)
-    g_ground = -np.ones(n_ground, dtype=np.int64)
+    g_ground = np.full(len(x.ground_labels), -1, dtype=np.int64)
     g_ground[np.asarray(x.v_ground, dtype=np.int64)] = g_values
-
-    diagnostics = _diagnostics(x, f, h, g, a_star, a_star_v, g_values, bad_prob)
     return DecodeOutput(g_values=g_values, g_ground=g_ground, a_star=a_star,
-                        a_star_v=a_star_v, h=h, g=g, diagnostics=diagnostics,
-                        flags=flags)
+                        a_star_v=a_star_v, h=h, g=g, flags=flags, diagnostics=_diagnostics(
+                            x, f, h, (ra, rv, rp), g_av, star_av, a_star, g_values, bad_prob))
 
 
-def _diagnostics(x, f, h, g, a_star, a_star_v, g_values, bad_prob):
-    pos_maps = _pos_maps(x)
-    eps = rejection(x, f).epsilon
-    reach = x.reach_joint().tocoo()
-    pr_a = np.asarray(x.reach_joint().sum(axis=1)).ravel()
-    pr_a_star = float(sum(pr_a[a] for a in a_star))
-    # Pr[(a, s)] of disagreeing with the popular assignment
-    vvv, aaa, sss, ppp = x.vas_triples()
-    h_mismatch = 0.0
-    as_weight = defaultdict(float)
-    for a, s, p in zip(aaa, sss, ppp):
-        as_weight[(int(a), int(s))] += float(p)
-    agree = _agreement_table(x, f, h, pos_maps)
-    for (a, s), p in as_weight.items():
-        if not agree[(a, s)]:
-            h_mismatch += p
-    not_global_but_local = 0.0
-    global_vote_mismatch = 0.0
-    for a, v, p in zip(reach.row, reach.col, reach.data):
-        a, v = int(a), int(v)
-        in_star_v = a in a_star_v.get(v, ())
-        if in_star_v and a not in a_star:
-            not_global_but_local += float(p)
-        if not in_star_v:
-            val = g[a].get(v)
-            if val is not None and val != int(g_values[v]):
-                global_vote_mismatch += float(p)
-    g_mismatch = 0.0
-    for v, a, s, p in zip(vvv, aaa, sss, ppp):
-        v, a, s = int(v), int(a), int(s)
-        if a in a_star_v.get(v, ()) or not agree[(a, s)]:
-            continue
-        gv = int(x.v_ground[v])
-        val = int(f.assignments[x.s_labels[s]][pos_maps[s][gv]])
-        if val != g[a].get(v):
-            g_mismatch += float(p)
+def _diagnostics(x, f, h, reach, g_av, star_av, a_star, g_values, bad_prob):
+    lifted = _lift(_as_test(x), f)
+    ra, rv, rp = reach
+    pr_a = np.bincount(ra, rp, minlength=len(x.a_labels))
+    vv, aa, _, pp = x.vas_triples()
+    pa, ps, pair = _as_pairs(x)
+    ok = _agrees(x, lifted, h, pa, ps)
+    in_star = star_av[ra, rv]
+    not_global = np.ones(len(x.a_labels), dtype=bool)
+    not_global[list(a_star)] = False
+    val = g_av[ra, rv]
+    g_miss = ~star_av[aa, vv] & ok[pair] & (_values_at_v(x, lifted) != g_av[aa, vv])
     return {
-        "epsilon": eps,
-        "pr_a_star": pr_a_star,
+        "epsilon": rejection(x, f).epsilon,
+        "pr_a_star": float(sum(pr_a[a] for a in a_star)),
         "bad_triple_prob": bad_prob,
-        "h_mismatch": h_mismatch,
-        "g_mismatch": g_mismatch,
-        "not_global_bad_but_local": not_global_but_local,
-        "global_vote_mismatch": global_vote_mismatch,
+        # Pr[(a, s)] of disagreeing with the popular assignment
+        "h_mismatch": float(np.bincount(pair, pp, minlength=len(pa))[~ok].sum()),
+        "g_mismatch": float(pp[g_miss].sum()),
+        "not_global_bad_but_local": float(rp[in_star & not_global[ra]].sum()),
+        "global_vote_mismatch": float(rp[~in_star & (val >= 0)
+                                         & (val != g_values[rv])].sum()),
     }
 
 
@@ -295,41 +250,40 @@ def subset_agreement(x: StavInstance, f: Ensemble, g_ground: np.ndarray,
     the (v, a, s) marginal by construction.  An explicit ``b_table`` of rows
     (v, a, s, b_vertices, p) is validated against that marginal.
     """
-    pos_maps = _pos_maps(x)
+    test = _as_test(x)
+    lifted = _lift(test, f)
+    n_ground = _layout(test)[3]
+    vals = lifted[:, :n_ground]
+    g = np.asarray(g_ground)[:n_ground]
+    one_hot = np.eye(n_ground + 1, dtype=bool)[:, :n_ground]  # the padding column is empty
     vv, aa, ss, pp = x.vas_triples()
-    g_ground = np.asarray(g_ground)
 
-    def differs(si, b_verts):
-        vals = f.assignments[x.s_labels[si]]
-        pm = pos_maps[si]
-        arr = np.array([int(vals[pm[v]]) != int(g_ground[v]) for v in b_verts])
-        return arr.mean() > r_gamma
+    def differs(s_idx, member):
+        """Does f_s differ from g on more than r_gamma of each row's members?"""
+        if (vals[s_idx][member] < 0).any():
+            raise SupportMismatch("a subset b leaves its set")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return ((vals[s_idx] != g) & member).sum(axis=1) / member.sum(axis=1) > r_gamma
 
     if b_table is not None:
-        marg = defaultdict(float)
-        for v, a, s, _, p in b_table:
-            marg[(int(v), int(a), int(s))] += float(p)
-        ref = defaultdict(float)
-        for v, a, s, p in zip(vv, aa, ss, pp):
-            ref[(int(v), int(a), int(s))] += float(p)
-        dev = max(abs(marg.get(k, 0.0) - ref.get(k, 0.0))
-                  for k in set(marg) | set(ref))
+        v, a, s = (np.array([row[c] for row in b_table], dtype=np.int64) for c in range(3))
+        p = np.array([row[4] for row in b_table], dtype=float)
+        ids, first = _group(*(np.concatenate(k) for k in ((v, vv), (a, aa), (s, ss))))
+        gap = (np.bincount(ids[:len(p)], p, minlength=len(first))
+               - np.bincount(ids[len(p):], pp, minlength=len(first)))
+        dev = float(np.abs(gap).max(initial=0.0))
         if dev > 1e-9:
             raise MarginalMismatch(f"b-sampler marginal deviates by {dev:.3g}")
-        return float(sum(p for v, a, s, b, p in b_table if differs(int(s), b)))
+        member = np.array([one_hot[list(row[3])].any(axis=0) for row in b_table])
+        return float(p[differs(s, member.reshape(len(p), n_ground))].sum())
     if mode == "singleton":
-        return float(sum(p for v, a, s, p in zip(vv, aa, ss, pp)
-                         if differs(int(s), (int(x.v_ground[int(v)]),))))
+        return float(pp[differs(ss, one_hot[x.v_ground[vv]])].sum())
     if mode == "s_minus_a":
-        total = 0.0
-        acc = defaultdict(float)
-        for a, s, p in zip(aa, ss, pp):
-            acc[(int(a), int(s))] += float(p)
-        for (a, s), p in acc.items():
-            b = tuple(v for v in x.s_supports[s] if v not in set(x.a_supports[a]))
-            if b and differs(s, b):
-                total += p
-        return float(total)
+        pa, ps, pair = _as_pairs(x)
+        a_pad = _padded(test, "a_pad", x.a_supports)
+        b = (vals[ps] >= 0) & ~one_hot[a_pad[pa]].any(axis=1)
+        hit = b.any(axis=1) & differs(ps, b)
+        return float(np.bincount(pair, pp, minlength=len(pa))[hit].sum())
     raise ParameterRange(f"unknown subset sampler {mode!r}")
 
 

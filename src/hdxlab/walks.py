@@ -102,9 +102,13 @@ class MarkovOperator:
         return self.matrix @ g
 
     def detailed_balance_residual(self) -> float:
+        """max|J - J^T| of a walk from a level to itself; between two levels,
+        how far the joint's target marginal is from the target measure."""
         j = self.joint()
-        jr = self.reverse().joint()
-        diff = j - jr.T
+        if self.is_square:
+            diff = j - j.T
+        else:
+            diff = np.asarray(j.sum(axis=0)).ravel() - self.target_measure
         if sp.issparse(diff):
             return float(abs(diff).max()) if diff.nnz else 0.0
         return float(np.max(np.abs(diff))) if diff.size else 0.0

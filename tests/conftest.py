@@ -1,12 +1,20 @@
 """Shared fixtures and independent oracles used across the suite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
-from hdxlab.complexes import Complex, partite_complete_complex
+from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
 from hdxlab.walks import BipartiteGraph, WeightedGraph
+
+# one profile for every property test; per-example deadlines fail spuriously
+# when the machine is loaded, so there are none
+settings.register_profile("hdxlab", max_examples=20, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("hdxlab")
 
 
 def random_partite_complex(seed: int, sizes=None, noise: float = 1.0) -> Complex:
@@ -24,6 +32,17 @@ def random_partite_complex(seed: int, sizes=None, noise: float = 1.0) -> Complex
     weights = weights / weights.sum()
     return Complex(base.n_vertices, base.d, tops.copy(), weights,
                    coloring=base.coloring)
+
+
+def random_weighted_complex(seed: int, n: int, d: int) -> Complex:
+    """Random weights on a random share of the (d+1)-sets of n vertices; one
+    cyclic window per vertex keeps every vertex in a top face."""
+    rng = np.random.default_rng(seed)
+    tops = {tuple(sorted((v + i) % n for i in range(d + 1))) for v in range(n)}
+    tops |= {t for t in itertools.combinations(range(n), d + 1) if rng.random() < 0.4}
+    tops = sorted(tops)
+    w = rng.gamma(1.0, 1.0, size=len(tops)) + 1e-3
+    return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
 
 
 def random_weighted_graph(seed: int, n: int) -> WeightedGraph:

@@ -4,8 +4,11 @@ Each case builds or writes its complex, runs one CLI command and compares the
 ``report`` payload with the file under ``tests/golden/`` at 1e-12 (the
 manifest holds paths, hashes and wall time and is ignored).  A ``spectrum``
 case that exports its operator as CSV also compares the (row, column, prob)
-triplets, sorted.  Regenerate files only on purpose, from a commit whose
-reports are trusted, naming the cases to write (all cases when none given):
+triplets, sorted.  A case with an ``{ensemble}`` placeholder first writes the
+planted ensemble of ``PLANT`` (plant seed 3, alphabet 2, 20 % of the sets
+resampled) for the instance its flags name.  Regenerate files only on
+purpose, from a commit whose reports are trusted, naming the cases to write
+(all cases when none given):
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
@@ -16,10 +19,17 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from hdxlab.cli import main
-from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
+from hdxlab.agreement import corrupt, perfect_ensemble, save_ensemble
+from hdxlab.cli import _build_instance, build_parser, main
+from hdxlab.complexes import (
+    Complex,
+    build_from_top_faces,
+    load_complex,
+    partite_complete_complex,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-12
@@ -47,6 +57,9 @@ FIXED = {"weighted": _weighted_complex, "weighted_partite": _weighted_partite}
 C95 = ["--complete", "9", "5"]
 P2X9 = ["--partite", ",".join(["2"] * 9)]
 PLANT = ["--plant-seed", "3", "--alpha", "0.2", "--mode", "exact"]
+# with the default thresholds every amplification face of the PLANT ensemble is
+# globally bad; these leave some of them good
+LOOSE_TAUS = ["--tau-global", "0.15", "--tau-local", "0.25"]
 
 
 def _spectrum(walk, *flags, on="weighted"):
@@ -54,7 +67,11 @@ def _spectrum(walk, *flags, on="weighted"):
                  "--export-csv", "{csv}"])
 
 
-# name -> (complex, command argv with {complex} and {csv} placeholders)
+def _decode(*flags):
+    return ["decode", "--complex", "{complex}", *flags, "--ensemble", "{ensemble}"]
+
+
+# name -> (complex, command argv with {complex}, {csv} and {ensemble} placeholders)
 CASES = {
     "stav_check_complete_9_5_l1": (
         C95, ["stav-check", "--complex", "{complex}", "--stav", "hdx", "--l", "1",
@@ -98,20 +115,42 @@ CASES = {
     "agree_run_neighborhood_9_5": (
         C95, ["agree-run", "--complex", "{complex}", "--stav", "neighborhood",
               "--l", "1", "--k", "0", *PLANT]),
+    "agree_run_hdx_9_5_l1_alphabet3": (
+        C95, ["agree-run", "--complex", "{complex}", "--stav", "hdx", "--l", "1",
+              "--alphabet", "3", *PLANT]),
+    "decode_hdx_9_5_l1": (C95, _decode("--stav", "hdx", "--l", "1")),
+    "decode_hdx_9_5_l1_loose_taus": (
+        C95, _decode("--stav", "hdx", "--l", "1", *LOOSE_TAUS)),
+    "decode_partite_2x9_i0_j1_k8": (
+        P2X9, _decode("--stav", "partite", "--colors-i", "0", "--colors-j", "1",
+                      "--k", "8", *LOOSE_TAUS)),
 }
+
+
+def _write_ensemble(cpath: str, argv: list, path: str) -> None:
+    """Plant, corrupt and save the ensemble ``PLANT`` describes, on the
+    instance that ``argv`` builds from the complex at ``cpath``."""
+    x = _build_instance(load_complex(cpath), build_parser().parse_args(argv))
+    plant = np.random.default_rng(3).integers(0, 2, size=len(x.ground_labels))
+    f = corrupt(perfect_ensemble(x, plant, alphabet=2), 0.2, "resample_set", seed=4)
+    save_ensemble(f, path)
 
 
 def run_case(name: str, workdir: str):
     source, argv = CASES[name]
     cpath = os.path.join(workdir, f"{name}.complex.json")
     csv_path = os.path.join(workdir, f"{name}.csv")
+    ens_path = os.path.join(workdir, f"{name}.ensemble.json")
     out = os.path.join(workdir, f"{name}.report.json")
     if isinstance(source, str):
         FIXED[source]().save(cpath)
     elif source is not None:
         assert main(["build", *source, "-o", cpath]) == 0
-    argv = [a.format(complex=cpath, csv=csv_path) for a in argv]
-    assert main([*argv, "-o", out]) == 0
+    argv = [a.format(complex=cpath, csv=csv_path, ensemble=ens_path) for a in argv]
+    argv += ["--report" if argv[0] == "decode" else "-o", out]
+    if "{ensemble}" in CASES[name][1]:
+        _write_ensemble(cpath, argv, ens_path)
+    assert main(argv) == 0
     with open(out) as fh:
         report = json.load(fh)["report"]
     if "--export-csv" not in argv:

@@ -9,9 +9,8 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from hdxlab.complexes import build_from_top_faces
 from hdxlab.walks import (
     colored_walk,
     complement_walk,
@@ -24,26 +23,13 @@ from hdxlab.walks import (
     up_operator,
 )
 
-from conftest import random_partite_complex
+from conftest import random_partite_complex, random_weighted_complex
 
 TOL = 1e-12
-SETTINGS = settings(max_examples=20, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def _dense(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m)
-
-
-def _random_complex(seed: int, n: int, d: int):
-    """Random weights on a random share of the (d+1)-sets of n vertices; one
-    cyclic window per vertex keeps every vertex in a top face."""
-    rng = np.random.default_rng(seed)
-    tops = {tuple(sorted((v + i) % n for i in range(d + 1))) for v in range(n)}
-    tops |= {t for t in itertools.combinations(range(n), d + 1) if rng.random() < 0.4}
-    tops = sorted(tops)
-    w = rng.gamma(1.0, 1.0, size=len(tops)) + 1e-3
-    return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
 
 
 def _walks(c):
@@ -81,15 +67,13 @@ def _check(name, op):
         assert np.max(np.abs(joint - joint.T)) <= TOL, name
 
 
-@SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
 def test_walks_on_random_weighted_complexes(seed, n, d):
-    c = _random_complex(seed, n, d)
+    c = random_weighted_complex(seed, n, d)
     for name, op in _walks(c):
         _check(name, op)
 
 
-@SETTINGS
 @given(seed=st.integers(0, 2**32 - 1),
        sizes=st.lists(st.integers(1, 3), min_size=3, max_size=4))
 def test_walks_on_random_partite_complexes(seed, sizes):

@@ -14,6 +14,7 @@ from hdxlab.errors import (
     OverlappingColors,
 )
 from hdxlab.walks import (
+    MarkovOperator,
     colored_walk,
     complement_walk,
     containment_operator,
@@ -219,6 +220,13 @@ def test_fixed_union_self_adjoint():
     fu = fixed_union_walk(c, 1, 2)
     assert np.all(np.abs(fu.row_sums() - 1) < 1e-10)
     assert fu.detailed_balance_residual() < 1e-10
+
+
+def test_detailed_balance_residual_detects_cyclic_walk():
+    faces = np.arange(3)[:, None]
+    uniform = np.full(3, 1 / 3)
+    cyclic = MarkovOperator(faces, uniform, faces, uniform, np.roll(np.eye(3), 1, axis=1))
+    assert cyclic.detailed_balance_residual() >= 1 / 3
 
 
 def test_neighborhood_system():
