@@ -179,6 +179,8 @@ class Complex:
         self.vertex_labels = None if vertex_labels is None else tuple(vertex_labels)
         self._levels: dict[int, LevelIndex] = {}
         self._colored_levels: dict[frozenset, tuple] = {}
+        # k -> (lambda2, lambda_min) of every k-face's link, filled by spectra
+        self._link_spectra: dict[int, tuple] = {}
         if self.uniform_complete:
             self._tops = None
             self._weights = None

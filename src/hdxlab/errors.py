@@ -91,6 +91,10 @@ class TooLarge(SizeCapError):
     pass
 
 
+class NotConverged(HdxError):
+    """An iterative eigensolve ended with a residual above its tolerance."""
+
+
 # -- grassmann ---------------------------------------------------------------
 
 class DimensionArithmetic(HdxError):

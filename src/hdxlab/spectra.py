@@ -5,7 +5,15 @@ with stationary measure pi becomes D^{1/2} P D^{-1/2}, which is symmetric, and
 bipartite operators become J / sqrt(pi_L x pi_R) whose second singular value
 is the bipartite expansion.  Dense symmetric solvers run up to 5000x5000;
 larger operators use Lanczos iterations on the operator with the constant
-eigenvector deflated, and the report carries the iteration residual.
+eigenvector deflated, and the report carries the iteration residual.  An
+iterative solve whose residual exceeds 1e-8 raises ``NotConverged``.
+
+Link spectra are computed one level at a time: the underlying graphs of the
+links of all k-faces are read off the X(k+1) and X(k+2) arrays, grouped by
+link size and solved as stacked dense eigenproblems.  The (lambda2,
+lambda_min) arrays are cached per level on the complex, so every verifier that
+takes link expansion as its hypothesis reuses them, and the trickling check
+reads its eta from level 0.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complexes import Complex
+from .complexes import Complex, _encode_rows, _lookup_rows
 from .errors import (
     HypothesisViolated,
     InconsistentMarginals,
     NotApplicable,
+    NotConverged,
     NotPartite,
     NotReversible,
     OrderingViolated,
@@ -41,6 +50,9 @@ from .walks import (
 
 DENSE_EIG_LIMIT = 5000
 SLACK = 1e-9
+RESIDUAL_TOL = 1e-8
+# stacked link eigenproblems are solved in batches of at most this many bytes
+_LINK_BATCH_BYTES = 1 << 24
 
 
 @dataclass
@@ -95,6 +107,12 @@ def _positive(pi: np.ndarray, what: str) -> np.ndarray:
     return pi
 
 
+def _check_converged(resid: float) -> None:
+    if not resid <= RESIDUAL_TOL:
+        raise NotConverged(f"iterative eigensolve residual {resid:.3g} exceeds "
+                           f"{RESIDUAL_TOL:g}")
+
+
 def _sym_square(joint, pi):
     s = np.sqrt(pi)
     if sp.issparse(joint):
@@ -134,6 +152,7 @@ def square_lambda(joint, pi) -> SpectralReport:
     resid = max(
         float(np.linalg.norm(deflated(hi[1][:, 0]) - l2 * hi[1][:, 0])),
         float(np.linalg.norm(deflated(lo[1][:, 0]) - lmin * lo[1][:, 0])))
+    _check_converged(resid)
     # deflation injects a zero eigenvalue; clip accordingly (safe direction)
     return SpectralReport(lambda2=float(np.clip(l2, 0.0, 1.0)),
                           lambda_min=float(np.clip(lmin, -1.0, 0.0)),
@@ -173,6 +192,7 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     u, svals, vt = spla.svds(op, k=1)
     val = float(svals[0])
     resid = float(np.linalg.norm(deflated_mv(vt[0]) - val * u[:, 0]))
+    _check_converged(resid)
     return SpectralReport(lambda_bip=float(min(val, 1.0)), method="iterative",
                           residual=resid)
 
@@ -215,11 +235,105 @@ class LinkExpansionReport:
                 "deduplicated": self.deduplicated}
 
 
+def _link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda2, lambda_min) of the underlying graph of the link of every
+    k-face, in level order; computed once per level and cached on ``c``.
+
+    k = -1 is the complex itself, and a uniform complete complex solves one
+    representative link per level (arrays of length 1).
+    """
+    if k not in c._link_spectra:
+        if k == -1 or c.uniform_complete:
+            g = underlying_graph(c if k == -1 else c.link(c.level(k).face(0)))
+            rep = square_lambda(g.joint, g.vertex_measure)
+            c._link_spectra[k] = (np.array([rep.lambda2]), np.array([rep.lambda_min]))
+        else:
+            c._link_spectra[k] = _batched_link_spectra(c, k)
+    return c._link_spectra[k]
+
+
+def _batched_link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Link spectra of all k-faces, 0 <= k <= d-2, from the level arrays.
+
+    The link of s has a vertex v for every (k+1)-face s + v and an edge uv
+    for every (k+2)-face s + uv, weighted by its measure; the link's edge
+    measure is proportional to it, and the spectrum does not see the scale.
+    """
+    lev, up1, up2 = c.level(k), c.level(k + 1), c.level(k + 2)
+    base = max(c.n_vertices, lev.size)
+
+    def split(faces, drop):
+        keep = [j for j in range(faces.shape[1]) if j not in drop]
+        return lev.index_rows(faces[:, keep])
+
+    # (s, v) pairs in key order give each link its vertices, sorted, at
+    # consecutive positions; a vertex's local id is its offset in that run
+    faces_s = np.concatenate([split(up1.faces, (j,)) for j in range(k + 2)])
+    verts = np.concatenate([up1.faces[:, j] for j in range(k + 2)])
+    keys = np.sort(_encode_rows(np.column_stack([faces_s, verts]), base))
+    sizes = np.bincount(faces_s, minlength=lev.size)
+    start = np.cumsum(sizes) - sizes
+    edge_s, edge_u, edge_v = [], [], []
+    for a, b in itertools.combinations(range(k + 3), 2):
+        s_idx = split(up2.faces, (a, b))
+        edge_s.append(s_idx)
+        for out, j in ((edge_u, a), (edge_v, b)):
+            rows = np.column_stack([s_idx, up2.faces[:, j]])
+            out.append(_lookup_rows(keys, rows, base) - start[s_idx])
+    edge_s, edge_u, edge_v = (np.concatenate(x) for x in (edge_s, edge_u, edge_v))
+    edge_w = np.tile(up2.measure, len(edge_s) // up2.size)
+
+    # faces ordered by link size; each face's edges become one contiguous run
+    order = np.argsort(sizes, kind="stable")
+    rank = np.empty(lev.size, dtype=np.int64)
+    rank[order] = np.arange(lev.size)
+    by_rank = np.argsort(rank[edge_s], kind="stable")
+    edge_rank = rank[edge_s][by_rank]
+    edge_u, edge_v, edge_w = edge_u[by_rank], edge_v[by_rank], edge_w[by_rank]
+    lam2, lam_min = np.empty(lev.size), np.empty(lev.size)
+    bounds = np.flatnonzero(np.diff(sizes[order], prepend=-1, append=-1))
+    for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
+        m = int(sizes[order[lo_g]])
+        step = 1 if m > DENSE_EIG_LIMIT else max(1, _LINK_BATCH_BYTES // (8 * m * m))
+        for lo in range(lo_g, hi_g, step):
+            hi = min(lo + step, hi_g)
+            e_lo, e_hi = np.searchsorted(edge_rank, [lo, hi])
+            faces = order[lo:hi]
+            lam2[faces], lam_min[faces] = _graph_spectra(
+                hi - lo, m, edge_rank[e_lo:e_hi] - lo, edge_u[e_lo:e_hi],
+                edge_v[e_lo:e_hi], edge_w[e_lo:e_hi])
+    return lam2, lam_min
+
+
+def _graph_spectra(n_graphs, m, graph, u, v, w):
+    """(lambda2, lambda_min) of ``n_graphs`` graphs on m vertices each, where
+    edge i joins u[i] and v[i] of graph ``graph[i]`` with weight w[i].
+
+    Up to ``DENSE_EIG_LIMIT`` vertices this is one stacked dense solve;
+    beyond it there is a single graph, handed to ``square_lambda``.
+    """
+    if m > DENSE_EIG_LIMIT:
+        w = w / (2.0 * w.sum())  # the Lanczos deflation needs a joint of mass 1
+        joint = sp.coo_matrix((np.concatenate([w, w]),
+                               (np.concatenate([u, v]), np.concatenate([v, u]))),
+                              shape=(m, m)).tocsr()
+        rep = square_lambda(joint, np.asarray(joint.sum(axis=1)).ravel())
+        return rep.lambda2, rep.lambda_min
+    joint = np.zeros((n_graphs, m, m))
+    np.add.at(joint, (graph, u, v), w)
+    np.add.at(joint, (graph, v, u), w)
+    r = 1.0 / np.sqrt(joint.sum(axis=2))
+    vals = np.linalg.eigvalsh(joint * r[:, :, None] * r[:, None, :])
+    lam2 = np.clip(vals[:, -2], -1.0, 1.0)
+    return lam2, np.clip(vals[:, 0], -1.0, lam2)
+
+
 def link_expansion(c: Complex, two_sided: bool = True) -> LinkExpansionReport:
     """Worst underlying-graph expansion over all links (empty face included).
 
     Disconnected links report lambda2 = 1 with a warning rather than an error.
-    For the complete complex all links at one level are isomorphic, so a single
+    The worst face is the first in level order with the largest value.  For
+    the complete complex all links at one level are isomorphic, so a single
     representative per level is solved.
     """
     worst = -np.inf
@@ -228,22 +342,16 @@ def link_expansion(c: Complex, two_sided: bool = True) -> LinkExpansionReport:
     disconnected = []
     for k in range(-1, c.d - 1):
         lev = c.level(k)
-        level_worst = -np.inf
-        faces_iter = [lev.face(0)] if c.uniform_complete else lev.iter_faces()
-        for s in faces_iter:
-            sub = c if k == -1 else c.link(s)
-            g = underlying_graph(sub)
-            rep = square_lambda(g.joint, g.vertex_measure)
-            val = rep.two_sided if two_sided else rep.lambda2
-            if rep.lambda2 > 1 - 1e-9:
-                disconnected.append(s)
-                warnings.warn(f"link of {s} is disconnected; lambda2 = 1",
-                              stacklevel=2)
-            if val > level_worst:
-                level_worst = val
-            if val > worst:
-                worst, worst_face = val, s
-        per_level[k] = level_worst
+        lam2, lam_min = _link_spectra(c, k)
+        vals = np.maximum(np.abs(lam2), np.abs(lam_min)) if two_sided else lam2
+        for i in np.flatnonzero(lam2 > 1 - 1e-9):
+            disconnected.append(lev.face(i))
+            warnings.warn(f"link of {lev.face(i)} is disconnected; lambda2 = 1",
+                          stacklevel=2)
+        i = int(np.argmax(vals))
+        per_level[k] = float(vals[i])
+        if vals[i] > worst:
+            worst, worst_face = vals[i], lev.face(i)
     return LinkExpansionReport(value=float(worst), two_sided=two_sided,
                                per_level=per_level, worst_face=worst_face,
                                disconnected=disconnected,
@@ -291,11 +399,12 @@ def verify_trickling(y: Complex) -> BoundCheck:
     """Three-partite inequality lambda(A23) <= eta + lambda(A01) lambda(A02)."""
     if not (y.is_partite and y.d == 2):
         raise NotPartite("trickling check needs a 2-dimensional 3-partite complex")
-    col = np.asarray(y.coloring)
-    eta = 0.0
-    for v in np.flatnonzero(col == 0):
-        lk = y.link((int(v),))
-        eta = max(eta, bipartite_norm(colored_walk(lk, [0], [1])).lambda_bip)
+    # the link of a color-0 vertex is bipartite between colors 1 and 2, so its
+    # underlying graph has spectrum +-sigma and lambda2 is the colored-walk
+    # norm, except on star links, where it is <= 0 and the norm is 0
+    lam2, _ = _link_spectra(y, 0)
+    col = np.asarray(y.coloring)[y.level(0).faces[:, 0]]
+    eta = float(np.max(lam2[col == 0], initial=0.0))
     lam_01 = bipartite_norm(colored_walk(y, [0], [1])).lambda_bip
     lam_02 = bipartite_norm(colored_walk(y, [0], [2])).lambda_bip
     lhs = bipartite_norm(colored_walk(y, [1], [2])).lambda_bip

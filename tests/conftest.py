@@ -102,3 +102,31 @@ def brute_force_rejection(test, f) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture
+def unconverged_solvers(monkeypatch):
+    """Lanczos from 11 rows up, with ``eigsh`` and ``svds`` returning the right
+    values but random unit vectors, as a solve that stopped early would."""
+    import scipy.sparse.linalg as spla
+
+    import hdxlab.spectra as spectra
+
+    noise = np.random.default_rng(5)
+    eigsh, svds = spla.eigsh, spla.svds
+
+    def unit(shape):
+        x = noise.normal(size=shape)
+        return x / np.linalg.norm(x, axis=0)
+
+    def wrong_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, unit(vecs.shape)
+
+    def wrong_svds(*args, **kwargs):
+        u, vals, vt = svds(*args, **kwargs)
+        return unit(u.shape), vals, unit(vt.T.shape).T
+
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(spla, "eigsh", wrong_eigsh)
+    monkeypatch.setattr(spla, "svds", wrong_svds)

@@ -127,6 +127,14 @@ def test_malformed_size_cap_exit_code(tmp_path, monkeypatch, capsys):
     assert "usage error: HDX_SIZE_CAP" in capsys.readouterr().err
 
 
+def test_not_converged_exit_code(tmp_path, unconverged_solvers, capsys):
+    cpath = tmp_path / "c.json"
+    assert run_cli(["build", "--complete", "12", "3", "-o", str(cpath)]) == 0
+    assert run_cli(["spectrum", str(cpath), "--walk", "lower", "--k", "1",
+                    "--l", "0"]) == 1
+    assert "residual" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run_cli(["verify", "/nonexistent-dir/nothing.json"]) == 1
     assert run_cli(["build", "-o", "/tmp/x.json"]) == 1

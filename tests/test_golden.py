@@ -51,8 +51,19 @@ def _weighted_partite() -> Complex:
                    coloring=base.coloring)
 
 
+def _mild_partite() -> Complex:
+    """All transversals of parts of 3, 4 and 5, with weights within 1.6x of
+    each other: the links expand well enough for the colored bound to apply."""
+    base = partite_complete_complex([3, 4, 5])
+    tops, _ = base.top_arrays()
+    w = 1.0 + 0.2 * ((tops[:, 0] * tops[:, 1] + tops[:, 2]) % 4)
+    return Complex(base.n_vertices, base.d, tops.copy(), w / w.sum(),
+                   coloring=base.coloring)
+
+
 # complexes written with Complex.save; any other complex is `hdxlab build` flags
-FIXED = {"weighted": _weighted_complex, "weighted_partite": _weighted_partite}
+FIXED = {"weighted": _weighted_complex, "weighted_partite": _weighted_partite,
+         "mild_partite": _mild_partite}
 
 C95 = ["--complete", "9", "5"]
 P2X9 = ["--partite", ",".join(["2"] * 9)]
@@ -101,6 +112,11 @@ CASES = {
                                                   "underlying"]),
     "verify_all_complete_9_5": (C95, ["verify", "{complex}", "--all"]),
     "verify_all_weighted_partite": ("weighted_partite", ["verify", "{complex}", "--all"]),
+    "verify_all_weighted": ("weighted", ["verify", "{complex}", "--all"]),
+    "verify_all_mild_partite": ("mild_partite", ["verify", "{complex}", "--all"]),
+    "mixing_random_weighted_seed7": (
+        "weighted", ["mixing", "{complex}", "--random-vertex-sets", "2",
+                     "--density", "0.25", "--seed", "7"]),
     "grassmann_containment_linear_2_4": (
         None, ["grassmann", "--q", "2", "--n", "4", "--d", "2", "--flavor", "linear",
                "--walk", "containment", "--k", "1", "--l", "0"]),

@@ -9,6 +9,7 @@ from hdxlab.errors import (
     HypothesisViolated,
     InconsistentMarginals,
     NotApplicable,
+    NotConverged,
     NotReversible,
     OrderingViolated,
     TooLarge,
@@ -336,6 +337,14 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
     assert iter_rep.lambda2 == pytest.approx(dense_rep.lambda2, abs=1e-7)
     assert iter_bip.lambda_bip == pytest.approx(dense_bip.lambda_bip, abs=1e-7)
     assert iter_rep.residual < 1e-7
+
+
+def test_iterative_solvers_raise_when_not_converged(unconverged_solvers):
+    c = complete_complex(12, 3)
+    with pytest.raises(NotConverged):
+        square_spectrum(lower_walk(c, 1, 0))
+    with pytest.raises(NotConverged):
+        bipartite_norm(complement_walk(c, 1, 1))
 
 
 def test_verifiers_are_pure():
