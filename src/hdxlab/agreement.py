@@ -14,14 +14,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import Complex
 from .errors import ParameterRange, PartialGlobal, SizeCapError, SupportMismatch
-from .stav import STSTable, StavInstance, neighborhood_stav
+from .stav import (
+    STSTable,
+    StavInstance,
+    _cut,
+    _segment_pairs,
+    _sub_faces,
+    neighborhood_stav,
+)
 from .spectra import square_lambda
 from .walks import _containment_joint
 
@@ -258,16 +264,6 @@ def _group(*keys):
     return ids, order[new]
 
 
-def _segment_pairs(n_a, n_b):
-    """Index pairs over segment k of a times segment k of b, for each k in
-    turn, a major; a's segments hold n_a[0], n_a[1], ... entries, b's n_b."""
-    n = n_a * n_b
-    seg = np.repeat(np.arange(len(n)), n)
-    local = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    return ((np.cumsum(n_a) - n_a)[seg] + local // n_b[seg],
-            (np.cumsum(n_b) - n_b)[seg] + local % n_b[seg])
-
-
 def _tables(test: AgreementTest):
     """The tables of every t with mass, flattened in t order: "indep" entries
     (t, s, cond) and "pairs" entries (t, i, j, p)."""
@@ -425,11 +421,10 @@ def _av_index(x: StavInstance):
     def build():
         (it, _, _), (pt, _, _, _) = _tables(_as_test(x))
         n_t = len(x.t_probs)
-        live = np.flatnonzero(x.t_probs > 0)
-        n_av = np.zeros(n_t, dtype=np.int64)
-        n_av[live] = [len(x.av_tables[ti][0]) for ti in live]
-        return (np.repeat(np.arange(n_t), n_av),
-                *(np.concatenate([x.av_tables[ti][c] for ti in live]) for c in range(3)),
+        av = x.av
+        live = x.t_probs[av.t_idx] > 0
+        n_av = np.bincount(av.t_idx[live], minlength=n_t)
+        return (av.t_idx[live], av.a_idx[live], av.v_idx[live], av.probs[live],
                 _segment_pairs(n_av, np.bincount(it, minlength=n_t)),
                 _segment_pairs(np.bincount(pt, minlength=n_t), n_av))
     return _cached(x, "av_index", build)
@@ -514,35 +509,38 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
     lev_r = c.level(2 * k)
     lev_s = c.level(k)
     # without t_level, one pseudo-t: the empty face
-    m = 0 if t_level is None else t_level + 1
-    t_faces = [()] if t_level is None else list(c.level(t_level).iter_faces())
-    t_pos = {t: i for i, t in enumerate(t_faces)}
-    acc_t = [defaultdict(float) for _ in t_faces]
-    for ri in range(lev_r.size):
-        r = tuple(int(v) for v in lev_r.faces[ri])
-        tsubs = list(itertools.combinations(r, m))
-        for tf in tsubs:
-            ssubs = [lev_s.index_of(tuple(sorted(tf + extra)))
-                     for extra in itertools.combinations(
-                         tuple(v for v in r if v not in tf), k + 1 - m)]
-            pr = float(lev_r.measure[ri]) / (len(tsubs) * len(ssubs) ** 2)
-            acc = acc_t[t_pos[tf]]
-            for si in ssubs:
-                for sj in ssubs:
-                    acc[(si, sj)] += pr
+    lev_t = c.level(-1 if t_level is None else t_level)
+    m = lev_t.k + 1
+    # one pattern of positions inside r: each t-subface, then the s-subfaces
+    # through it; every r contributes each pair of s-subfaces of each t
+    t_pat = list(itertools.combinations(range(2 * k + 1), m))
+    s_pat = [sorted(tp + extra) for tp in t_pat for extra in itertools.combinations(
+        [j for j in range(2 * k + 1) if j not in tp], k + 1 - m)]
+    n_pt, n_ps = len(t_pat), len(s_pat) // len(t_pat)
+    shape = (lev_r.size, n_pt, n_ps, n_ps)
+    t_of = _sub_faces(lev_t, lev_r.faces, np.array(t_pat, dtype=np.int64))
+    t_of = np.broadcast_to(t_of[:, :, None, None], shape).ravel()
+    s_of = _sub_faces(lev_s, lev_r.faces, np.array(s_pat, dtype=np.int64))
+    s_of = s_of.reshape(shape[:3])
+    i_of = np.broadcast_to(s_of[:, :, :, None], shape).ravel()
+    j_of = np.broadcast_to(s_of[:, :, None, :], shape).ravel()
+    pr = np.broadcast_to((lev_r.measure / (n_pt * n_ps ** 2))[:, None, None, None],
+                         shape).ravel()
+    # the distinct (t, i, j), in t order and then in the order r meets them
+    ids, first = _group(t_of, i_of, j_of)
+    order = np.lexsort((first, t_of[first]))
+    mass = np.bincount(ids, pr)[order]
+    t_g, i_g, j_g = t_of[first][order], i_of[first][order], j_of[first][order]
     t_probs = (np.ones(1) if t_level is None
-               else np.array([sum(acc.values()) for acc in acc_t]))
-    tables = []
-    for acc, tot in zip(acc_t, t_probs if t_level is not None else [1.0]):
-        ij = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
-        tables.append(("pairs", ij[:, 0], ij[:, 1],
-                       np.array(list(acc.values())) / tot if tot > 0 else np.array([])))
+               else np.bincount(t_g, mass, minlength=lev_t.size))
+    tables = [("pairs", *tab)
+              for tab in _cut(t_g, lev_t.size, i_g, j_g, mass / t_probs[t_g])]
     sts = STSTable(t_probs=t_probs, tables=tables, n_s=lev_s.size)
     s_supports = [tuple(int(v) for v in row) for row in lev_s.faces]
     if t_level is None:
         return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_supports=None,
                              meta={"kind": "up2k", "k": k})
-    return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_faces,
+    return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, list(lev_t.iter_faces()),
                          meta={"kind": "up2k_t", "k": k, "t_level": t_level})
 
 

@@ -288,11 +288,6 @@ class Complex:
         lev = self.level(k)
         return float(lev.measure[lev.index_of(t)])
 
-    def containment_mass(self, face) -> float:
-        """Pr[top face contains the given face] = C(d+1, j) * measure(face)."""
-        t = check_face(face)
-        return math.comb(self.d + 1, len(t)) * self.measure_of(t)
-
     def containment_mass_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows)
         j = rows.shape[1]

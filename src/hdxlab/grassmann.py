@@ -26,7 +26,7 @@ from .errors import (
     SizeCapError,
 )
 from .complexes import size_cap_multiplier
-from .stav import STSTable, StavInstance, VasaTable
+from .stav import AvTable, STSTable, StavInstance, VasaTable
 from .walks import MarkovOperator, _from_joint
 
 MAX_Q = 9
@@ -186,18 +186,6 @@ class GF:
             if v[piv]:
                 v = self.sub(v, self.mul(v[piv], row))
         return v
-
-    def span_points(self, basis: np.ndarray) -> np.ndarray:
-        """All q^dim vectors of the row span."""
-        dim, n = basis.shape
-        if dim == 0:
-            return np.zeros((1, n), dtype=np.int64)
-        coeffs = np.array(list(itertools.product(range(self.q), repeat=dim)),
-                          dtype=np.int64)
-        pts = np.zeros((len(coeffs), n), dtype=np.int64)
-        for j in range(dim):
-            pts = self.add(pts, self.mul(coeffs[:, j][:, None], basis[j][None, :]))
-        return pts
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -410,10 +398,6 @@ def _coeff_map(gf: GF, coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def enumerate_level(p: GrassmannPoset, k: int) -> list[Subspace]:
-    return p.level(k)
-
-
 # -- walks ------------------------------------------------------------------------
 
 
@@ -565,18 +549,15 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
     amp_idx = {a: i for i, a in enumerate(amps)}
     pt_idx = {v: i for i, v in enumerate(points)}
 
-    av_tables = []
-    for t in mids:
-        pairs = []
+    tav = []
+    for ti, t in enumerate(mids):
         t_pts = {pt_idx[v] for v in p.contained_level(t, 0)}
         for a in p.contained_level(t, l - 1):
             a_pts = {pt_idx[v] for v in p.contained_level(a, 0)}
-            for vp in sorted(t_pts - a_pts):
-                # the pair (a, v) generates t exactly when v avoids a
-                pairs.append((amp_idx[a], vp))
-        a_idx = np.array([x for x, _ in pairs], dtype=np.int64)
-        v_idx = np.array([x for _, x in pairs], dtype=np.int64)
-        av_tables.append((a_idx, v_idx, np.full(len(pairs), 1.0 / len(pairs))))
+            # the pair (a, v) generates t exactly when v avoids a
+            tav += [(ti, amp_idx[a], vp) for vp in sorted(t_pts - a_pts)]
+    t_idx, a_idx, v_idx = np.array(tav, dtype=np.int64).reshape(-1, 3).T
+    av = AvTable(t_idx, a_idx, v_idx, 1.0 / np.bincount(t_idx)[t_idx])
 
     # amplification: jointly independent (a1, a2) in s, then an independent v
     vas_v, vas_a1, vas_s, vas_a2, vas_p = [], [], [], [], []
@@ -618,6 +599,5 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
                     for t in mids],
         s_supports=[tuple(sorted(pt_idx[v] for v in p.contained_level(s, 0)))
                     for s in tops],
-        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts,
-        vasa=vasa,
+        t_probs=sts.t_probs, st_joint=st, av=av, sts=sts, vasa=vasa,
         meta={"poset": p, "d": d, "l": l})

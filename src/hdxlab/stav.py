@@ -14,7 +14,11 @@ Two representations coexist:
 
 Every builder of independent pair tables writes its (S x T) main distribution
 as one sparse joint, usually a block of the containment joint
-``walks._containment_joint``, and hands it to ``STSTable.from_joint``.
+``walks._containment_joint``, and hands it to ``STSTable.from_joint``.  The
+(a, v) layer given t is one flat table sorted by t, ``AvTable``, and the
+amplification table one flat ``VasaTable``.  The builders fill both by
+gathering sub-faces of face rows through one fixed pattern of positions and
+ranking them with one ``LevelIndex.index_rows`` call per layer.
 """
 
 from __future__ import annotations
@@ -113,13 +117,29 @@ class VasaTable:
 
 
 @dataclass
+class AvTable:
+    """Conditional joint of (a, v) given t as parallel arrays, sorted by t;
+    the probs of each t sum to 1."""
+
+    t_idx: np.ndarray
+    a_idx: np.ndarray
+    v_idx: np.ndarray
+    probs: np.ndarray
+
+    def __len__(self):
+        return len(self.probs)
+
+
+@dataclass
 class StavInstance:
     """Tabular four-layer instance with explicit distribution tables.
 
     Layer supports index a common ground set; the v-layer is the subset of the
     ground set that the fourth coordinate is drawn from (``v_ground`` maps
     v-layer positions to ground positions; they coincide except for partite
-    instances, whose amplification faces sit outside the v-layer).
+    instances, whose amplification faces sit outside the v-layer).  The
+    (a, v) layer is one t-sorted ``AvTable`` for all t, so the main
+    distribution factors as P(s, t) P(a, v | t).
     """
 
     provenance: str
@@ -134,7 +154,7 @@ class StavInstance:
     s_supports: list
     t_probs: np.ndarray
     st_joint: sp.csr_matrix  # (|S|, |T|) joint of the main distribution
-    av_tables: list  # per t: (a_idx, v_idx, p) with p summing to 1
+    av: AvTable
     sts: STSTable
     vasa: VasaTable
     meta: dict = field(default_factory=dict)
@@ -160,41 +180,28 @@ class StavInstance:
 
     def v_marginal(self) -> np.ndarray:
         if "v_marginal" not in self._cache:
-            out = np.zeros(self.n_v)
-            for pt, (a_idx, v_idx, p) in zip(self.t_probs, self.av_tables):
-                np.add.at(out, v_idx, pt * p)
-            self._cache["v_marginal"] = out
+            av = self.av
+            self._cache["v_marginal"] = np.bincount(
+                av.v_idx, weights=self.t_probs[av.t_idx] * av.probs, minlength=self.n_v)
         return self._cache["v_marginal"]
 
     def reach_joint(self) -> sp.csr_matrix:
         """Marginal joint over (a, v)."""
         if "reach" not in self._cache:
-            rows, cols, vals = [], [], []
-            for pt, (a_idx, v_idx, p) in zip(self.t_probs, self.av_tables):
-                rows.append(a_idx)
-                cols.append(v_idx)
-                vals.append(pt * p)
-            j = sp.coo_matrix((np.concatenate(vals),
-                               (np.concatenate(rows), np.concatenate(cols))),
-                              shape=(len(self.a_labels), self.n_v)).tocsr()
-            j.sum_duplicates()
-            self._cache["reach"] = j
+            self._cache["reach"] = _reach(self.av, self.t_probs,
+                                          (len(self.a_labels), self.n_v))
         return self._cache["reach"]
 
     def vas_triples(self):
-        """Arrays (v_idx, a_idx, s_idx, p) of the (v, a, s) marginal."""
+        """Arrays (v_idx, a_idx, s_idx, p) of the (v, a, s) marginal: per t,
+        every (a, v) entry against every s with mass on t, (a, v) major."""
         if "vas" not in self._cache:
             st = self.st_joint.tocsc()
-            v_rows, a_rows, s_rows, p_rows = [], [], [], []
-            for ti, (a_idx, v_idx, p_av) in enumerate(self.av_tables):
-                s_idx = st.indices[st.indptr[ti]:st.indptr[ti + 1]]
-                p_st = st.data[st.indptr[ti]:st.indptr[ti + 1]]
-                v_rows.append(np.repeat(v_idx, len(s_idx)))
-                a_rows.append(np.repeat(a_idx, len(s_idx)))
-                s_rows.append(np.tile(s_idx, len(v_idx)))
-                p_rows.append((p_av[:, None] * p_st[None, :]).ravel())
-            self._cache["vas"] = (np.concatenate(v_rows), np.concatenate(a_rows),
-                                  np.concatenate(s_rows), np.concatenate(p_rows))
+            av = self.av
+            e, k = _segment_pairs(np.bincount(av.t_idx, minlength=st.shape[1]),
+                                  np.diff(st.indptr))
+            self._cache["vas"] = (av.v_idx[e], av.a_idx[e], st.indices[k],
+                                  av.probs[e] * st.data[k])
         return self._cache["vas"]
 
     def adjacency(self):
@@ -229,8 +236,44 @@ class StructuredHdxStav:
 # -- builders -----------------------------------------------------------------
 
 
-def _faces_as_supports(lev):
-    return [tuple(int(v) for v in row) for row in lev.faces]
+def _face_tuples(rows):
+    return [tuple(int(v) for v in row) for row in rows]
+
+
+def _segment_pairs(n_a, n_b):
+    """Index pairs over segment k of a times segment k of b, for each k in
+    turn, a major; a's segments hold n_a[0], n_a[1], ... entries, b's n_b."""
+    n = n_a * n_b
+    seg = np.repeat(np.arange(len(n)), n)
+    local = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    return ((np.cumsum(n_a) - n_a)[seg] + local // n_b[seg],
+            (np.cumsum(n_b) - n_b)[seg] + local % n_b[seg])
+
+
+def _sub_faces(lev, rows: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Positions in ``lev`` of the sub-faces rows[:, pattern[j]] of every face
+    row, as an (n, len(pattern)) array; each pattern row lists ascending
+    column positions, so the sub-faces of sorted rows stay sorted."""
+    sub = rows[:, pattern]
+    n, m, w = sub.shape
+    return lev.index_rows(sub.reshape(n * m, w)).reshape(n, m)
+
+
+def _drop_one(lev_t, lev_a) -> AvTable:
+    """(a, v) given t: v is a uniform vertex of t and a = t minus v; v is a
+    vertex id, the v-layer position of every simplicial instance."""
+    m = lev_t.k + 1
+    keep = np.array([[j for j in range(m) if j != pos] for pos in range(m)],
+                    dtype=np.int64).reshape(m, m - 1)
+    return AvTable(t_idx=np.repeat(np.arange(lev_t.size), m),
+                   a_idx=_sub_faces(lev_a, lev_t.faces, keep).ravel(),
+                   v_idx=lev_t.faces.ravel().astype(np.int64),
+                   probs=np.full(lev_t.size * m, 1.0 / m))
+
+
+def _reach(av: AvTable, t_probs: np.ndarray, shape) -> sp.csr_matrix:
+    """The (a, v) marginal of t drawn by ``t_probs``, then (a, v) given t."""
+    return _accumulate((av.a_idx, av.v_idx, t_probs[av.t_idx] * av.probs), shape)
 
 
 def _restricted_joint(c: Complex, k: int, l: int, s_keep, t_keep) -> sp.csr_matrix:
@@ -271,52 +314,34 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
     st = _containment_joint(c, d, l)
     sts = STSTable.from_joint(st)
 
-    av_tables = []
-    for ti in range(lev_t.size):
-        t = lev_t.faces[ti]
-        a_idx = np.empty(l + 1, dtype=np.int64)
-        v_idx = np.empty(l + 1, dtype=np.int64)
-        for pos in range(l + 1):
-            rest = np.delete(t, pos)
-            a_idx[pos] = lev_a.index_of(tuple(int(x) for x in rest))
-            v_idx[pos] = int(t[pos])
-        av_tables.append((a_idx, v_idx, np.full(l + 1, 1.0 / (l + 1))))
-
-    # amplification table: uniform disjoint (a1, a2, v) inside each s
-    v_rows, a1_rows, s_rows, a2_rows, p_rows = [], [], [], [], []
-    for si in range(lev_s.size):
-        s = tuple(int(x) for x in lev_s.faces[si])
-        p_each = float(lev_s.measure[si]) / per_s_vasa
-        for a1 in itertools.combinations(s, l):
-            rest1 = [x for x in s if x not in a1]
-            ai1 = lev_a.index_of(a1)
-            for a2 in itertools.combinations(rest1, l):
-                ai2 = lev_a.index_of(a2)
-                for v in rest1:
-                    if v in a2:
-                        continue
-                    v_rows.append(v)
-                    a1_rows.append(ai1)
-                    s_rows.append(si)
-                    a2_rows.append(ai2)
-                    p_rows.append(p_each)
-    vasa = VasaTable(np.array(v_rows), np.array(a1_rows), np.array(s_rows),
-                     np.array(a2_rows), np.array(p_rows))
+    # amplification table: uniform disjoint (a1, a2, v) inside each s, as one
+    # pattern of positions (a1 and a2 as rows of the l-subsets) shared by all s
+    a_pat = list(itertools.combinations(range(d + 1), l))
+    trip = np.array([(i1, i2, v) for i1, a1 in enumerate(a_pat)
+                     for i2, a2 in enumerate(a_pat) if not set(a1) & set(a2)
+                     for v in range(d + 1) if v not in a1 + a2], dtype=np.int64)
+    a_sub = _sub_faces(lev_a, lev_s.faces, np.array(a_pat, dtype=np.int64))
+    vasa = VasaTable(lev_s.faces[:, trip[:, 2]].ravel().astype(np.int64),
+                     a_sub[:, trip[:, 0]].ravel(),
+                     np.repeat(np.arange(lev_s.size), len(trip)),
+                     a_sub[:, trip[:, 1]].ravel(),
+                     np.repeat(lev_s.measure / per_s_vasa, len(trip)))
 
     v_labels = [int(v) for v in lev_v.faces[:, 0]]
+    a_faces, t_faces, s_faces = (_face_tuples(lev.faces) for lev in (lev_a, lev_t, lev_s))
     return StavInstance(
         provenance="hdx",
         ground_labels=v_labels,
         v_labels=v_labels,
         v_ground=np.arange(len(v_labels)),
-        a_labels=list(lev_a.iter_faces()),
-        t_labels=list(lev_t.iter_faces()),
-        s_labels=list(lev_s.iter_faces()),
-        a_supports=_faces_as_supports(lev_a),
-        t_supports=_faces_as_supports(lev_t),
-        s_supports=_faces_as_supports(lev_s),
-        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
-        meta={"complex": c, "d": d, "l": l})
+        a_labels=a_faces,
+        t_labels=t_faces,
+        s_labels=s_faces,
+        a_supports=a_faces,
+        t_supports=t_faces,
+        s_supports=s_faces,
+        t_probs=sts.t_probs, st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
+        vasa=vasa, meta={"complex": c, "d": d, "l": l})
 
 
 def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
@@ -333,12 +358,13 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     if k < 4 * l + 4 or k > c.d:
         raise ParameterRange(f"need 4l+4 <= k <= d, got k={k}, l={l}")
     col = np.asarray(c.coloring)
+    ij = sorted(I | J)
 
     lev_k = c.level(k)
-    s_keep = np.flatnonzero(np.isin(col[lev_k.faces], sorted(I | J)).sum(axis=1) == 2 * l)
+    s_keep = np.flatnonzero(np.isin(col[lev_k.faces], ij).sum(axis=1) == 2 * l)
     if not len(s_keep):
         raise ParameterRange("no k-face carries both color sets")
-    s_faces = [tuple(int(x) for x in lev_k.faces[i]) for i in s_keep]
+    s_rows = lev_k.faces[s_keep]
 
     # t carries one of the two color sets and one color outside both
     lev_t = c.level(l)
@@ -347,14 +373,18 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     t_keep = np.flatnonzero(((n_i == l) & (n_j == 0)) | ((n_j == l) & (n_i == 0)))
     if not len(t_keep):
         raise ParameterRange("no l-face matches the color pattern")
-    t_faces = [tuple(int(x) for x in lev_t.faces[i]) for i in t_keep]
+    t_rows = lev_t.faces[t_keep]
 
+    # A: the (l-1)-faces colored I or J; V: the vertices colored outside both.
+    # a_rank and v_rank map level positions and vertex ids to layer positions.
     lev_a = c.level(l - 1)
-    a_faces = [tuple(int(x) for x in lev_a.faces[i]) for i in range(lev_a.size)
-               if frozenset(col[lev_a.faces[i]].tolist()) in (I, J)]
-    v_labels = [v for v in range(c.n_vertices) if col[v] not in I | J]
-    v_pos = {v: i for i, v in enumerate(v_labels)}
-    a_pos = {f: i for i, f in enumerate(a_faces)}
+    a_keep = np.flatnonzero(np.isin(col[lev_a.faces], sorted(I)).all(axis=1)
+                            | np.isin(col[lev_a.faces], sorted(J)).all(axis=1))
+    a_rank = np.full(lev_a.size, -1, dtype=np.int64)
+    a_rank[a_keep] = np.arange(len(a_keep))
+    v_in = ~np.isin(col, ij)
+    v_rank = np.cumsum(v_in) - 1
+    v_labels = [int(v) for v in np.flatnonzero(v_in)]
 
     # (s, t) joint: P(t) conditional measure, P(s | t) prop to level measure
     st = _restricted_joint(c, k, l, s_keep, t_keep)
@@ -362,39 +392,31 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     if not np.all(sts.t_probs > 0):
         raise ParameterRange("some t-face extends to no valid k-face")
 
-    av_tables = []
-    for t in t_faces:
-        cols_t = [col[v] for v in t]
-        inside = I if I <= frozenset(cols_t) else J
-        a = tuple(v for v in t if col[v] in inside)
-        v = [v for v in t if col[v] not in inside]
-        assert len(v) == 1
-        av_tables.append((np.array([a_pos[a]]), np.array([v_pos[v[0]]]),
-                          np.array([1.0])))
+    # (a, v) given t is deterministic: a the colored part of t, v the rest
+    inside = np.isin(col[t_rows], ij)
+    av = AvTable(t_idx=np.arange(len(t_rows)),
+                 a_idx=a_rank[lev_a.index_rows(t_rows[inside].reshape(-1, l))],
+                 v_idx=v_rank[t_rows[~inside]],
+                 probs=np.ones(len(t_rows)))
 
-    # amplification: deterministic colored subfaces, v from the (v | s) marginal
-    vas_v, vas_a1, vas_s, vas_a2, vas_p = [], [], [], [], []
-    vprob_given_s = defaultdict(lambda: defaultdict(float))
-    stc2 = st.tocoo()
-    for si, ti, p in zip(stc2.row, stc2.col, stc2.data):
-        a_idx, v_idx, pav = av_tables[ti]
-        vprob_given_s[int(si)][int(v_idx[0])] += float(p)
-    for si, vmap in vprob_given_s.items():
-        s = s_faces[si]
-        a_i = tuple(v for v in s if col[v] in I)
-        a_j = tuple(v for v in s if col[v] in J)
-        ai, aj = a_pos[a_i], a_pos[a_j]
-        for vi, pv in vmap.items():
-            for first, second in ((ai, aj), (aj, ai)):
-                vas_v.append(vi)
-                vas_a1.append(first)
-                vas_s.append(si)
-                vas_a2.append(second)
-                vas_p.append(pv / 2.0)
-    vasa = VasaTable(np.array(vas_v), np.array(vas_a1), np.array(vas_s),
-                     np.array(vas_a2), np.array(vas_p))
+    # amplification: deterministic colored subfaces, v from the (v | s)
+    # marginal, its (s, v) entries in the order the (s, t) entries meet them
+    stc = st.tocoo()
+    sv, first, ids = np.unique(stc.row * len(v_labels) + av.v_idx[stc.col],
+                               return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    p_sv = np.bincount(ids.ravel(), weights=stc.data)[order] / 2.0
+    s_of, v_of = np.divmod(sv[order], len(v_labels))
+    a_i, a_j = (a_rank[lev_a.index_rows(s_rows[np.isin(col[s_rows], sorted(C))]
+                                        .reshape(-1, l))] for C in (I, J))
+    vasa = VasaTable(np.repeat(v_of, 2),
+                     np.column_stack([a_i[s_of], a_j[s_of]]).ravel(),
+                     np.repeat(s_of, 2),
+                     np.column_stack([a_j[s_of], a_i[s_of]]).ravel(),
+                     np.repeat(p_sv, 2))
 
-    inst = StavInstance(
+    a_faces, t_faces, s_faces = map(_face_tuples, (lev_a.faces[a_keep], t_rows, s_rows))
+    return StavInstance(
         provenance="partite_ij",
         ground_labels=list(range(c.n_vertices)),
         v_labels=v_labels,
@@ -405,9 +427,8 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=s_faces,
-        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
+        t_probs=sts.t_probs, st_joint=st, av=av, sts=sts, vasa=vasa,
         meta={"complex": c, "I": sorted(I), "J": sorted(J), "k": k, "l": l})
-    return inst
 
 
 def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
@@ -425,11 +446,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
     lev_z = c.level(k)
     lev_t = c.level(l)
     lev_a = c.level(l - 1)
-    z_faces = list(lev_z.iter_faces())
-    t_faces = list(lev_t.iter_faces())
-    a_faces = list(lev_a.iter_faces())
-    t_pos = {f: i for i, f in enumerate(t_faces)}
-    a_pos = {f: i for i, f in enumerate(a_faces)}
+    z_faces, t_faces, a_faces = (_face_tuples(lev.faces) for lev in (lev_z, lev_t, lev_a))
 
     from .walks import neighborhood_system
     balls = neighborhood_system(c, k)
@@ -440,28 +457,15 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
     for zi, z in enumerate(z_faces):
         lk = c.link(z)
         links[z] = lk
-        lab = lk.vertex_labels
         lk_t = lk.level(l)
-        for i in range(lk_t.size):
-            t = tuple(sorted(lab[v] for v in lk_t.faces[i]))
-            rows.append(zi)
-            cols_.append(t_pos[t])
-            vals.append(float(lev_z.measure[zi]) * float(lk_t.measure[i]))
-    st = sp.coo_matrix((vals, (rows, cols_)),
-                       shape=(len(z_faces), len(t_faces))).tocsr()
-    st.sum_duplicates()
+        rows.append(np.full(lk_t.size, zi))
+        cols_.append(lev_t.index_rows(np.sort(np.asarray(lk.vertex_labels)[lk_t.faces],
+                                              axis=1)))
+        vals.append(lev_z.measure[zi] * lk_t.measure)
+    st = _accumulate((np.concatenate(rows), np.concatenate(cols_), np.concatenate(vals)),
+                     (len(z_faces), len(t_faces)))
     sts = STSTable.from_joint(st)
     live_t = sts.t_probs > 0
-
-    av_tables = []
-    for ti, t in enumerate(t_faces):
-        a_idx = np.empty(l + 1, dtype=np.int64)
-        v_idx = np.empty(l + 1, dtype=np.int64)
-        for pos in range(l + 1):
-            a = tuple(x for j, x in enumerate(t) if j != pos)
-            a_idx[pos] = a_pos[a]
-            v_idx[pos] = t[pos]
-        av_tables.append((a_idx, v_idx, np.full(l + 1, 1.0 / (l + 1))))
 
     if mode == "complement":
         # the two balls come from disjoint k-faces of the link of t
@@ -476,7 +480,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
 
     # amplification: z, then v in the link, then disjoint (a1, a2) via the
     # complement walk inside the link of z + v
-    vas_v, vas_a1, vas_s, vas_a2, vas_p = [], [], [], [], []
+    vas = []
     for zi, z in enumerate(z_faces):
         lk = links[z]
         lab = lk.vertex_labels
@@ -485,20 +489,14 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
             v = int(lab[lk_v.faces[i, 0]])
             pv = float(lev_z.measure[zi]) * float(lk_v.measure[i])
             lk2 = c.link(tuple(sorted(z + (v,))))
-            lab2 = lk2.vertex_labels
             comp = complement_walk(lk2, l - 1, l - 1)
-            joint = comp.joint()
-            joint = np.asarray(joint.todense()) if sp.issparse(joint) else joint
-            a_ids = lev_a.index_rows(np.sort(np.asarray(lab2)[comp.source_faces], axis=1))
-            nz = np.nonzero(joint)
-            for i1, i2 in zip(*nz):
-                vas_v.append(v)
-                vas_a1.append(a_ids[i1])
-                vas_s.append(zi)
-                vas_a2.append(a_ids[i2])
-                vas_p.append(pv * joint[i1, i2])
-    vasa = VasaTable(np.array(vas_v), np.array(vas_a1), np.array(vas_s),
-                     np.array(vas_a2), np.array(vas_p))
+            joint = _densify(comp.joint())
+            lab2 = np.asarray(lk2.vertex_labels)
+            a_ids = lev_a.index_rows(np.sort(lab2[comp.source_faces], axis=1))
+            i1, i2 = np.nonzero(joint)
+            vas.append((np.full(len(i1), v), a_ids[i1], np.full(len(i1), zi), a_ids[i2],
+                        pv * joint[i1, i2]))
+    vasa = VasaTable(*(np.concatenate(col) for col in zip(*vas)))
 
     inst = StavInstance(
         provenance="neighborhood",
@@ -511,8 +509,8 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=[balls[z] for z in z_faces],
-        t_probs=sts.t_probs, st_joint=st, av_tables=av_tables, sts=sts, vasa=vasa,
-        meta={"complex": c, "l": l, "k": k, "mode": mode, "live_t": live_t})
+        t_probs=sts.t_probs, st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
+        vasa=vasa, meta={"complex": c, "l": l, "k": k, "mode": mode, "live_t": live_t})
     return inst
 
 
@@ -703,12 +701,10 @@ def derive_graph(x: StavInstance, kind: str, element=None):
         w = reach_mass[a_in]
         w = w / w.sum()
         v_ids = sorted(t_sup)
-        v_pos = {v: i for i, v in enumerate(v_ids)}
         j = np.zeros((len(a_in), len(v_ids)))
         for row, ai in enumerate(a_in):
             sup = x.a_supports[ai]
-            for v in sup:
-                j[row, v_pos[v]] = w[row] / len(sup)
+            j[row, np.searchsorted(v_ids, sup)] = w[row] / len(sup)
         return BipartiteGraph([x.a_labels[i] for i in a_in],
                               [x.ground_labels[i] for i in v_ids], j)
     raise HdxError(f"unknown graph kind {kind!r}")
@@ -1043,17 +1039,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     lev_a = c.level(l - 1)
 
     # A1: reach graph assembled from level l
-    rows, cols, vals = [], [], []
-    for pos in range(l + 1):
-        keep = [j for j in range(l + 1) if j != pos]
-        a_idx = lev_a.index_rows(lev_t.faces[:, keep])
-        rows.append(a_idx)
-        cols.append(lev_t.faces[:, pos].astype(np.int64))
-        vals.append(lev_t.measure / (l + 1))
-    reach = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(lev_a.size, c.n_vertices)).tocsr()
-    reach.sum_duplicates()
+    reach = _reach(_drop_one(lev_t, lev_a), lev_t.measure, (lev_a.size, c.n_vertices))
     a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
                           np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
 
@@ -1200,12 +1186,35 @@ def _structured_a4(d: int, l: int, delta: float, cfg) -> tuple[float, int]:
 # -- JSON interchange ----------------------------------------------------------------
 
 
+def _cut(t_idx, n_t: int, *cols) -> list:
+    """Parallel arrays sorted by ``t_idx`` cut into one tuple of arrays per t."""
+    bounds = np.searchsorted(t_idx, np.arange(1, n_t))
+    return list(zip(*(np.split(col, bounds) for col in cols)))
+
+
+def _read_tables(tables: list, what: str):
+    """Per-t JSON lists of [i, j, p] rows as flat t-sorted arrays (t, i, j, p);
+    the p of every t must sum to 1."""
+    sizes = np.fromiter(map(len, tables), np.int64, len(tables))
+    rows = list(itertools.chain.from_iterable(tables))
+    t_idx = np.repeat(np.arange(len(sizes)), sizes)
+    p = np.array([r[2] for r in rows], dtype=float)
+    sums = np.bincount(t_idx, weights=p, minlength=len(sizes))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-8)
+    if bad.size:
+        raise MarginalMismatch(f"{what} at t={bad[0]} sums to {sums[bad[0]]:.10g}")
+    return (t_idx, np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[1] for r in rows], dtype=np.int64), p)
+
+
 def stav_to_json_dict(x: StavInstance) -> dict:
     def lab(v):
         return list(v) if isinstance(v, tuple) else v
 
     st = x.st_joint.tocoo()
-    vasa = x.vasa
+    vasa, av = x.vasa, x.av
+    av_rows = np.column_stack([np.asarray(col, dtype=object)
+                               for col in (av.a_idx, av.v_idx, av.probs)])
     return {
         "provenance": x.provenance,
         "ground": [lab(v) for v in x.ground_labels],
@@ -1219,8 +1228,7 @@ def stav_to_json_dict(x: StavInstance) -> dict:
               for s, sup in zip(x.s_labels, x.s_supports)],
         "st_joint": [[int(i), int(j), float(p)]
                      for i, j, p in zip(st.row, st.col, st.data)],
-        "av_tables": [[[int(a), int(v), float(p)]
-                       for a, v, p in zip(*tab)] for tab in x.av_tables],
+        "av_tables": [rows.tolist() for (rows,) in _cut(av.t_idx, len(x.t_probs), av_rows)],
         "sts_pairs": [[[int(i), int(j), float(p)]
                        for i, j, p in zip(*x.sts.pair_arrays(ti))]
                       for ti in range(len(x.t_probs))],
@@ -1252,22 +1260,9 @@ def stav_from_json_dict(data: dict) -> StavInstance:
                        shape=(len(s_labels), len(t_labels))).tocsr()
     st.sum_duplicates()
     t_probs = np.asarray(st.sum(axis=0)).ravel()
-    av_tables = []
-    for ti, tab in enumerate(data["av_tables"]):
-        a_idx = np.array([r[0] for r in tab], dtype=np.int64)
-        v_idx = np.array([r[1] for r in tab], dtype=np.int64)
-        p = np.array([r[2] for r in tab], dtype=float)
-        if abs(p.sum() - 1.0) > 1e-8:
-            raise MarginalMismatch(f"(a,v) table at t={ti} sums to {p.sum():.10g}")
-        av_tables.append((a_idx, v_idx, p))
-    tables = []
-    for ti, tab in enumerate(data["sts_pairs"]):
-        i_idx = np.array([r[0] for r in tab], dtype=np.int64)
-        j_idx = np.array([r[1] for r in tab], dtype=np.int64)
-        p = np.array([r[2] for r in tab], dtype=float)
-        if abs(p.sum() - 1.0) > 1e-8:
-            raise MarginalMismatch(f"pair table at t={ti} sums to {p.sum():.10g}")
-        tables.append(("pairs", i_idx, j_idx, p))
+    av = AvTable(*_read_tables(data["av_tables"], "(a,v) table"))
+    t_idx, *pairs = _read_tables(data["sts_pairs"], "pair table")
+    tables = [("pairs", *tab) for tab in _cut(t_idx, len(data["sts_pairs"]), *pairs)]
     sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(s_labels))
     vrows = data["vasa"]
     vasa = VasaTable(np.array([r[0] for r in vrows], dtype=np.int64),
@@ -1281,8 +1276,7 @@ def stav_from_json_dict(data: dict) -> StavInstance:
                         a_labels=a_labels, t_labels=t_labels,
                         s_labels=s_labels, a_supports=a_supports,
                         t_supports=t_supports, s_supports=s_supports,
-                        t_probs=t_probs, st_joint=st, av_tables=av_tables,
-                        sts=sts, vasa=vasa)
+                        t_probs=t_probs, st_joint=st, av=av, sts=sts, vasa=vasa)
     rep = invariant_report(inst)
     if not rep.passed(tol=1e-7, uniform_tol=1e-6):
         raise MarginalMismatch(f"instance violates defining invariants: "

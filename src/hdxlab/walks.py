@@ -113,9 +113,6 @@ class MarkovOperator:
             return float(abs(diff).max()) if diff.nnz else 0.0
         return float(np.max(np.abs(diff))) if diff.size else 0.0
 
-    def to_bipartite_graph(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.source_faces, self.target_faces, self.joint())
-
     def triplets(self):
         """Yield (source_face, target_face, prob) rows for CSV export."""
         mat = self.matrix.tocoo() if sp.issparse(self.matrix) else None

@@ -7,6 +7,8 @@ The tests require values within 1e-12 and identical decoded assignments,
 popular restrictions, bad sets, flags and witnesses, on fixed instances and
 on random weighted and partite complexes with random ensembles.  Property
 tests check alphabet-permutation equivariance and the ensemble JSON format.
+The per-t pair dicts of ``up2k_distribution`` must equal its tables entry
+for entry, in order.
 """
 
 import itertools
@@ -155,7 +157,8 @@ def surprise_loop(x, f):
     for ti, pt in enumerate(x.t_probs):
         if pt <= 0:
             continue
-        a_idx, v_idx, p_av = x.av_tables[ti]
+        at_t = x.av.t_idx == ti
+        a_idx, v_idx, p_av = x.av.a_idx[at_t], x.av.v_idx[at_t], x.av.probs[at_t]
         av = [(x.a_supports[int(ai)], (int(x.v_ground[int(vi)]),), float(q))
               for ai, vi, q in zip(a_idx, v_idx, p_av)]
         tab = x.sts.tables[ti]
@@ -414,6 +417,59 @@ def test_test_distributions_match_loops(make):
     test = make(complete_complex(9, 5))
     for plant, f in _ensembles(test, 9):
         assert_agreement_matches(test, f, plant)
+
+
+def up2k_dict(c, k, t_level=None):
+    """up2k_distribution's tables: per r and per t-subface, every pair of
+    s-subfaces accumulated in a per-t dict, s ranked by index_of."""
+    lev_r, lev_s = c.level(2 * k), c.level(k)
+    m = 0 if t_level is None else t_level + 1
+    t_faces = [()] if t_level is None else list(c.level(t_level).iter_faces())
+    t_pos = {t: i for i, t in enumerate(t_faces)}
+    acc_t = [defaultdict(float) for _ in t_faces]
+    for ri in range(lev_r.size):
+        r = tuple(int(v) for v in lev_r.faces[ri])
+        tsubs = list(itertools.combinations(r, m))
+        for tf in tsubs:
+            ssubs = [lev_s.index_of(tuple(sorted(tf + extra)))
+                     for extra in itertools.combinations(
+                         tuple(v for v in r if v not in tf), k + 1 - m)]
+            pr = float(lev_r.measure[ri]) / (len(tsubs) * len(ssubs) ** 2)
+            acc = acc_t[t_pos[tf]]
+            for si in ssubs:
+                for sj in ssubs:
+                    acc[(si, sj)] += pr
+    t_probs = (np.ones(1) if t_level is None
+               else np.array([sum(acc.values()) for acc in acc_t]))
+    tables = []
+    for acc, tot in zip(acc_t, t_probs if t_level is not None else [1.0]):
+        ij = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
+        tables.append(("pairs", ij[:, 0], ij[:, 1],
+                       np.array(list(acc.values())) / tot if tot > 0 else np.array([])))
+    return t_probs, tables
+
+
+def assert_up2k_matches_dict(c, k, t_level):
+    test = up2k_distribution(c, k, t_level)
+    t_probs, tables = up2k_dict(c, k, t_level)
+    np.testing.assert_array_equal(test.sts.t_probs, t_probs)
+    assert len(test.sts.tables) == len(tables)
+    for got, want in zip(test.sts.tables, tables):
+        assert got[0] == want[0] == "pairs"
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)  # same entries, same order
+
+
+@pytest.mark.parametrize("k,t_level", [(2, None), (2, 0), (2, 1), (1, None), (1, 0)])
+def test_up2k_tables_match_dict(k, t_level):
+    assert_up2k_matches_dict(complete_complex(9, 5), k, t_level)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(6, 8), st.integers(4, 5),
+       st.sampled_from([(1, None), (1, 0), (2, None), (2, 0), (2, 1)]))
+def test_random_up2k_tables_match_dict(seed, n, d, k_t):
+    assume(2 * k_t[0] <= d)
+    assert_up2k_matches_dict(random_weighted_complex(seed, n, d), *k_t)
 
 
 def test_bruteforce_matches_loop(fixed_instances):

@@ -274,7 +274,8 @@ def test_subset_agreement_s_minus_a_oracle(setup951):
     # oracle through the factored distribution: t, then s | t, then a | t
     stc = x.st_joint.tocsc()
     direct = 0.0
-    for ti, (a_idx, v_idx, p_av) in enumerate(x.av_tables):
+    for ti in range(len(x.t_probs)):
+        a_idx, p_av = x.av.a_idx[x.av.t_idx == ti], x.av.probs[x.av.t_idx == ti]
         col = stc[:, ti]
         a_of_t = {}
         for ai, q in zip(a_idx, p_av):

@@ -1,19 +1,26 @@
 """Loop-based reference versions of the four-layer array code.
 
 Each oracle is the per-element loop the array version replaced: the goodness
-checker's conditioned pair graphs and spot checks, the invariant report, and
-the builders of the (S, T) main distribution and its pair tables.  The tests
-require equal labels and index arrays, values within 1e-12 and equal counts.
+checker's conditioned pair graphs and spot checks, the invariant report, the
+builders of the (S, T) main distribution and its pair tables, the builders'
+per-t (a, v) tables and amplification tables, and the per-t marginals read
+from them.  The tests require equal labels and index arrays, values within
+1e-12 and equal counts; the (a, v) and amplification tables must equal their
+loops entry for entry, in order.  Frozen ``stav_to_json_dict`` outputs under
+``tests/golden/stav_json_*.json`` pin the instance file format.
 """
 
 import dataclasses
 import itertools
+import json
 import math
+import os
 from collections import defaultdict
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 from hdxlab.agreement import d_l_test
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
@@ -36,7 +43,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import random_partite_complex
+from conftest import random_partite_complex, random_weighted_complex
 
 
 def sts_conditioned_loop(x, need):
@@ -473,3 +480,283 @@ def test_grassmann_sts_match_lil_rebuild(q, n, d, l, flavor):
     want_st, t_probs, tables = grassmann_sts_loop(p, d, l)
     assert_joint_close(st, want_st)
     assert_sts_close(sts, t_probs, tables)
+
+
+# -- (a, v) tables, amplification tables and the marginals read from them -----------
+
+
+def drop_one_av_loop(c, l):
+    """hdx_stav's and neighborhood_stav's (a, v) tables: per t, each vertex of
+    t with the rest of t, ranked through a dict."""
+    lev_t, lev_a = c.level(l), c.level(l - 1)
+    a_pos = {f: i for i, f in enumerate(lev_a.iter_faces())}
+    av_tables = []
+    for t in lev_t.iter_faces():
+        a_idx = np.empty(l + 1, dtype=np.int64)
+        v_idx = np.empty(l + 1, dtype=np.int64)
+        for pos in range(l + 1):
+            a_idx[pos] = a_pos[tuple(x for j, x in enumerate(t) if j != pos)]
+            v_idx[pos] = t[pos]
+        av_tables.append((a_idx, v_idx, np.full(l + 1, 1.0 / (l + 1))))
+    return av_tables
+
+
+def hdx_vasa_loop(c, d, l):
+    """hdx_stav's amplification table: every disjoint (a1, a2, v) inside each
+    s, one index_of call per a-face."""
+    lev_s, lev_a = c.level(d), c.level(l - 1)
+    per_s_vasa = math.comb(d + 1, l) * math.comb(d + 1 - l, l) * (d + 1 - 2 * l)
+    rows = []
+    for si in range(lev_s.size):
+        s = tuple(int(x) for x in lev_s.faces[si])
+        p_each = float(lev_s.measure[si]) / per_s_vasa
+        for a1 in itertools.combinations(s, l):
+            rest1 = [x for x in s if x not in a1]
+            ai1 = lev_a.index_of(a1)
+            for a2 in itertools.combinations(rest1, l):
+                ai2 = lev_a.index_of(a2)
+                rows += [(v, ai1, si, ai2, p_each) for v in rest1 if v not in a2]
+    return [np.array(col) for col in zip(*rows)]
+
+
+def partite_tables_loop(c, colors_i, colors_j, k, st_joint):
+    """partite_ij_stav's (a, v) tables and amplification table, through the
+    a_pos and v_pos dicts and the per-s dict of the (v | s) marginal."""
+    I, J = frozenset(colors_i), frozenset(colors_j)
+    l = len(I)
+    col = np.asarray(c.coloring)
+    lev_k, lev_t, lev_a = c.level(k), c.level(l), c.level(l - 1)
+    s_faces = [f for f in lev_k.iter_faces()
+               if I | J <= frozenset(col[list(f)].tolist())]
+    t_faces = [f for f in lev_t.iter_faces()
+               if frozenset(col[list(f)].tolist()) & (I | J) in (I, J)]
+    a_faces = [f for f in lev_a.iter_faces() if frozenset(col[list(f)].tolist()) in (I, J)]
+    v_labels = [v for v in range(c.n_vertices) if col[v] not in I | J]
+    v_pos = {v: i for i, v in enumerate(v_labels)}
+    a_pos = {f: i for i, f in enumerate(a_faces)}
+    av_tables = []
+    for t in t_faces:
+        inside = I if I <= frozenset(col[v] for v in t) else J
+        a = tuple(v for v in t if col[v] in inside)
+        (v,) = [v for v in t if col[v] not in inside]
+        av_tables.append((np.array([a_pos[a]]), np.array([v_pos[v]]), np.array([1.0])))
+    vprob_given_s = defaultdict(lambda: defaultdict(float))
+    stc = st_joint.tocoo()
+    for si, ti, p in zip(stc.row, stc.col, stc.data):
+        vprob_given_s[int(si)][int(av_tables[ti][1][0])] += float(p)
+    rows = []
+    for si, vmap in vprob_given_s.items():
+        s = s_faces[si]
+        ai = a_pos[tuple(v for v in s if col[v] in I)]
+        aj = a_pos[tuple(v for v in s if col[v] in J)]
+        for vi, pv in vmap.items():
+            rows += [(vi, ai, si, aj, pv / 2.0), (vi, aj, si, ai, pv / 2.0)]
+    return av_tables, [np.array(col_) for col_ in zip(*rows)]
+
+
+def neighborhood_st_loop(c, l, k):
+    """neighborhood_stav's (z, t) joint, l-faces of each link ranked by a dict."""
+    lev_z, lev_t = c.level(k), c.level(l)
+    t_pos = {f: i for i, f in enumerate(lev_t.iter_faces())}
+    rows, cols, vals = [], [], []
+    for zi, z in enumerate(lev_z.iter_faces()):
+        lk = c.link(z)
+        lk_t = lk.level(l)
+        for i in range(lk_t.size):
+            rows.append(zi)
+            cols.append(t_pos[tuple(sorted(lk.vertex_labels[v] for v in lk_t.faces[i]))])
+            vals.append(float(lev_z.measure[zi]) * float(lk_t.measure[i]))
+    st = sp.coo_matrix((vals, (rows, cols)), shape=(lev_z.size, lev_t.size)).tocsr()
+    st.sum_duplicates()
+    return st
+
+
+def per_t_av(x):
+    """The flat (a, v) table cut back into one (a_idx, v_idx, p) per t."""
+    return [(x.av.a_idx[x.av.t_idx == ti], x.av.v_idx[x.av.t_idx == ti],
+             x.av.probs[x.av.t_idx == ti]) for ti in range(len(x.t_probs))]
+
+
+def flatten_av(av_tables):
+    """Per-t tables concatenated in t order, as (t, a, v, p)."""
+    t = np.repeat(np.arange(len(av_tables)), [len(tab[0]) for tab in av_tables])
+    return [t] + [np.concatenate([tab[c] for tab in av_tables]) for c in range(3)]
+
+
+def v_marginal_loop(x):
+    out = np.zeros(x.n_v)
+    for pt, (a_idx, v_idx, p) in zip(x.t_probs, per_t_av(x)):
+        np.add.at(out, v_idx, pt * p)
+    return out
+
+
+def reach_joint_loop(x):
+    rows, cols, vals = [], [], []
+    for pt, (a_idx, v_idx, p) in zip(x.t_probs, per_t_av(x)):
+        rows.append(a_idx)
+        cols.append(v_idx)
+        vals.append(pt * p)
+    j = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(x.a_labels), x.n_v)).tocsr()
+    j.sum_duplicates()
+    return j
+
+
+def vas_triples_loop(x):
+    st_ = x.st_joint.tocsc()
+    v_rows, a_rows, s_rows, p_rows = [], [], [], []
+    for ti, (a_idx, v_idx, p_av) in enumerate(per_t_av(x)):
+        s_idx = st_.indices[st_.indptr[ti]:st_.indptr[ti + 1]]
+        p_st = st_.data[st_.indptr[ti]:st_.indptr[ti + 1]]
+        v_rows.append(np.repeat(v_idx, len(s_idx)))
+        a_rows.append(np.repeat(a_idx, len(s_idx)))
+        s_rows.append(np.tile(s_idx, len(v_idx)))
+        p_rows.append((p_av[:, None] * p_st[None, :]).ravel())
+    return [np.concatenate(c) for c in (v_rows, a_rows, s_rows, p_rows)]
+
+
+def assert_same_entries(got, want):
+    """Equal parallel arrays: the same entries in the same order."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def vasa_columns(x):
+    va = x.vasa
+    return [va.v_idx, va.a1_idx, va.s_idx, va.a2_idx, va.probs]
+
+
+def av_columns(x):
+    return [x.av.t_idx, x.av.a_idx, x.av.v_idx, x.av.probs]
+
+
+def assert_marginals_match_loops(x):
+    """v_marginal, reach_joint and vas_triples against their per-t loops."""
+    np.testing.assert_array_equal(x.v_marginal(), v_marginal_loop(x))
+    assert (x.reach_joint() != reach_joint_loop(x)).nnz == 0
+    assert_same_entries(x.vas_triples(), vas_triples_loop(x))
+
+
+def assert_json_roundtrip(x):
+    """A saved and reloaded instance keeps its tables and its invariants."""
+    y = stav_from_json_dict(json.loads(json.dumps(stav_to_json_dict(x))))
+    assert_same_entries(av_columns(y), av_columns(x))
+    assert y.st_joint.shape == x.st_joint.shape
+    assert (y.st_joint != x.st_joint).nnz == 0
+    assert_same_entries(vasa_columns(y), vasa_columns(x))
+    for ti in range(len(x.t_probs)):
+        assert_same_entries(y.sts.pair_arrays(ti), x.sts.pair_arrays(ti))
+    got, want = invariant_report(y).to_json_dict(), invariant_report(x).to_json_dict()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, abs=1e-12), key
+        else:
+            assert got[key] == value, key
+
+
+def _random_partite(seed, doubled, parts=9):
+    """``parts`` colour classes, ``doubled`` of them with two vertices."""
+    return random_partite_complex(seed, [2] * doubled + [1] * (parts - doubled))
+
+
+def _random_stav(kind, seed, n, doubled):
+    """One four-layer instance of ``kind`` on a random complex."""
+    if kind == "hdx":
+        return hdx_stav(random_weighted_complex(seed, n, 4), 4, 1)
+    if kind == "hdx_l2":
+        return hdx_stav(random_weighted_complex(seed, n, 6), 6, 2, force_mode="tabular")
+    if kind == "partite":
+        c = _random_partite(seed, doubled)
+        i, j = np.random.default_rng(seed).choice(9, size=2, replace=False)
+        return partite_ij_stav(c, [int(i)], [int(j)], 8)
+    if kind == "partite_l2":
+        return partite_ij_stav(_random_partite(seed, doubled, 13), [3, 5], [0, 7], 12)
+    mode, k = kind.split("_")
+    return neighborhood_stav(random_weighted_complex(seed, n, 5), 1, int(k), mode)
+
+
+random_stav = st.builds(_random_stav, st.sampled_from(
+    ["hdx", "hdx_l2", "partite", "partite_l2", "independent_0", "independent_1",
+     "complement_0", "complement_1"]),
+    st.integers(0, 2**31 - 1), st.integers(7, 8), st.integers(0, 4))
+
+
+def assert_tables_match_loops(x):
+    """Each builder's (a, v) and amplification tables against its loop."""
+    c = x.meta["complex"]
+    if x.provenance == "partite_ij":
+        av_tables, vasa = partite_tables_loop(c, x.meta["I"], x.meta["J"],
+                                              x.meta["k"], x.st_joint)
+        assert_same_entries(av_columns(x), flatten_av(av_tables))
+        assert_same_entries(vasa_columns(x), vasa)
+        return
+    assert_same_entries(av_columns(x), flatten_av(drop_one_av_loop(c, x.meta["l"])))
+    if x.provenance == "hdx":
+        assert_same_entries(vasa_columns(x), hdx_vasa_loop(c, x.meta["d"], x.meta["l"]))
+    else:
+        assert_joint_close(x.st_joint, neighborhood_st_loop(c, x.meta["l"], x.meta["k"]))
+
+
+@given(random_stav)
+def test_random_builders_match_loops(x):
+    assert_tables_match_loops(x)
+    assert_marginals_match_loops(x)
+
+
+def _loadable_stav(kind, n, a, b):
+    """An instance with a uniform v-marginal, as ``stav_from_json_dict``
+    requires: complete complexes, and partite ones whose colour classes
+    outside I and J have one vertex each."""
+    if kind == "hdx":
+        return hdx_stav(complete_complex(n - 2, 4), 4, 1)
+    if kind == "hdx_l2":
+        return hdx_stav(complete_complex(n, 6), 6, 2)
+    if kind == "partite":
+        return partite_ij_stav(partite_complete_complex([a, b] + [1] * 7), [0], [1], 8)
+    if kind == "partite_l2":
+        return partite_ij_stav(partite_complete_complex([a, b, b, a] + [1] * 9),
+                               [0, 2], [1, 3], 12)
+    mode, k = kind.split("_")
+    return neighborhood_stav(complete_complex(n - 1, 5), 1, int(k), mode)
+
+
+loadable_stav = st.builds(_loadable_stav, st.sampled_from(
+    ["hdx", "hdx_l2", "partite", "partite_l2", "independent_0", "independent_1",
+     "complement_0", "complement_1"]),
+    st.integers(7, 9), st.integers(1, 3), st.integers(1, 3))
+
+
+@given(loadable_stav)
+def test_json_roundtrip(x):
+    assert_json_roundtrip(x)
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement"])
+def test_fixed_builders_match_loops(instances, name):
+    assert_tables_match_loops(instances[name])
+    assert_marginals_match_loops(instances[name])
+
+
+@pytest.mark.parametrize("n,d,l", [(10, 5, 1), (11, 6, 2)])
+def test_complete_hdx_tables_match_loops(n, d, l):
+    x = hdx_stav(complete_complex(n, d), d, l)
+    assert_tables_match_loops(x)
+
+
+GOLDEN_STAV = {
+    "stav_json_hdx_complete_7_4_l1": lambda: hdx_stav(complete_complex(7, 4), 4, 1),
+    "stav_json_neighborhood_complement_7_3": lambda: neighborhood_stav(
+        complete_complex(7, 3), 1, 0, "complement"),
+    "stav_json_partite_2x3_1x6_i0_j1_k8": lambda: partite_ij_stav(
+        partite_complete_complex([2, 2, 2] + [1] * 6), [0], [1], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAV))
+def test_stav_json_matches_golden(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.json")) as fh:
+        want = json.load(fh)
+    assert stav_to_json_dict(GOLDEN_STAV[name]()) == want
