@@ -181,6 +181,8 @@ class Complex:
         self._colored_levels: dict[frozenset, tuple] = {}
         # k -> (lambda2, lambda_min) of every k-face's link, filled by spectra
         self._link_spectra: dict[int, tuple] = {}
+        # (I, J) color sets -> colored-walk norm, filled by spectra
+        self._colored_norms: dict[tuple, float] = {}
         if self.uniform_complete:
             self._tops = None
             self._weights = None

@@ -1,6 +1,18 @@
-"""Linear and affine subspaces of F_q^n: enumeration in canonical echelon
-form, containment and conditioned complement walks, and the subspace
-four-layer instance.
+"""Linear and affine subspaces of F_q^n as integer arrays: level
+enumeration in canonical echelon form, containment and conditioned complement
+walks, and the subspace four-layer instance.
+
+A level is a ``SubspaceLevel``: an (N, dim, n) tensor of RREF bases over the
+field symbols 0..q-1 and, for the affine flavor, an (N, n) offset reduced
+against its basis (zero on the pivot columns).  Levels are built one pivot
+pattern at a time from the free-entry products, in the order the loops over
+``itertools.combinations``/``product`` would give.  Points of F_q^n are
+base-q integer codes; a subspace is keyed by the codes of its canonical rows
+and looked up with ``complexes._lookup_rows``.  Every rank, canonical form and
+independence test goes through one batched elimination, ``_batched_rref``,
+over (B, rows, n) stacks with the ``gf_tables`` of GF(q), so extension
+fields work as prime fields do.  An affine subspace enters it through its
+homogeneous rows: [1 | offset] above [0 | basis].
 
 Level conventions differ by flavor and both are preserved: affine level k
 holds subspaces of dimension k, linear level k holds subspaces of dimension
@@ -11,12 +23,14 @@ k+1 (so level 0 is points in the affine poset and lines in the linear one).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
+from .agreement import AgreementTest, _row_codes
 from .errors import (
     DimensionArithmetic,
     EmptyWalk,
@@ -25,7 +39,7 @@ from .errors import (
     ParameterRange,
     SizeCapError,
 )
-from .complexes import size_cap_multiplier
+from .complexes import _lookup_rows, size_cap_multiplier
 from .stav import AvTable, STSTable, StavInstance, VasaTable
 from .walks import MarkovOperator, _from_joint
 
@@ -130,6 +144,8 @@ def gf_tables(q: int):
     return add.astype(np.int64), mul.astype(np.int64), neg, inv
 
 
+
+
 class GF:
     """Tiny table-driven field; vectors are int64 arrays of symbols."""
 
@@ -146,47 +162,6 @@ class GF:
     def mul(self, a, b):
         return self.mul_t[a, b]
 
-    def rref(self, mat: np.ndarray) -> np.ndarray:
-        """Reduced row echelon form; returns only the nonzero rows."""
-        m = np.array(mat, dtype=np.int64) % 0x7FFFFFFF
-        m = m.copy()
-        rows, cols = m.shape
-        r = 0
-        for c in range(cols):
-            piv = None
-            for i in range(r, rows):
-                if m[i, c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[[r, piv]] = m[[piv, r]]
-            m[r] = self.mul(self.inv_t[m[r, c]], m[r])
-            for i in range(rows):
-                if i != r and m[i, c]:
-                    m[i] = self.sub(m[i], self.mul(m[i, c], m[r]))
-            r += 1
-            if r == rows:
-                break
-        return m[:r]
-
-    def rank(self, mat: np.ndarray) -> int:
-        if mat.size == 0:
-            return 0
-        return len(self.rref(mat))
-
-    def reduce_vector(self, vec: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Eliminate the pivot coordinates of vec against an RREF basis."""
-        v = np.array(vec, dtype=np.int64)
-        for row in basis:
-            nz = np.flatnonzero(row)
-            if len(nz) == 0:
-                continue
-            piv = nz[0]
-            if v[piv]:
-                v = self.sub(v, self.mul(v[piv], row))
-        return v
-
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     if k < 0 or k > n:
@@ -196,6 +171,70 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+# -- elimination ------------------------------------------------------------------
+
+# tuples per elimination batch, so that no (B, rows, n) tensor outgrows a few MB
+_CHUNK = 1 << 14
+
+
+def _batched_rref(gf: GF, m: np.ndarray):
+    """Reduced row echelon form of every matrix of a (B, r, n) stack over GF(q),
+    and the rank of each.
+
+    One pass over the columns: in every matrix that has a pivot in column c
+    below its current rank, the first such row is swapped up, scaled to 1 and
+    cleared from all other rows, through the field tables.  Rows past the rank
+    come out zero.
+    """
+    q = gf.q
+    x_minus_fy = gf.add_t[np.arange(q)[:, None, None], gf.neg_t[gf.mul_t][None]]
+    m = np.array(m, dtype=np.intp)
+    n_b, r, n = m.shape
+    rank = np.zeros(n_b, dtype=np.intp)
+    rows = np.arange(r)
+    for c in range(n):
+        cand = (m[:, :, c] != 0) & (rows >= rank[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not len(b):
+            continue
+        k, first = rank[b], cand[b].argmax(axis=1)
+        # rows at or past the rank are zero left of c, so only columns c.. move
+        piv = m[b, first, c:]
+        m[b, first, c:] = m[b, k, c:]
+        piv = gf.mul_t[gf.inv_t[piv[:, :1]], piv]
+        m[b, k, c:] = piv
+        block = m[b, :, c:]
+        f = block[:, :, 0].copy()
+        f[np.arange(len(b)), k] = 0
+        m[b, :, c:] = x_minus_fy[block, f[:, :, None], piv[:, None, :]]
+        rank[b] += 1
+    return m, rank
+
+
+def _independent(gf: GF, parts) -> np.ndarray:
+    """Whether the members of each tuple are jointly independent subspaces:
+    their stacked homogeneous rows have full row rank.
+
+    ``parts`` holds one ``(rows, idx)`` per member: an (N, r, w) tensor of
+    homogeneous rows and the (B,) index of that member in every tuple.
+    """
+    n_b = len(parts[0][1])
+    out = np.empty(n_b, dtype=bool)
+    for lo in range(0, n_b, _CHUNK):
+        m = np.concatenate([rows[idx[lo:lo + _CHUNK]] for rows, idx in parts], axis=1)
+        out[lo:lo + _CHUNK] = _batched_rref(gf, m)[1] == m.shape[1]
+    return out
+
+
+def _gf_matmul(gf: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of broadcastable stacks (..., r, m) @ (..., m, n) over GF(q)."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.intp)
+    for j in range(a.shape[-1]):
+        out = gf.add_t[out, gf.mul_t[a[..., :, j, None], b[..., None, j, :]]]
+    return out
 
 
 # -- subspaces -------------------------------------------------------------------
@@ -221,44 +260,108 @@ class Subspace:
         return np.frombuffer(self.offset, dtype=np.int8).astype(np.int64)
 
 
+class SubspaceLevel(Sequence):
+    """Canonical subspaces as arrays: int8 RREF bases (N, dim, n) and, for the
+    affine flavor, int8 offsets (N, n) reduced against them.  Indexing builds
+    ``Subspace`` objects from the arrays."""
+
+    def __init__(self, q: int, flavor: str, bases: np.ndarray,
+                 offsets: np.ndarray | None):
+        self.q, self.flavor, self.bases, self.offsets = q, flavor, bases, offsets
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        off = None if self.offsets is None else self.offsets[i].tobytes()
+        return Subspace(self.flavor, self.bases[i].tobytes(), off, *self.bases.shape[1:])
+
+    def hom(self) -> np.ndarray:
+        """Homogeneous rows: the bases for the linear flavor; [1 | offset]
+        above [0 | basis] for the affine one, so that jointly independent
+        subspaces are exactly those whose stacked rows have full rank."""
+        b = self.bases.astype(np.intp)
+        if self.offsets is None:
+            return b
+        n_s, dim, n = b.shape
+        out = np.zeros((n_s, dim + 1, n + 1), dtype=np.intp)
+        out[:, 0, 0] = 1
+        out[:, 0, 1:] = self.offsets
+        out[:, 1:, 1:] = b
+        return out
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Point codes of each canonical row (offset first): (N, rows) int64."""
+        rows = self.bases if self.offsets is None else \
+            np.concatenate([self.offsets[:, None], self.bases], axis=1)
+        n = self.bases.shape[2]
+        return rows.astype(np.int64) @ self.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def positions(self, other: SubspaceLevel) -> np.ndarray:
+        """Index in this level of every subspace of ``other``; -1 if absent."""
+        codes = _row_codes(np.concatenate([self.codes, other.codes]))
+        keys = codes[:len(self)]
+        order = np.argsort(keys, kind="stable")
+        pos = _lookup_rows(keys[order], codes[len(self):, None], int(codes.max()) + 1)
+        return np.where(pos >= 0, order[pos], -1)
+
+
 def make_subspace(gf: GF, flavor: str, vectors: np.ndarray,
                   offset=None) -> Subspace:
     """Canonicalize any generating set (and coset representative)."""
     vectors = np.asarray(vectors, dtype=np.int64)
     n = vectors.shape[1] if vectors.ndim == 2 else len(offset)
-    basis = gf.rref(vectors) if vectors.size else np.zeros((0, n), dtype=np.int64)
-    dim = len(basis)
-    if flavor == "linear":
-        off_b = None
-    else:
+    rows = vectors.reshape(-1, n)
+    if flavor == "affine":
+        # the RREF of [1 | offset] over [0 | vectors] is [1 | reduced offset]
+        # over [0 | RREF basis]
         off = np.zeros(n, dtype=np.int64) if offset is None else \
             np.asarray(offset, dtype=np.int64)
-        off = gf.reduce_vector(off, basis)
-        off_b = off.astype(np.int8).tobytes()
-    return Subspace(flavor=flavor, basis=basis.astype(np.int8).tobytes(),
-                    offset=off_b, dim=dim, n=n)
+        rows = np.block([[np.ones((1, 1), dtype=np.int64), off[None]],
+                         [np.zeros((len(rows), 1), dtype=np.int64), rows]])
+    m, rank = _batched_rref(gf, rows[None])
+    canon = m[0, :rank[0]].astype(np.int8)
+    if flavor == "linear":
+        return Subspace("linear", canon.tobytes(), None, len(canon), n)
+    return Subspace("affine", canon[1:, 1:].tobytes(), canon[0, 1:].tobytes(),
+                    len(canon) - 1, n)
 
 
-def _echelon_bases(gf: GF, n: int, k: int):
-    """All RREF bases of k-dimensional subspaces of F_q^n."""
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
-        return
-    q = gf.q
+def _digits(q: int, f: int) -> np.ndarray:
+    """All f-digit words over 0..q-1, in ``itertools.product`` order."""
+    return np.arange(q ** f)[:, None] // q ** np.arange(f - 1, -1, -1) % q
+
+
+def _echelon(q: int, n: int, k: int, affine: bool):
+    """Every k-dimensional subspace of F_q^n (every coset of each, when affine)
+    in canonical form: int8 RREF bases (N, k, n) and offsets (N, n), or None.
+
+    Pivot patterns come in ``combinations`` order; within one, the free
+    entries (row by row) count up in ``product`` order, and a coset's offset
+    runs over the non-pivot columns the same way.
+    """
+    bases, offsets = [np.zeros((0, k, n), dtype=np.int8)], [np.zeros((0, n), dtype=np.int8)]
     for pivots in itertools.combinations(range(n), k):
-        free_pos = []
+        rr, cc = [], []
         for r in range(k):
             for c in range(pivots[r] + 1, n):
                 if c not in pivots:
-                    free_pos.append((r, c))
-        base = np.zeros((k, n), dtype=np.int64)
-        for r, pv in enumerate(pivots):
-            base[r, pv] = 1
-        for combo in itertools.product(range(q), repeat=len(free_pos)):
-            mat = base.copy()
-            for (r, c), val in zip(free_pos, combo):
-                mat[r, c] = val
-            yield mat
+                    rr.append(r)
+                    cc.append(c)
+        b = np.zeros((q ** len(rr), k, n), dtype=np.int8)
+        b[:, np.arange(k), np.array(pivots, dtype=np.intp)] = 1
+        b[:, rr, cc] = _digits(q, len(rr))
+        if affine:
+            cols = [c for c in range(n) if c not in pivots]
+            o = np.zeros((q ** len(cols), n), dtype=np.int8)
+            o[:, cols] = _digits(q, len(cols))
+            offsets.append(np.tile(o, (len(b), 1)))
+            b = np.repeat(b, len(o), axis=0)
+        bases.append(b)
+    return np.concatenate(bases), (np.concatenate(offsets) if affine else None)
 
 
 @dataclass
@@ -283,8 +386,7 @@ class GrassmannPoset:
             raise DimensionArithmetic(
                 f"top dimension {top_dim} exceeds the ambient dimension {self.n}")
         self.gf = GF(self.q)
-        self._levels: dict[int, list[Subspace]] = {}
-        self._index: dict[int, dict[Subspace, int]] = {}
+        self._levels: dict[int, SubspaceLevel] = {}
 
     def dim_of_level(self, k: int) -> int:
         return k if self.flavor == "affine" else k + 1
@@ -299,7 +401,7 @@ class GrassmannPoset:
             return self.q ** (self.n - dim) * g
         return g
 
-    def level(self, k: int) -> list[Subspace]:
+    def level(self, k: int) -> SubspaceLevel:
         """Complete duplicate-free canonical enumeration of one level."""
         if not 0 <= k <= self.d:
             raise LevelOutOfRange(f"level {k} out of range [0, {self.d}]")
@@ -309,106 +411,73 @@ class GrassmannPoset:
         if count > _level_cap():
             raise SizeCapError(f"level {k} holds {count} subspaces, over the cap "
                                f"{_level_cap()}")
-        dim = self.dim_of_level(k)
-        out = []
-        for basis in _echelon_bases(self.gf, self.n, dim):
-            if self.flavor == "linear":
-                out.append(make_subspace(self.gf, "linear", basis))
-            else:
-                pivots = [int(np.flatnonzero(row)[0]) for row in basis]
-                free_cols = [c for c in range(self.n) if c not in pivots]
-                for combo in itertools.product(range(self.q), repeat=len(free_cols)):
-                    off = np.zeros(self.n, dtype=np.int64)
-                    for c, val in zip(free_cols, combo):
-                        off[c] = val
-                    out.append(Subspace("affine", basis.astype(np.int8).tobytes(),
-                                        off.astype(np.int8).tobytes(), dim, self.n))
-        if len(out) != count:
-            raise HdxError(f"enumeration produced {len(out)} of {count} subspaces")
-        self._levels[k] = out
-        self._index[k] = {s: i for i, s in enumerate(out)}
-        return out
-
-    def index_of(self, k: int, s: Subspace) -> int:
-        self.level(k)
-        return self._index[k][s]
+        lev = SubspaceLevel(self.q, self.flavor, *_echelon(
+            self.q, self.n, self.dim_of_level(k), self.flavor == "affine"))
+        if len(lev) != count:
+            raise HdxError(f"enumeration produced {len(lev)} of {count} subspaces")
+        self._levels[k] = lev
+        return lev
 
     # -- relations ----------------------------------------------------------------
 
-    def contains(self, big: Subspace, small: Subspace) -> bool:
-        gf = self.gf
-        bb = big.basis_matrix()
-        for row in small.basis_matrix():
-            if np.any(gf.reduce_vector(row, bb)):
-                return False
-        if self.flavor == "affine":
-            diff = gf.sub(small.offset_vector(), big.offset_vector())
-            if np.any(gf.reduce_vector(diff, bb)):
-                return False
-        return True
-
-    def contained_level(self, s: Subspace, k: int) -> list[Subspace]:
+    def contained_level(self, s: Subspace, k: int) -> SubspaceLevel:
         """Subspaces of s at level k, via enumeration in coordinates."""
-        gf = self.gf
-        dim_t = self.dim_of_level(k)
-        bs = s.basis_matrix()
-        if self.flavor == "linear":
-            subs = []
-            for coeff in _echelon_bases(gf, s.dim, dim_t):
-                vecs = _coeff_map(gf, coeff, bs)
-                subs.append(make_subspace(gf, "linear", vecs))
-            return subs
-        off = s.offset_vector()
-        subs = []
-        for coeff in _echelon_bases(gf, s.dim, dim_t):
-            vecs = _coeff_map(gf, coeff, bs)
-            pivots = [int(np.flatnonzero(row)[0]) for row in coeff] if len(coeff) else []
-            free_cols = [c for c in range(s.dim) if c not in pivots]
-            for combo in itertools.product(range(gf.q), repeat=len(free_cols)):
-                local = np.zeros(s.dim, dtype=np.int64)
-                for c, val in zip(free_cols, combo):
-                    local[c] = val
-                shift = gf.add(off, _coeff_map(gf, local[None, :], bs)[0])
-                subs.append(make_subspace(gf, "affine", vecs, shift))
-        return subs
+        return _sub_level(self, _as_level(self, s), k)
 
     def joint_dim(self, parts: list[Subspace]) -> int:
         """Dimension of the span (affine span for the affine flavor)."""
-        gf = self.gf
-        if self.flavor == "linear":
-            rows = [p.basis_matrix() for p in parts if p.dim]
-            if not rows:
-                return 0
-            return gf.rank(np.concatenate(rows, axis=0))
-        hom = []
-        for p in parts:
-            bm = p.basis_matrix()
-            hom.append(np.concatenate([bm, np.zeros((len(bm), 1), dtype=np.int64)],
-                                      axis=1))
-            hom.append(np.concatenate([p.offset_vector()[None, :],
-                                       np.ones((1, 1), dtype=np.int64)], axis=1))
-        return gf.rank(np.concatenate(hom, axis=0)) - 1
+        rows = np.concatenate([_as_level(self, s).hom()[0] for s in parts]
+                              or [np.zeros((0, self.n), dtype=np.intp)])
+        return int(_batched_rref(self.gf, rows[None])[1][0]) - (self.flavor == "affine")
 
 
-def _coeff_map(gf: GF, coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Map coordinate rows through a basis: rows of coeff @ basis over GF."""
-    out = np.zeros((len(coeff), basis.shape[1]), dtype=np.int64)
-    for j in range(coeff.shape[1]):
-        out = gf.add(out, gf.mul(coeff[:, j][:, None], basis[j][None, :]))
-    return out
+def _as_level(p: GrassmannPoset, s: Subspace) -> SubspaceLevel:
+    off = None if p.flavor == "linear" else s.offset_vector()[None].astype(np.int8)
+    return SubspaceLevel(p.q, p.flavor, s.basis_matrix()[None].astype(np.int8), off)
+
+
+def _sub_level(p: GrassmannPoset, parents: SubspaceLevel, k: int) -> SubspaceLevel:
+    """The level-k subspaces of every parent, parent after parent: each
+    parent's coordinate-space echelon enumeration mapped through its basis.
+
+    A product of two RREF matrices is in RREF, and the mapped offset is zero
+    on the product's pivot columns, so the images are canonical as they come.
+    """
+    gf, (n_p, dim_s, n) = p.gf, parents.bases.shape
+    dim_t = p.dim_of_level(k)
+    coeff, local = _echelon(p.q, dim_s, dim_t, p.flavor == "affine")
+    bases = _gf_matmul(gf, coeff[None], parents.bases[:, None])
+    offsets = None
+    if local is not None:
+        shift = _gf_matmul(gf, local[None, :, None, :], parents.bases[:, None])[:, :, 0]
+        offsets = gf.add_t[parents.offsets[:, None, :], shift].reshape(-1, n) \
+            .astype(np.int8)
+    return SubspaceLevel(p.q, p.flavor,
+                         bases.reshape(n_p * len(coeff), dim_t, n).astype(np.int8), offsets)
+
+
+def _contained(p: GrassmannPoset, parents: SubspaceLevel, k: int) -> np.ndarray:
+    """(len(parents), m) level-k indices of the subspaces of every parent, in
+    ``contained_level`` order."""
+    return p.level(k).positions(_sub_level(p, parents, k)).reshape(len(parents), -1)
+
+
+def _supports(p: GrassmannPoset, lev: SubspaceLevel) -> list[tuple]:
+    """Sorted level-0 indices of the points of each subspace."""
+    return list(map(tuple, np.sort(_contained(p, lev, 0), axis=1).tolist()))
 
 
 # -- walks ------------------------------------------------------------------------
 
 
-def _uniform_operator(edges) -> MarkovOperator:
+def _uniform_operator(left: np.ndarray, right: np.ndarray) -> MarkovOperator:
     """Walk of the uniform joint over distinct (left, right) edges, between the
     elements that some edge touches."""
-    if not edges:
+    if not len(left):
         raise EmptyWalk("walk has no edges")
-    live_l, r = np.unique([e[0] for e in edges], return_inverse=True)
-    live_r, c = np.unique([e[1] for e in edges], return_inverse=True)
-    vals = np.full(len(edges), 1.0 / len(edges))
+    live_l, r = np.unique(left, return_inverse=True)
+    live_r, c = np.unique(right, return_inverse=True)
+    vals = np.full(len(left), 1.0 / len(left))
     return _from_joint(live_l[:, None], np.bincount(r, weights=vals),
                        live_r[:, None], np.bincount(c, weights=vals), [r], [c], [vals])
 
@@ -417,14 +486,8 @@ def grassmann_containment_walk(p: GrassmannPoset, k: int, l: int) -> MarkovOpera
     """Uniform bipartite containment walk between two levels (l < k)."""
     if not 0 <= l < k <= p.d:
         raise LevelOutOfRange(f"containment walk needs 0 <= l < k <= {p.d}")
-    big = p.level(k)
-    small = p.level(l)
-    idx = {s: i for i, s in enumerate(small)}
-    edges = []
-    for si, s in enumerate(big):
-        for t in p.contained_level(s, l):
-            edges.append((si, idx[t]))
-    return _uniform_operator(edges)
+    sub = _contained(p, p.level(k), l)
+    return _uniform_operator(np.repeat(np.arange(len(sub)), sub.shape[1]), sub.ravel())
 
 
 def conditioned_complement_walk(p: GrassmannPoset, l1: int, l2: int,
@@ -433,7 +496,6 @@ def conditioned_complement_walk(p: GrassmannPoset, l1: int, l2: int,
 
     ``u0 = None`` gives the unconditioned complement walk.
     """
-    gf = p.gf
     dim1 = p.dim_of_level(l1)
     dim2 = p.dim_of_level(l2)
     dim0 = 0 if u0 is None else u0.dim
@@ -448,32 +510,19 @@ def conditioned_complement_walk(p: GrassmannPoset, l1: int, l2: int,
             raise DimensionArithmetic(
                 f"affine condition l1+l2+l3+2 <= n fails: "
                 f"{l1}+{l2}+{l3}+2 > {p.n}")
-    left_all = p.level(l1)
-    right_all = p.level(l2)
-
-    def independent(v):
-        if u0 is None:
-            return True
-        if p.flavor == "linear":
-            return p.joint_dim([v, u0]) == v.dim + u0.dim
-        return p.joint_dim([v, u0]) == v.dim + u0.dim + 1
-
-    left = [i for i, v in enumerate(left_all) if independent(v)]
-    right = [i for i, w in enumerate(right_all) if independent(w)]
-    if not left or not right:
+    hl, hr = p.level(l1).hom(), p.level(l2).hom()
+    left, right = np.arange(len(hl)), np.arange(len(hr))
+    cond = []
+    if u0 is not None:
+        h0 = _as_level(p, u0).hom()
+        left, right = (np.flatnonzero(_independent(p.gf, [(h, idx), (h0, 0 * idx)]))
+                       for h, idx in ((hl, left), (hr, right)))
+        cond = [(h0, np.zeros(len(left) * len(right), dtype=np.intp))]
+    if not len(left) or not len(right):
         raise EmptyWalk("conditioning removed an entire side")
-    parts0 = [] if u0 is None else [u0]
-    edges = []
-    for li in left:
-        v = left_all[li]
-        for rj in right:
-            w = right_all[rj]
-            target = v.dim + w.dim + dim0
-            if p.flavor == "affine":
-                target += 1 + (0 if u0 is None else 1)
-            if p.joint_dim([v, w] + parts0) == target:
-                edges.append((li, rj))
-    return _uniform_operator(edges)
+    li, rj = np.repeat(left, len(right)), np.tile(right, len(left))
+    keep = _independent(p.gf, [(hl, li), (hr, rj)] + cond)
+    return _uniform_operator(li[keep], rj[keep])
 
 
 # -- test distributions and the subspace instance -----------------------------------
@@ -484,13 +533,12 @@ def _sts_from_levels(p: GrassmannPoset, d: int, l: int):
     (S x T) joint and both levels."""
     tops = p.level(d)
     mids = p.level(l)
-    mid_idx = {t: i for i, t in enumerate(mids)}
-    pairs = np.array([(si, mid_idx[t]) for si, s in enumerate(tops)
-                      for t in p.contained_level(s, l)], dtype=np.int64)
-    n_up = np.bincount(pairs[:, 1], minlength=len(mids))
+    sub = _contained(p, tops, l)
+    s_idx, t_idx = np.repeat(np.arange(len(tops)), sub.shape[1]), sub.ravel()
+    n_up = np.bincount(t_idx, minlength=len(mids))
     if not n_up.all():
         raise EmptyWalk(f"level-{l} element {int(np.argmin(n_up))} extends to no top")
-    st = sp.csr_matrix((1.0 / (len(mids) * n_up[pairs[:, 1]]), (pairs[:, 0], pairs[:, 1])),
+    st = sp.csr_matrix((1.0 / (len(mids) * n_up[t_idx]), (s_idx, t_idx)),
                        shape=(len(tops), len(mids)))
     return STSTable.from_joint(st), st, tops, mids
 
@@ -508,18 +556,49 @@ def lgd_distribution(p: GrassmannPoset, d: int, l: int):
 
 
 def _grassmann_test(p: GrassmannPoset, d: int, l: int):
-    from .agreement import AgreementTest
     if not 0 <= l < d <= p.d:
         raise LevelOutOfRange(f"need 0 <= l < d <= {p.d}")
     sts, _, tops, mids = _sts_from_levels(p, d, l)
-    points = p.level(0)
-    pt_idx = {v: i for i, v in enumerate(points)}
-    supports = [tuple(sorted(pt_idx[v] for v in p.contained_level(s, 0)))
-                for s in tops]
-    t_supports = [tuple(sorted(pt_idx[v] for v in p.contained_level(t, 0)))
-                  for t in mids]
-    return AgreementTest(list(range(len(tops))), supports, sts, t_supports,
+    return AgreementTest(list(range(len(tops))), _supports(p, tops), sts,
+                         _supports(p, mids),
                          meta={"kind": f"{p.flavor}_grassmann", "d": d, "l": l})
+
+
+def _av_rows(p: GrassmannPoset, l: int):
+    """(t, a, v) rows of the (a, v) table: every level-l t, every level-(l-1)
+    a inside it in ``contained_level`` order, and every point of t outside a
+    (the pair then generates t) in level order."""
+    mids, amps = p.level(l), p.level(l - 1)
+    t_a = _contained(p, mids, l - 1)
+    t_v = np.sort(_contained(p, mids, 0), axis=1)
+    a_v = _contained(p, amps, 0)
+    (n_t, m_a), m_v = t_a.shape, t_v.shape[1]
+    t = np.repeat(np.arange(n_t), m_a * m_v)
+    a = np.repeat(t_a.ravel(), m_v)
+    v = np.repeat(t_v, m_a, axis=0).ravel()
+    n_pts = len(p.level(0))
+    keep = ~np.isin(a * n_pts + v, (np.arange(len(amps))[:, None] * n_pts + a_v).ravel())
+    return t[keep], a[keep], v[keep]
+
+
+def _amplification_rows(p: GrassmannPoset, d: int, l: int):
+    """(s, v, a1, a2) rows of the amplification table: every level-d s, every
+    ordered pair of jointly independent level-(l-1) a1, a2 inside it (in
+    ``itertools.permutations`` order), then every point v of s independent of
+    both (in ``contained_level`` order)."""
+    tops, h_a = p.level(d), p.level(l - 1).hom()
+    s_a = _contained(p, tops, l - 1)
+    s_v = _contained(p, tops, 0)
+    i, j = np.nonzero(~np.eye(s_a.shape[1], dtype=bool))
+    s = np.repeat(np.arange(len(tops)), len(i))
+    a1, a2 = s_a[:, i].ravel(), s_a[:, j].ravel()
+    keep = _independent(p.gf, [(h_a, a1), (h_a, a2)])
+    s, a1, a2 = s[keep], a1[keep], a2[keep]
+    m_v = s_v.shape[1]
+    s, a1, a2, v = (np.repeat(s, m_v), np.repeat(a1, m_v), np.repeat(a2, m_v),
+                    s_v[s].ravel())
+    keep = _independent(p.gf, [(h_a, a1), (h_a, a2), (p.level(0).hom(), v)])
+    return s[keep], v[keep], a1[keep], a2[keep]
 
 
 def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
@@ -546,43 +625,11 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
 
     sts, st, tops, mids = _sts_from_levels(p, d, l)
     amps = p.level(l - 1)
-    amp_idx = {a: i for i, a in enumerate(amps)}
-    pt_idx = {v: i for i, v in enumerate(points)}
-
-    tav = []
-    for ti, t in enumerate(mids):
-        t_pts = {pt_idx[v] for v in p.contained_level(t, 0)}
-        for a in p.contained_level(t, l - 1):
-            a_pts = {pt_idx[v] for v in p.contained_level(a, 0)}
-            # the pair (a, v) generates t exactly when v avoids a
-            tav += [(ti, amp_idx[a], vp) for vp in sorted(t_pts - a_pts)]
-    t_idx, a_idx, v_idx = np.array(tav, dtype=np.int64).reshape(-1, 3).T
+    t_idx, a_idx, v_idx = _av_rows(p, l)
     av = AvTable(t_idx, a_idx, v_idx, 1.0 / np.bincount(t_idx)[t_idx])
-
-    # amplification: jointly independent (a1, a2) in s, then an independent v
-    vas_v, vas_a1, vas_s, vas_a2, vas_p = [], [], [], [], []
-    for si, s in enumerate(tops):
-        sub_a = p.contained_level(s, l - 1)
-        sub_v = p.contained_level(s, 0)
-        rows = []
-        for a1, a2 in itertools.permutations(sub_a, 2):
-            # affine span of m generic pieces: sum of dims plus m-1
-            target = a1.dim + a2.dim + (1 if p.flavor == "affine" else 0)
-            if p.joint_dim([a1, a2]) != target:
-                continue
-            for v in sub_v:
-                t_all = a1.dim + a2.dim + v.dim + (2 if p.flavor == "affine" else 0)
-                if p.joint_dim([a1, a2, v]) == t_all:
-                    rows.append((pt_idx[v], amp_idx[a1], amp_idx[a2]))
-        w = 1.0 / (n_s * len(rows))
-        for vp, i1, i2 in rows:
-            vas_v.append(vp)
-            vas_a1.append(i1)
-            vas_s.append(si)
-            vas_a2.append(i2)
-            vas_p.append(w)
-    vasa = VasaTable(np.array(vas_v), np.array(vas_a1), np.array(vas_s),
-                     np.array(vas_a2), np.array(vas_p))
+    s_idx, v_idx, a1_idx, a2_idx = _amplification_rows(p, d, l)
+    probs = 1.0 / (n_s * np.bincount(s_idx, minlength=n_s)[s_idx])
+    vasa = VasaTable(v_idx, a1_idx, s_idx, a2_idx, probs)
 
     pt_labels = list(range(len(points)))
     return StavInstance(
@@ -593,11 +640,8 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
         a_labels=list(range(len(amps))),
         t_labels=list(range(len(mids))),
         s_labels=list(range(len(tops))),
-        a_supports=[tuple(sorted(pt_idx[v] for v in p.contained_level(a, 0)))
-                    for a in amps],
-        t_supports=[tuple(sorted(pt_idx[v] for v in p.contained_level(t, 0)))
-                    for t in mids],
-        s_supports=[tuple(sorted(pt_idx[v] for v in p.contained_level(s, 0)))
-                    for s in tops],
+        a_supports=_supports(p, amps),
+        t_supports=_supports(p, mids),
+        s_supports=_supports(p, tops),
         t_probs=sts.t_probs, st_joint=st, av=av, sts=sts, vasa=vasa,
         meta={"poset": p, "d": d, "l": l})

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complexes import Complex, _encode_rows, _lookup_rows
+from .complexes import Complex, _encode_rows, _lookup_rows, complete_complex
 from .errors import (
     HypothesisViolated,
     InconsistentMarginals,
@@ -239,12 +239,15 @@ def _link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda2, lambda_min) of the underlying graph of the link of every
     k-face, in level order; computed once per level and cached on ``c``.
 
-    k = -1 is the complex itself, and a uniform complete complex solves one
-    representative link per level (arrays of length 1).
+    k = -1 is the complex itself.  On a uniform complete complex every link
+    of a k-face is complete(n-k-1, d-k-1), so one representative per level is
+    built from the vertex count and solved (arrays of length 1), and no level
+    of ``c`` is enumerated.
     """
     if k not in c._link_spectra:
         if k == -1 or c.uniform_complete:
-            g = underlying_graph(c if k == -1 else c.link(c.level(k).face(0)))
+            g = underlying_graph(complete_complex(c.n_vertices - k - 1, c.d - k - 1)
+                                 if c.uniform_complete else c)
             rep = square_lambda(g.joint, g.vertex_measure)
             c._link_spectra[k] = (np.array([rep.lambda2]), np.array([rep.lambda_min]))
         else:
@@ -336,22 +339,25 @@ def link_expansion(c: Complex, two_sided: bool = True) -> LinkExpansionReport:
     the complete complex all links at one level are isomorphic, so a single
     representative per level is solved.
     """
+    def face(k, i):
+        # a uniform complete complex has one representative per level, (0, ..., k)
+        return tuple(range(k + 1)) if c.uniform_complete else c.level(k).face(i)
+
     worst = -np.inf
     worst_face = None
     per_level = {}
     disconnected = []
     for k in range(-1, c.d - 1):
-        lev = c.level(k)
         lam2, lam_min = _link_spectra(c, k)
         vals = np.maximum(np.abs(lam2), np.abs(lam_min)) if two_sided else lam2
         for i in np.flatnonzero(lam2 > 1 - 1e-9):
-            disconnected.append(lev.face(i))
-            warnings.warn(f"link of {lev.face(i)} is disconnected; lambda2 = 1",
+            disconnected.append(face(k, i))
+            warnings.warn(f"link of {face(k, i)} is disconnected; lambda2 = 1",
                           stacklevel=2)
         i = int(np.argmax(vals))
         per_level[k] = float(vals[i])
         if vals[i] > worst:
-            worst, worst_face = vals[i], lev.face(i)
+            worst, worst_face = vals[i], face(k, i)
     return LinkExpansionReport(value=float(worst), two_sided=two_sided,
                                per_level=per_level, worst_face=worst_face,
                                disconnected=disconnected,
@@ -368,6 +374,17 @@ def verify_complement_bound(c: Complex, l1: int, l2: int) -> BoundCheck:
     rhs = (l1 + 1) * (l2 + 1) * lam_link.value
     return BoundCheck("complement_walk", lhs, rhs, lhs <= rhs + SLACK,
                       {"link_expansion": lam_link.value, "l1": l1, "l2": l2})
+
+
+def _colored_norm(c: Complex, colors_i, colors_j) -> float:
+    """Norm of ``colored_walk(c, I, J)``, solved once per (I, J) and cached on
+    ``c``: ``verify --all`` reads X[0] -> X[1] in the colored bound and again
+    as trickling's lambda_01."""
+    key = (frozenset(map(int, colors_i)), frozenset(map(int, colors_j)))
+    if key not in c._colored_norms:
+        walk = colored_walk(c, colors_i, colors_j)
+        c._colored_norms[key] = bipartite_norm(walk).lambda_bip
+    return c._colored_norms[key]
 
 
 def verify_colored_bound(c: Complex, colors_i, colors_j) -> BoundCheck:
@@ -389,7 +406,7 @@ def verify_colored_bound(c: Complex, colors_i, colors_j) -> BoundCheck:
     lam = lam_prime / (1.0 - (c.d + 1) * lam_prime)
     if lam >= 0.5:
         raise NotApplicable(f"recovered lambda {lam:.6g} >= 1/2")
-    lhs = bipartite_norm(colored_walk(c, colors_i, colors_j)).lambda_bip
+    lhs = _colored_norm(c, colors_i, colors_j)
     rhs = len(set(colors_i)) * len(set(colors_j)) * lam
     return BoundCheck("colored_walk", lhs, rhs, lhs <= rhs + SLACK,
                       {"link_expansion_one_sided": lam_prime, "lambda": lam})
@@ -405,9 +422,9 @@ def verify_trickling(y: Complex) -> BoundCheck:
     lam2, _ = _link_spectra(y, 0)
     col = np.asarray(y.coloring)[y.level(0).faces[:, 0]]
     eta = float(np.max(lam2[col == 0], initial=0.0))
-    lam_01 = bipartite_norm(colored_walk(y, [0], [1])).lambda_bip
-    lam_02 = bipartite_norm(colored_walk(y, [0], [2])).lambda_bip
-    lhs = bipartite_norm(colored_walk(y, [1], [2])).lambda_bip
+    lam_01 = _colored_norm(y, [0], [1])
+    lam_02 = _colored_norm(y, [0], [2])
+    lhs = _colored_norm(y, [1], [2])
     rhs = eta + lam_01 * lam_02
     return BoundCheck("trickling", lhs, rhs, lhs <= rhs + SLACK,
                       {"eta": eta, "lambda_01": lam_01, "lambda_02": lam_02})

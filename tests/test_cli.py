@@ -155,3 +155,25 @@ def test_verify_all_partite(tmp_path):
     rows = json.loads(out.read_text())["report"]["checks"]
     names = {r.get("name") for r in rows}
     assert "colored_walk" in names and "trickling" in names
+
+
+def test_verify_all_solves_each_colored_walk_once(tmp_path, monkeypatch):
+    from hdxlab import spectra
+    calls = []
+    real = spectra.colored_walk
+
+    def counted(c, colors_i, colors_j):
+        calls.append((list(colors_i), list(colors_j)))
+        return real(c, colors_i, colors_j)
+    monkeypatch.setattr(spectra, "colored_walk", counted)
+    cpath = tmp_path / "p.json"
+    assert run_cli(["build", "--partite", "4,5,6", "-o", str(cpath)]) == 0
+    out = tmp_path / "v.json"
+    assert run_cli(["verify", str(cpath), "--all", "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["report"]["checks"]
+    colored = next(r for r in rows if r.get("name") == "colored_walk")
+    trickling = next(r for r in rows if r.get("name") == "trickling")
+    assert "skipped" not in colored
+    assert colored["lhs"] == trickling["details"]["lambda_01"]
+    assert calls.count(([0], [1])) == 1
+    assert sorted(calls) == [([0], [1]), ([0], [2]), ([1], [2])]

@@ -123,6 +123,15 @@ CASES = {
     "grassmann_complement_affine_3_4_cond1": (
         None, ["grassmann", "--q", "3", "--n", "4", "--d", "1", "--flavor", "affine",
                "--walk", "complement", "--l1", "0", "--l2", "0", "--cond-dim", "1"]),
+    "grassmann_containment_linear_4_4": (
+        None, ["grassmann", "--q", "4", "--n", "4", "--d", "2", "--flavor", "linear",
+               "--walk", "containment", "--k", "2", "--l", "1"]),
+    "grassmann_containment_affine_5_3": (
+        None, ["grassmann", "--q", "5", "--n", "3", "--d", "2", "--flavor", "affine",
+               "--walk", "containment", "--k", "2", "--l", "1"]),
+    "grassmann_complement_linear_2_6_cond2": (
+        None, ["grassmann", "--q", "2", "--n", "6", "--d", "2", "--flavor", "linear",
+               "--walk", "complement", "--l1", "1", "--l2", "0", "--cond-dim", "2"]),
     "agree_run_hdx_9_5_l1": (
         C95, ["agree-run", "--complex", "{complex}", "--stav", "hdx", "--l", "1", *PLANT]),
     "agree_run_partite_2x9_i0_j1_k8": (

@@ -128,6 +128,17 @@ def test_link_expansion_complete():
     assert rep.per_level[-1] == pytest.approx(1 / 7, abs=1e-10)
 
 
+def test_link_expansion_complete_enumerates_no_level():
+    # every link of a k-face of complete(26, 8) is complete(24 - k, 7 - k),
+    # whose underlying graph K_m has lambda2 = lambda_min = -1/(m - 1)
+    c = complete_complex(26, 8)
+    rep = link_expansion(c, two_sided=True)
+    assert c._levels == {}
+    assert rep.per_level == pytest.approx({k: 1 / (24 - k) for k in range(-1, 7)},
+                                          rel=0, abs=1e-12)
+    assert rep.worst_face == tuple(range(7)) and rep.disconnected == []
+
+
 def test_link_expansion_partite_one_sided():
     c = partite_complete_complex([4, 4])
     rep = link_expansion(c, two_sided=False)
