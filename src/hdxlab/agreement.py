@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, _group, _row_codes
 from .errors import ParameterRange, PartialGlobal, SizeCapError, SupportMismatch
 from .stav import (
     STSTable,
     StavInstance,
+    _cached,
     _cut,
     _segment_pairs,
     _sub_faces,
@@ -172,13 +173,6 @@ def corrupt(f: Ensemble, alpha: float, mode: str, seed: int) -> Ensemble:
 # -- the lifted ensemble --------------------------------------------------------------
 
 
-def _cached(obj, key, build):
-    """``obj._cache[key]``, built on first use."""
-    if key not in obj._cache:
-        obj._cache[key] = build()
-    return obj._cache[key]
-
-
 def _layout(test: AgreementTest):
     """Entry k of the concatenated local functions sits at (rows[k], cols[k])
     of the lifted matrix, whose last column ``n_ground`` is padding."""
@@ -241,27 +235,6 @@ def _diff(lifted: np.ndarray, i, j, cols=None) -> np.ndarray:
         return _restrict(lifted, i, cols) != _restrict(lifted, j, cols)
     fi, fj = lifted[i], lifted[j]
     return (fi != fj) & (fi >= 0) & (fj >= 0)
-
-
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One integer per row, equal for equal rows and ordered as the rows are
-    lexicographically."""
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] < 2 ** 62:
-        return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-
-
-def _group(*keys):
-    """Ids of the distinct key tuples, numbered in lexicographic order, and the
-    index of each group's first member."""
-    order = np.lexsort(keys[::-1])
-    new = np.arange(len(order)) == 0
-    for k in keys:
-        new[1:] |= k[order][1:] != k[order][:-1]
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
 
 
 def _tables(test: AgreementTest):

@@ -91,6 +91,27 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One integer per row, equal for equal rows and ordered as the rows are
+    lexicographically."""
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] < 2 ** 62:
+        return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+def _group(*keys):
+    """Ids of the distinct tuples of nonnegative integer keys, numbered in
+    lexicographic order, and the index of each group's first member."""
+    code = _row_codes(np.column_stack(keys))
+    order = np.argsort(code, kind="stable")
+    new = np.arange(len(order)) == 0
+    new[1:] = code[order][1:] != code[order][:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
 @dataclass(frozen=True)
 class LevelIndex:
     """Indexed enumeration of one face level with its chain measure."""
@@ -527,7 +548,13 @@ def complex_from_json_dict(data: dict) -> Complex:
     weights = np.array([t["weight"] for t in tops], dtype=float)
     if rows.ndim != 2 or rows.shape[1] != d + 1:
         raise MixedDimension("top faces must all have d+1 vertices")
-    return Complex(n, d, rows, weights, coloring=coloring)
+    c = Complex(n, d, rows, weights, coloring=coloring)
+    # validated rows are distinct (d+1)-sets: all C(n, d+1) of them, equally
+    # weighted and uncolored, are the complete complex with its closed forms
+    if (coloring is None and c.n_top_faces == math.comb(n, d + 1)
+            and np.all(c._weights == c._weights[0])):
+        return Complex(n, d, None, None, uniform_complete=True)
+    return c
 
 
 def link(c: Complex, s) -> Complex:

@@ -8,12 +8,16 @@ larger operators use Lanczos iterations on the operator with the constant
 eigenvector deflated, and the report carries the iteration residual.  An
 iterative solve whose residual exceeds 1e-8 raises ``NotConverged``.
 
-Link spectra are computed one level at a time: the underlying graphs of the
-links of all k-faces are read off the X(k+1) and X(k+2) arrays, grouped by
-link size and solved as stacked dense eigenproblems.  The (lambda2,
-lambda_min) arrays are cached per level on the complex, so every verifier that
-takes link expansion as its hypothesis reuses them, and the trickling check
-reads its eta from level 0.
+Many small graphs are solved together: ``_stacked_spectra`` groups them by
+shape and solves each batch as one stacked dense eigenproblem (square) or
+singular value problem (bipartite), with the checks and clipping of
+``square_lambda`` and ``bipartite_lambda``, whose dense path is the same
+solver on a stack of one.  Link spectra are computed this way one level at a
+time: the underlying graphs of the links of all k-faces are read off the
+X(k+1) and X(k+2) arrays.  The (lambda2, lambda_min) arrays are cached per
+level on the complex, so every verifier that takes link expansion as its
+hypothesis reuses them, and the trickling check reads its eta from level 0.
+The goodness checker of ``stav`` solves its local graphs the same way.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ from .walks import (
 DENSE_EIG_LIMIT = 5000
 SLACK = 1e-9
 RESIDUAL_TOL = 1e-8
-# stacked link eigenproblems are solved in batches of at most this many bytes
-_LINK_BATCH_BYTES = 1 << 24
+# stacked eigenproblems are solved in batches of at most this many bytes; a
+# solve holds about three more copies of its batch while it runs
+_LINK_BATCH_BYTES = 1 << 21
 
 
 @dataclass
@@ -120,24 +125,65 @@ def _sym_square(joint, pi):
     return joint / np.outer(s, s)
 
 
+def _check_symmetric(resid: float) -> None:
+    if resid > 1e-8:
+        raise NotReversible(f"joint not symmetric; residual {resid:.3g}")
+
+
+def _check_marginals(jl, jr, pi_l, pi_r) -> None:
+    _positive(pi_l, "left measure")
+    _positive(pi_r, "right measure")
+    if max(np.max(np.abs(jl - pi_l)), np.max(np.abs(jr - pi_r))) > 1e-8:
+        raise InconsistentMarginals("joint marginals do not match the side measures")
+
+
+def _check_square_stack(joints: np.ndarray, pi: np.ndarray) -> None:
+    """Positive measures and symmetric joints, for a (B, m, m) stack."""
+    _positive(pi, "stationary measure")
+    if joints.size:
+        gap = joints - joints.transpose(0, 2, 1)
+        _check_symmetric(float(max(gap.max(), -gap.min())))
+
+
+def _square_stack(joints: np.ndarray, pi: np.ndarray):
+    """(lambda2, lambda_min) arrays of a (B, m, m) stack of reversible walks
+    with stationary measures (B, m), in one stacked dense solve."""
+    _check_square_stack(joints, pi)
+    if pi.shape[1] == 1:
+        return np.zeros(len(pi)), np.zeros(len(pi))
+    s = np.sqrt(pi)
+    m = joints / (s[:, :, None] * s[:, None, :])
+    m += m.transpose(0, 2, 1)
+    m *= 0.5
+    vals = np.linalg.eigvalsh(m)
+    lam2 = np.clip(vals[:, -2], -1.0, 1.0)
+    return lam2, np.clip(vals[:, 0], -1.0, lam2)
+
+
+def _bipartite_stack(joints: np.ndarray, pi_l: np.ndarray, pi_r: np.ndarray):
+    """Second singular values of a (B, m, n) stack of bipartite joints with
+    side measures (B, m) and (B, n), in one stacked dense solve."""
+    _check_marginals(joints.sum(axis=2), joints.sum(axis=1), pi_l, pi_r)
+    if min(joints.shape[1:]) == 1:
+        return np.zeros(len(joints))
+    m = joints / (np.sqrt(pi_l)[:, :, None] * np.sqrt(pi_r)[:, None, :])
+    return np.minimum(np.linalg.svd(m, compute_uv=False)[:, 1], 1.0)
+
+
 def square_lambda(joint, pi) -> SpectralReport:
     """lambda2 (excluding constants) and lambda_min of a reversible walk."""
-    pi = _positive(np.asarray(pi, dtype=float), "stationary measure")
-    sym_resid = joint - joint.T
-    sym_resid = float(abs(sym_resid).max()) if sp.issparse(sym_resid) else \
-        float(np.max(np.abs(sym_resid))) if np.asarray(sym_resid).size else 0.0
-    if sym_resid > 1e-8:
-        raise NotReversible(f"joint not symmetric; residual {sym_resid:.3g}")
+    pi = np.asarray(pi, dtype=float)
     m = joint.shape[0]
-    if m == 1:
-        return SpectralReport(lambda2=0.0, lambda_min=0.0, method="trivial")
-    M = _sym_square(joint, pi)
     if m <= DENSE_EIG_LIMIT:
-        M = np.asarray(M.todense()) if sp.issparse(M) else M
-        vals = np.linalg.eigvalsh((M + M.T) / 2.0)
-        l2 = float(np.clip(vals[-2], -1.0, 1.0))
-        lmin = float(np.clip(vals[0], -1.0, l2))
-        return SpectralReport(lambda2=l2, lambda_min=lmin, method="dense")
+        dense = np.asarray(joint.todense()) if sp.issparse(joint) else np.asarray(joint)
+        l2, lmin = _square_stack(dense[None], pi[None])
+        return SpectralReport(lambda2=float(l2[0]), lambda_min=float(lmin[0]),
+                              method="trivial" if m == 1 else "dense")
+    _positive(pi, "stationary measure")
+    resid = joint - joint.T
+    _check_symmetric(float(abs(resid).max()) if sp.issparse(resid)
+                     else float(np.max(np.abs(resid))))
+    M = _sym_square(joint, pi)
     s = np.sqrt(pi)
 
     def deflated(x):
@@ -161,12 +207,15 @@ def square_lambda(joint, pi) -> SpectralReport:
 
 def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     """Second singular value of the symmetrized bipartite operator."""
-    pi_l = _positive(np.asarray(pi_l, dtype=float), "left measure")
-    pi_r = _positive(np.asarray(pi_r, dtype=float), "right measure")
-    jl = np.asarray(joint.sum(axis=1)).ravel() if sp.issparse(joint) else joint.sum(axis=1)
-    jr = np.asarray(joint.sum(axis=0)).ravel() if sp.issparse(joint) else joint.sum(axis=0)
-    if max(np.max(np.abs(jl - pi_l)), np.max(np.abs(jr - pi_r))) > 1e-8:
-        raise InconsistentMarginals("joint marginals do not match the side measures")
+    pi_l = np.asarray(pi_l, dtype=float)
+    pi_r = np.asarray(pi_r, dtype=float)
+    if max(joint.shape) <= DENSE_EIG_LIMIT:
+        dense = np.asarray(joint.todense()) if sp.issparse(joint) else np.asarray(joint)
+        lam = _bipartite_stack(dense[None], pi_l[None], pi_r[None])[0]
+        return SpectralReport(lambda_bip=float(lam),
+                              method="trivial" if min(joint.shape) == 1 else "dense")
+    _check_marginals(np.asarray(joint.sum(axis=1)).ravel(),
+                     np.asarray(joint.sum(axis=0)).ravel(), pi_l, pi_r)
     if min(joint.shape) == 1:
         return SpectralReport(lambda_bip=0.0, method="trivial")
     sl, sr = np.sqrt(pi_l), np.sqrt(pi_r)
@@ -174,10 +223,6 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
         M = sp.diags(1.0 / sl) @ joint @ sp.diags(1.0 / sr)
     else:
         M = joint / np.outer(sl, sr)
-    if max(joint.shape) <= DENSE_EIG_LIMIT:
-        M = np.asarray(M.todense()) if sp.issparse(M) else M
-        vals = np.sort(np.linalg.svd(M, compute_uv=False))
-        return SpectralReport(lambda_bip=float(min(vals[-2], 1.0)), method="dense")
 
     def deflated_mv(x):
         x = np.asarray(x).ravel()
@@ -195,6 +240,76 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     _check_converged(resid)
     return SpectralReport(lambda_bip=float(min(val, 1.0)), method="iterative",
                           residual=resid)
+
+
+# -- stacked solves of many small graphs ------------------------------------------
+
+
+def _runs(ptr: np.ndarray, ids: np.ndarray):
+    """Positions of the entries of runs ``ids`` (run k spans ptr[k]:ptr[k+1]),
+    run after run, and the position in ``ids`` of the run of each."""
+    n = ptr[ids + 1] - ptr[ids]
+    start = np.cumsum(n) - n
+    return (np.arange(int(n.sum())) + np.repeat(ptr[ids] - start, n),
+            np.repeat(np.arange(len(ids)), n))
+
+
+def _scatter(entries, ids: np.ndarray, shape) -> np.ndarray:
+    """Dense (len(ids), rows, cols) stack of graphs ``ids`` from ``entries``
+    (ptr, row, col, value) grouped by graph; repeated cells add up."""
+    ptr, row, col, val = entries
+    idx, b = _runs(ptr, ids)
+    r, c = shape
+    return np.bincount((b * r + row[idx]) * c + col[idx], weights=val[idx],
+                       minlength=len(ids) * r * c).reshape(len(ids), r, c)
+
+
+def _shape_batches(shapes: np.ndarray):
+    """Graph ids grouped by (rows, cols) shape, yielded as (shape, ids) batches
+    whose dense stack stays under ``_LINK_BATCH_BYTES``; a graph with a side
+    above ``DENSE_EIG_LIMIT`` is a batch of its own."""
+    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+    code = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
+    order = np.argsort(code, kind="stable")
+    bounds = np.flatnonzero(np.diff(code[order], prepend=-1, append=-1)).tolist()
+    for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
+        r, c = shapes[order[lo_g]].tolist()
+        step = (1 if max(r, c) > DENSE_EIG_LIMIT
+                else max(1, _LINK_BATCH_BYTES // (8 * r * c)))
+        for lo in range(lo_g, hi_g, step):
+            yield (r, c), order[lo:min(lo + step, hi_g)]
+
+
+def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
+    """Spectra of many graphs with few distinct shapes, in graph order: a
+    (2, n) array of (lambda2, lambda_min) for square graphs, the (n,) array
+    of lambda_bip for bipartite ones.
+
+    ``fill(ids, shape)`` gives the joints of graphs ``ids``, all of that
+    (rows, cols) shape, as a dense stack; their measures are the row and
+    column sums.  Each batch of ``_shape_batches`` is one stacked dense solve
+    with every check of ``square_lambda`` and ``bipartite_lambda``.  A graph
+    above ``DENSE_EIG_LIMIT`` is scaled to mass 1 and goes to one of them,
+    and from there to the iterative path; its fill may be sparse.
+    """
+    out = np.zeros((len(shapes), 1 if bipartite else 2))
+    for shape, ids in _shape_batches(shapes):
+        joint = fill(ids, shape)
+        if max(shape) > DENSE_EIG_LIMIT:
+            j = joint if sp.issparse(joint) else joint[0]
+            j = j / j.sum()
+            pi_l = np.asarray(j.sum(axis=1)).ravel()
+            if bipartite:
+                out[ids, 0] = bipartite_lambda(
+                    j, pi_l, np.asarray(j.sum(axis=0)).ravel()).lambda_bip
+            else:
+                rep = square_lambda(j, pi_l)
+                out[ids] = rep.lambda2, rep.lambda_min
+        elif bipartite:
+            out[ids, 0] = _bipartite_stack(joint, joint.sum(axis=2), joint.sum(axis=1))
+        else:
+            out[ids, 0], out[ids, 1] = _square_stack(joint, joint.sum(axis=2))
+    return out[:, 0] if bipartite else out.T
 
 
 def square_spectrum(op) -> SpectralReport:
@@ -286,49 +401,21 @@ def _batched_link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     edge_s, edge_u, edge_v = (np.concatenate(x) for x in (edge_s, edge_u, edge_v))
     edge_w = np.tile(up2.measure, len(edge_s) // up2.size)
 
-    # faces ordered by link size; each face's edges become one contiguous run
-    order = np.argsort(sizes, kind="stable")
-    rank = np.empty(lev.size, dtype=np.int64)
-    rank[order] = np.arange(lev.size)
-    by_rank = np.argsort(rank[edge_s], kind="stable")
-    edge_rank = rank[edge_s][by_rank]
-    edge_u, edge_v, edge_w = edge_u[by_rank], edge_v[by_rank], edge_w[by_rank]
-    lam2, lam_min = np.empty(lev.size), np.empty(lev.size)
-    bounds = np.flatnonzero(np.diff(sizes[order], prepend=-1, append=-1))
-    for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
-        m = int(sizes[order[lo_g]])
-        step = 1 if m > DENSE_EIG_LIMIT else max(1, _LINK_BATCH_BYTES // (8 * m * m))
-        for lo in range(lo_g, hi_g, step):
-            hi = min(lo + step, hi_g)
-            e_lo, e_hi = np.searchsorted(edge_rank, [lo, hi])
-            faces = order[lo:hi]
-            lam2[faces], lam_min[faces] = _graph_spectra(
-                hi - lo, m, edge_rank[e_lo:e_hi] - lo, edge_u[e_lo:e_hi],
-                edge_v[e_lo:e_hi], edge_w[e_lo:e_hi])
-    return lam2, lam_min
+    # each face's edges, both directions, as one contiguous run
+    face = np.concatenate([edge_s, edge_s])
+    order = np.argsort(face, kind="stable")
+    entries = (np.concatenate([[0], np.cumsum(np.bincount(face, minlength=lev.size))]),
+               np.concatenate([edge_u, edge_v])[order],
+               np.concatenate([edge_v, edge_u])[order], np.tile(edge_w, 2)[order])
 
+    def fill(ids, shape):
+        if max(shape) <= DENSE_EIG_LIMIT:
+            return _scatter(entries, ids, shape)
+        idx, _ = _runs(entries[0], ids)
+        return sp.csr_matrix((entries[3][idx], (entries[1][idx], entries[2][idx])),
+                             shape=shape)
 
-def _graph_spectra(n_graphs, m, graph, u, v, w):
-    """(lambda2, lambda_min) of ``n_graphs`` graphs on m vertices each, where
-    edge i joins u[i] and v[i] of graph ``graph[i]`` with weight w[i].
-
-    Up to ``DENSE_EIG_LIMIT`` vertices this is one stacked dense solve;
-    beyond it there is a single graph, handed to ``square_lambda``.
-    """
-    if m > DENSE_EIG_LIMIT:
-        w = w / (2.0 * w.sum())  # the Lanczos deflation needs a joint of mass 1
-        joint = sp.coo_matrix((np.concatenate([w, w]),
-                               (np.concatenate([u, v]), np.concatenate([v, u]))),
-                              shape=(m, m)).tocsr()
-        rep = square_lambda(joint, np.asarray(joint.sum(axis=1)).ravel())
-        return rep.lambda2, rep.lambda_min
-    joint = np.zeros((n_graphs, m, m))
-    np.add.at(joint, (graph, u, v), w)
-    np.add.at(joint, (graph, v, u), w)
-    r = 1.0 / np.sqrt(joint.sum(axis=2))
-    vals = np.linalg.eigvalsh(joint * r[:, :, None] * r[:, None, :])
-    lam2 = np.clip(vals[:, -2], -1.0, 1.0)
-    return lam2, np.clip(vals[:, 0], -1.0, lam2)
+    return tuple(_stacked_spectra(np.column_stack([sizes, sizes]), fill))
 
 
 def link_expansion(c: Complex, two_sided: bool = True) -> LinkExpansionReport:
@@ -653,8 +740,25 @@ def edge_expansion_exact(g: WeightedGraph, max_vertices: int = 24) -> EdgeExpans
     if m > max_vertices:
         raise TooLarge(f"{m} vertices exceeds the brute-force cap {max_vertices}")
     joint = np.asarray(g.joint.todense()) if sp.issparse(g.joint) else np.asarray(g.joint)
-    pi = g.vertex_measure
-    best = np.inf
+    best, best_mask = _min_cut_ratio(joint, g.vertex_measure)
+    if best_mask is None:
+        # no subset with 0 < Pr <= 1/2 exists (single live vertex): vacuous
+        return EdgeExpansionReport(phi=math.inf, argmin=None, lambda2=l2,
+                                   cheeger_lower=lower, cheeger_upper=upper,
+                                   cheeger_ok=None)
+    argmin = tuple(int(v) for v in np.flatnonzero([(best_mask >> j) & 1 for j in range(m)]))
+    ok = (lower - SLACK <= best <= upper + SLACK)
+    return EdgeExpansionReport(phi=best, argmin=argmin, lambda2=l2,
+                               cheeger_lower=lower, cheeger_upper=upper,
+                               cheeger_ok=ok)
+
+
+def _min_cut_ratio(joint: np.ndarray, pi: np.ndarray):
+    """Smallest cut(S) / Pr[S] over every vertex set S with 0 < Pr[S] <= 1/2,
+    and the bit mask of the first set reaching it (inf and None when there is
+    no such set)."""
+    m = joint.shape[0]
+    best = math.inf
     best_mask = None
     n_masks = 1 << m
     chunk = 1 << 14
@@ -675,16 +779,7 @@ def edge_expansion_exact(g: WeightedGraph, max_vertices: int = 24) -> EdgeExpans
         if phi[i] < best:
             best = float(phi[i])
             best_mask = int(masks[keep][i])
-    if best_mask is None:
-        # no subset with 0 < Pr <= 1/2 exists (single live vertex): vacuous
-        return EdgeExpansionReport(phi=math.inf, argmin=None, lambda2=l2,
-                                   cheeger_lower=lower, cheeger_upper=upper,
-                                   cheeger_ok=None)
-    argmin = tuple(int(v) for v in np.flatnonzero([(best_mask >> j) & 1 for j in range(m)]))
-    ok = (lower - SLACK <= best <= upper + SLACK)
-    return EdgeExpansionReport(phi=best, argmin=argmin, lambda2=l2,
-                               cheeger_lower=lower, cheeger_upper=upper,
-                               cheeger_ok=ok)
+    return best, best_mask
 
 
 def partition_property_check(g: WeightedGraph, partition, c: float) -> BoundCheck:

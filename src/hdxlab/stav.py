@@ -19,6 +19,11 @@ as one sparse joint, usually a block of the containment joint
 amplification table one flat ``VasaTable``.  The builders fill both by
 gathering sub-faces of face rows through one fixed pattern of positions and
 ranking them with one ``LevelIndex.index_rows`` call per layer.
+
+The local graphs of the goodness checker (per s, v, a or conditioning set)
+are built a kind at a time from these tables, grouped once per instance and
+cached on it, and solved in stacked batches by ``spectra._stacked_spectra``;
+``derive_graph`` reads one graph of the same family.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .complexes import Complex, _encode_rows, _lookup_rows
+from .complexes import Complex, _encode_rows, _group, _lookup_rows
 from .errors import (
     ColorSize,
     HdxError,
@@ -42,7 +47,16 @@ from .errors import (
     SizeCapError,
     ZeroConditioning,
 )
-from .spectra import bipartite_lambda, edge_expansion_exact, square_lambda
+from .spectra import (
+    _check_square_stack,
+    _min_cut_ratio,
+    _runs,
+    _scatter,
+    _shape_batches,
+    _stacked_spectra,
+    bipartite_lambda,
+    square_lambda,
+)
 from .walks import BipartiteGraph, WeightedGraph, _containment_joint, complement_walk
 
 TABULAR_S_CAP = 200_000
@@ -203,19 +217,6 @@ class StavInstance:
             self._cache["vas"] = (av.v_idx[e], av.a_idx[e], st.indices[k],
                                   av.probs[e] * st.data[k])
         return self._cache["vas"]
-
-    def adjacency(self):
-        """Neighbor sets in the reach graph: adj_a[a], adj_v[v]."""
-        if "adjacency" not in self._cache:
-            j = self.reach_joint().tocoo()
-            adj_a = defaultdict(set)
-            adj_v = defaultdict(set)
-            for a, v, p in zip(j.row, j.col, j.data):
-                if p > 0:
-                    adj_a[int(a)].add(int(v))
-                    adj_v[int(v)].add(int(a))
-            self._cache["adjacency"] = (dict(adj_a), dict(adj_v))
-        return self._cache["adjacency"]
 
 
 @dataclass
@@ -632,6 +633,229 @@ def _structured_invariants(x: StructuredHdxStav) -> InvariantReport:
 # -- derived graphs -----------------------------------------------------------------
 
 
+@dataclass
+class _Graphs:
+    """One local graph per conditioning element.
+
+    Graph k has the layer positions ``rows[1][rows[0][k]:rows[0][k+1]]`` as
+    rows and ``cols`` likewise as columns (the columns of a square graph are
+    its rows); a graph without rows has no mass.  ``fill(ids, shape)`` is the
+    dense stack of the joints of graphs ``ids``, all of that shape, each of
+    mass 1.  ``entries`` are the (ptr, row, col, mass) entries grouped by
+    graph, where the family is built from them.
+    """
+
+    rows: tuple
+    cols: tuple
+    fill: object
+    entries: tuple | None = None
+
+    def __post_init__(self):
+        self.shapes = np.column_stack([np.diff(self.rows[0]), np.diff(self.cols[0])])
+
+    def live(self) -> np.ndarray:
+        return np.flatnonzero(self.shapes[:, 0] > 0)
+
+    def spectra(self, ids: np.ndarray, bipartite: bool = False) -> np.ndarray:
+        return _stacked_spectra(self.shapes[ids],
+                                lambda b, shape: self.fill(ids[b], shape), bipartite)
+
+    def joint(self, k: int) -> np.ndarray:
+        return self.fill(np.array([k]), tuple(self.shapes[k]))[0]
+
+
+def _cached(obj, key, build):
+    """``obj._cache[key]``, built on first use."""
+    if key not in obj._cache:
+        obj._cache[key] = build()
+    return obj._cache[key]
+
+
+def _flat_supports(x: StavInstance, layer: str):
+    """A layer's supports as (ptr, ground ids) arrays, cached."""
+    def build():
+        sups = getattr(x, layer)
+        sizes = np.fromiter(map(len, sups), np.int64, len(sups))
+        flat = np.fromiter(itertools.chain.from_iterable(sups), np.int64, int(sizes.sum()))
+        return np.concatenate([[0], np.cumsum(sizes)]), flat
+    return _cached(x, f"flat_{layer}", build)
+
+
+def _local(n: int, g: np.ndarray, keys: tuple, w=None, first_seen: bool = False):
+    """Number the distinct elements (key tuples) within each of n graphs.
+
+    Returns each entry's element position within its graph g (-1 where the
+    element has no positive mass under ``w``), the offsets of each graph's
+    elements and their key arrays.  Elements are numbered in key order, or,
+    with ``first_seen`` and entries grouped by graph, in the order of their
+    first entries.
+    """
+    ids, first = _group(g, *keys)
+    sel = (np.arange(len(first)) if w is None
+           else np.flatnonzero(np.bincount(ids, w, minlength=len(first)) > 0))
+    if first_seen:
+        sel = sel[np.argsort(first[sel], kind="stable")]
+    g_sel = g[first[sel]]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(g_sel, minlength=n))])
+    pos = np.full(len(first), -1, dtype=np.int64)
+    pos[sel] = np.arange(len(sel)) - ptr[g_sel]
+    return pos[ids], ptr, tuple(k[first[sel]] for k in keys)
+
+
+def _run_sums(ptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Sum of each run vals[ptr[k]:ptr[k+1]], summed as one contiguous array
+    (numpy's pairwise sum)."""
+    n = np.diff(ptr)
+    out = np.zeros(len(n))
+    for k in np.unique(n[n > 0]):
+        runs = np.flatnonzero(n == k)
+        out[runs] = vals[_runs(ptr, runs)[0]].reshape(len(runs), k).sum(axis=1)
+    return out
+
+
+def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:
+    """n graphs from entries (graph, local row, local column, mass) grouped by
+    graph; each is scaled to mass 1 by the sum of its entries in entry order."""
+    entries = (np.concatenate([[0], np.cumsum(np.bincount(g, minlength=n))]), r, c, p)
+    total = _run_sums(entries[0], p)
+    return _Graphs(rows, cols, lambda ids, shape: (_scatter(entries, ids, shape)
+                                                   / total[ids][:, None, None]),
+                   entries)
+
+
+def _local_reach_graphs(x: StavInstance) -> _Graphs:
+    """Per s, the (a, v) marginal given s, on the a and v of positive mass.
+    Each s holds its entries in (a, v) order, so that its mass is summed as
+    a canonical sparse matrix would sum it."""
+    def build():
+        vas = x.vas_triples()
+        vv, aa, ss, pp = (col[np.lexsort(vas[:3])] for col in vas)  # by (s, a, v)
+        ra, a_ptr, a_ids = _local(x.n_s, ss, (aa,), pp)
+        cv, v_ptr, v_ids = _local(x.n_s, ss, (vv,), pp)
+        keep = (ra >= 0) & (cv >= 0)
+        return _entry_graphs(x.n_s, ss[keep], ra[keep], cv[keep], pp[keep],
+                             (a_ptr, *a_ids), (v_ptr, *v_ids))
+    return _cached(x, "local_reach", build)
+
+
+def _vasa_v_graphs(x: StavInstance) -> _Graphs:
+    """Per v, the (a1, a2) joint of the amplification given v, on the a of
+    positive mass."""
+    def build():
+        va = x.vasa
+        order = np.argsort(va.v_idx, kind="stable")
+        g, a1, a2, p = (col[order] for col in (va.v_idx, va.a1_idx, va.a2_idx, va.probs))
+        pos, ptr, a_ids = _local(x.n_v, np.concatenate([g, g]), (np.concatenate([a1, a2]),),
+                                 np.concatenate([p, p]))
+        r, c = np.split(pos, 2)
+        keep = (r >= 0) & (c >= 0)
+        rows = (ptr, *a_ids)
+        return _entry_graphs(x.n_v, g[keep], r[keep], c[keep], p[keep], rows, rows)
+    return _cached(x, "vasa_v", build)
+
+
+def _vas_a_graphs(x: StavInstance) -> _Graphs:
+    """Per a, the bipartite joint of v against (a2, s) in the amplification
+    given a1 = a: rows the v of positive mass, columns every (a2, s) pair
+    (an (n, 2) id array) in order of first occurrence."""
+    def build():
+        va = x.vasa
+        order = np.argsort(va.a1_idx, kind="stable")
+        g, v, a2, s, p = (col[order] for col in (va.a1_idx, va.v_idx, va.a2_idx,
+                                                 va.s_idx, va.probs))
+        n_a = len(x.a_labels)
+        rv, v_ptr, v_ids = _local(n_a, g, (v,), p)
+        cp, c_ptr, c_ids = _local(n_a, g, (a2, s), first_seen=True)
+        keep = rv >= 0
+        return _entry_graphs(n_a, g[keep], rv[keep], cp[keep], p[keep], (v_ptr, *v_ids),
+                             (c_ptr, np.column_stack(c_ids)))
+    return _cached(x, "vas_a", build)
+
+
+def _sts_index(x: StavInstance):
+    """Per-instance arrays behind the conditioned pair graphs.
+
+    ``ground_t`` is the binary (ground x T) containment incidence of the
+    middle faces; ``cond`` is the (S x T) conditional matrix of the "indep"
+    tables, with the same entries as ``st_joint`` and empty columns for
+    "pairs" tables; ``pairs`` holds the "pairs" tables as (ptr, i, j, p)
+    runs by t, empty for "indep" tables.
+    """
+    def build():
+        ptr, flat = _flat_supports(x, "t_supports")
+        n_t = len(ptr) - 1
+        n_g = max(len(x.ground_labels), int(flat.max(initial=-1)) + 1)
+        ground_t = sp.csr_matrix((np.ones(len(flat), dtype=np.int64),
+                                  (flat, np.repeat(np.arange(n_t), np.diff(ptr)))),
+                                 shape=(n_g, n_t))
+        ground_t.sum_duplicates()
+        ground_t.data[:] = 1
+        tabs = x.sts.tables
+        e_i, e_p = np.empty(0, np.int64), np.empty(0)
+        ind = [(e_i, e_p) if tab[0] == "pairs" else tab[1:] for tab in tabs]
+        prs = [tab[1:] if tab[0] == "pairs" else (e_i, e_i, e_p) for tab in tabs]
+        cond = sp.csc_matrix((np.concatenate([e_p] + [p for _, p in ind]),
+                              np.concatenate([e_i] + [i for i, _ in ind]),
+                              np.cumsum([0] + [len(i) for i, _ in ind])),
+                             shape=(x.n_s, n_t))
+        pairs = (np.cumsum([0] + [len(tab[0]) for tab in prs]),
+                 *(np.concatenate([empty] + [tab[k] for tab in prs])
+                   for k, empty in enumerate((e_i, e_i, e_p))))
+        return ground_t, cond, pairs
+    return _cached(x, "sts_index", build)
+
+
+def _sts_graphs(x: StavInstance, n: int, c_of: np.ndarray, ids: np.ndarray) -> _Graphs:
+    """Pair graphs conditioned on the middle face containing a ground set, for
+    n sets; set k is the ground ids ``ids[c_of == k]``.
+
+    The selected t are those with mass that contain the set, weighted by
+    their mass.  Their "indep" tables sum to C diag(w) C^T over the
+    conditional columns C, taken on the live rows (one matrix product per
+    batch); "pairs" tables are added entry by entry.  A set that no t with
+    mass contains has no graph.
+    """
+    ground_t, cond, (p_ptr, p_i, p_j, p_p) = _sts_index(x)
+    n_g = ground_t.shape[0]
+    out = (ids < 0) | (ids >= n_g)
+    dead = np.bincount(c_of[out], minlength=n) > 0
+    c_in, g_in = c_of[~out], ids[~out]
+    _, first = _group(c_in, g_in)
+    need = sp.csr_matrix((np.ones(len(first), dtype=np.int64), (c_in[first], g_in[first])),
+                         shape=(n, n_g))
+    hits = (need @ ground_t).tocoo()
+    size = np.bincount(c_in[first], minlength=n)
+    sel = ((hits.data == size[hits.row]) & ~dead[hits.row]
+           & (x.t_probs[hits.col] > 0))
+    order = np.lexsort((hits.col[sel], hits.row[sel]))
+    sc, st = hits.row[sel][order], hits.col[sel][order]
+    w = x.t_probs[st] / np.bincount(sc, x.t_probs[st], minlength=n)[sc]
+    n_sel = np.bincount(sc, minlength=n)
+    slot = np.arange(len(sc)) - (np.cumsum(n_sel) - n_sel)[sc]
+    ie, ib = _runs(cond.indptr, st)
+    pe, pb = _runs(p_ptr, st)
+    # live rows of each set: every s of its tables, in s order
+    pos, s_ptr, (s_ids,) = _local(n, np.concatenate([sc[ib], sc[pb], sc[pb]]),
+                                  (np.concatenate([cond.indices[ie], p_i[pe], p_j[pe]]),))
+    li, pi, pj = np.split(pos, [len(ie), len(ie) + len(pe)])
+
+    def ptr(sets):
+        return np.concatenate([[0], np.cumsum(np.bincount(sets, minlength=n))])
+
+    cond_e = (ptr(sc[ib]), li, slot[ib], cond.data[ie])
+    slot_e = (ptr(sc), np.zeros(len(sc), dtype=np.int64), slot, w)
+    pair_e = (ptr(sc[pb]), pi, pj, w[pb] * p_p[pe])
+
+    def fill(b, shape):
+        m, k = shape[0], int(n_sel[b].max())
+        c = _scatter(cond_e, b, (m, k))
+        dense = np.matmul(c * _scatter(slot_e, b, (1, k)), c.transpose(0, 2, 1))
+        return dense + _scatter(pair_e, b, shape) if len(pe) else dense
+
+    rows = (s_ptr, s_ids)
+    return _Graphs(rows, rows, fill)
+
+
 def derive_graph(x: StavInstance, kind: str, element=None):
     """Local views of the distributions as weighted or bipartite graphs."""
     if x.mode != "tabular":
@@ -639,57 +863,35 @@ def derive_graph(x: StavInstance, kind: str, element=None):
     if kind == "reach":
         j = x.reach_joint()
         return BipartiteGraph(x.a_labels, x.v_labels, _densify(j))
-    if kind == "local_reach":
-        si = _find(x, "s_labels", element)
-        vv, aa, ss, pp = x.vas_triples()
-        sel = ss == si
-        j = _accumulate((aa[sel], vv[sel], pp[sel]),
-                        (len(x.a_labels), x.n_v))
-        total = j.sum()
-        if total <= 0:
-            raise ZeroConditioning(f"s element {element} has no mass")
-        return BipartiteGraph(x.a_labels, x.v_labels, _densify(j) / total)
-    if kind == "sts_a":
-        ai = _find(x, "a_labels", element)
-        return _sts_conditioned(x, set(x.a_supports[ai]))
-    if kind == "sts_av":
-        a_el, v_el = element
-        ai = _find(x, "a_labels", a_el)
-        vi = _find(x, "v_labels", v_el)
-        need = set(x.a_supports[ai]) | {int(x.v_ground[vi])}
-        return _sts_conditioned(x, need)
-    if kind == "vasa_v":
-        vi = _find(x, "v_labels", element)
-        sel = x.vasa.v_idx == vi
-        if not sel.any():
-            raise ZeroConditioning(f"v element {element} has no mass")
-        j = _accumulate((x.vasa.a1_idx[sel], x.vasa.a2_idx[sel], x.vasa.probs[sel]),
-                        (len(x.a_labels), len(x.a_labels)))
-        live = np.asarray((j.sum(axis=0) + j.sum(axis=1).T)).ravel() > 0
-        keep = np.flatnonzero(live)
-        dense = _densify(j)[np.ix_(keep, keep)]
-        dense = dense / dense.sum()
-        return WeightedGraph([x.a_labels[i] for i in keep], dense)
-    if kind == "vas_a":
-        ai = _find(x, "a_labels", element)
-        sel = x.vasa.a1_idx == ai
-        if not sel.any():
-            raise ZeroConditioning(f"a element {element} has no mass")
-        pairs = {}
-        for a2, s in zip(x.vasa.a2_idx[sel], x.vasa.s_idx[sel]):
-            pairs.setdefault((int(a2), int(s)), len(pairs))
-        cols = np.array([pairs[(int(a2), int(s))]
-                         for a2, s in zip(x.vasa.a2_idx[sel], x.vasa.s_idx[sel])])
-        j = _accumulate((x.vasa.v_idx[sel], cols, x.vasa.probs[sel]),
-                        (x.n_v, len(pairs)))
-        dense = _densify(j)
-        live = dense.sum(axis=1) > 0
-        keep = np.flatnonzero(live)
-        dense = dense[keep] / dense.sum()
-        labels = [None] * len(pairs)
-        for (a2, s), i in pairs.items():
-            labels[i] = (x.a_labels[a2], x.s_labels[s])
-        return BipartiteGraph([x.v_labels[i] for i in keep], labels, dense)
+    if kind in ("sts_a", "sts_av"):
+        a_el, v_el = (element, None) if kind == "sts_a" else element
+        need = list(x.a_supports[_find(x, "a_labels", a_el)])
+        if kind == "sts_av":
+            need.append(int(x.v_ground[_find(x, "v_labels", v_el)]))
+        need = np.array(need, dtype=np.int64)
+        graphs = _sts_graphs(x, 1, np.zeros(len(need), dtype=np.int64), need)
+        if not len(graphs.live()):
+            raise ZeroConditioning("conditioning event has zero probability")
+        return WeightedGraph([x.s_labels[i] for i in graphs.rows[1]], graphs.joint(0))
+    if kind in ("local_reach", "vasa_v", "vas_a"):
+        layer, build = {"local_reach": ("s_labels", _local_reach_graphs),
+                        "vasa_v": ("v_labels", _vasa_v_graphs),
+                        "vas_a": ("a_labels", _vas_a_graphs)}[kind]
+        k = _find(x, layer, element)
+        graphs = build(x)
+        if graphs.shapes[k, 0] == 0:
+            raise ZeroConditioning(f"{layer[0]} element {element} has no mass")
+        (r_ptr, r_ids), (c_ptr, c_ids) = graphs.rows, graphs.cols
+        rows, cols = r_ids[r_ptr[k]:r_ptr[k + 1]], c_ids[c_ptr[k]:c_ptr[k + 1]]
+        joint = graphs.joint(k)
+        if kind == "vasa_v":
+            return WeightedGraph([x.a_labels[i] for i in rows], joint)
+        if kind == "vas_a":
+            return BipartiteGraph([x.v_labels[i] for i in rows],
+                                  [(x.a_labels[a2], x.s_labels[s]) for a2, s in cols], joint)
+        full = np.zeros((len(x.a_labels), x.n_v))
+        full[np.ix_(rows, cols)] = joint
+        return BipartiteGraph(x.a_labels, x.v_labels, full)
     if kind == "t_lower":
         ti = _find(x, "t_labels", element)
         t_sup = set(x.t_supports[ti])
@@ -731,65 +933,6 @@ def _accumulate(triplet, shape):
     m = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
     m.sum_duplicates()
     return m
-
-
-def _sts_index(x: StavInstance):
-    """Per-instance arrays behind the conditioned pair graphs.
-
-    ``ground_t`` is the (ground x T) containment incidence of the middle faces;
-    ``cond`` is the (S x T) conditional matrix of the "indep" tables, with the
-    same entries as ``st_joint`` and empty columns for "pairs" tables, which
-    ``is_pairs`` marks.
-    """
-    if "sts_index" not in x._cache:
-        sizes = np.array([len(sup) for sup in x.t_supports], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(x.t_supports),
-                           dtype=np.int64, count=int(sizes.sum()))
-        n_g = max(len(x.ground_labels), int(flat.max(initial=-1)) + 1)
-        t_of = np.repeat(np.arange(len(sizes)), sizes)
-        ground_t = sp.csr_matrix((np.ones(len(flat)), (flat, t_of)),
-                                 shape=(n_g, len(sizes)))
-        is_pairs = np.array([tab[0] == "pairs" for tab in x.sts.tables], dtype=bool)
-        empty = (np.empty(0, np.int64), np.empty(0))
-        cols = [empty if tab[0] == "pairs" else tab[1:] for tab in x.sts.tables]
-        cond = sp.csc_matrix((np.concatenate([empty[1]] + [p for _, p in cols]),
-                              np.concatenate([empty[0]] + [i for i, _ in cols]),
-                              np.cumsum([0] + [len(i) for i, _ in cols])),
-                             shape=(x.n_s, len(cols)))
-        x._cache["sts_index"] = (ground_t, cond, is_pairs)
-    return x._cache["sts_index"]
-
-
-def _sts_conditioned(x: StavInstance, need: set) -> WeightedGraph:
-    """Pair graph conditioned on the middle face containing ``need``.
-
-    The "indep" tables of the selected t sum to C diag(w) C^T over the
-    conditional matrix C, taken on the live rows; explicit "pairs" tables are
-    added entry by entry.
-    """
-    ground_t, cond, is_pairs = _sts_index(x)
-    if not all(0 <= g < ground_t.shape[0] for g in need):
-        raise ZeroConditioning("conditioning event has zero probability")
-    hits = np.bincount(ground_t[sorted(need)].indices, minlength=ground_t.shape[1])
-    t_sel = np.flatnonzero((hits == len(need)) & (x.t_probs > 0))
-    if not len(t_sel):
-        raise ZeroConditioning("conditioning event has zero probability")
-    w = x.t_probs[t_sel] / x.t_probs[t_sel].sum()
-    tabs = [x.sts.tables[ti] for ti in t_sel[is_pairs[t_sel]]]
-    p_i = np.concatenate([np.empty(0, np.int64)] + [tab[1] for tab in tabs])
-    p_j = np.concatenate([np.empty(0, np.int64)] + [tab[2] for tab in tabs])
-    p_w = np.concatenate([np.empty(0)] + [wt * tab[3] for wt, tab
-                                          in zip(w[is_pairs[t_sel]], tabs)])
-    c_sel = cond[:, t_sel]
-    live = np.unique(np.concatenate([c_sel.indices, p_i, p_j]))
-    pos = np.zeros(x.n_s, dtype=np.int64)
-    pos[live] = np.arange(len(live))
-    # C restricted to the live rows and selected columns is small and dense
-    block = sp.csc_matrix((c_sel.data, pos[c_sel.indices], c_sel.indptr),
-                          shape=(len(live), len(t_sel))).toarray()
-    dense = (block * w) @ block.T
-    np.add.at(dense, (pos[p_i], pos[p_j]), p_w)
-    return WeightedGraph([x.s_labels[i] for i in live], dense)
 
 
 # -- goodness check ------------------------------------------------------------------
@@ -865,39 +1008,6 @@ def goodness_check(x, gamma: float, r: float = 1.0,
     return _goodness_tabular(x, gamma, r, cfg)
 
 
-def _lambda_two_sided(g: WeightedGraph):
-    rep = square_lambda(g.joint, g.vertex_measure)
-    return rep.lambda2, rep.two_sided
-
-
-def _bipartite_value(g: WeightedGraph):
-    """Bipartite reading of a symmetric graph, when its support is 2-colorable."""
-    dense = _densify(g.joint)
-    m = dense.shape[0]
-    if np.any(np.diag(dense) > 0):
-        return None
-    color = -np.ones(m, dtype=int)
-    for start in range(m):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in np.flatnonzero(dense[u] > 0):
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    stack.append(int(w))
-                elif color[w] == color[u]:
-                    return None
-    left = np.flatnonzero(color == 0)
-    right = np.flatnonzero(color == 1)
-    if len(left) == 0 or len(right) == 0:
-        return None
-    block = dense[np.ix_(left, right)] * 2.0
-    return bipartite_lambda(block, block.sum(axis=1), block.sum(axis=0)).lambda_bip
-
-
 def _sampler_spot_checks(joint: np.ndarray, delta: float, n_checks: int,
                          rng) -> int:
     """Direct checks of the delta-sampling property on random right subsets."""
@@ -919,6 +1029,24 @@ def _sampler_spot_checks(joint: np.ndarray, delta: float, n_checks: int,
     return int(np.count_nonzero(good_mass < 1.0 / 3.0 - 1e-12))
 
 
+def _two_colourable(graphs: _Graphs, ids: np.ndarray) -> np.ndarray:
+    """Whether the support of each square graph ``ids`` has no loop and no odd
+    cycle: one connected-components pass over the bipartite double covers of
+    all of them, where a vertex and its copy meet exactly on odd cycles (a
+    loop is one)."""
+    ptr, r, c, p = graphs.entries
+    idx, b = _runs(ptr, ids)
+    sizes = graphs.shapes[ids, 0]
+    start = (np.cumsum(sizes) - sizes)[b]
+    u, w, n, on = start + r[idx], start + c[idx], int(sizes.sum()), p[idx] > 0
+    cover = sp.csr_matrix((np.ones(2 * int(on.sum())), (np.concatenate([u[on], n + u[on]]),
+                                                        np.concatenate([n + w[on], w[on]]))),
+                          shape=(2 * n, 2 * n))
+    comp = csgraph.connected_components(cover, directed=False)[1]
+    odd = np.repeat(np.arange(len(ids)), sizes)[comp[:n] == comp[n:]]
+    return np.bincount(odd, minlength=len(ids)) == 0
+
+
 def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     if x.n_s > 50_000 or len(x.vasa) > TABULAR_TABLE_CAP:
         raise SizeCapError("instance too large for the exhaustive goodness check")
@@ -926,90 +1054,79 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     reach = x.reach_joint()
     a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
                           np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
+    rc = reach.tocoo()
+    ra, rv = rc.row[rc.data > 0], rc.col[rc.data > 0]
 
-    # A2a: edge expansion of every a-conditioned pair graph
-    min_phi = np.inf
-    a2a_method = "brute_force"
-    for ai in range(len(x.a_labels)):
-        try:
-            g = derive_graph(x, "sts_a", x.a_labels[ai])
-        except ZeroConditioning:
-            continue
-        m = g.joint.shape[0]
-        if m <= cfg.brute_force_vertices:
-            phi = edge_expansion_exact(g, cfg.brute_force_vertices).phi
-        else:
-            a2a_method = "cheeger_lower_bound"
-            l2, _ = _lambda_two_sided(g)
-            phi = (1.0 - l2) / 2.0
-        min_phi = min(min_phi, phi)
+    # A2a: edge expansion of every a-conditioned pair graph, brute force up
+    # to the vertex cap, else the Cheeger lower bound (1 - lambda2) / 2
+    a_ptr, a_ground = _flat_supports(x, "a_supports")
+    n_a = len(x.a_labels)
+    graphs = _sts_graphs(x, n_a, np.repeat(np.arange(n_a), np.diff(a_ptr)), a_ground)
+    m = graphs.shapes[:, 0]
+    small = np.flatnonzero((m > 0) & (m <= cfg.brute_force_vertices))
+    large = np.flatnonzero(m > cfg.brute_force_vertices)
+    phis = [np.inf]
+    for shape, ids in _shape_batches(graphs.shapes[small]):
+        stack = graphs.fill(small[ids], shape)
+        pi = stack.sum(axis=2)
+        _check_square_stack(stack, pi)
+        phis += [_min_cut_ratio(j, p)[0] for j, p in zip(stack, pi)]
+    if len(large):
+        phis.append(float(np.min((1.0 - graphs.spectra(large)[0]) / 2.0)))
+    a2a_method = "cheeger_lower_bound" if len(large) else "brute_force"
 
-    # A2b: two-sided expansion of every (a, v)-conditioned pair graph
-    a2b = 0.0
-    adj_a, adj_v = x.adjacency()
-    for ai, vs in adj_a.items():
-        for vi in vs:
-            try:
-                g = derive_graph(x, "sts_av", (x.a_labels[ai], x.v_labels[vi]))
-            except ZeroConditioning:
-                continue
-            _, two = _lambda_two_sided(g)
-            a2b = max(a2b, two)
+    # A2b: two-sided expansion of every (a, v)-conditioned pair graph, (a, v)
+    # over the support of the reach graph
+    idx, pair = _runs(a_ptr, ra)
+    graphs = _sts_graphs(x, len(ra), np.concatenate([pair, np.arange(len(ra))]),
+                         np.concatenate([a_ground[idx], x.v_ground[rv]]))
+    lam2, lam_min = graphs.spectra(graphs.live())
+    a2b = float(np.max(np.maximum(np.abs(lam2), np.abs(lam_min)), initial=0.0))
 
-    # A3a: each v-conditioned amplification graph, square or bipartite reading
-    a3a = 0.0
-    for vi in range(x.n_v):
-        try:
-            g = derive_graph(x, "vasa_v", x.v_labels[vi])
-        except ZeroConditioning:
-            continue
-        _, two = _lambda_two_sided(g)
-        bip = _bipartite_value(g)
-        a3a = max(a3a, two if bip is None else min(two, bip))
+    # A3a: each v-conditioned amplification graph, two-sided; a graph with a
+    # 2-colourable support is read as bipartite, where its spectrum is +-sigma
+    # and the bipartite value sigma_2 is lambda2
+    graphs = _vasa_v_graphs(x)
+    live = graphs.live()
+    lam2, lam_min = graphs.spectra(live)
+    a3a = float(np.max(np.where(_two_colourable(graphs, live), lam2,
+                                np.maximum(np.abs(lam2), np.abs(lam_min))), initial=0.0))
 
     # A3b: each a-conditioned bipartite amplification graph
-    a3b = 0.0
-    for ai in range(len(x.a_labels)):
-        try:
-            g = derive_graph(x, "vas_a", x.a_labels[ai])
-        except ZeroConditioning:
-            continue
-        a3b = max(a3b, bipartite_lambda(g.joint, g.left_measure,
-                                        g.right_measure).lambda_bip)
+    graphs = _vas_a_graphs(x)
+    a3b = float(np.max(graphs.spectra(graphs.live(), bipartite=True), initial=0.0))
 
-    # A4: local reach graphs as samplers
+    # A4: local reach graphs as samplers; the spot checks draw from one
+    # stream, s by s
+    graphs = _local_reach_graphs(x)
+    empty = np.flatnonzero(graphs.shapes[:, 0] == 0)
+    if len(empty):
+        raise ZeroConditioning(f"s element {x.s_labels[empty[0]]} has no mass")
+    a4 = float(np.max(graphs.spectra(np.arange(x.n_s), bipartite=True), initial=0.0))
     rng = np.random.default_rng(cfg.seed)
-    a4 = 0.0
-    spot_failures = 0
-    for si in range(x.n_s):
-        g = derive_graph(x, "local_reach", x.s_labels[si])
-        dense = _densify(g.joint)
-        live_a = dense.sum(axis=1) > 0
-        live_v = dense.sum(axis=0) > 0
-        dense = dense[np.ix_(live_a, live_v)]
-        a4 = max(a4, bipartite_lambda(dense, dense.sum(axis=1),
-                                      dense.sum(axis=0)).lambda_bip)
-        spot_failures += _sampler_spot_checks(dense, r * gamma,
-                                              cfg.sampler_spot_checks, rng)
+    spot_failures = sum(_sampler_spot_checks(graphs.joint(si), r * gamma,
+                                             cfg.sampler_spot_checks, rng)
+                        for si in range(x.n_s))
 
-    # A5: weighted conditional of landing in the reach of a inside s
+    # A5: weighted conditional of landing in the reach of a inside s, over
+    # the (a, s) pairs of the amplification's support
     vm = x.v_marginal()
-    ground_to_v = {int(g): i for i, g in enumerate(x.v_ground)}
-    a5 = np.inf
+    s_ptr, s_ground = _flat_supports(x, "s_supports")
+    ground_to_v = np.full(max(int(s_ground.max(initial=-1)),
+                              int(x.v_ground.max(initial=-1))) + 1, -1)
+    ground_to_v[x.v_ground] = np.arange(x.n_v)
     vv, aa, ss, pp = x.vas_triples()
-    support_as = {(int(a), int(s)) for a, s, p in zip(aa, ss, pp) if p > 0}
-    for ai, si in support_as:
-        num = den = 0.0
-        for gv in x.s_supports[si]:
-            vi = ground_to_v.get(int(gv))
-            if vi is None:
-                continue  # outside the v-layer, zero mass under the v-marginal
-            den += vm[vi]
-            if vi in adj_a.get(ai, ()):
-                num += vm[vi]
-        a5 = min(a5, num / den if den > 0 else 0.0)
+    _, first = _group(aa[pp > 0], ss[pp > 0])
+    pa, ps = aa[pp > 0][first], ss[pp > 0][first]
+    idx, k = _runs(s_ptr, ps)
+    vi = ground_to_v[s_ground[idx]]
+    k, vi = k[vi >= 0], vi[vi >= 0]  # outside the v-layer: zero mass
+    hit = np.isin(pa[k] * x.n_v + vi, ra * x.n_v + rv)
+    den = np.bincount(k, vm[vi], minlength=len(pa))
+    num = np.bincount(k, vm[vi] * hit, minlength=len(pa))
+    a5 = np.min(np.divide(num, den, out=np.zeros(len(pa)), where=den > 0), initial=np.inf)
 
-    vals = dict(a1_reach_lambda=a1, a2a_min_edge_expansion=float(min_phi),
+    vals = dict(a1_reach_lambda=a1, a2a_min_edge_expansion=float(min(phis)),
                 a2a_method=a2a_method, a2b_max_lambda=a2b,
                 a2b_method="dense", a3a_max_lambda=a3a, a3b_max_lambda=a3b,
                 a4_max_av_lambda=a4, a4_spot_check_failures=spot_failures,
@@ -1125,21 +1242,25 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
 
 
 def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
-    """Two-sided expansion of the disjoint-pair graph in the link of v."""
-    others = np.array([u for u in range(c.n_vertices) if u != v], dtype=np.int64)
+    """Two-sided expansion of the disjoint-pair graph in the link of v.
+
+    On a uniform complete complex it is the Kneser graph K(n-1, l), whose
+    normalised eigenvalues are (-1)^i C(n-1-l-i, l-i) / C(n-1-l, l) for
+    i = 0..l; the largest magnitude past i = 0 is the value.  Otherwise the
+    operator is assembled from the 2l-faces through v.
+    """
     if c.uniform_complete:
-        unions = itertools.combinations(range(len(others)), 2 * l)
-        union_rows = np.array(list(unions), dtype=np.int64)
-        union_rows = others[union_rows]
-        mass = np.full(len(union_rows), 1.0)
-    else:
-        lev = c.level(2 * l)
-        has_v = (lev.faces == v).any(axis=1)
-        rows = lev.faces[has_v]
-        union_rows = rows[rows != v].reshape(len(rows), 2 * l)
-        mass = c.containment_mass_rows(
-            np.sort(np.concatenate([union_rows,
-                                    np.full((len(union_rows), 1), v)], axis=1), axis=1))
+        m = c.n_vertices - 1
+        return max(math.comb(m - l - i, l - i) / math.comb(m - l, l)
+                   for i in range(1, l + 1))
+    others = np.array([u for u in range(c.n_vertices) if u != v], dtype=np.int64)
+    lev = c.level(2 * l)
+    has_v = (lev.faces == v).any(axis=1)
+    rows = lev.faces[has_v]
+    union_rows = rows[rows != v].reshape(len(rows), 2 * l)
+    mass = c.containment_mass_rows(
+        np.sort(np.concatenate([union_rows,
+                                np.full((len(union_rows), 1), v)], axis=1), axis=1))
     # a-faces inside the link, as rows of positions in `others`, key-sorted
     n_o = len(others)
     a_keys = _encode_rows(np.array(list(itertools.combinations(range(n_o), l)),
@@ -1207,14 +1328,24 @@ def _read_tables(tables: list, what: str):
             np.array([r[1] for r in rows], dtype=np.int64), p)
 
 
+def _json_rows(*cols) -> np.ndarray:
+    """Parallel arrays as one object array of rows of Python ints and floats,
+    whose ``tolist`` is the JSON row lists."""
+    return np.column_stack([np.asarray(col, dtype=object) for col in cols])
+
+
 def stav_to_json_dict(x: StavInstance) -> dict:
     def lab(v):
         return list(v) if isinstance(v, tuple) else v
 
+    n_t = len(x.t_probs)
     st = x.st_joint.tocoo()
     vasa, av = x.vasa, x.av
-    av_rows = np.column_stack([np.asarray(col, dtype=object)
-                               for col in (av.a_idx, av.v_idx, av.probs)])
+    pairs = [x.sts.pair_arrays(ti) for ti in range(n_t)]
+    e_i = np.empty(0, np.int64)
+    pair_rows = np.split(_json_rows(*(np.concatenate([empty] + [tab[k] for tab in pairs])
+                                      for k, empty in enumerate((e_i, e_i, np.empty(0))))),
+                         np.cumsum([len(tab[0]) for tab in pairs])[:-1])
     return {
         "provenance": x.provenance,
         "ground": [lab(v) for v in x.ground_labels],
@@ -1226,15 +1357,12 @@ def stav_to_json_dict(x: StavInstance) -> dict:
               for t, s in zip(x.t_labels, x.t_supports)],
         "S": [{"label": lab(s), "support": list(sup)}
               for s, sup in zip(x.s_labels, x.s_supports)],
-        "st_joint": [[int(i), int(j), float(p)]
-                     for i, j, p in zip(st.row, st.col, st.data)],
-        "av_tables": [rows.tolist() for (rows,) in _cut(av.t_idx, len(x.t_probs), av_rows)],
-        "sts_pairs": [[[int(i), int(j), float(p)]
-                       for i, j, p in zip(*x.sts.pair_arrays(ti))]
-                      for ti in range(len(x.t_probs))],
-        "vasa": [[int(v), int(a1), int(s), int(a2), float(p)]
-                 for v, a1, s, a2, p in zip(vasa.v_idx, vasa.a1_idx, vasa.s_idx,
-                                            vasa.a2_idx, vasa.probs)],
+        "st_joint": _json_rows(st.row, st.col, st.data).tolist(),
+        "av_tables": [rows.tolist() for (rows,) in
+                      _cut(av.t_idx, n_t, _json_rows(av.a_idx, av.v_idx, av.probs))],
+        "sts_pairs": [rows.tolist() for rows in pair_rows],
+        "vasa": _json_rows(vasa.v_idx, vasa.a1_idx, vasa.s_idx, vasa.a2_idx,
+                           vasa.probs).tolist(),
     }
 
 

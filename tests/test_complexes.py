@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hdxlab.complexes import (
     Complex,
@@ -26,6 +29,8 @@ from hdxlab.errors import (
     UsageError,
     ZeroWeight,
 )
+
+from conftest import random_weighted_complex
 
 
 def test_single_simplex_levels():
@@ -241,3 +246,60 @@ def test_size_cap_multiplier(monkeypatch):
         monkeypatch.setenv("HDX_SIZE_CAP", bad)
         with pytest.raises(UsageError):
             size_cap_multiplier()
+
+
+def _json_copy(c: Complex) -> Complex:
+    return complex_from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+
+
+def assert_same_levels(c: Complex, c2: Complex):
+    assert (c2.n_vertices, c2.d, c2.coloring) == (c.n_vertices, c.d, c.coloring)
+    for k in range(c.d + 1):
+        np.testing.assert_array_equal(c2.level(k).faces, c.level(k).faces)
+        np.testing.assert_allclose(c2.level(k).measure, c.level(k).measure,
+                                   rtol=0, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), d=st.integers(1, 3))
+def test_json_roundtrip_random_weighted(seed, n, d):
+    assume(d + 2 <= n)  # more than one top, with unequal random weights
+    c = random_weighted_complex(seed, n, d)
+    c2 = _json_copy(c)
+    assert not c2.uniform_complete
+    assert_same_levels(c, c2)
+
+
+@given(n=st.integers(2, 9), d=st.integers(0, 4))
+def test_json_roundtrip_restores_uniform_complete(n, d):
+    assume(d + 1 <= n)
+    c = complete_complex(n, d)
+    c2 = _json_copy(c)
+    assert c2.uniform_complete and c2._tops is None
+    assert_same_levels(c, c2)
+
+
+@given(n=st.integers(3, 8), d=st.integers(0, 3), which=st.integers(0, 10**6),
+       change=st.sampled_from(["weight", "drop", "coloring"]))
+def test_json_roundtrip_keeps_near_complete_general(n, d, which, change):
+    """A complete complex with one weight changed, one top removed (where the
+    rest still covers every vertex) or a coloring stays on the general path."""
+    if change == "coloring":  # only the single simplex is a colored complete complex
+        n = d + 1
+    assume(d + 2 <= n or change == "coloring")
+    data = complete_complex(n, d).to_json_dict()
+    i = which % len(data["top_faces"])
+    if change == "weight":
+        data["top_faces"][i]["weight"] *= 1.5
+    elif change == "drop":
+        assume(d >= 1)
+        del data["top_faces"][i]
+    else:
+        data["coloring"] = list(range(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the changed weights are renormalised
+        c = complex_from_json_dict(data)
+        c2 = _json_copy(c)
+    assert not c.uniform_complete and not c2.uniform_complete
+    assert_same_levels(c, c2)
+    tops, weights = c.top_arrays()
+    assert len(tops) == len(data["top_faces"])

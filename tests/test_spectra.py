@@ -395,3 +395,62 @@ def test_partite_mixing_random_subsets():
     assert rep.measured == pytest.approx(rep.predicted, abs=1e-12)
     assert rep.observed_constant is None or rep.observed_constant >= 0
     del rng
+
+
+# -- the stacked solver shared by link spectra and goodness ---------------------------
+
+
+def _random_graphs(rng, shapes, square):
+    """One random positive joint per shape, symmetric when ``square``."""
+    out = []
+    for r, c in shapes:
+        j = rng.gamma(1.0, 1.0, size=(r, c)) * (rng.random((r, c)) < 0.8) + 1e-3
+        out.append(j + j.T if square else j)
+    return out
+
+
+def _fill(graphs):
+    return lambda ids, shape: np.stack([graphs[i] for i in ids])
+
+
+@pytest.mark.parametrize("batch_bytes", [1 << 24, 8 * 5 * 5])
+def test_stacked_solver_matches_single_solves(monkeypatch, batch_bytes):
+    import hdxlab.spectra as spectra
+    monkeypatch.setattr(spectra, "_LINK_BATCH_BYTES", batch_bytes)
+    rng = np.random.default_rng(4)
+    sizes = [5, 1, 3, 5, 3, 8, 5, 2]
+    graphs = _random_graphs(rng, [(m, m) for m in sizes], square=True)
+    lam2, lam_min = spectra._stacked_spectra(np.array([(m, m) for m in sizes]),
+                                             _fill(graphs))
+    for j, l2, lm in zip(graphs, lam2, lam_min):
+        rep = square_lambda(j / j.sum(), j.sum(axis=1) / j.sum())
+        assert (l2, lm) == pytest.approx((rep.lambda2, rep.lambda_min), abs=1e-12)
+    shapes = [(3, 5), (1, 4), (3, 5), (6, 2), (4, 1), (3, 5)]
+    graphs = _random_graphs(rng, shapes, square=False)
+    lam = spectra._stacked_spectra(np.array(shapes), _fill(graphs), bipartite=True)
+    for j, got in zip(graphs, lam):
+        j = j / j.sum()
+        want = spectra.bipartite_lambda(j, j.sum(axis=1), j.sum(axis=0)).lambda_bip
+        assert got == pytest.approx(want, abs=1e-12)
+    assert lam[1] == lam[4] == 0.0  # one-vertex sides are trivial
+
+
+def test_stacked_solver_raises_on_bad_input():
+    import hdxlab.spectra as spectra
+    j = _random_graphs(np.random.default_rng(5), [(4, 4)], square=True)[0]
+    lopsided = j.copy()
+    lopsided[0, 1] += 0.5
+    with pytest.raises(NotReversible):
+        spectra._stacked_spectra(np.array([(4, 4)]), _fill([lopsided]))
+    isolated = j.copy()
+    isolated[2, :] = isolated[:, 2] = 0.0
+    with pytest.raises(InconsistentMarginals):
+        spectra._stacked_spectra(np.array([(4, 4)]), _fill([isolated]))
+    with pytest.raises(InconsistentMarginals):
+        spectra._stacked_spectra(np.array([(4, 4)]), _fill([isolated[:, [0, 1, 3, 2]]]),
+                                 bipartite=True)
+    b = j[None] / j.sum()
+    with pytest.raises(InconsistentMarginals):  # measures that are not the marginals
+        spectra._bipartite_stack(b, b.sum(axis=2)[:, ::-1], b.sum(axis=1))
+    with pytest.raises(NotReversible):
+        spectra._square_stack(lopsided[None], lopsided.sum(axis=1)[None])

@@ -111,7 +111,7 @@ def test_derive_t_lower_lambda(hdx951):
 
 def test_derive_sts_av_clique(hdx951):
     a = hdx951.a_labels[0]
-    v = next(iter(hdx951.adjacency()[0][0]))
+    v = int(hdx951.reach_joint()[0].indices[0])  # a vertex reached from a
     g = derive_graph(hdx951, "sts_av", (a, hdx951.v_labels[v]))
     rep = square_spectrum(g)
     assert abs(rep.lambda2) <= 1e-10 and abs(rep.lambda_min) <= 1e-10

@@ -28,13 +28,17 @@ from hdxlab.complexes import build_from_top_faces, complete_complex, \
 from hdxlab.decoder import in_one_set_test
 from hdxlab.errors import ZeroConditioning
 from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
-from hdxlab.spectra import square_lambda
+from hdxlab.walks import BipartiteGraph, WeightedGraph
+from hdxlab.spectra import bipartite_lambda, edge_expansion_exact, square_lambda
 from hdxlab.stav import (
+    GoodnessConfig,
     STSTable,
     VasaTable,
+    _assemble_report,
     _sampler_spot_checks,
     _structured_vasa_v_lambda,
     derive_graph,
+    goodness_check,
     hdx_stav,
     invariant_report,
     neighborhood_stav,
@@ -43,7 +47,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import random_partite_complex, random_weighted_complex
+from conftest import kneser_lambda, random_partite_complex, random_weighted_complex
 
 
 def sts_conditioned_loop(x, need):
@@ -151,10 +155,20 @@ def instances():
     return _instances()
 
 
+def reach_neighbours(x):
+    """The v of positive reach mass of each a, as sets."""
+    j = x.reach_joint().tocoo()
+    adj_a = defaultdict(set)
+    for a, v, p in zip(j.row, j.col, j.data):
+        if p > 0:
+            adj_a[int(a)].add(int(v))
+    return dict(adj_a)
+
+
 def _conditioned_pairs(x):
     """Every a, and every (a, v) with reach mass, as derive_graph calls and
     the conditioning sets the oracle takes."""
-    adj_a, _ = x.adjacency()
+    adj_a = reach_neighbours(x)
     for ai, a in enumerate(x.a_labels):
         yield ("sts_a", a), set(x.a_supports[ai])
         for vi in sorted(adj_a.get(ai, ())):
@@ -198,6 +212,16 @@ def test_structured_vasa_rank_matches_dict_complete():
     c = complete_complex(12, 6)
     assert _structured_vasa_v_lambda(c, 6, 2, 0) == pytest.approx(
         structured_vasa_v_lambda_dict(c, 6, 2, 0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,d,l", [(14, 8, 3), (16, 8, 2), (9, 5, 1), (11, 8, 3)])
+def test_structured_vasa_kneser_closed_form(n, d, l):
+    # the closed form against the assembled disjointness operator on the
+    # l-subsets of the link, and against the exact-rational Kneser spectrum
+    c = complete_complex(n, d)
+    got = _structured_vasa_v_lambda(c, d, l, 0)
+    assert got == pytest.approx(structured_vasa_v_lambda_dict(c, d, l, 0), abs=1e-12)
+    assert got == pytest.approx(kneser_lambda(n - 1, l), abs=1e-15)
 
 
 def _split_graph(d, l):
@@ -760,3 +784,271 @@ def test_stav_json_matches_golden(name):
     with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.json")) as fh:
         want = json.load(fh)
     assert stav_to_json_dict(GOLDEN_STAV[name]()) == want
+
+
+# -- goodness stages ----------------------------------------------------------------
+
+
+def sts_conditioned_per_element(x, need):
+    """Pair graph conditioned on the middle face containing ``need``, for one
+    set at a time: the selected "indep" tables as C diag(w) C^T over their
+    conditional columns C, "pairs" tables added entry by entry."""
+    if "oracle_sts" not in x._cache:
+        sizes = [len(sup) for sup in x.t_supports]
+        ground_t = sp.csr_matrix((np.ones(sum(sizes)), (
+            np.fromiter(itertools.chain.from_iterable(x.t_supports), np.int64, sum(sizes)),
+            np.repeat(np.arange(len(sizes)), sizes))))
+        cols = [(np.empty(0, np.int64), np.empty(0)) if tab[0] == "pairs" else tab[1:]
+                for tab in x.sts.tables]
+        cond = sp.csc_matrix((np.concatenate([np.empty(0)] + [p for _, p in cols]),
+                              np.concatenate([np.empty(0, np.int64)] + [i for i, _ in cols]),
+                              np.cumsum([0] + [len(i) for i, _ in cols])),
+                             shape=(x.n_s, len(cols)))
+        x._cache["oracle_sts"] = ground_t, cond
+    ground_t, cond = x._cache["oracle_sts"]
+    if not all(0 <= g < ground_t.shape[0] for g in need):
+        raise ZeroConditioning("conditioning event has zero probability")
+    hits = np.bincount(ground_t[sorted(need)].indices, minlength=ground_t.shape[1])
+    t_sel = np.flatnonzero((hits == len(need)) & (x.t_probs > 0))
+    if not len(t_sel):
+        raise ZeroConditioning("conditioning event has zero probability")
+    w = x.t_probs[t_sel] / x.t_probs[t_sel].sum()
+    pairs = [(wt, x.sts.tables[ti]) for wt, ti in zip(w, t_sel)
+             if x.sts.tables[ti][0] == "pairs"]
+    p_i = np.concatenate([np.empty(0, np.int64)] + [tab[1] for _, tab in pairs])
+    p_j = np.concatenate([np.empty(0, np.int64)] + [tab[2] for _, tab in pairs])
+    p_w = np.concatenate([np.empty(0)] + [wt * tab[3] for wt, tab in pairs])
+    c_sel = cond[:, t_sel]
+    live = np.unique(np.concatenate([c_sel.indices, p_i, p_j]))
+    pos = np.zeros(x.n_s, dtype=np.int64)
+    pos[live] = np.arange(len(live))
+    block = sp.csc_matrix((c_sel.data, pos[c_sel.indices], c_sel.indptr),
+                          shape=(len(live), len(t_sel))).toarray()
+    dense = (block * w) @ block.T
+    np.add.at(dense, (pos[p_i], pos[p_j]), p_w)
+    return WeightedGraph([x.s_labels[i] for i in live], dense)
+
+
+def derive_graph_loop(x, kind, element):
+    """derive_graph's per-element views: one conditioned pair graph, or one
+    scan of the whole vas or vasa table and one sparse matrix, per element."""
+    if kind in ("sts_a", "sts_av"):
+        a, v = (element, None) if kind == "sts_a" else element
+        need = set(x.a_supports[x.a_labels.index(a)])
+        if kind == "sts_av":
+            need.add(int(x.v_ground[x.v_labels.index(v)]))
+        return sts_conditioned_per_element(x, need)
+    if kind == "local_reach":
+        si = x.s_labels.index(element)
+        vv, aa, ss, pp = x.vas_triples()
+        sel = ss == si
+        j = sp.coo_matrix((pp[sel], (aa[sel], vv[sel])), shape=(len(x.a_labels), x.n_v)).tocsr()
+        j.sum_duplicates()
+        total = j.sum()
+        if total <= 0:
+            raise ZeroConditioning(f"s element {element} has no mass")
+        return BipartiteGraph(x.a_labels, x.v_labels, j.toarray() / total)
+    if kind == "vasa_v":
+        sel = x.vasa.v_idx == x.v_labels.index(element)
+        if not sel.any():
+            raise ZeroConditioning(f"v element {element} has no mass")
+        j = sp.coo_matrix((x.vasa.probs[sel], (x.vasa.a1_idx[sel], x.vasa.a2_idx[sel])),
+                          shape=(len(x.a_labels), len(x.a_labels))).tocsr()
+        keep = np.flatnonzero(np.asarray(j.sum(axis=0) + j.sum(axis=1).T).ravel() > 0)
+        dense = j.toarray()[np.ix_(keep, keep)]
+        return WeightedGraph([x.a_labels[i] for i in keep], dense / dense.sum())
+    assert kind == "vas_a"
+    sel = x.vasa.a1_idx == x.a_labels.index(element)
+    if not sel.any():
+        raise ZeroConditioning(f"a element {element} has no mass")
+    pairs = {}
+    for a2, s in zip(x.vasa.a2_idx[sel], x.vasa.s_idx[sel]):
+        pairs.setdefault((int(a2), int(s)), len(pairs))
+    cols = [pairs[(int(a2), int(s))] for a2, s in zip(x.vasa.a2_idx[sel], x.vasa.s_idx[sel])]
+    j = sp.coo_matrix((x.vasa.probs[sel], (x.vasa.v_idx[sel], cols)),
+                      shape=(x.n_v, len(pairs))).toarray()
+    keep = np.flatnonzero(j.sum(axis=1) > 0)
+    return BipartiteGraph([x.v_labels[i] for i in keep],
+                          [(x.a_labels[a2], x.s_labels[s]) for a2, s in pairs],
+                          j[keep] / j.sum())
+
+
+def bipartite_value_loop(g):
+    """Bipartite reading of a symmetric graph, by a depth-first 2-colouring;
+    None when the support has a loop or an odd cycle."""
+    dense = np.asarray(g.joint)
+    m = dense.shape[0]
+    if np.any(np.diag(dense) > 0):
+        return None
+    color = -np.ones(m, dtype=int)
+    for start in range(m):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in np.flatnonzero(dense[u] > 0):
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    stack.append(int(w))
+                elif color[w] == color[u]:
+                    return None
+    left, right = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
+    if len(left) == 0 or len(right) == 0:
+        return None
+    block = dense[np.ix_(left, right)] * 2.0
+    return bipartite_lambda(block, block.sum(axis=1), block.sum(axis=0)).lambda_bip
+
+
+def goodness_loop(x, gamma, r=1.0, cfg=None):
+    """The tabular goodness check, one derived graph and one eigensolve per
+    element."""
+    cfg = cfg or GoodnessConfig()
+
+    def each(kind, elements):
+        for element in elements:
+            try:
+                yield derive_graph_loop(x, kind, element)
+            except ZeroConditioning:
+                continue
+
+    def two_sided(g):
+        return square_lambda(g.joint, g.vertex_measure).two_sided
+
+    reach = x.reach_joint()
+    a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
+                          np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
+    min_phi, a2a_method = np.inf, "brute_force"
+    for g in each("sts_a", x.a_labels):
+        if g.joint.shape[0] <= cfg.brute_force_vertices:
+            phi = edge_expansion_exact(g, cfg.brute_force_vertices).phi
+        else:
+            a2a_method = "cheeger_lower_bound"
+            phi = (1.0 - square_lambda(g.joint, g.vertex_measure).lambda2) / 2.0
+        min_phi = min(min_phi, phi)
+    adj_a = reach_neighbours(x)
+    a2b = max([0.0] + [two_sided(g) for g in each(
+        "sts_av", [(x.a_labels[ai], x.v_labels[vi]) for ai, vs in adj_a.items() for vi in vs])])
+    a3a = 0.0
+    for g in each("vasa_v", x.v_labels):
+        bip = bipartite_value_loop(g)
+        a3a = max(a3a, two_sided(g) if bip is None else min(two_sided(g), bip))
+    a3b = max([0.0] + [bipartite_lambda(g.joint, g.left_measure, g.right_measure).lambda_bip
+                       for g in each("vas_a", x.a_labels)])
+    rng = np.random.default_rng(cfg.seed)
+    a4, spot_failures = 0.0, 0
+    for s in x.s_labels:
+        dense = derive_graph_loop(x, "local_reach", s).joint
+        dense = dense[np.ix_(dense.sum(axis=1) > 0, dense.sum(axis=0) > 0)]
+        a4 = max(a4, bipartite_lambda(dense, dense.sum(axis=1), dense.sum(axis=0)).lambda_bip)
+        spot_failures += _sampler_spot_checks(dense, r * gamma, cfg.sampler_spot_checks, rng)
+    vm = x.v_marginal()
+    ground_to_v = {int(g): i for i, g in enumerate(x.v_ground)}
+    a5 = np.inf
+    vv, aa, ss, pp = x.vas_triples()
+    for ai, si in {(int(a), int(s)) for a, s, p in zip(aa, ss, pp) if p > 0}:
+        num = den = 0.0
+        for gv in x.s_supports[si]:
+            vi = ground_to_v.get(int(gv))
+            if vi is None:
+                continue
+            den += vm[vi]
+            if vi in adj_a.get(ai, ()):
+                num += vm[vi]
+        a5 = min(a5, num / den if den > 0 else 0.0)
+    vals = dict(a1_reach_lambda=a1, a2a_min_edge_expansion=float(min_phi),
+                a2a_method=a2a_method, a2b_max_lambda=a2b, a2b_method="dense",
+                a3a_max_lambda=a3a, a3b_max_lambda=a3b, a4_max_av_lambda=a4,
+                a4_spot_check_failures=spot_failures, a5_min_conditional=float(a5))
+    return _assemble_report(vals, gamma, r, cfg)
+
+
+def assert_goodness_matches_loop(x, gammas=(0.5, 1 / 3), r=1.0):
+    """Every report field within 1e-12 of the loop's; the method and the
+    spot-check failures exactly."""
+    for gamma in gammas:
+        got = goodness_check(x, gamma, r).to_json_dict()
+        want = goodness_loop(x, gamma, r).to_json_dict()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float) and key != "a4_spot_check_failures":
+                assert got[key] == pytest.approx(value, abs=1e-12), (key, gamma)
+            else:
+                assert got[key] == value, (key, gamma)
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip"])
+def test_goodness_matches_loop(instances, name):
+    assert_goodness_matches_loop(instances[name])
+
+
+@pytest.mark.parametrize("n,d,l", [(10, 5, 1), (11, 6, 2)])
+def test_complete_goodness_matches_loop(n, d, l):
+    assert_goodness_matches_loop(hdx_stav(complete_complex(n, d), d, l))
+
+
+def test_sts_per_element_matches_loop(instances):
+    x = instances["nbhd_complement"]
+    for (_, _), need in _conditioned_pairs(x):
+        labels, dense = sts_conditioned_loop(x, need)
+        g = sts_conditioned_per_element(x, need)
+        assert g.items == labels
+        np.testing.assert_allclose(g.joint, dense, rtol=0, atol=1e-12)
+
+
+def _split_links(hubs, side):
+    """Hubs 0, 1, ... whose links are two disjoint cliques of ``side``
+    vertices (all their triangles), one side weighted w and the other 1 - w
+    for each hub's w in ``hubs``: their local reach graphs are poor samplers."""
+    left = tuple(range(len(hubs), len(hubs) + side))
+    right = tuple(range(len(hubs) + side, len(hubs) + 2 * side))
+    tops = [((z,) + t, w if half is left else 1 - w) for z, w in enumerate(hubs)
+            for half in (left, right) for t in itertools.combinations(half, 3)]
+    total = sum(w for _, w in tops)
+    return build_from_top_faces(len(hubs) + 2 * side, [(t, w / total) for t, w in tops])
+
+
+@pytest.mark.parametrize("mode", ["independent", "complement"])
+@pytest.mark.parametrize("hubs,side", [((0.2,), 4), ((0.2, 0.7), 7)])
+def test_spot_check_failures_match_loop(mode, hubs, side):
+    # the spot checks fail, and the count must match exactly; with two hubs
+    # of 14 link vertices each, both draw random subsets from the one stream,
+    # so the count also pins the order in which the s draw
+    x = neighborhood_stav(_split_links(hubs, side), 1, 0, mode)
+    assert goodness_check(x, 0.1).a4_spot_check_failures > 0
+    assert_goodness_matches_loop(x, (0.05, 0.1, 0.2, 0.3))
+
+
+# seven vertices keep the brute-force edge expansion of A2a, 2^m subsets of
+# an m-vertex pair graph, small on both sides
+@given(st.builds(_random_stav, st.sampled_from(["hdx", "hdx_l2", "partite", "partite_l2"]),
+                 st.integers(0, 2**31 - 1), st.just(7), st.integers(0, 4)),
+       st.sampled_from([0.2, 1 / 3, 0.5, 0.9]))
+def test_random_goodness_matches_loop(x, gamma):
+    assert_goodness_matches_loop(x, (gamma,))
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip"])
+def test_derived_graphs_match_loop(instances, name):
+    x = instances[name]
+    for kind, layer in (("local_reach", x.s_labels), ("vasa_v", x.v_labels),
+                        ("vas_a", x.a_labels)):
+        for element in layer:
+            try:
+                want = derive_graph_loop(x, kind, element)
+            except ZeroConditioning:
+                with pytest.raises(ZeroConditioning):
+                    derive_graph(x, kind, element)
+                continue
+            got = derive_graph(x, kind, element)
+            if kind == "vasa_v":
+                assert got.items == want.items
+            else:
+                assert (got.left_items, got.right_items) == (want.left_items,
+                                                             want.right_items)
+            if kind == "local_reach":  # the spot checks read it: equal bits
+                np.testing.assert_array_equal(got.joint, want.joint)
+            np.testing.assert_allclose(got.joint, want.joint, rtol=0, atol=1e-12)
