@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Complex, _group, _row_codes
+from .complexes import Complex, _group, _row_codes, position_subsets
 from .errors import ParameterRange, PartialGlobal, SizeCapError, SupportMismatch
 from .stav import (
     STSTable,
@@ -26,7 +26,6 @@ from .stav import (
     _cached,
     _cut,
     _segment_pairs,
-    _sub_faces,
     neighborhood_stav,
 )
 from .spectra import square_lambda
@@ -486,14 +485,15 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
     m = lev_t.k + 1
     # one pattern of positions inside r: each t-subface, then the s-subfaces
     # through it; every r contributes each pair of s-subfaces of each t
-    t_pat = list(itertools.combinations(range(2 * k + 1), m))
-    s_pat = [sorted(tp + extra) for tp in t_pat for extra in itertools.combinations(
-        [j for j in range(2 * k + 1) if j not in tp], k + 1 - m)]
-    n_pt, n_ps = len(t_pat), len(s_pat) // len(t_pat)
+    t_pat, t_rest = position_subsets(2 * k + 1, m)
+    extra = t_rest[:, position_subsets(2 * k + 1 - m, k + 1 - m)[0]]
+    n_pt, n_ps = extra.shape[:2]
+    s_pat = np.sort(np.concatenate(
+        [np.broadcast_to(t_pat[:, None], (n_pt, n_ps, m)), extra], axis=2), axis=2)
     shape = (lev_r.size, n_pt, n_ps, n_ps)
-    t_of = _sub_faces(lev_t, lev_r.faces, np.array(t_pat, dtype=np.int64))
+    t_of = lev_t.sub_faces(lev_r.faces, t_pat).T
     t_of = np.broadcast_to(t_of[:, :, None, None], shape).ravel()
-    s_of = _sub_faces(lev_s, lev_r.faces, np.array(s_pat, dtype=np.int64))
+    s_of = lev_s.sub_faces(lev_r.faces, s_pat.reshape(n_pt * n_ps, k + 1)).T
     s_of = s_of.reshape(shape[:3])
     i_of = np.broadcast_to(s_of[:, :, :, None], shape).ravel()
     j_of = np.broadcast_to(s_of[:, :, None, :], shape).ravel()

@@ -79,7 +79,7 @@ def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
     keys = np.zeros(len(rows), dtype=np.int64)
     for j in range(rows.shape[1]):
         keys *= n
-        keys += rows[:, j].astype(np.int64)
+        keys += rows[:, j]
     return keys
 
 
@@ -89,6 +89,17 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
     keys = _encode_rows(np.asarray(rows, dtype=np.int64), n)
     pos = np.clip(np.searchsorted(sorted_keys, keys), 0, len(sorted_keys) - 1)
     return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
+def position_subsets(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of m positions in ``itertools.combinations`` order, as a
+    (C(m, k), k) array of ascending positions, and the complement of each as a
+    (C(m, k), m - k) array; complements of the k-subsets in lexicographic
+    order are the (m - k)-subsets in reverse lexicographic order."""
+    def subsets(j):
+        return np.array(list(itertools.combinations(range(m), j)),
+                        dtype=np.int64).reshape(math.comb(m, j), j)
+    return subsets(k), subsets(m - k)[::-1]
 
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:
@@ -153,6 +164,18 @@ class LevelIndex:
             bad = np.asarray(rows)[out < 0][0]
             raise NotAFace(f"{tuple(int(v) for v in bad)} is not a face of this complex")
         return out
+
+    def sub_faces(self, rows: np.ndarray, pattern) -> np.ndarray:
+        """Positions at this level of the sub-faces rows[i, pattern[p]] of face
+        rows, as a (len(pattern), len(rows)) array, pattern-major; each
+        pattern row lists ascending columns, so sub-faces of sorted rows stay
+        sorted.  A sub-face that is not at this level raises ``NotAFace``."""
+        pattern = np.asarray(pattern, dtype=np.int64)
+        (m, w), n = pattern.shape, len(rows)
+        # column j of every sub-face as one contiguous (m, n) block, so the
+        # keys are encoded column by column and looked up pattern by pattern
+        cols = np.asarray(rows, dtype=np.int64).T[pattern.T]
+        return self.index_rows(cols.reshape(w, m * n).T).reshape(m, n)
 
     def measure_of_rows(self, rows: np.ndarray) -> np.ndarray:
         idx = self.index_rows(rows, strict=False)
@@ -288,11 +311,8 @@ class Complex:
             upper = self.level(k + 1)
             if upper.size * (k + 2) > level_cap() * 4:
                 raise SizeCapError(f"materializing level {k} exceeds the size cap")
-            parts = []
-            for drop in range(k + 2):
-                keep = [j for j in range(k + 2) if j != drop]
-                parts.append(upper.faces[:, keep])
-            rows = np.concatenate(parts, axis=0)
+            keep = position_subsets(k + 2, 1)[1]
+            rows = upper.faces[:, keep].swapaxes(0, 1).reshape(-1, k + 1)
             weights = np.tile(upper.measure / (k + 2), k + 2)
             lev = _make_level(rows, weights, self.n_vertices, k)
         self._levels[k] = lev

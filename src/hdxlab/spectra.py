@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complexes import Complex, _encode_rows, _lookup_rows, complete_complex
+from .complexes import (Complex, _encode_rows, _lookup_rows, complete_complex,
+                        position_subsets)
 from .errors import (
     HypothesisViolated,
     InconsistentMarginals,
@@ -380,26 +381,19 @@ def _batched_link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     lev, up1, up2 = c.level(k), c.level(k + 1), c.level(k + 2)
     base = max(c.n_vertices, lev.size)
 
-    def split(faces, drop):
-        keep = [j for j in range(faces.shape[1]) if j not in drop]
-        return lev.index_rows(faces[:, keep])
-
     # (s, v) pairs in key order give each link its vertices, sorted, at
     # consecutive positions; a vertex's local id is its offset in that run
-    faces_s = np.concatenate([split(up1.faces, (j,)) for j in range(k + 2)])
-    verts = np.concatenate([up1.faces[:, j] for j in range(k + 2)])
+    drop, keep = position_subsets(k + 2, 1)
+    faces_s = lev.sub_faces(up1.faces, keep).ravel()
+    verts = up1.faces[:, drop[:, 0]].T.ravel()
     keys = np.sort(_encode_rows(np.column_stack([faces_s, verts]), base))
     sizes = np.bincount(faces_s, minlength=lev.size)
     start = np.cumsum(sizes) - sizes
-    edge_s, edge_u, edge_v = [], [], []
-    for a, b in itertools.combinations(range(k + 3), 2):
-        s_idx = split(up2.faces, (a, b))
-        edge_s.append(s_idx)
-        for out, j in ((edge_u, a), (edge_v, b)):
-            rows = np.column_stack([s_idx, up2.faces[:, j]])
-            out.append(_lookup_rows(keys, rows, base) - start[s_idx])
-    edge_s, edge_u, edge_v = (np.concatenate(x) for x in (edge_s, edge_u, edge_v))
-    edge_w = np.tile(up2.measure, len(edge_s) // up2.size)
+    ends, keep = position_subsets(k + 3, 2)
+    edge_s = lev.sub_faces(up2.faces, keep).ravel()
+    edge_u, edge_v = (_lookup_rows(keys, np.column_stack(
+        [edge_s, up2.faces[:, ends[:, i]].T.ravel()]), base) - start[edge_s] for i in (0, 1))
+    edge_w = np.tile(up2.measure, len(ends))
 
     # each face's edges, both directions, as one contiguous run
     face = np.concatenate([edge_s, edge_s])

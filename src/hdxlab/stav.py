@@ -17,8 +17,9 @@ as one sparse joint, usually a block of the containment joint
 ``walks._containment_joint``, and hands it to ``STSTable.from_joint``.  The
 (a, v) layer given t is one flat table sorted by t, ``AvTable``, and the
 amplification table one flat ``VasaTable``.  The builders fill both by
-gathering sub-faces of face rows through one fixed pattern of positions and
-ranking them with one ``LevelIndex.index_rows`` call per layer.
+ranking the sub-faces of face rows under fixed position patterns
+(``complexes.position_subsets``) with one ``LevelIndex.sub_faces`` call per
+layer.
 
 The local graphs of the goodness checker (per s, v, a or conditioning set)
 are built a kind at a time from these tables, grouped once per instance and
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .complexes import Complex, _encode_rows, _group, _lookup_rows
+from .complexes import Complex, _group, position_subsets
 from .errors import (
     ColorSize,
     HdxError,
@@ -251,23 +252,13 @@ def _segment_pairs(n_a, n_b):
             (np.cumsum(n_b) - n_b)[seg] + local % n_b[seg])
 
 
-def _sub_faces(lev, rows: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """Positions in ``lev`` of the sub-faces rows[:, pattern[j]] of every face
-    row, as an (n, len(pattern)) array; each pattern row lists ascending
-    column positions, so the sub-faces of sorted rows stay sorted."""
-    sub = rows[:, pattern]
-    n, m, w = sub.shape
-    return lev.index_rows(sub.reshape(n * m, w)).reshape(n, m)
-
-
 def _drop_one(lev_t, lev_a) -> AvTable:
     """(a, v) given t: v is a uniform vertex of t and a = t minus v; v is a
     vertex id, the v-layer position of every simplicial instance."""
     m = lev_t.k + 1
-    keep = np.array([[j for j in range(m) if j != pos] for pos in range(m)],
-                    dtype=np.int64).reshape(m, m - 1)
+    keep = position_subsets(m, 1)[1]
     return AvTable(t_idx=np.repeat(np.arange(lev_t.size), m),
-                   a_idx=_sub_faces(lev_a, lev_t.faces, keep).ravel(),
+                   a_idx=lev_a.sub_faces(lev_t.faces, keep).T.ravel(),
                    v_idx=lev_t.faces.ravel().astype(np.int64),
                    probs=np.full(lev_t.size * m, 1.0 / m))
 
@@ -317,15 +308,15 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
 
     # amplification table: uniform disjoint (a1, a2, v) inside each s, as one
     # pattern of positions (a1 and a2 as rows of the l-subsets) shared by all s
-    a_pat = list(itertools.combinations(range(d + 1), l))
-    trip = np.array([(i1, i2, v) for i1, a1 in enumerate(a_pat)
-                     for i2, a2 in enumerate(a_pat) if not set(a1) & set(a2)
-                     for v in range(d + 1) if v not in a1 + a2], dtype=np.int64)
-    a_sub = _sub_faces(lev_a, lev_s.faces, np.array(a_pat, dtype=np.int64))
+    a_pat = position_subsets(d + 1, l)[0]
+    member = np.eye(d + 1, dtype=bool)[a_pat].any(axis=1)
+    disjoint = ~(member[:, None] & member[None]).any(axis=2)
+    trip = np.argwhere(disjoint[:, :, None] & ~(member[:, None] | member[None]))
+    a_sub = lev_a.sub_faces(lev_s.faces, a_pat)
     vasa = VasaTable(lev_s.faces[:, trip[:, 2]].ravel().astype(np.int64),
-                     a_sub[:, trip[:, 0]].ravel(),
+                     a_sub[trip[:, 0]].T.ravel(),
                      np.repeat(np.arange(lev_s.size), len(trip)),
-                     a_sub[:, trip[:, 1]].ravel(),
+                     a_sub[trip[:, 1]].T.ravel(),
                      np.repeat(lev_s.measure / per_s_vasa, len(trip)))
 
     v_labels = [int(v) for v in lev_v.faces[:, 0]]
@@ -605,9 +596,8 @@ def _max_gap(dims, idx_a, p_a, idx_b, p_b) -> float:
 def _structured_invariants(x: StructuredHdxStav) -> InvariantReport:
     c, d, l = x.complex, x.d, x.l
     lev_t = c.level(l)
-    vm = np.zeros(c.n_vertices)
-    for row, w in zip(lev_t.faces, lev_t.measure):
-        vm[row] += w / (l + 1)
+    vm = np.bincount(lev_t.faces.ravel(), np.repeat(lev_t.measure / (l + 1), l + 1),
+                     minlength=c.n_vertices)
     uniform_dev = float(np.max(np.abs(vm - 1.0 / c.n_vertices)))
     # pair distribution is built from the same conditional P(s | t) as the
     # main distribution, so the (s, t) marginal identity is algebraic; the
@@ -1253,32 +1243,19 @@ def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
         m = c.n_vertices - 1
         return max(math.comb(m - l - i, l - i) / math.comb(m - l, l)
                    for i in range(1, l + 1))
-    others = np.array([u for u in range(c.n_vertices) if u != v], dtype=np.int64)
     lev = c.level(2 * l)
     has_v = (lev.faces == v).any(axis=1)
     rows = lev.faces[has_v]
     union_rows = rows[rows != v].reshape(len(rows), 2 * l)
-    mass = c.containment_mass_rows(
-        np.sort(np.concatenate([union_rows,
-                                np.full((len(union_rows), 1), v)], axis=1), axis=1))
-    # a-faces inside the link, as rows of positions in `others`, key-sorted
-    n_o = len(others)
-    a_keys = _encode_rows(np.array(list(itertools.combinations(range(n_o), l)),
-                                   dtype=np.int64), n_o)
-    pos_of = np.zeros(c.n_vertices, dtype=np.int64)
-    pos_of[others] = np.arange(len(others))
-    splits = list(itertools.combinations(range(2 * l), l))
-    rows_i, cols_j, vals = [], [], []
-    for keep in splits:
-        rest = tuple(i for i in range(2 * l) if i not in keep)
-        left = np.sort(pos_of[union_rows[:, keep]], axis=1)
-        right = np.sort(pos_of[union_rows[:, rest]], axis=1)
-        rows_i.append(_lookup_rows(a_keys, left, n_o))
-        cols_j.append(_lookup_rows(a_keys, right, n_o))
-        vals.append(mass)
-    j = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows_i), np.concatenate(cols_j))),
-                      shape=(len(a_keys), len(a_keys))).tocsr()
+    mass = c.containment_mass_rows(rows)
+    # each split of the other 2l vertices into two a-faces (level l-1); the
+    # faces through v get no mass and leave with the other dead rows
+    lev_a = c.level(l - 1)
+    keep, rest = position_subsets(2 * l, l)
+    j = sp.coo_matrix((np.tile(mass, len(keep)),
+                       (lev_a.sub_faces(union_rows, keep).ravel(),
+                        lev_a.sub_faces(union_rows, rest).ravel())),
+                      shape=(lev_a.size, lev_a.size)).tocsr()
     j.sum_duplicates()
     live = np.asarray(j.sum(axis=1)).ravel() > 0
     keep_idx = np.flatnonzero(live)
@@ -1290,14 +1267,9 @@ def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
 
 
 def _structured_a4(d: int, l: int, delta: float, cfg) -> tuple[float, int]:
-    verts = list(range(d + 1))
-    a_list = list(itertools.combinations(verts, l))
-    joint = np.zeros((len(a_list), d + 1))
-    per = len(a_list) * (d + 1 - l)
-    for i, a in enumerate(a_list):
-        for v in verts:
-            if v not in a:
-                joint[i, v] = 1.0 / per
+    a_pat, outside = position_subsets(d + 1, l)
+    joint = np.zeros((len(a_pat), d + 1))
+    joint[np.arange(len(a_pat))[:, None], outside] = 1.0 / (len(a_pat) * (d + 1 - l))
     lam = bipartite_lambda(joint, joint.sum(axis=1), joint.sum(axis=0)).lambda_bip
     rng = np.random.default_rng(cfg.seed)
     failures = _sampler_spot_checks(joint, delta, cfg.sampler_spot_checks, rng)

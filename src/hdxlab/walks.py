@@ -12,14 +12,13 @@ of the agreement tests.  Operators are dense when both levels have at most
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Complex, _encode_rows, _lookup_rows
+from .complexes import Complex, _encode_rows, _lookup_rows, position_subsets
 from .errors import (
     EmptyWalk,
     HdxError,
@@ -214,11 +213,9 @@ def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:
     l-faces uniformly, so J[s, t] = measure(s) / C(k+1, l+1) for t in s."""
     src = c.level(k)
     tgt = c.level(l)
-    keeps = list(itertools.combinations(range(k + 1), l + 1))
-    cols = [tgt.index_rows(src.faces[:, list(keep)]) for keep in keeps]
-    return sp.coo_matrix((np.tile(src.measure / len(keeps), len(keeps)),
-                          (np.tile(np.arange(src.size), len(keeps)),
-                           np.concatenate(cols))),
+    cols = tgt.sub_faces(src.faces, position_subsets(k + 1, l + 1)[0])
+    return sp.coo_matrix((np.tile(src.measure / len(cols), len(cols)),
+                          (np.tile(np.arange(src.size), len(cols)), cols.ravel())),
                          shape=(src.size, tgt.size)).tocsr()
 
 
@@ -282,18 +279,12 @@ def complement_walk(c: Complex, l1: int, l2: int) -> MarkovOperator:
     union = c.level(u_level)
     src = c.level(l1)
     tgt = c.level(l2)
-    split = 1.0 / math.comb(u_level + 1, l1 + 1)
-    rows, cols, vals = [], [], []
-    all_pos = range(u_level + 1)
-    for keep in itertools.combinations(all_pos, l1 + 1):
-        rest = [j for j in all_pos if j not in keep]
-        s_idx = src.index_rows(union.faces[:, list(keep)])
-        t_idx = tgt.index_rows(union.faces[:, rest])
-        rows.append(s_idx)
-        cols.append(t_idx)
-        vals.append(union.measure * split)
+    keep, rest = position_subsets(u_level + 1, l1 + 1)
+    split = 1.0 / len(keep)
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       rows, cols, vals)
+                       [src.sub_faces(union.faces, keep).ravel()],
+                       [tgt.sub_faces(union.faces, rest).ravel()],
+                       [np.tile(union.measure * split, len(keep))])
 
 
 def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
@@ -330,20 +321,15 @@ def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
     union = c.level(l + j)
     lev = c.level(l)
     norm = 1.0 / (math.comb(l + j + 1, l + 1) * math.comb(l + 1, j))
-    rows, cols, vals = [], [], []
-    all_pos = range(l + j + 1)
-    for keep in itertools.combinations(all_pos, l + 1):
-        rest = tuple(p for p in all_pos if p not in keep)  # |rest| = j
-        t_idx = lev.index_rows(np.sort(union.faces[:, list(keep)], axis=1))
-        # t' takes all of rest plus l+1-j positions inside keep
-        for extra in itertools.combinations(keep, l + 1 - j):
-            cols_sel = sorted(rest + extra)
-            t2_idx = lev.index_rows(np.sort(union.faces[:, cols_sel], axis=1))
-            rows.append(t_idx)
-            cols.append(t2_idx)
-            vals.append(union.measure * norm)
+    keep = position_subsets(l + j + 1, l + 1)[0]
+    sub = lev.sub_faces(union.faces, keep)
+    # t' takes the j positions outside t plus l+1-j inside it: every pair of
+    # (l+1)-subsets that together cover the union
+    member = np.eye(l + j + 1, dtype=bool)[keep].any(axis=1)
+    t1, t2 = np.nonzero((member[:, None] | member[None]).all(axis=2))
     return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
-                       rows, cols, vals)
+                       [sub[t1].ravel()], [sub[t2].ravel()],
+                       [np.tile(union.measure * norm, len(t1))])
 
 
 def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
@@ -352,20 +338,11 @@ def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
         raise LevelOutOfRange(f"non-lazy upper walk needs 0 <= l <= d-1, got {l}")
     lev = c.level(l)
     upper = c.level(l + 1)
-    rows, cols, vals = [], [], []
-    for drop in range(l + 2):
-        keep = [x for x in range(l + 2) if x != drop]
-        t2 = lev.index_rows(upper.faces[:, keep])
-        for drop2 in range(l + 2):
-            if drop2 == drop:
-                continue
-            keep2 = [x for x in range(l + 2) if x != drop2]
-            t1 = lev.index_rows(upper.faces[:, keep2])
-            rows.append(t1)
-            cols.append(t2)
-            vals.append(upper.measure / ((l + 2) * (l + 1)))
+    sub = lev.sub_faces(upper.faces, position_subsets(l + 2, l + 1)[0])
+    t1, t2 = np.nonzero(~np.eye(l + 2, dtype=bool))
     return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
-                       rows, cols, vals)
+                       [sub[t1].ravel()], [sub[t2].ravel()],
+                       [np.tile(upper.measure / ((l + 2) * (l + 1)), len(t1))])
 
 
 def neighborhood_system(c: Complex, k: int):
@@ -374,13 +351,12 @@ def neighborhood_system(c: Complex, k: int):
         raise LevelOutOfRange(f"neighborhood system needs 0 <= k <= d-1, got {k}")
     lev = c.level(k)
     upper = c.level(k + 1)
-    balls: dict[tuple, set] = {lev.face(i): set() for i in range(lev.size)}
-    for drop in range(k + 2):
-        keep = [j for j in range(k + 2) if j != drop]
-        sub_idx = lev.index_rows(upper.faces[:, keep])
-        for si, row in zip(sub_idx, upper.faces):
-            balls[lev.face(int(si))].add(int(row[drop]))
-    return {z: tuple(sorted(vs)) for z, vs in balls.items()}
+    drop, keep = position_subsets(k + 2, 1)
+    faces = lev.sub_faces(upper.faces, keep).ravel()
+    verts = upper.faces[:, drop[:, 0]].T.ravel()
+    order = np.lexsort((verts, faces))
+    balls = np.split(verts[order], np.cumsum(np.bincount(faces, minlength=lev.size))[:-1])
+    return {lev.face(i): tuple(int(v) for v in ball) for i, ball in enumerate(balls)}
 
 
 def underlying_graph(c: Complex) -> WeightedGraph:
@@ -389,12 +365,9 @@ def underlying_graph(c: Complex) -> WeightedGraph:
         raise LevelOutOfRange("underlying graph needs d >= 1")
     verts = c.level(0)
     edges = c.level(1)
-    i_idx = verts.index_rows(edges.faces[:, [0]])
-    j_idx = verts.index_rows(edges.faces[:, [1]])
+    ends = verts.sub_faces(edges.faces, position_subsets(2, 1)[0])
     half = edges.measure / 2.0
-    joint = sp.coo_matrix((np.concatenate([half, half]),
-                           (np.concatenate([i_idx, j_idx]),
-                            np.concatenate([j_idx, i_idx]))),
+    joint = sp.coo_matrix((np.tile(half, 2), (ends.ravel(), ends[::-1].ravel())),
                           shape=(verts.size, verts.size)).tocsr()
     joint.sum_duplicates()
     return WeightedGraph(verts.faces, _maybe_dense(joint))
