@@ -3,10 +3,13 @@
 All spectra are computed on measure-symmetrized operators: a reversible walk P
 with stationary measure pi becomes D^{1/2} P D^{-1/2}, which is symmetric, and
 bipartite operators become J / sqrt(pi_L x pi_R) whose second singular value
-is the bipartite expansion.  Dense symmetric solvers run up to 5000x5000;
-larger operators use Lanczos iterations on the operator with the constant
-eigenvector deflated, and the report carries the iteration residual.  An
-iterative solve whose residual exceeds 1e-8 raises ``NotConverged``.
+is the bipartite expansion.  An operator with no side above
+``DENSE_EIG_LIMIT`` gets its whole spectrum from one dense solve; a larger one
+only its extremal eigenvalues from Lanczos: lambda_min of the operator M,
+lambda2 of M with its constant eigenvector moved from 1 to -1 (so a negative
+lambda2 survives), and lambda_bip^2 of D^T D, D the bipartite operator without
+its top singular pair.  The report carries the iteration residual; a residual
+above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
 
 Many small graphs are solved together: ``_stacked_spectra`` groups them by
 shape and solves each batch as one stacked dense eigenproblem (square) or
@@ -22,6 +25,7 @@ The goodness checker of ``stav`` solves its local graphs the same way.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import warnings
@@ -44,6 +48,7 @@ from .errors import (
     TooLarge,
 )
 from .walks import (
+    DENSE_EIG_LIMIT,
     BipartiteGraph,
     WeightedGraph,
     colored_walk,
@@ -53,9 +58,10 @@ from .walks import (
     underlying_graph,
 )
 
-DENSE_EIG_LIMIT = 5000
 SLACK = 1e-9
 RESIDUAL_TOL = 1e-8
+# newer SciPy draws ARPACK restart vectors from ``rng``, older from ARPACK's own
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(spla.eigsh).parameters
 # stacked eigenproblems are solved in batches of at most this many bytes; a
 # solve holds about three more copies of its batch while it runs
 _LINK_BATCH_BYTES = 1 << 21
@@ -185,25 +191,37 @@ def square_lambda(joint, pi) -> SpectralReport:
     _check_symmetric(float(abs(resid).max()) if sp.issparse(resid)
                      else float(np.max(np.abs(resid))))
     M = _sym_square(joint, pi)
-    s = np.sqrt(pi)
-
-    def deflated(x):
-        x = np.asarray(x).ravel()
-        return M @ x - s * float(s @ x)
-
-    op = spla.LinearOperator((m, m), matvec=deflated, dtype=float)
-    hi = spla.eigsh(op, k=1, which="LA", return_eigenvectors=True)
-    lo = spla.eigsh(op, k=1, which="SA", return_eigenvectors=True)
-    l2 = float(hi[0][0])
-    lmin = float(lo[0][0])
-    resid = max(
-        float(np.linalg.norm(deflated(hi[1][:, 0]) - l2 * hi[1][:, 0])),
-        float(np.linalg.norm(deflated(lo[1][:, 0]) - lmin * lo[1][:, 0])))
+    u = np.sqrt(pi / pi.sum())
+    # the constant eigenvector u moved from 1 to -1, the rest of M kept
+    l2, _, r2 = _lanczos(lambda x: M @ x - 2.0 * u * float(u @ x), m, "LA")
+    lmin, _, rmin = _lanczos(lambda x: M @ x, m, "SA")
+    resid = max(r2, rmin)
     _check_converged(resid)
-    # deflation injects a zero eigenvalue; clip accordingly (safe direction)
-    return SpectralReport(lambda2=float(np.clip(l2, 0.0, 1.0)),
-                          lambda_min=float(np.clip(lmin, -1.0, 0.0)),
+    l2 = float(np.clip(l2, -1.0, 1.0))
+    return SpectralReport(lambda2=l2, lambda_min=float(np.clip(lmin, -1.0, l2)),
                           method="iterative", residual=resid)
+
+
+def _lanczos(matvec, n: int, which: str):
+    """Largest ("LA") or smallest ("SA") eigenvalue, eigenvector and residual
+    of a symmetric n x n ``matvec`` with spectrum in [-1, 1].
+
+    ARPACK converges relative to |eigenvalue|, never at 0, so it runs shifted
+    by 2; fixed start and restart vectors make repeated solves bit-identical.
+    """
+    def shifted(x):
+        x = np.asarray(x).ravel()
+        return matvec(x) + 2.0 * x
+
+    rng = np.random.default_rng(0)
+    try:
+        vals, vecs = spla.eigsh(spla.LinearOperator((n, n), matvec=shifted, dtype=float),
+                                k=1, which=which, v0=rng.standard_normal(n),
+                                **({"rng": rng} if _EIGSH_TAKES_RNG else {}))
+    except spla.ArpackNoConvergence as exc:
+        raise NotConverged(f"Lanczos iteration did not converge: {exc}") from None
+    x = vecs[:, 0]
+    return float(vals[0]) - 2.0, x, float(np.linalg.norm(shifted(x) - vals[0] * x))
 
 
 def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
@@ -224,23 +242,21 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
         M = sp.diags(1.0 / sl) @ joint @ sp.diags(1.0 / sr)
     else:
         M = joint / np.outer(sl, sr)
+    if M.shape[0] < M.shape[1]:  # D^T D on the smaller side
+        M, sl, sr = M.T, sr, sl
 
-    def deflated_mv(x):
-        x = np.asarray(x).ravel()
+    def deflated(x):
         return M @ x - sl * float(sr @ x)
 
-    def deflated_rmv(y):
-        y = np.asarray(y).ravel()
+    def normal(x):
+        y = deflated(x)
         return M.T @ y - sr * float(sl @ y)
 
-    op = spla.LinearOperator(M.shape, matvec=deflated_mv, rmatvec=deflated_rmv,
-                             dtype=float)
-    u, svals, vt = spla.svds(op, k=1)
-    val = float(svals[0])
-    resid = float(np.linalg.norm(deflated_mv(vt[0]) - val * u[:, 0]))
+    _, x, resid = _lanczos(normal, M.shape[1], "LA")
     _check_converged(resid)
-    return SpectralReport(lambda_bip=float(min(val, 1.0)), method="iterative",
-                          residual=resid)
+    # |Dx| keeps the precision a square root of the eigenvalue loses near 0
+    return SpectralReport(lambda_bip=min(float(np.linalg.norm(deflated(x))), 1.0),
+                          method="iterative", residual=resid)
 
 
 # -- stacked solves of many small graphs ------------------------------------------

@@ -7,7 +7,8 @@ the two levels and turned into an operator by one constructor, ``_from_joint``
 (P = diag(1/source) J).  ``_containment_joint`` builds the joint of "s by level
 measure, then an l-face inside s", which is also the (S, T) main distribution
 of the agreement tests.  Operators are dense when both levels have at most
-5000 faces and sparse (CSR) otherwise.
+``DENSE_EIG_LIMIT`` faces, exactly when the spectra module solves them dense,
+and sparse (CSR) otherwise.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from .errors import (
     OverlappingColors,
 )
 
-DENSE_LIMIT = 5000
+# no side above this: stored dense, solved dense (the measured crossover)
+DENSE_EIG_LIMIT = 400
 ROW_TOL = 1e-10
 
 
 def _maybe_dense(mat):
-    if sp.issparse(mat) and max(mat.shape) <= DENSE_LIMIT:
+    if sp.issparse(mat) and max(mat.shape) <= DENSE_EIG_LIMIT:
         return np.asarray(mat.todense())
     return mat
 

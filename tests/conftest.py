@@ -106,14 +106,15 @@ def rng():
 
 @pytest.fixture
 def unconverged_solvers(monkeypatch):
-    """Lanczos from 11 rows up, with ``eigsh`` and ``svds`` returning the right
-    values but random unit vectors, as a solve that stopped early would."""
+    """Lanczos from 11 rows up, with ``eigsh`` returning the right values but
+    random unit vectors, as a solve that stopped early would; the bipartite
+    solve is an ``eigsh`` too."""
     import scipy.sparse.linalg as spla
 
     import hdxlab.spectra as spectra
 
     noise = np.random.default_rng(5)
-    eigsh, svds = spla.eigsh, spla.svds
+    eigsh = spla.eigsh
 
     def unit(shape):
         x = noise.normal(size=shape)
@@ -123,10 +124,5 @@ def unconverged_solvers(monkeypatch):
         vals, vecs = eigsh(*args, **kwargs)
         return vals, unit(vecs.shape)
 
-    def wrong_svds(*args, **kwargs):
-        u, vals, vt = svds(*args, **kwargs)
-        return unit(u.shape), vals, unit(vt.T.shape).T
-
     monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(spla, "eigsh", wrong_eigsh)
-    monkeypatch.setattr(spla, "svds", wrong_svds)

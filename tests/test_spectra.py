@@ -43,6 +43,7 @@ from conftest import (
     kneser_lambda,
     random_bipartite_graph,
     random_partite_complex,
+    random_weighted_complex,
     random_weighted_graph,
 )
 
@@ -356,6 +357,38 @@ def test_iterative_solvers_raise_when_not_converged(unconverged_solvers):
         square_spectrum(lower_walk(c, 1, 0))
     with pytest.raises(NotConverged):
         bipartite_norm(complement_walk(c, 1, 1))
+
+
+@pytest.mark.parametrize("kind", ["complete", "weighted"])
+def test_repeated_iterative_solves_are_bit_identical(kind):
+    # over the dense limit, so Lanczos from a fixed start; the few distinct
+    # eigenvalues of the complete complex also make ARPACK draw restart vectors
+    import hdxlab.spectra as spectra
+    if kind == "complete":
+        if not spectra._EIGSH_TAKES_RNG:
+            pytest.skip("this SciPy's eigsh draws restart vectors from ARPACK's own generator")
+        low = lower_walk(complete_complex(16, 2), 2, 1)
+        comp = complement_walk(complete_complex(30, 3), 1, 1)
+    else:
+        c = random_weighted_complex(3, 20, 2)
+        low, comp = lower_walk(c, 2, 1), containment_operator(c, 2, 1)
+    for solve, op in ((square_spectrum, low), (bipartite_norm, comp)):
+        reps = [solve(op).to_json_dict() for _ in range(3)]
+        assert reps[0]["method"] == "iterative"
+        assert reps[1] == reps[0] and reps[2] == reps[0]
+
+
+def test_arpack_non_convergence_raises_not_converged(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NotConverged, match="did not converge"):
+        square_spectrum(lower_walk(complete_complex(16, 2), 2, 1))
+    with pytest.raises(NotConverged, match="did not converge"):
+        bipartite_norm(complement_walk(complete_complex(30, 3), 1, 1))
 
 
 def test_verifiers_are_pure():
