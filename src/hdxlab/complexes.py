@@ -91,15 +91,23 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
-def position_subsets(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k-subsets of m positions in ``itertools.combinations`` order, as a
-    (C(m, k), k) array of ascending positions, and the complement of each as a
-    (C(m, k), m - k) array; complements of the k-subsets in lexicographic
-    order are the (m - k)-subsets in reverse lexicographic order."""
-    def subsets(j):
-        return np.array(list(itertools.combinations(range(m), j)),
-                        dtype=np.int64).reshape(math.comb(m, j), j)
-    return subsets(k), subsets(m - k)[::-1]
+def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
+    """Every choice of disjoint ascending blocks of the given sizes inside m
+    positions, and the positions left over as a last block: one (choices, size)
+    array per block, in the order of nested ``itertools.combinations`` loops,
+    each over the positions the blocks before it left.  With one size k: the
+    k-subsets, and their complements in reverse lexicographic order."""
+    def rest(blocks):
+        return [p for p in range(m) if not any(p in b for b in blocks)]
+
+    choices = [()]
+    for k in sizes:
+        choices = [blocks + (b,) for blocks in choices
+                   for b in itertools.combinations(rest(blocks), k)]
+    choices = [blocks + (tuple(rest(blocks)),) for blocks in choices]
+    widths = [*sizes, m - sum(sizes)]
+    return tuple(np.array([blocks[i] for blocks in choices], dtype=np.int64)
+                 .reshape(len(choices), w) for i, w in enumerate(widths))
 
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:

@@ -12,14 +12,15 @@ Two representations coexist:
   containment masses at levels l and l+1 (or a sparse matrix from level 2l),
   so the checks run without ever materializing the top level.
 
-Every builder of independent pair tables writes its (S x T) main distribution
-as one sparse joint, usually a block of the containment joint
-``walks._containment_joint``, and hands it to ``STSTable.from_joint``.  The
+Every builder is a sub-face gather: it splits the vertex positions of the
+faces of one level into fixed blocks (``complexes.position_subsets``), ranks
+each block at its level with one ``LevelIndex.sub_faces`` call, and weights
+the entries by level measures alone; no builder builds a link or a walk.
+Builders of independent pair tables write their (S x T) main distribution as
+one sparse joint, usually a block of the containment joint
+``walks._containment_joint``, and hand it to ``STSTable.from_joint``.  The
 (a, v) layer given t is one flat table sorted by t, ``AvTable``, and the
-amplification table one flat ``VasaTable``.  The builders fill both by
-ranking the sub-faces of face rows under fixed position patterns
-(``complexes.position_subsets``) with one ``LevelIndex.sub_faces`` call per
-layer.
+amplification table one flat ``VasaTable``.
 
 The local graphs of the goodness checker (per s, v, a or conditioning set)
 are built a kind at a time from these tables, grouped once per instance and
@@ -58,7 +59,7 @@ from .spectra import (
     bipartite_lambda,
     square_lambda,
 )
-from .walks import BipartiteGraph, WeightedGraph, _containment_joint, complement_walk
+from .walks import BipartiteGraph, WeightedGraph, _containment_joint, neighborhood_system
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
@@ -307,17 +308,17 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
     sts = STSTable.from_joint(st)
 
     # amplification table: uniform disjoint (a1, a2, v) inside each s, as one
-    # pattern of positions (a1 and a2 as rows of the l-subsets) shared by all s
-    a_pat = position_subsets(d + 1, l)[0]
-    member = np.eye(d + 1, dtype=bool)[a_pat].any(axis=1)
-    disjoint = ~(member[:, None] & member[None]).any(axis=2)
-    trip = np.argwhere(disjoint[:, :, None] & ~(member[:, None] | member[None]))
+    # pattern of position blocks shared by all s; a1 and a2 are ranked
+    # through the sub-faces of the distinct l-subsets
+    a1_pat, a2_pat, v_pat, _ = position_subsets(d + 1, l, l, 1)
+    a_pat, a_of = np.unique(np.concatenate([a1_pat, a2_pat]), axis=0, return_inverse=True)
+    a1_of, a2_of = np.split(a_of.ravel(), 2)
     a_sub = lev_a.sub_faces(lev_s.faces, a_pat)
-    vasa = VasaTable(lev_s.faces[:, trip[:, 2]].ravel().astype(np.int64),
-                     a_sub[trip[:, 0]].T.ravel(),
-                     np.repeat(np.arange(lev_s.size), len(trip)),
-                     a_sub[trip[:, 1]].T.ravel(),
-                     np.repeat(lev_s.measure / per_s_vasa, len(trip)))
+    vasa = VasaTable(lev_s.faces[:, v_pat[:, 0]].ravel().astype(np.int64),
+                     a_sub[a1_of].T.ravel(),
+                     np.repeat(np.arange(lev_s.size), len(v_pat)),
+                     a_sub[a2_of].T.ravel(),
+                     np.repeat(lev_s.measure / per_s_vasa, len(v_pat)))
 
     v_labels = [int(v) for v in lev_v.faces[:, 0]]
     a_faces, t_faces, s_faces = (_face_tuples(lev.faces) for lev in (lev_a, lev_t, lev_s))
@@ -424,7 +425,22 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
 
 
 def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
-    """Ball system: S = neighborhoods of k-faces, tested on l-faces of links."""
+    """Ball system: S = neighborhoods of k-faces, tested on l-faces of links.
+
+    A link renormalises the tops through its face, so by measure_j(s) =
+    sum_{top >= s} w(top) / C(d+1, j+1) a face f of the link of z has link
+    measure mu(z u f) / (C(|z u f|, |z|) mu(z)).  Each table is then one
+    gather over the faces u of one level, split into position blocks:
+
+    * z by level measure, t in its link, over X(k+l+1) split (k+1 | l+1):
+      st[z, t] = mu(u) / C(k+l+2, k+1);
+    * complement mode, disjoint (z1, z2) in the link of t, over X(l+2k+2)
+      split (l+1 | k+1 | k+1), sorted by (t, z1, z2):
+      p(z1, z2 | t) = mu(u) / (C(l+2k+3, l+1) C(2k+2, k+1) mu(t));
+    * amplification: z, v in its link, disjoint (a1, a2) in the link of z u v,
+      over X(k+2l+1) split (k+1 | 1 | l | l), sorted by (z, v, a1, a2):
+      (mu(z u v) / (k+2)) mu(u) / (C(k+2l+2, k+2) C(2l, l) mu(z u v)).
+    """
     if mode not in ("independent", "complement"):
         raise ParameterRange(f"unknown mode {mode!r}")
     if mode == "independent" and l + k + 1 > c.d:
@@ -439,58 +455,44 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
     lev_t = c.level(l)
     lev_a = c.level(l - 1)
     z_faces, t_faces, a_faces = (_face_tuples(lev.faces) for lev in (lev_z, lev_t, lev_a))
-
-    from .walks import neighborhood_system
     balls = neighborhood_system(c, k)
 
-    # (z, t) joint: z by level measure, t from the link of z at level l
-    rows, cols_, vals = [], [], []
-    links = {}
-    for zi, z in enumerate(z_faces):
-        lk = c.link(z)
-        links[z] = lk
-        lk_t = lk.level(l)
-        rows.append(np.full(lk_t.size, zi))
-        cols_.append(lev_t.index_rows(np.sort(np.asarray(lk.vertex_labels)[lk_t.faces],
-                                              axis=1)))
-        vals.append(lev_z.measure[zi] * lk_t.measure)
-    st = _accumulate((np.concatenate(rows), np.concatenate(cols_), np.concatenate(vals)),
-                     (len(z_faces), len(t_faces)))
+    # (z, t) joint: one entry per split of each union face
+    u = c.level(k + l + 1)
+    z_pat, t_pat = position_subsets(k + l + 2, k + 1)
+    st = _accumulate((lev_z.sub_faces(u.faces, z_pat).ravel(),
+                      lev_t.sub_faces(u.faces, t_pat).ravel(),
+                      np.tile(u.measure / len(z_pat), len(z_pat))),
+                     (lev_z.size, lev_t.size))
     sts = STSTable.from_joint(st)
-    live_t = sts.t_probs > 0
 
     if mode == "complement":
         # the two balls come from disjoint k-faces of the link of t
-        for ti in np.flatnonzero(live_t):
-            lk = c.link(t_faces[ti])
-            comp = complement_walk(lk, k, k)
-            joint = _densify(comp.joint())
-            lab = np.asarray(lk.vertex_labels)
-            zids = lev_z.index_rows(np.sort(lab[comp.source_faces], axis=1))
-            nz = np.nonzero(joint)
-            sts.tables[ti] = ("pairs", zids[nz[0]], zids[nz[1]], joint[nz])
+        u = c.level(l + 2 * k + 2)
+        t_pat, z1_pat, z2_pat = position_subsets(l + 2 * k + 3, l + 1, k + 1)
+        t_of = lev_t.sub_faces(u.faces, t_pat).ravel()
+        z1, z2 = (lev_z.sub_faces(u.faces, pat).ravel() for pat in (z1_pat, z2_pat))
+        p = np.tile(u.measure, len(t_pat)) / (len(t_pat) * lev_t.measure[t_of])
+        order = np.lexsort((z2, z1, t_of))
+        sts.tables = [("pairs", *tab) for tab in
+                      _cut(t_of[order], lev_t.size, z1[order], z2[order], p[order])]
 
-    # amplification: z, then v in the link, then disjoint (a1, a2) via the
-    # complement walk inside the link of z + v
-    vas = []
-    for zi, z in enumerate(z_faces):
-        lk = links[z]
-        lab = lk.vertex_labels
-        lk_v = lk.level(0)
-        for i in range(lk_v.size):
-            v = int(lab[lk_v.faces[i, 0]])
-            pv = float(lev_z.measure[zi]) * float(lk_v.measure[i])
-            lk2 = c.link(tuple(sorted(z + (v,))))
-            comp = complement_walk(lk2, l - 1, l - 1)
-            joint = _densify(comp.joint())
-            lab2 = np.asarray(lk2.vertex_labels)
-            a_ids = lev_a.index_rows(np.sort(lab2[comp.source_faces], axis=1))
-            i1, i2 = np.nonzero(joint)
-            vas.append((np.full(len(i1), v), a_ids[i1], np.full(len(i1), zi), a_ids[i2],
-                        pv * joint[i1, i2]))
-    vasa = VasaTable(*(np.concatenate(col) for col in zip(*vas)))
+    # amplification; the mass is factored through z u v, as the product of
+    # link measures was: mu(u) / ((k+2) C C) rounds complete(7, 3) an ulp apart
+    u = c.level(k + 2 * l + 1)
+    z_pat, v_pat, a1_pat, a2_pat = position_subsets(k + 2 * l + 2, k + 1, 1, l)
+    z_of, a1_of, a2_of = (lev.sub_faces(u.faces, pat).ravel()
+                          for lev, pat in ((lev_z, z_pat), (lev_a, a1_pat), (lev_a, a2_pat)))
+    v_of = u.faces[:, v_pat[:, 0]].T.ravel().astype(np.int64)
+    lev_zv = c.level(k + 1)
+    mu_zv = lev_zv.measure[lev_zv.sub_faces(
+        u.faces, np.sort(np.hstack([z_pat, v_pat]), axis=1)).ravel()]
+    n_split = math.comb(k + 2 * l + 2, k + 2) * math.comb(2 * l, l)
+    p = mu_zv / (k + 2) * (np.tile(u.measure, len(z_pat)) / (n_split * mu_zv))
+    order = np.lexsort((a2_of, a1_of, v_of, z_of))
+    vasa = VasaTable(v_of[order], a1_of[order], z_of[order], a2_of[order], p[order])
 
-    inst = StavInstance(
+    return StavInstance(
         provenance="neighborhood",
         ground_labels=list(range(c.n_vertices)),
         v_labels=list(range(c.n_vertices)),
@@ -502,8 +504,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
         t_supports=t_faces,
         s_supports=[balls[z] for z in z_faces],
         t_probs=sts.t_probs, st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
-        vasa=vasa, meta={"complex": c, "l": l, "k": k, "mode": mode, "live_t": live_t})
-    return inst
+        vasa=vasa, meta={"complex": c, "l": l, "k": k, "mode": mode})
 
 
 # -- invariant checks ------------------------------------------------------------
@@ -852,7 +853,7 @@ def derive_graph(x: StavInstance, kind: str, element=None):
         raise SizeCapError("derived graphs need a tabular instance")
     if kind == "reach":
         j = x.reach_joint()
-        return BipartiteGraph(x.a_labels, x.v_labels, _densify(j))
+        return BipartiteGraph(x.a_labels, x.v_labels, j.toarray())
     if kind in ("sts_a", "sts_av"):
         a_el, v_el = (element, None) if kind == "sts_a" else element
         need = list(x.a_supports[_find(x, "a_labels", a_el)])
@@ -912,10 +913,6 @@ def _find(x: StavInstance, layer: str, element) -> int:
         return x._cache[key][element]
     except (KeyError, TypeError):
         raise ZeroConditioning(f"element {element!r} not in layer") from None
-
-
-def _densify(j):
-    return np.asarray(j.todense()) if sp.issparse(j) else np.asarray(j)
 
 
 def _accumulate(triplet, shape):

@@ -254,16 +254,6 @@ def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
                        [j.row], [j.col], [j.data])
 
 
-def containment_operator_by_product(c: Complex, k: int, l: int) -> MarkovOperator:
-    """Same walk as a product of single-level down operators."""
-    if not (0 <= l < k <= c.d):
-        raise LevelOutOfRange("product form needs 0 <= l < k <= d")
-    op = down_operator(c, k - 1)
-    for level in range(k - 2, l - 1, -1):
-        op = op.compose(down_operator(c, level))
-    return op
-
-
 def lower_walk(c: Complex, k: int, l: int) -> MarkovOperator:
     """Down to X(l), back up: a self-adjoint PSD walk on X(k)."""
     down = containment_operator(c, k, l)
@@ -335,16 +325,11 @@ def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
 
 
 def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
-    """Up one level then down to a different l-face (direct construction)."""
+    """Up one level then down to a different l-face: the fixed-union walk
+    with j = 1."""
     if not 0 <= l <= c.d - 1:
         raise LevelOutOfRange(f"non-lazy upper walk needs 0 <= l <= d-1, got {l}")
-    lev = c.level(l)
-    upper = c.level(l + 1)
-    sub = lev.sub_faces(upper.faces, position_subsets(l + 2, l + 1)[0])
-    t1, t2 = np.nonzero(~np.eye(l + 2, dtype=bool))
-    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
-                       [sub[t1].ravel()], [sub[t2].ravel()],
-                       [np.tile(upper.measure / ((l + 2) * (l + 1)), len(t1))])
+    return fixed_union_walk(c, l, 1)
 
 
 def neighborhood_system(c: Complex, k: int):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
-from hdxlab.walks import BipartiteGraph, WeightedGraph
+from hdxlab.walks import BipartiteGraph, WeightedGraph, down_operator
 
 # one profile for every property test; per-example deadlines fail spuriously
 # when the machine is loaded, so there are none
@@ -43,6 +43,15 @@ def random_weighted_complex(seed: int, n: int, d: int) -> Complex:
     tops = sorted(tops)
     w = rng.gamma(1.0, 1.0, size=len(tops)) + 1e-3
     return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
+
+
+def containment_operator_by_product(c: Complex, k: int, l: int):
+    """The containment walk X(k) -> X(l), 0 <= l < k, as a product of
+    single-level down operators."""
+    op = down_operator(c, k - 1)
+    for level in range(k - 2, l - 1, -1):
+        op = op.compose(down_operator(c, level))
+    return op
 
 
 def random_weighted_graph(seed: int, n: int) -> WeightedGraph:

@@ -260,6 +260,24 @@ def assert_same_levels(c: Complex, c2: Complex):
                                    rtol=0, atol=1e-12)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), d=st.integers(1, 4))
+def test_link_measures_are_conditional_level_measures(seed, n, d):
+    # the link of z renormalises the tops through z, so a face f of its link
+    # at level j has measure mu(z u f) / sum_f' mu(z u f') at level k+j+1
+    assume(n > d)
+    c = random_weighted_complex(seed, n, d)
+    for k in range(d):
+        for z in c.level(k).faces:
+            lk = c.link(tuple(int(v) for v in z))
+            for j in range(lk.d + 1):
+                f = np.asarray(lk.vertex_labels)[lk.level(j).faces]
+                union = c.level(k + j + 1)
+                mass = union.measure[union.index_rows(
+                    np.sort(np.hstack([f, np.broadcast_to(z, (len(f), k + 1))]), axis=1))]
+                np.testing.assert_allclose(lk.level(j).measure, mass / mass.sum(),
+                                           rtol=1e-15, atol=0)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), d=st.integers(1, 3))
 def test_json_roundtrip_random_weighted(seed, n, d):
     assume(d + 2 <= n)  # more than one top, with unequal random weights

@@ -378,6 +378,36 @@ def test_repeated_iterative_solves_are_bit_identical(kind):
         assert reps[1] == reps[0] and reps[2] == reps[0]
 
 
+def test_lanczos_without_eigsh_rng(monkeypatch):
+    # SciPy releases whose eigsh takes no ``rng``: the solves over the dense
+    # limit still run Lanczos, with no rng passed, and agree with dense ones
+    import scipy.sparse.linalg as spla
+
+    import hdxlab.spectra as spectra
+    eigsh, kwargs_seen = spla.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        kwargs_seen.append(kwargs)
+        return eigsh(*args, **kwargs)
+
+    c = random_weighted_complex(3, 20, 2)
+    cases = [(square_spectrum, lower_walk(complete_complex(16, 2), 2, 1)),
+             (square_spectrum, lower_walk(c, 2, 1)),
+             (bipartite_norm, complement_walk(complete_complex(30, 3), 1, 1)),
+             (bipartite_norm, containment_operator(c, 2, 1))]
+    monkeypatch.setattr(spectra, "_EIGSH_TAKES_RNG", False)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    reps = [solve(op) for solve, op in cases]
+    assert kwargs_seen and not any("rng" in kw for kw in kwargs_seen)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10**4)
+    for (solve, op), rep in zip(cases, reps):
+        want = solve(op)
+        assert (rep.method, want.method) == ("iterative", "dense")
+        for key in ("lambda2", "lambda_min", "lambda_bip"):
+            if getattr(want, key) is not None:
+                assert getattr(rep, key) == pytest.approx(getattr(want, key), abs=1e-10), key
+
+
 def test_arpack_non_convergence_raises_not_converged(monkeypatch):
     import scipy.sparse.linalg as spla
 

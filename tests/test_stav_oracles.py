@@ -6,8 +6,11 @@ builders of the (S, T) main distribution and its pair tables, the builders'
 per-t (a, v) tables and amplification tables, and the per-t marginals read
 from them.  The tests require equal labels and index arrays, values within
 1e-12 and equal counts; the (a, v) and amplification tables must equal their
-loops entry for entry, in order.  Frozen ``stav_to_json_dict`` outputs under
-``tests/golden/stav_json_*.json`` pin the instance file format.
+loops entry for entry, in order.  ``neighborhood_stav``'s gathers are checked
+against its old loops over links and complement walks: index columns equal
+and in order, probabilities within 2e-15 relative, and bit for bit on the
+complete complexes of the golden reports.  Frozen ``stav_to_json_dict``
+outputs under ``tests/golden/stav_json_*.json`` pin the instance file format.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hdxlab.agreement import d_l_test
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
@@ -28,7 +31,7 @@ from hdxlab.complexes import build_from_top_faces, complete_complex, \
 from hdxlab.decoder import in_one_set_test
 from hdxlab.errors import ZeroConditioning
 from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
-from hdxlab.walks import BipartiteGraph, WeightedGraph
+from hdxlab.walks import BipartiteGraph, WeightedGraph, complement_walk
 from hdxlab.spectra import bipartite_lambda, edge_expansion_exact, square_lambda
 from hdxlab.stav import (
     GoodnessConfig,
@@ -595,6 +598,46 @@ def neighborhood_st_loop(c, l, k):
     return st
 
 
+def _link_complement_joint(c, face, l):
+    """The complement walk X(l) -> X(l) of the link of ``face`` as a dense
+    joint, and the ranks at level l of the walk's faces in original ids."""
+    lk = c.link(face)
+    comp = complement_walk(lk, l, l)
+    joint = comp.joint()
+    ids = c.level(l).index_rows(np.sort(np.asarray(lk.vertex_labels)[comp.source_faces],
+                                        axis=1))
+    return (joint.toarray() if sp.issparse(joint) else joint), ids
+
+
+def neighborhood_pairs_loop(c, l, k):
+    """neighborhood_stav's complement-mode pair tables: per t, the complement
+    walk on the k-faces of the link of t."""
+    tables = []
+    for t in c.level(l).iter_faces():
+        joint, z_ids = _link_complement_joint(c, t, k)
+        i, j = np.nonzero(joint)
+        tables.append((z_ids[i], z_ids[j], joint[i, j]))
+    return tables
+
+
+def neighborhood_vasa_loop(c, l, k):
+    """neighborhood_stav's amplification table: per z, each vertex v of its
+    link, then the complement walk on the (l-1)-faces of the link of z + v."""
+    lev_z = c.level(k)
+    rows = []
+    for zi, z in enumerate(lev_z.iter_faces()):
+        lk = c.link(z)
+        lk_v = lk.level(0)
+        for i in range(lk_v.size):
+            v = lk.vertex_labels[lk_v.faces[i, 0]]
+            pv = float(lev_z.measure[zi]) * float(lk_v.measure[i])
+            joint, a_ids = _link_complement_joint(c, tuple(sorted(z + (v,))), l - 1)
+            i1, i2 = np.nonzero(joint)
+            rows.append((np.full(len(i1), v), a_ids[i1], np.full(len(i1), zi), a_ids[i2],
+                         pv * joint[i1, i2]))
+    return [np.concatenate(col) for col in zip(*rows)]
+
+
 def per_t_av(x):
     """The flat (a, v) table cut back into one (a_idx, v_idx, p) per t."""
     return [(x.av.a_idx[x.av.t_idx == ti], x.av.v_idx[x.av.t_idx == ti],
@@ -720,7 +763,34 @@ def assert_tables_match_loops(x):
     if x.provenance == "hdx":
         assert_same_entries(vasa_columns(x), hdx_vasa_loop(c, x.meta["d"], x.meta["l"]))
     else:
-        assert_joint_close(x.st_joint, neighborhood_st_loop(c, x.meta["l"], x.meta["k"]))
+        assert_neighborhood_matches_loops(x, NEIGHBORHOOD_RTOL)
+
+
+# the gathers weight by level measures where the loops multiplied link
+# measures, rounded apart: up to 1.3e-15 relative over 560 random weighted
+# complexes (seeds 0-239, n = 7 and 8, both modes, k = 0 and 1)
+NEIGHBORHOOD_RTOL = 2e-15
+
+
+def assert_neighborhood_matches_loops(x, rtol):
+    """neighborhood_stav's (z, t) joint, complement pair tables and
+    amplification table against the loops: the same index columns in the same
+    order, probabilities within ``rtol``."""
+    c, l, k = x.meta["complex"], x.meta["l"], x.meta["k"]
+
+    def same(got, want):
+        assert_same_entries(got[:-1], want[:-1])
+        np.testing.assert_allclose(got[-1], want[-1], rtol=rtol, atol=0)
+
+    got_st, want_st = x.st_joint.tocoo(), neighborhood_st_loop(c, l, k).tocoo()
+    same((got_st.row, got_st.col, got_st.data), (want_st.row, want_st.col, want_st.data))
+    if x.meta["mode"] == "complement":
+        want = neighborhood_pairs_loop(c, l, k)
+        assert len(x.sts.tables) == len(want)
+        for tab, want_tab in zip(x.sts.tables, want):
+            assert tab[0] == "pairs"
+            same(tab[1:], want_tab)
+    same(vasa_columns(x), neighborhood_vasa_loop(c, l, k))
 
 
 @given(random_stav)
@@ -768,6 +838,23 @@ def test_fixed_builders_match_loops(instances, name):
 def test_complete_hdx_tables_match_loops(n, d, l):
     x = hdx_stav(complete_complex(n, d), d, l)
     assert_tables_match_loops(x)
+
+
+@given(n=st.integers(6, 10), d=st.integers(3, 5), k=st.sampled_from([0, 1]),
+       mode=st.sampled_from(["independent", "complement"]))
+def test_complete_neighborhood_tables_match_loops(n, d, k, mode):
+    assume(n > d and k + 3 <= d and (mode == "independent" or 2 * k + 3 <= d))
+    x = neighborhood_stav(complete_complex(n, d), 1, k, mode)
+    assert_neighborhood_matches_loops(x, NEIGHBORHOOD_RTOL)
+
+
+@pytest.mark.parametrize("n,d,k", [(7, 3, 0), (9, 5, 0), (9, 5, 1)])
+@pytest.mark.parametrize("mode", ["independent", "complement"])
+def test_neighborhood_tables_bit_identical_on_golden_complexes(n, d, k, mode):
+    # complete(7, 3) and (9, 5), the complexes the golden reports build; other
+    # complete complexes may round a table a last place apart (complete(14, 7))
+    x = neighborhood_stav(complete_complex(n, d), 1, k, mode)
+    assert_neighborhood_matches_loops(x, 0.0)
 
 
 GOLDEN_STAV = {

@@ -119,20 +119,6 @@ def fixed_union_walk_loop(c: Complex, l: int, j: int):
     return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure, rows, cols, vals)
 
 
-def nonlazy_upper_walk_loop(c: Complex, l: int):
-    lev, upper = c.level(l), c.level(l + 1)
-    rows, cols, vals = [], [], []
-    for drop in range(l + 2):
-        t2 = lev.index_rows(upper.faces[:, [x for x in range(l + 2) if x != drop]])
-        for drop2 in range(l + 2):
-            if drop2 == drop:
-                continue
-            rows.append(lev.index_rows(upper.faces[:, [x for x in range(l + 2) if x != drop2]]))
-            cols.append(t2)
-            vals.append(upper.measure / ((l + 2) * (l + 1)))
-    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure, rows, cols, vals)
-
-
 def neighborhood_system_loop(c: Complex, k: int):
     lev, upper = c.level(k), c.level(k + 1)
     balls = {lev.face(i): set() for i in range(lev.size)}
@@ -248,7 +234,7 @@ def assert_walks_match_loops(c: Complex):
         lo, hi, joint = c.level(k), c.level(k + 1), containment_joint_loop(c, k + 1, k)
         assert_same_operator(up_operator(c, k), operator_of(lo, hi, joint.T), f"up{k}")
         assert_same_operator(down_operator(c, k), operator_of(hi, lo, joint), f"down{k}")
-        assert_same_operator(nonlazy_upper_walk(c, k), nonlazy_upper_walk_loop(c, k),
+        assert_same_operator(nonlazy_upper_walk(c, k), fixed_union_walk_loop(c, k, 1),
                              f"nonlazy{k}")
         assert neighborhood_system(c, k) == neighborhood_system_loop(c, k), k
     for l, k in itertools.combinations(range(-1, d + 1), 2):
@@ -314,6 +300,16 @@ def test_position_subsets_match_combinations(m):
         assert [tuple(row) for row in subsets] == want
         assert [tuple(row) for row in rest] == [
             tuple(j for j in range(m) if j not in w) for w in want]
+    # several blocks: nested combinations over what the blocks before left
+    for a, b in itertools.product(range(m + 1), repeat=2):
+        if a + b <= m:
+            want = [(x, y, tuple(j for j in range(m) if j not in x + y))
+                    for x in itertools.combinations(range(m), a)
+                    for y in itertools.combinations([j for j in range(m) if j not in x], b)]
+            got = position_subsets(m, a, b)
+            assert [g.shape for g in got] == [(len(want), a), (len(want), b),
+                                              (len(want), m - a - b)]
+            assert list(zip(*([tuple(r) for r in g] for g in got))) == want
 
 
 def test_empty_subsets_rank_the_empty_face():

@@ -22,7 +22,6 @@ from hdxlab.walks import (
     colored_walk,
     complement_walk,
     containment_operator,
-    containment_operator_by_product,
     down_operator,
     fixed_union_walk,
     lower_walk,
@@ -31,7 +30,11 @@ from hdxlab.walks import (
     up_operator,
 )
 
-from conftest import random_partite_complex, random_weighted_complex
+from conftest import (
+    containment_operator_by_product,
+    random_partite_complex,
+    random_weighted_complex,
+)
 
 TOL = 1e-12
 # dense against Lanczos

@@ -18,7 +18,6 @@ from hdxlab.walks import (
     colored_walk,
     complement_walk,
     containment_operator,
-    containment_operator_by_product,
     down_operator,
     fixed_union_walk,
     lower_walk,
@@ -28,7 +27,7 @@ from hdxlab.walks import (
     up_operator,
 )
 
-from conftest import random_partite_complex
+from conftest import containment_operator_by_product, random_partite_complex
 
 
 def dense(op):
