@@ -24,7 +24,6 @@ from .stav import (
     STSTable,
     StavInstance,
     _cached,
-    _cut,
     _segment_pairs,
     neighborhood_stav,
 )
@@ -236,42 +235,15 @@ def _diff(lifted: np.ndarray, i, j, cols=None) -> np.ndarray:
     return (fi != fj) & (fi >= 0) & (fj >= 0)
 
 
-def _tables(test: AgreementTest):
-    """The tables of every t with mass, flattened in t order: "indep" entries
-    (t, s, cond) and "pairs" entries (t, i, j, p)."""
-    def build():
-        indep, pairs = [], []
-        for ti in np.flatnonzero(test.sts.t_probs > 0):
-            tab = test.sts.tables[ti]
-            (indep if tab[0] == "indep" else pairs).append(
-                (np.full(len(tab[1]), ti, dtype=np.int64), *tab[1:]))
-        empty = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
-        return (tuple(np.concatenate(c) for c in zip(empty[1:], *indep)),
-                tuple(np.concatenate(c) for c in zip(empty, *pairs)))
-    return _cached(test, "tables", build)
-
-
-def _all_pairs(test: AgreementTest):
-    """Every pair (t, i, j, p) in t order, "indep" tables expanded."""
-    def build():
-        (it, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
-        n = np.bincount(it, minlength=len(test.sts.t_probs))
-        a, b = _segment_pairs(n, n)
-        t = np.concatenate([it[a], pt])
-        order = np.argsort(t, kind="stable")
-        return (t[order], np.concatenate([i_s[a], p_i])[order],
-                np.concatenate([i_s[b], p_j])[order],
-                np.concatenate([i_p[a] * i_p[b], p_p])[order])
-    return _cached(test, "all_pairs", build)
-
-
 def _indep_spread(test: AgreementTest, lifted: np.ndarray) -> np.ndarray:
-    """Per t with an "indep" table, the probability that two sets drawn from
-    it restrict differently to t: 1 - sum of squared group masses."""
-    (it, i_s, i_p), _ = _tables(test)
+    """Per t with a column of ``sts.cond``, the probability that two sets
+    drawn from it restrict differently to t: 1 - sum of squared group
+    masses."""
+    cond = test.sts.cond.tocoo()
+    it = cond.col
     t_pad = _padded(test, "t_pad", test.t_supports)
-    ids, first = _group(it, _row_codes(_restrict(lifted, i_s, t_pad[it])))
-    mass = np.bincount(ids, i_p, minlength=len(first))
+    ids, first = _group(it, _row_codes(_restrict(lifted, cond.row, t_pad[it])))
+    mass = np.bincount(ids, cond.data, minlength=len(first))
     n_t = len(test.sts.t_probs)
     sq = np.bincount(it[first], mass * mass, minlength=n_t)
     return np.where(np.bincount(it[first], minlength=n_t) > 1, np.maximum(1 - sq, 0.0), 0.0)
@@ -289,10 +261,10 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
     if mode == "exact":
         eps_t = np.zeros(len(test.sts.t_probs))
         if t_pad is None:
-            t, i, j, p = _all_pairs(test)
+            t, i, j, p = test.sts.all_pairs()
         else:
             eps_t += _indep_spread(test, lifted)
-            _, (t, i, j, p) = _tables(test)
+            t, i, j, p = test.sts.pairs
         differ = _diff(lifted, i, j, None if t_pad is None else t_pad[t]).any(axis=1)
         eps_t += np.bincount(t, p * differ, minlength=len(eps_t))
         return TestResult(float(test.sts.t_probs @ eps_t), "exact")
@@ -301,11 +273,11 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
     rng = np.random.default_rng(seed)
     t = rng.choice(len(test.sts.t_probs), size=samples, p=test.sts.t_probs)
     u = rng.random((samples, 2))
-    (it, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
+    cond, (pt, p_i, p_j, p_p) = test.sts.cond.tocoo(), test.sts.pairs
     on_pair = np.isin(t, pt)
     si, sj = np.empty((2, samples), dtype=np.int64)
-    k = _draw(it, i_p, t[~on_pair], u[~on_pair])
-    si[~on_pair], sj[~on_pair] = i_s[k[:, 0]], i_s[k[:, 1]]
+    k = _draw(cond.col, cond.data, t[~on_pair], u[~on_pair])
+    si[~on_pair], sj[~on_pair] = cond.row[k[:, 0]], cond.row[k[:, 1]]
     k = _draw(pt, p_p, t[on_pair], u[on_pair])[:, 0]
     si[on_pair], sj[on_pair] = p_i[k], p_j[k]
     eps = _diff(lifted, si, sj, None if t_pad is None else t_pad[t]).any(axis=1).mean()
@@ -375,8 +347,9 @@ def delta_ensemble_check(x, f: Ensemble, delta: float):
     """
     test = _as_test(x)
     lifted = _lift(test, f)
-    t, i, j, p = _all_pairs(test)
-    t, i, j = t[p > 0], i[p > 0], j[p > 0]
+    t, i, j, p = test.sts.all_pairs()
+    keep = (p > 0) & (test.sts.t_probs[t] > 0)
+    t, i, j = t[keep], i[keep], j[keep]
     cols = _padded(test, "t_pad", test.t_supports)[t]
     d = _diff(lifted, i, j, cols).sum(axis=1) / (cols < _layout(test)[3]).sum(axis=1)
     hit = np.flatnonzero((d > 0) & (d <= delta))
@@ -388,17 +361,16 @@ def delta_ensemble_check(x, f: Ensemble, delta: float):
 
 def _av_index(x: StavInstance):
     """The (a, v) entries of every t with mass, flattened in t order as
-    (t, a, v, p), with index pairs into them and the "indep" entries, and
-    into the "pairs" entries and them, that share a t."""
+    (t, a, v, p), with index pairs into them and the entries of
+    ``sts.cond``, and into ``sts.pairs`` and them, that share a t."""
     def build():
-        (it, _, _), (pt, _, _, _) = _tables(_as_test(x))
         n_t = len(x.t_probs)
         av = x.av
         live = x.t_probs[av.t_idx] > 0
         n_av = np.bincount(av.t_idx[live], minlength=n_t)
         return (av.t_idx[live], av.a_idx[live], av.v_idx[live], av.probs[live],
-                _segment_pairs(n_av, np.bincount(it, minlength=n_t)),
-                _segment_pairs(np.bincount(pt, minlength=n_t), n_av))
+                _segment_pairs(n_av, np.diff(x.sts.cond.indptr)),
+                _segment_pairs(np.bincount(x.sts.pairs[0], minlength=n_t), n_av))
     return _cached(x, "av_index", build)
 
 
@@ -413,10 +385,10 @@ def surprise(x: StavInstance, f: Ensemble):
     test = _as_test(x)
     lifted = _lift(test, f)
     av_t, av_a, av_v, av_p, (e, k), (kp, ep) = _av_index(x)
-    (_, i_s, i_p), (pt, p_i, p_j, p_p) = _tables(test)
+    i_s, i_p, (pt, p_i, p_j, p_p) = x.sts.cond.indices, x.sts.cond.data, x.sts.pairs
     a_pad = _padded(test, "a_pad", x.a_supports)[av_a]
     v_col = np.asarray(x.v_ground, dtype=np.int64)[av_v, None]
-    # "indep" tables: per (a, v) entry, Pr[agree on a] - Pr[agree on a and at v]
+    # columns of cond: per (a, v) entry, Pr[agree on a] - Pr[agree on a and at v]
     ca = _row_codes(_restrict(lifted, i_s[k], a_pad[e]))
     cv = _restrict(lifted, i_s[k], v_col[e])[:, 0]
     agree = np.zeros(len(av_t))
@@ -426,7 +398,7 @@ def surprise(x: StavInstance, f: Ensemble):
         agree += sign * np.bincount(e[first], mass * mass, minlength=len(av_t))
     num = (x.t_probs[av_t] * av_p) @ agree
     den = x.t_probs @ _indep_spread(test, lifted)
-    # "pairs" tables: pairs that differ on t, then agree on a and differ at v
+    # explicit pairs: pairs that differ on t, then agree on a and differ at v
     differ = _diff(lifted, p_i, p_j, _padded(test, "t_pad", test.t_supports)[pt]).any(1)
     den += x.t_probs[pt] @ (p_p * differ)
     kp, ep = kp[differ[kp]], ep[differ[kp]]
@@ -506,9 +478,7 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
     t_g, i_g, j_g = t_of[first][order], i_of[first][order], j_of[first][order]
     t_probs = (np.ones(1) if t_level is None
                else np.bincount(t_g, mass, minlength=lev_t.size))
-    tables = [("pairs", *tab)
-              for tab in _cut(t_g, lev_t.size, i_g, j_g, mass / t_probs[t_g])]
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=lev_s.size)
+    sts = STSTable.from_pairs(t_probs, lev_s.size, t_g, i_g, j_g, mass / t_probs[t_g])
     s_supports = [tuple(int(v) for v in row) for row in lev_s.faces]
     if t_level is None:
         return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_supports=None,
@@ -521,11 +491,11 @@ def sts_t_expansions(x) -> list[float]:
     """Two-sided expansion of each t-conditioned pair graph (the hypothesis of
     the independent-versus-expanding comparison)."""
     test = _as_test(x)
+    t, i, j, q = test.sts.all_pairs()
+    bounds = np.searchsorted(t, np.arange(len(test.sts.t_probs) + 1))
     out = []
-    for ti, pt in enumerate(test.sts.t_probs):
-        if pt <= 0:
-            continue
-        i_idx, j_idx, p = test.sts.pair_arrays(ti)
+    for ti in np.flatnonzero(test.sts.t_probs > 0):
+        i_idx, j_idx, p = (col[bounds[ti]:bounds[ti + 1]] for col in (i, j, q))
         live, pos = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
         dense = np.zeros((len(live), len(live)))
         np.add.at(dense, (pos[:len(i_idx)], pos[len(i_idx):]), p)

@@ -643,5 +643,5 @@ def grassmann_stav(p: GrassmannPoset, d: int, l: int) -> StavInstance:
         a_supports=_supports(p, amps),
         t_supports=_supports(p, mids),
         s_supports=_supports(p, tops),
-        t_probs=sts.t_probs, st_joint=st, av=av, sts=sts, vasa=vasa,
+        st_joint=st, av=av, sts=sts, vasa=vasa,
         meta={"poset": p, "d": d, "l": l})

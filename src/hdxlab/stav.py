@@ -16,11 +16,14 @@ Every builder is a sub-face gather: it splits the vertex positions of the
 faces of one level into fixed blocks (``complexes.position_subsets``), ranks
 each block at its level with one ``LevelIndex.sub_faces`` call, and weights
 the entries by level measures alone; no builder builds a link or a walk.
-Builders of independent pair tables write their (S x T) main distribution as
-one sparse joint, usually a block of the containment joint
-``walks._containment_joint``, and hand it to ``STSTable.from_joint``.  The
-(a, v) layer given t is one flat table sorted by t, ``AvTable``, and the
-amplification table one flat ``VasaTable``.
+Builders of independent pairs write their (S x T) main distribution as one
+sparse joint, usually a block of the containment joint
+``walks._containment_joint``, and hand it to ``STSTable.from_joint``, which
+keeps it as the conditional matrix ``cond``; explicit pair tables are handed
+to ``STSTable.from_pairs`` as flat arrays sorted by t.  So the (s1, t, s2)
+layer is flat, like the (a, v) layer given t, one t-sorted ``AvTable``, and
+the amplification table, one ``VasaTable``; ``STSTable.tables`` is a per-t
+view of it that nothing here reads.
 
 The local graphs of the goodness checker (per s, v, a or conditioning set)
 are built a kind at a time from these tables, grouped once per instance and
@@ -49,6 +52,7 @@ from .errors import (
     SizeCapError,
     ZeroConditioning,
 )
+from . import spectra
 from .spectra import (
     _check_square_stack,
     _min_cut_ratio,
@@ -70,52 +74,75 @@ TABULAR_TABLE_CAP = 4_000_000
 
 @dataclass
 class STSTable:
-    """Symmetric joint over (s1, t, s2), factored through the middle face.
+    """Symmetric joint over (s1, t, s2), factored through the middle face: t
+    by ``t_probs``, then the pair (s1, s2) given t.
 
-    ``tables[ti]`` is either ("indep", s_idx, cond) for a conditionally
-    independent pair, or ("pairs", i_idx, j_idx, p) for an explicit symmetric
-    pair table (p sums to 1 within each t).
+    ``cond`` is the (S x T) CSC conditional matrix: a t with a non-empty
+    column draws s1 and s2 independently from it.  ``pairs`` holds the
+    explicit symmetric pair tables as flat arrays (t, i, j, p) sorted by t,
+    the p of each t summing to 1.  A t has entries in at most one of them.
+    ``tables`` is a per-t view of both, cached and read-only.
     """
 
     t_probs: np.ndarray
-    tables: list
-    n_s: int
+    cond: sp.csc_matrix
+    pairs: tuple
+
+    def __post_init__(self):
+        self._cache = {}
 
     @classmethod
     def from_joint(cls, st) -> "STSTable":
-        """Independent pair tables of an (S x T) joint: t by its column mass,
-        then two independent s from its column.  A t without mass gets an
-        empty table."""
+        """Independent pairs of an (S x T) joint: t by its column mass, then
+        two independent s from its column."""
         stc = sp.csc_matrix(st)
         stc.sum_duplicates()
         t_probs = np.asarray(stc.sum(axis=0)).ravel()
-        ptr = stc.indptr
-        tables = [("indep", stc.indices[a:b].astype(np.int64),
-                   stc.data[a:b] / pt if pt > 0 else np.empty(0))
-                  for a, b, pt in zip(ptr[:-1], ptr[1:], t_probs)]
-        return cls(t_probs=t_probs, tables=tables, n_s=stc.shape[0])
+        pt = np.repeat(t_probs, np.diff(stc.indptr))
+        cond = sp.csc_matrix((stc.data / np.where(pt > 0, pt, 1.0), stc.indices, stc.indptr),
+                             shape=stc.shape)
+        e = np.empty(0, np.int64)
+        return cls(t_probs, cond, (e, e, e, np.empty(0)))
+
+    @classmethod
+    def from_pairs(cls, t_probs, n_s: int, t, i, j, p) -> "STSTable":
+        """Explicit pair tables given as flat arrays sorted by t."""
+        return cls(t_probs, sp.csc_matrix((n_s, len(t_probs))), (t, i, j, p))
+
+    @property
+    def n_s(self) -> int:
+        return self.cond.shape[0]
 
     def s_marginal(self) -> np.ndarray:
-        out = np.zeros(self.n_s)
-        for pt, tab in zip(self.t_probs, self.tables):
-            if tab[0] == "indep":
-                _, s_idx, cond = tab
-                np.add.at(out, s_idx, pt * cond)
-            else:
-                _, i_idx, j_idx, p = tab
-                np.add.at(out, i_idx, pt * p)
-        return out
+        t, i, _, p = self.pairs
+        return self.cond @ self.t_probs + np.bincount(i, self.t_probs[t] * p,
+                                                      minlength=self.n_s)
 
-    def pair_arrays(self, ti: int):
-        """Explicit (i, j, p) arrays of the conditional pair joint at t."""
-        tab = self.tables[ti]
-        if tab[0] == "pairs":
-            return tab[1], tab[2], tab[3]
-        _, s_idx, cond = tab
-        i = np.repeat(s_idx, len(s_idx))
-        j = np.tile(s_idx, len(s_idx))
-        p = np.outer(cond, cond).ravel()
-        return i, j, p
+    def all_pairs(self):
+        """Every pair (t, i, j, p) in t order, each column of ``cond``
+        expanded into its independent pairs (s1 major); cached."""
+        def build():
+            c, (t_p, *pairs) = self.cond, self.pairs
+            n = np.diff(c.indptr)
+            a, b = _segment_pairs(n, n)
+            t = np.concatenate([np.repeat(np.arange(len(n)), n)[a], t_p])
+            order = np.argsort(t, kind="stable")
+            return (t[order], *(np.concatenate(cols)[order] for cols in zip(
+                (c.indices[a], c.indices[b], c.data[a] * c.data[b]), pairs)))
+        return _cached(self, "all_pairs", build)
+
+    @property
+    def tables(self) -> tuple:
+        """Per-t view, built on first read: ("indep", s_idx, cond) for a t
+        with a non-empty ``cond`` column, ("pairs", i, j, p) for every other
+        t.  Nothing in hdxlab reads it."""
+        def build():
+            c, (t_p, *pairs) = self.cond, self.pairs
+            cols = zip(*(np.split(a, c.indptr[1:-1])
+                         for a in (c.indices.astype(np.int64), c.data)))
+            return tuple(("indep", *col) if len(col[0]) else ("pairs", *tab)
+                         for col, tab in zip(cols, _cut(t_p, c.shape[1], *pairs)))
+        return _cached(self, "tables", build)
 
 
 @dataclass
@@ -168,7 +195,6 @@ class StavInstance:
     a_supports: list  # tuple of ground indices per A element
     t_supports: list
     s_supports: list
-    t_probs: np.ndarray
     st_joint: sp.csr_matrix  # (|S|, |T|) joint of the main distribution
     av: AvTable
     sts: STSTable
@@ -180,6 +206,10 @@ class StavInstance:
 
     def __post_init__(self):
         self._cache = {}
+
+    @property
+    def t_probs(self) -> np.ndarray:
+        return self.sts.t_probs
 
     @property
     def n_s(self):
@@ -333,7 +363,7 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=s_faces,
-        t_probs=sts.t_probs, st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
+        st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
         vasa=vasa, meta={"complex": c, "d": d, "l": l})
 
 
@@ -420,7 +450,7 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=s_faces,
-        t_probs=sts.t_probs, st_joint=st, av=av, sts=sts, vasa=vasa,
+        st_joint=st, av=av, sts=sts, vasa=vasa,
         meta={"complex": c, "I": sorted(I), "J": sorted(J), "k": k, "l": l})
 
 
@@ -474,8 +504,8 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
         z1, z2 = (lev_z.sub_faces(u.faces, pat).ravel() for pat in (z1_pat, z2_pat))
         p = np.tile(u.measure, len(t_pat)) / (len(t_pat) * lev_t.measure[t_of])
         order = np.lexsort((z2, z1, t_of))
-        sts.tables = [("pairs", *tab) for tab in
-                      _cut(t_of[order], lev_t.size, z1[order], z2[order], p[order])]
+        sts = STSTable.from_pairs(sts.t_probs, sts.n_s,
+                                  *(col[order] for col in (t_of, z1, z2, p)))
 
     # amplification; the mass is factored through z u v, as the product of
     # link measures was: mu(u) / ((k+2) C C) rounds complete(7, 3) an ulp apart
@@ -503,7 +533,7 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
         a_supports=a_faces,
         t_supports=t_faces,
         s_supports=[balls[z] for z in z_faces],
-        t_probs=sts.t_probs, st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
+        st_joint=st, av=_drop_one(lev_t, lev_a), sts=sts,
         vasa=vasa, meta={"complex": c, "l": l, "k": k, "mode": mode})
 
 
@@ -545,17 +575,12 @@ def invariant_report(x) -> InvariantReport:
     # (a, v) | t factor is stored once per t: independence from s holds by
     # representation; report it as structural.
     n_t, n_s, n_a = len(x.t_probs), x.n_s, len(x.a_labels)
-    tabs = x.sts.tables
-    sizes = [len(tab[1]) for tab in tabs]
-    t_of = np.repeat(np.arange(n_t), sizes)
-    i_of = np.concatenate([np.empty(0, np.int64)] + [tab[1] for tab in tabs])
-    w = np.concatenate([np.empty(0)] + [tab[-1] for tab in tabs])  # cond or p
-    pair = np.repeat(np.array([tab[0] == "pairs" for tab in tabs], dtype=bool), sizes)
-    j_of = np.concatenate([np.empty(0, np.int64)]
-                          + [tab[2] for tab in tabs if tab[0] == "pairs"])
-    sym_dev = _max_gap((n_t, n_s, n_s), (t_of[pair], i_of[pair], j_of), w[pair],
-                       (t_of[pair], j_of, i_of[pair]), w[pair])
-    # (s, t) marginal of the pair distribution vs the main distribution
+    cond, (t_p, i_p, j_p, p_p) = x.sts.cond.tocoo(), x.sts.pairs
+    sym_dev = _max_gap((n_t, n_s, n_s), (t_p, i_p, j_p), p_p, (t_p, j_p, i_p), p_p)
+    # (s, t) marginal of the pair distribution vs the main distribution; a
+    # key (s, t) has entries in one of cond and pairs
+    t_of, i_of, w = (np.concatenate(cols) for cols in zip(
+        (cond.col, cond.row, cond.data), (t_p, i_p, p_p)))
     st = x.st_joint.tocoo()
     marg_dev = _max_gap((n_s, n_t), (i_of, t_of), x.t_probs[t_of] * w,
                         (st.row, st.col), st.data)
@@ -763,15 +788,9 @@ def _vas_a_graphs(x: StavInstance) -> _Graphs:
     return _cached(x, "vas_a", build)
 
 
-def _sts_index(x: StavInstance):
-    """Per-instance arrays behind the conditioned pair graphs.
-
-    ``ground_t`` is the binary (ground x T) containment incidence of the
-    middle faces; ``cond`` is the (S x T) conditional matrix of the "indep"
-    tables, with the same entries as ``st_joint`` and empty columns for
-    "pairs" tables; ``pairs`` holds the "pairs" tables as (ptr, i, j, p)
-    runs by t, empty for "indep" tables.
-    """
+def _ground_t(x: StavInstance) -> sp.csr_matrix:
+    """The binary (ground x T) containment incidence of the middle faces,
+    cached."""
     def build():
         ptr, flat = _flat_supports(x, "t_supports")
         n_t = len(ptr) - 1
@@ -781,19 +800,8 @@ def _sts_index(x: StavInstance):
                                  shape=(n_g, n_t))
         ground_t.sum_duplicates()
         ground_t.data[:] = 1
-        tabs = x.sts.tables
-        e_i, e_p = np.empty(0, np.int64), np.empty(0)
-        ind = [(e_i, e_p) if tab[0] == "pairs" else tab[1:] for tab in tabs]
-        prs = [tab[1:] if tab[0] == "pairs" else (e_i, e_i, e_p) for tab in tabs]
-        cond = sp.csc_matrix((np.concatenate([e_p] + [p for _, p in ind]),
-                              np.concatenate([e_i] + [i for i, _ in ind]),
-                              np.cumsum([0] + [len(i) for i, _ in ind])),
-                             shape=(x.n_s, n_t))
-        pairs = (np.cumsum([0] + [len(tab[0]) for tab in prs]),
-                 *(np.concatenate([empty] + [tab[k] for tab in prs])
-                   for k, empty in enumerate((e_i, e_i, e_p))))
-        return ground_t, cond, pairs
-    return _cached(x, "sts_index", build)
+        return ground_t
+    return _cached(x, "ground_t", build)
 
 
 def _sts_graphs(x: StavInstance, n: int, c_of: np.ndarray, ids: np.ndarray) -> _Graphs:
@@ -801,12 +809,13 @@ def _sts_graphs(x: StavInstance, n: int, c_of: np.ndarray, ids: np.ndarray) -> _
     n sets; set k is the ground ids ``ids[c_of == k]``.
 
     The selected t are those with mass that contain the set, weighted by
-    their mass.  Their "indep" tables sum to C diag(w) C^T over the
-    conditional columns C, taken on the live rows (one matrix product per
-    batch); "pairs" tables are added entry by entry.  A set that no t with
-    mass contains has no graph.
+    their mass.  Their columns of ``sts.cond`` sum to C diag(w) C^T, taken
+    on the live rows (one matrix product per batch); their explicit pairs
+    are added entry by entry.  A set that no t with mass contains has no
+    graph.
     """
-    ground_t, cond, (p_ptr, p_i, p_j, p_p) = _sts_index(x)
+    ground_t, cond, (p_t, p_i, p_j, p_p) = _ground_t(x), x.sts.cond, x.sts.pairs
+    p_ptr = np.searchsorted(p_t, np.arange(len(x.t_probs) + 1))
     n_g = ground_t.shape[0]
     out = (ids < 0) | (ids >= n_g)
     dead = np.bincount(c_of[out], minlength=n) > 0
@@ -1067,8 +1076,11 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     idx, pair = _runs(a_ptr, ra)
     graphs = _sts_graphs(x, len(ra), np.concatenate([pair, np.arange(len(ra))]),
                          np.concatenate([a_ground[idx], x.v_ground[rv]]))
-    lam2, lam_min = graphs.spectra(graphs.live())
+    live = graphs.live()
+    lam2, lam_min = graphs.spectra(live)
     a2b = float(np.max(np.maximum(np.abs(lam2), np.abs(lam_min)), initial=0.0))
+    # a graph above the dense limit went to Lanczos
+    a2b_iterative = graphs.shapes[live, 0].max(initial=0) > spectra.DENSE_EIG_LIMIT
 
     # A3a: each v-conditioned amplification graph, two-sided; a graph with a
     # 2-colourable support is read as bipartite, where its spectrum is +-sigma
@@ -1115,7 +1127,8 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
 
     vals = dict(a1_reach_lambda=a1, a2a_min_edge_expansion=float(min(phis)),
                 a2a_method=a2a_method, a2b_max_lambda=a2b,
-                a2b_method="dense", a3a_max_lambda=a3a, a3b_max_lambda=a3b,
+                a2b_method="iterative" if a2b_iterative else "dense",
+                a3a_max_lambda=a3a, a3b_max_lambda=a3b,
                 a4_max_av_lambda=a4, a4_spot_check_failures=spot_failures,
                 a5_min_conditional=float(a5))
     rep = _assemble_report(vals, gamma, r, cfg)
@@ -1310,11 +1323,7 @@ def stav_to_json_dict(x: StavInstance) -> dict:
     n_t = len(x.t_probs)
     st = x.st_joint.tocoo()
     vasa, av = x.vasa, x.av
-    pairs = [x.sts.pair_arrays(ti) for ti in range(n_t)]
-    e_i = np.empty(0, np.int64)
-    pair_rows = np.split(_json_rows(*(np.concatenate([empty] + [tab[k] for tab in pairs])
-                                      for k, empty in enumerate((e_i, e_i, np.empty(0))))),
-                         np.cumsum([len(tab[0]) for tab in pairs])[:-1])
+    t, i, j, p = x.sts.all_pairs()
     return {
         "provenance": x.provenance,
         "ground": [lab(v) for v in x.ground_labels],
@@ -1329,7 +1338,7 @@ def stav_to_json_dict(x: StavInstance) -> dict:
         "st_joint": _json_rows(st.row, st.col, st.data).tolist(),
         "av_tables": [rows.tolist() for (rows,) in
                       _cut(av.t_idx, n_t, _json_rows(av.a_idx, av.v_idx, av.probs))],
-        "sts_pairs": [rows.tolist() for rows in pair_rows],
+        "sts_pairs": [rows.tolist() for (rows,) in _cut(t, n_t, _json_rows(i, j, p))],
         "vasa": _json_rows(vasa.v_idx, vasa.a1_idx, vasa.s_idx, vasa.a2_idx,
                            vasa.probs).tolist(),
     }
@@ -1356,11 +1365,9 @@ def stav_from_json_dict(data: dict) -> StavInstance:
                         ([i for i, _, _ in st_rows], [j for _, j, _ in st_rows])),
                        shape=(len(s_labels), len(t_labels))).tocsr()
     st.sum_duplicates()
-    t_probs = np.asarray(st.sum(axis=0)).ravel()
     av = AvTable(*_read_tables(data["av_tables"], "(a,v) table"))
-    t_idx, *pairs = _read_tables(data["sts_pairs"], "pair table")
-    tables = [("pairs", *tab) for tab in _cut(t_idx, len(data["sts_pairs"]), *pairs)]
-    sts = STSTable(t_probs=t_probs, tables=tables, n_s=len(s_labels))
+    sts = STSTable.from_pairs(np.asarray(st.sum(axis=0)).ravel(), len(s_labels),
+                              *_read_tables(data["sts_pairs"], "pair table"))
     vrows = data["vasa"]
     vasa = VasaTable(np.array([r[0] for r in vrows], dtype=np.int64),
                      np.array([r[1] for r in vrows], dtype=np.int64),
@@ -1373,7 +1380,7 @@ def stav_from_json_dict(data: dict) -> StavInstance:
                         a_labels=a_labels, t_labels=t_labels,
                         s_labels=s_labels, a_supports=a_supports,
                         t_supports=t_supports, s_supports=s_supports,
-                        t_probs=t_probs, st_joint=st, av=av, sts=sts, vasa=vasa)
+                        st_joint=st, av=av, sts=sts, vasa=vasa)
     rep = invariant_report(inst)
     if not rep.passed(tol=1e-7, uniform_tol=1e-6):
         raise MarginalMismatch(f"instance violates defining invariants: "

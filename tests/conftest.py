@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
+from hdxlab.stav import STSTable
 from hdxlab.walks import BipartiteGraph, WeightedGraph, down_operator
 
 # one profile for every property test; per-example deadlines fail spuriously
@@ -84,6 +86,38 @@ def kneser_lambda(n: int, k: int) -> float:
     return float(abs(best))
 
 
+def expand_table(tab):
+    """Explicit (i, j, p) arrays of one per-t table: a "pairs" table as it
+    is, an "indep" one expanded into its independent pairs, s1 major."""
+    if tab[0] == "pairs":
+        return tab[1], tab[2], tab[3]
+    _, s_idx, cond = tab
+    return (np.repeat(s_idx, len(s_idx)), np.tile(s_idx, len(s_idx)),
+            np.outer(cond, cond).ravel())
+
+
+def pair_arrays(sts, ti):
+    """Explicit (i, j, p) arrays of the pair joint at t, read off the per-t
+    ``tables`` view."""
+    return expand_table(sts.tables[ti])
+
+
+def sts_from_tables(t_probs, tables, n_s) -> STSTable:
+    """The flat STSTable of a per-t list of ("indep", s_idx, cond) and
+    ("pairs", i, j, p) tables."""
+    e_i, e_p = np.empty(0, np.int64), np.empty(0)
+    ind = [(e_i, e_p) if tab[0] == "pairs" else tab[1:] for tab in tables]
+    cond = sp.csc_matrix((np.concatenate([e_p] + [q for _, q in ind]),
+                          np.concatenate([e_i] + [s for s, _ in ind]),
+                          np.cumsum([0] + [len(s) for s, _ in ind])),
+                         shape=(n_s, len(tables)))
+    prs = [(np.full(len(tab[1]), ti), *tab[1:])
+           for ti, tab in enumerate(tables) if tab[0] == "pairs"]
+    pairs = tuple(np.concatenate([empty] + [tab[k] for tab in prs])
+                  for k, empty in enumerate((e_i, e_i, e_i, e_p)))
+    return STSTable(np.asarray(t_probs), cond, pairs)
+
+
 def brute_force_rejection(test, f) -> float:
     """Independent rejection oracle: expand every pair table explicitly."""
     pos_maps = [{v: i for i, v in enumerate(sup)} for sup in test.s_supports]
@@ -96,7 +130,7 @@ def brute_force_rejection(test, f) -> float:
     for ti, pt in enumerate(test.sts.t_probs):
         if pt <= 0:
             continue
-        i_idx, j_idx, p = test.sts.pair_arrays(ti)
+        i_idx, j_idx, p = pair_arrays(test.sts, ti)
         for si, sj, q in zip(i_idx, j_idx, p):
             if test.t_supports is not None:
                 verts = test.t_supports[ti]

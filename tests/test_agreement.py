@@ -24,7 +24,7 @@ from hdxlab.agreement import (
 )
 from hdxlab.stav import hdx_stav, neighborhood_stav
 
-from conftest import brute_force_rejection
+from conftest import brute_force_rejection, pair_arrays
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +260,7 @@ def test_up2k_support_and_intersection():
     test = up2k_distribution(c, 2)
     # pairs always share a level-4 face; expected intersection size is
     # (k+1)^2 / (2k+1) for the complete complex
-    i_idx, j_idx, p = test.sts.pair_arrays(0)
+    i_idx, j_idx, p = pair_arrays(test.sts, 0)
     esize = 0.0
     for si, sj, q in zip(i_idx, j_idx, p):
         inter = set(test.s_supports[int(si)]) & set(test.s_supports[int(sj)])

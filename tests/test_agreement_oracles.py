@@ -48,7 +48,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import random_weighted_complex
+from conftest import pair_arrays, random_weighted_complex
 
 TOL = 1e-12
 
@@ -97,7 +97,7 @@ def rejection_loop(test, f):
                      else max(1.0 - sum(p * p for p in groups.values()), 0.0))
         else:
             eps_t = 0.0
-            for si, sj, q in zip(*test.sts.pair_arrays(ti)):
+            for si, sj, q in zip(*pair_arrays(test.sts, ti)):
                 verts = _compare_verts(test, ti, int(si), int(sj))
                 if (_restriction(f, test, pos_maps, int(si), verts)
                         != _restriction(f, test, pos_maps, int(sj), verts)):

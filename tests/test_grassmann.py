@@ -24,8 +24,10 @@ from hdxlab.grassmann import (
 from hdxlab.spectra import bipartite_norm
 from hdxlab.stav import derive_graph, invariant_report
 
+from conftest import pair_arrays
 from test_grassmann_oracles import rank
 from test_stav_oracles import assert_json_roundtrip, assert_marginals_match_loops
+from test_sts_oracles import assert_flat_sts_matches, from_joint_tables_loop
 
 
 def enumerate_level(p, k):
@@ -186,7 +188,7 @@ def test_distribution_support_and_repeats():
     test = lgd_distribution(p, 2, 0)
     saw_equal = False
     for ti, pt in enumerate(test.sts.t_probs):
-        i_idx, j_idx, q = test.sts.pair_arrays(ti)
+        i_idx, j_idx, q = pair_arrays(test.sts, ti)
         tsup = set(test.t_supports[ti])
         for si, sj, qq in zip(i_idx, j_idx, q):
             if qq <= 0:
@@ -208,6 +210,7 @@ def test_grassmann_stav_invariants():
     # run here rather than in test_stav_oracles
     assert_marginals_match_loops(x)
     assert_json_roundtrip(x)
+    assert_flat_sts_matches(x.sts, *from_joint_tables_loop(x.st_joint))
     g = derive_graph(x, "t_lower", x.t_labels[0])
     lam = bipartite_norm(g).lambda_bip
     assert lam <= 1.0 + 1e-9  # measured and reported

@@ -35,6 +35,7 @@ from hdxlab.walks import (
     MarkovOperator,
     complement_walk,
     containment_operator,
+    fixed_union_walk,
     lower_walk,
     underlying_graph,
 )
@@ -46,6 +47,7 @@ from conftest import (
     random_weighted_complex,
     random_weighted_graph,
 )
+from test_stav_oracles import _weighted_complex
 
 
 def test_complete_graph_spectrum():
@@ -357,6 +359,30 @@ def test_iterative_solvers_raise_when_not_converged(unconverged_solvers):
         square_spectrum(lower_walk(c, 1, 0))
     with pytest.raises(NotConverged):
         bipartite_norm(complement_walk(c, 1, 1))
+
+
+def fixed_union_norm_dense(c, l, j):
+    """verify_fixed_union_bound's lhs from one dense eigvalsh at any size."""
+    a, low = fixed_union_walk(c, l, j), lower_walk(c, l, l - j)
+    s = np.sqrt(a.source_measure)
+    ja, jl = (op.joint() for op in (a, low))
+    diff = (ja - jl) / np.outer(s, s)
+    diff = np.asarray(diff.todense()) if hasattr(diff, "todense") else diff
+    return float(np.max(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0))))
+
+
+@pytest.mark.parametrize("c,l,j", [(complete_complex(20, 3), 2, 1),
+                                   (_weighted_complex(2, 10, 4), 2, 1),
+                                   (_weighted_complex(2, 10, 4), 2, 2)])
+def test_fixed_union_bound_lanczos_matches_dense(monkeypatch, c, l, j):
+    # past the dense limit the norm comes from Lanczos on half the
+    # symmetrised difference; the link spectra are solved before the limit
+    # is patched, so only the fixed-union solve changes path
+    import hdxlab.spectra as spectra
+    link_expansion(c, two_sided=True)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    got = verify_fixed_union_bound(c, l, j)
+    assert got.lhs == pytest.approx(fixed_union_norm_dense(c, l, j), abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["complete", "weighted"])

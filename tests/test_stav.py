@@ -27,6 +27,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
+from conftest import pair_arrays
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_neighborhood_invariants_and_support():
     for ti, pt in enumerate(x.sts.t_probs):
         if pt <= 0:
             continue
-        i_idx, j_idx, p = x.sts.pair_arrays(ti)
+        i_idx, j_idx, p = pair_arrays(x.sts, ti)
         tset = set(x.t_supports[ti])
         for si, sj, q in zip(i_idx[:5], j_idx[:5], p[:5]):
             if q > 0:
@@ -152,6 +153,17 @@ def test_goodness_monotone_in_gamma(hdx951):
             continue  # gamma-independent checks
         if ok:
             assert high.passes[key], key
+
+
+def test_goodness_a2b_method_follows_dense_limit(hdx951, monkeypatch):
+    # the A2b graphs of complete(9, 5), l = 1 have more than 4 rows: with
+    # the limit patched to 4 they go to Lanczos, and the report says so
+    import hdxlab.spectra as spectra
+    dense = goodness_check(hdx951, gamma=0.5)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 4)
+    iterative = goodness_check(hdx951, gamma=0.5)
+    assert (dense.a2b_method, iterative.a2b_method) == ("dense", "iterative")
+    assert iterative.a2b_max_lambda == pytest.approx(dense.a2b_max_lambda, abs=1e-10)
 
 
 def test_goodness_detects_disconnected_pair_graph():

@@ -35,7 +35,6 @@ from hdxlab.walks import BipartiteGraph, WeightedGraph, complement_walk
 from hdxlab.spectra import bipartite_lambda, edge_expansion_exact, square_lambda
 from hdxlab.stav import (
     GoodnessConfig,
-    STSTable,
     VasaTable,
     _assemble_report,
     _sampler_spot_checks,
@@ -50,7 +49,8 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import kneser_lambda, random_partite_complex, random_weighted_complex
+from conftest import (kneser_lambda, pair_arrays, random_partite_complex,
+                      random_weighted_complex, sts_from_tables)
 
 
 def sts_conditioned_loop(x, need):
@@ -63,7 +63,7 @@ def sts_conditioned_loop(x, need):
     z = sum(float(x.t_probs[ti]) for ti in t_sel)
     acc = defaultdict(float)
     for ti in t_sel:
-        i_idx, j_idx, p = x.sts.pair_arrays(ti)
+        i_idx, j_idx, p = pair_arrays(x.sts, ti)
         w = float(x.t_probs[ti]) / z
         for a, b, q in zip(i_idx, j_idx, p):
             acc[(int(a), int(b))] += w * float(q)
@@ -327,7 +327,7 @@ def _perturbed(x, seed):
                                              x.vasa.s_idx, x.vasa.a2_idx)),
                      x.vasa.probs[keep] * rng.uniform(0.95, 1.05, int(keep.sum())))
     return dataclasses.replace(x, st_joint=st, vasa=vasa,
-                               sts=STSTable(x.t_probs, tables, x.n_s))
+                               sts=sts_from_tables(x.t_probs, tables, x.n_s))
 
 
 @pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
@@ -713,7 +713,7 @@ def assert_json_roundtrip(x):
     assert (y.st_joint != x.st_joint).nnz == 0
     assert_same_entries(vasa_columns(y), vasa_columns(x))
     for ti in range(len(x.t_probs)):
-        assert_same_entries(y.sts.pair_arrays(ti), x.sts.pair_arrays(ti))
+        assert_same_entries(pair_arrays(y.sts, ti), pair_arrays(x.sts, ti))
     got, want = invariant_report(y).to_json_dict(), invariant_report(x).to_json_dict()
     assert got.keys() == want.keys()
     for key, value in want.items():
