@@ -85,10 +85,15 @@ def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Positions of sorted vertex rows among ascending ``_encode_rows`` keys;
-    rows that are absent map to -1."""
-    keys = _encode_rows(np.asarray(rows, dtype=np.int64), n)
+    rows that are absent map to -1, and so do rows with an id outside [0, n),
+    whose keys could alias a present row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = _encode_rows(rows, n)
     pos = np.clip(np.searchsorted(sorted_keys, keys), 0, len(sorted_keys) - 1)
-    return np.where(sorted_keys[pos] == keys, pos, -1)
+    found = sorted_keys[pos] == keys
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        found &= ((rows >= 0) & (rows < n)).all(axis=1)
+    return np.where(found, pos, -1)
 
 
 def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
@@ -159,11 +164,7 @@ class LevelIndex:
         t = check_face(face)
         if len(t) != self.k + 1:
             raise NotAFace(f"face {t} is not at level {self.k}")
-        key = _encode_rows(np.array([t], dtype=np.int64), self.n_vertices)[0]
-        pos = int(np.searchsorted(self._keys, key))
-        if pos >= len(self._keys) or self._keys[pos] != key:
-            raise NotAFace(f"{t} is not a face of this complex")
-        return pos
+        return int(self.index_rows(np.array(t, dtype=np.int64).reshape(1, -1))[0])
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
         """Vectorized face-row lookup; missing rows raise or yield -1."""
@@ -230,7 +231,7 @@ class Complex:
         self.uniform_complete = bool(uniform_complete)
         self.vertex_labels = None if vertex_labels is None else tuple(vertex_labels)
         self._levels: dict[int, LevelIndex] = {}
-        self._colored_levels: dict[frozenset, tuple] = {}
+        self._colored_levels: dict[frozenset, LevelIndex] = {}
         # k -> (lambda2, lambda_min) of every k-face's link, filled by spectra
         self._link_spectra: dict[int, tuple] = {}
         # (I, J) color sets -> colored-walk norm, filled by spectra
@@ -333,7 +334,7 @@ class Complex:
         if k == -1:
             return 1.0
         if self.uniform_complete:
-            if t[-1] >= self.n_vertices or k > self.d:
+            if t[0] < 0 or t[-1] >= self.n_vertices or k > self.d:
                 raise NotAFace(f"{t} is not a face")
             return 1.0 / math.comb(self.n_vertices, k + 1)
         lev = self.level(k)
@@ -354,7 +355,7 @@ class Complex:
         if len(t) == 0:
             return True
         if self.uniform_complete:
-            return len(t) <= self.d + 1 and t[-1] < self.n_vertices
+            return len(t) <= self.d + 1 and 0 <= t[0] and t[-1] < self.n_vertices
         try:
             self.level(len(t) - 1).index_of(t)
             return True
@@ -370,8 +371,9 @@ class Complex:
     def color_set(self, face) -> frozenset:
         return frozenset(self.coloring[v] for v in face)
 
-    def colored_level(self, colors) -> tuple[np.ndarray, np.ndarray]:
-        """Faces of exactly the given color set, with the transversal measure.
+    def colored_level(self, colors) -> LevelIndex:
+        """Faces of exactly the given color set, with the transversal measure,
+        indexed like a level (cached).
 
         The measure of a face s with col(s) = I is Pr[top >= s], which is also
         the probability that the color-I subface of a random top face equals s.
@@ -389,9 +391,8 @@ class Complex:
         sub = np.sort(sub, axis=1)
         lev = _make_level(sub.astype(np.int64), weights.copy(), self.n_vertices,
                           len(cols) - 1)
-        out = (lev.faces, lev.measure)
-        self._colored_levels[key] = out
-        return out
+        self._colored_levels[key] = lev
+        return lev
 
     # -- derived complexes -------------------------------------------------------
 

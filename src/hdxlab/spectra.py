@@ -26,7 +26,6 @@ The goodness checker of ``stav`` solves its local graphs the same way.
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -569,13 +568,38 @@ class MixingReport:
                 "observed_constant": self.observed_constant}
 
 
-def _check_cross_disjoint(face_sets):
-    for (i, fs1), (j, fs2) in itertools.combinations(enumerate(face_sets), 2):
-        for f1 in fs1:
-            for f2 in fs2:
-                if set(f1) & set(f2):
-                    raise HypothesisViolated(
-                        f"faces {f1} (set {i}) and {f2} (set {j}) intersect")
+def _set_rows(c: Complex, faces, width: int, what: str) -> np.ndarray:
+    """The faces of one set as ascending vertex rows; each must have ``width``
+    vertex ids in [0, n), and ``what`` names the set in the error."""
+    faces = list(faces)
+    if set(map(len, faces)) - {width}:
+        raise HypothesisViolated(f"{what} has a face without {width} vertices")
+    rows = np.sort(np.array(faces, dtype=np.int64).reshape(len(faces), width), axis=1)
+    outside = np.flatnonzero(((rows < 0) | (rows >= c.n_vertices)).any(axis=1))
+    if outside.size:
+        raise HypothesisViolated(f"face {tuple(rows[outside[0]].tolist())} of {what} "
+                                 f"has a vertex outside [0, {c.n_vertices})")
+    return rows
+
+
+def _member_mask(lev, rows: np.ndarray, strict: bool) -> np.ndarray:
+    """The faces of ``lev`` that are rows of a set, each once."""
+    idx = lev.index_rows(rows, strict=strict)
+    member = np.zeros(lev.size, dtype=bool)
+    member[idx[idx >= 0]] = True
+    return member
+
+
+def _mixing_report(c: Complex, measured: float, probs, predicted: float,
+                   two_sided: bool) -> MixingReport:
+    """The deviation against link expansion times the geometric mean of the
+    set probabilities; the constant is observed, never asserted."""
+    deviation = abs(measured - predicted)
+    lam = link_expansion(c, two_sided=two_sided).value
+    geo = math.prod(probs) ** (1.0 / len(probs)) if all(p > 0 for p in probs) else 0.0
+    bound_rhs = lam * geo
+    const = deviation / bound_rhs if bound_rhs > 0 else None
+    return MixingReport(measured, predicted, deviation, bound_rhs, const)
 
 
 def mixing_check(c: Complex, sets) -> MixingReport:
@@ -584,82 +608,74 @@ def mixing_check(c: Complex, sets) -> MixingReport:
     ``sets`` is a list of (dimension, faces).  Faces from different sets must
     be pairwise disjoint.  The deviation bound constant is reported from the
     observation, never asserted.
+
+    Disjoint members of the sets fill a face of level k = sum (j_i + 1) - 1, so
+    a face counts when, for one choice of ``position_subsets`` blocks, block i
+    is a member of set i: one sub-face lookup per block against a member mask.
     """
+    if not sets:
+        raise HypothesisViolated("mixing needs at least one set")
     dims = [int(j) for j, _ in sets]
-    face_sets = [[tuple(sorted(int(v) for v in f)) for f in faces]
-                 for _, faces in sets]
-    for jdim, faces in zip(dims, face_sets):
-        for f in faces:
-            if len(f) != jdim + 1:
-                raise HypothesisViolated(f"face {f} is not at dimension {jdim}")
-    k = sum(j + 1 for j in dims) - 1
+    rows = [_set_rows(c, faces, j + 1, f"set {i} at dimension {j}")
+            for i, (j, (_, faces)) in enumerate(zip(dims, sets))]
+    k = sum(dims) + len(dims) - 1
     if k > c.d:
         raise HypothesisViolated(f"total size {k + 1} exceeds d+1 = {c.d + 1}")
-    _check_cross_disjoint(face_sets)
-    lookups = [set(fs) for fs in face_sets]
+    # each vertex is owned by the last set that lists it: a clash means two sets
+    verts = np.concatenate([r.ravel() for r in rows])
+    set_of = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    owner = np.full(c.n_vertices, -1)
+    owner[verts] = set_of
+    clash = np.flatnonzero(owner[verts] != set_of)
+    if clash.size:
+        v = int(verts[clash[0]])
+        raise HypothesisViolated(
+            f"vertex {v} is in faces of sets {set_of[clash[0]]} and {owner[v]}")
+    levels = [c.level(j) for j in dims]
+    members = [_member_mask(lev, r, strict=True) for lev, r in zip(levels, rows)]
     lev = c.level(k)
-    measured = 0.0
-    for face, w in zip(lev.iter_faces(), lev.measure):
-        ok = True
-        for jdim, members in zip(dims, lookups):
-            if not any(set(m) <= set(face) for m in members):
-                ok = False
-                break
-        if ok:
-            measured += float(w)
-    probs = [sum(c.measure_of(f) for f in fs) for fs in face_sets]
-    multinomial = math.factorial(k + 1)
-    for j in dims:
-        multinomial //= math.factorial(j + 1)
-    predicted = multinomial * math.prod(probs)
-    deviation = abs(measured - predicted)
-    lam = link_expansion(c, two_sided=True).value
-    geo = math.prod(probs) ** (1.0 / len(probs)) if all(p > 0 for p in probs) else 0.0
-    bound_rhs = lam * geo
-    const = deviation / bound_rhs if bound_rhs > 0 else None
-    return MixingReport(measured, predicted, deviation, bound_rhs, const)
+    blocks = position_subsets(k + 1, *(j + 1 for j in dims))[:-1]
+    hit = np.logical_and.reduce([m[l.sub_faces(lev.faces, b)]
+                                 for l, m, b in zip(levels, members, blocks)]).any(axis=0)
+    probs = [float(l.measure[m].sum()) for l, m in zip(levels, members)]
+    multinomial = math.factorial(k + 1) // math.prod(math.factorial(j + 1) for j in dims)
+    return _mixing_report(c, float(lev.measure @ hit), probs,
+                          multinomial * math.prod(probs), two_sided=True)
 
 
 def partite_mixing_check(c: Complex, colored_sets) -> MixingReport:
-    """Partite analogue with conditional probabilities inside color classes."""
+    """Partite analogue with conditional probabilities inside color classes.
+
+    A face of the union's colored level counts when, for every set, its block
+    of that set's colors (the color mask of ``colored_walk``) is a member.  A
+    member that is not a face of its colored level counts for nothing.
+    """
     if not c.is_partite:
         raise NotPartite("partite mixing needs a coloring")
-    col_sets = [frozenset(int(x) for x in colors) for colors, _ in colored_sets]
-    for a, b in itertools.combinations(col_sets, 2):
-        if a & b:
-            raise HypothesisViolated("color sets must be pairwise disjoint")
-    face_sets = [{tuple(sorted(int(v) for v in f)) for f in faces}
-                 for _, faces in colored_sets]
-    col = np.asarray(c.coloring)
-    for colors, faces in zip(col_sets, face_sets):
-        for f in faces:
-            if frozenset(col[list(f)].tolist()) != colors:
-                raise HypothesisViolated(f"face {f} does not have colors {sorted(colors)}")
+    if not colored_sets:
+        raise HypothesisViolated("mixing needs at least one set")
+    col_sets = [sorted({int(x) for x in colors}) for colors, _ in colored_sets]
     union = frozenset().union(*col_sets)
-    faces_u, meas_u = c.colored_level(union)
-    measured = 0.0
-    for face, w in zip(faces_u, meas_u):
-        face = tuple(int(v) for v in face)
-        ok = True
-        for colors, members in zip(col_sets, face_sets):
-            sub = tuple(sorted(v for v in face if col[v] in colors))
-            if sub not in members:
-                ok = False
-                break
-        if ok:
-            measured += float(w)
-    cond = []
-    for colors, members in zip(col_sets, face_sets):
-        faces_i, meas_i = c.colored_level(colors)
-        lut = {tuple(int(v) for v in f): float(w) for f, w in zip(faces_i, meas_i)}
-        cond.append(sum(lut.get(m, 0.0) for m in members))
-    predicted = math.prod(cond)
-    deviation = abs(measured - predicted)
-    lam = link_expansion(c, two_sided=False).value
-    geo = math.prod(cond) ** (1.0 / len(cond)) if all(p > 0 for p in cond) else 0.0
-    bound_rhs = lam * geo
-    const = deviation / bound_rhs if bound_rhs > 0 else None
-    return MixingReport(measured, predicted, deviation, bound_rhs, const)
+    if len(union) != sum(map(len, col_sets)):
+        raise HypothesisViolated("color sets must be pairwise disjoint")
+    col = np.asarray(c.coloring)
+    levels, members = [], []
+    for i, (colors, (_, faces)) in enumerate(zip(col_sets, colored_sets)):
+        rows = _set_rows(c, faces, len(colors), f"set {i}")
+        wrong = np.flatnonzero((np.sort(col[rows], axis=1) != colors).any(axis=1))
+        if wrong.size:
+            raise HypothesisViolated(
+                f"face {tuple(rows[wrong[0]].tolist())} does not have colors {colors}")
+        levels.append(c.colored_level(colors))
+        members.append(_member_mask(levels[-1], rows, strict=False))
+    lev_u = c.colored_level(union)
+    col_u = col[lev_u.faces]
+    hit = np.logical_and.reduce([
+        m[l.index_rows(lev_u.faces[np.isin(col_u, cs)].reshape(lev_u.size, len(cs)))]
+        for cs, l, m in zip(col_sets, levels, members)])
+    cond = [float(l.measure[m].sum()) for l, m in zip(levels, members)]
+    return _mixing_report(c, float(lev_u.measure @ hit), cond, math.prod(cond),
+                          two_sided=False)
 
 
 # -- sampler / cut lemmas -----------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Complex, _encode_rows, _lookup_rows, position_subsets
+from .complexes import Complex, position_subsets
 from .errors import (
     EmptyWalk,
     HdxError,
@@ -289,18 +289,13 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
         raise HdxError("color sets must be nonempty")
     if I & J:
         raise OverlappingColors(f"colors overlap: {sorted(I & J)}")
-    faces_i, meas_i = c.colored_level(I)
-    faces_j, meas_j = c.colored_level(J)
-    faces_u, meas_u = c.colored_level(I | J)
-    col = np.asarray(c.coloring)
-    in_i = np.isin(col[faces_u], sorted(I))
-    s_rows = np.sort(faces_u[in_i].reshape(len(faces_u), len(I)), axis=1)
-    t_rows = np.sort(faces_u[~in_i].reshape(len(faces_u), len(J)), axis=1)
-
-    # colored levels are stored in key order, as every level is
-    s_idx = _lookup_rows(_encode_rows(faces_i, c.n_vertices), s_rows, c.n_vertices)
-    t_idx = _lookup_rows(_encode_rows(faces_j, c.n_vertices), t_rows, c.n_vertices)
-    return _from_joint(faces_i, meas_i, faces_j, meas_j, [s_idx], [t_idx], [meas_u])
+    lev_i, lev_j, lev_u = (c.colored_level(x) for x in (I, J, I | J))
+    in_i = np.isin(np.asarray(c.coloring)[lev_u.faces], sorted(I))
+    # rows of a level are sorted, so each color block of a union face is too
+    s_idx = lev_i.index_rows(lev_u.faces[in_i].reshape(lev_u.size, len(I)))
+    t_idx = lev_j.index_rows(lev_u.faces[~in_i].reshape(lev_u.size, len(J)))
+    return _from_joint(lev_i.faces, lev_i.measure, lev_j.faces, lev_j.measure,
+                       [s_idx], [t_idx], [lev_u.measure])
 
 
 def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -55,6 +56,46 @@ def test_mixing_random(tmp_path, complex_file):
     assert rep["deviation"] >= 0
     # seed is mandatory for random sets
     assert run_cli(["mixing", complex_file, "--random-vertex-sets", "2"]) == 1
+
+
+def test_mixing_sets_file_rejects_a_vertex_out_of_range(tmp_path, capsys):
+    cpath = tmp_path / "p.json"
+    assert run_cli(["build", "--partite", "3,3,3", "-o", str(cpath)]) == 0
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"colored": True, "sets": [
+        {"colors": [0], "faces": [[0]]}, {"colors": [1], "faces": [[40]]}]}))
+    capsys.readouterr()
+    assert run_cli(["mixing", str(cpath), "--sets-file", str(sets)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside [0, 9)" in err
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_mixing_sets_file_rejects_no_sets(tmp_path, capsys, colored):
+    cpath = tmp_path / "p.json"
+    assert run_cli(["build", "--partite", "3,3,3", "-o", str(cpath)]) == 0
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"colored": colored, "sets": []}))
+    capsys.readouterr()
+    assert run_cli(["mixing", str(cpath), "--sets-file", str(sets)]) == 1
+    assert capsys.readouterr().err == "error: mixing needs at least one set\n"
+
+
+def readme_sets_example() -> str:
+    """The one ```json block of the README: the quick tour's sets file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        return fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_mixing_readme_sets_file(tmp_path, complex_file):
+    sets = tmp_path / "sets.json"
+    sets.write_text(readme_sets_example())
+    out = tmp_path / "mix.json"
+    assert run_cli(["mixing", complex_file, "--sets-file", str(sets), "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    # 3 vertices times 3 edges, disjoint: 9 of the C(9, 3) triangles
+    assert rep["measured"] == pytest.approx(9 / 84, abs=1e-15)
 
 
 def test_grassmann_subcommand(tmp_path):

@@ -31,6 +31,7 @@ from hdxlab.errors import (
 )
 
 from conftest import random_weighted_complex
+from test_golden import _weighted_complex
 
 
 def test_single_simplex_levels():
@@ -194,6 +195,39 @@ def test_skeleton():
         for face, p in zip(lev_orig.iter_faces(), lev_orig.measure):
             assert sk1.measure_of(face) == pytest.approx(float(p), abs=1e-12)
         del lev_new
+
+
+# a row with an id outside [0, n) can key like a present row: 0*8 + 10 is
+# the key of (1, 2), and -1*8 + 9 that of (0, 1)
+def test_is_face_rejects_ids_past_n():
+    c = _weighted_complex()
+    assert c.is_face((1, 2))
+    assert not c.is_face((0, 10))
+    assert (c.level(1).index_rows(np.array([[0, 10], [1, 2]]), strict=False)
+            == [-1, c.level(1).index_of((1, 2))]).all()
+
+
+def test_measure_of_rejects_ids_past_n():
+    c = _weighted_complex()
+    with pytest.raises(NotAFace):
+        c.measure_of((0, 10))
+    assert c.level(1).measure_of_rows(np.array([[0, 10]])).tolist() == [0.0]
+
+
+def test_negative_ids_are_not_faces():
+    c = _weighted_complex()
+    assert c.is_face((0, 1))
+    assert not c.is_face((-1, 9))
+    with pytest.raises(NotAFace):
+        c.measure_of((-1, 9))
+
+
+def test_complete_complex_rejects_negative_ids():
+    c = complete_complex(8, 2)
+    assert c.is_face((0, 3))
+    assert not c.is_face((-1, 3))
+    with pytest.raises(NotAFace):
+        c.measure_of((-1, 3))
 
 
 def test_construction_errors():

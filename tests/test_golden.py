@@ -6,7 +6,8 @@ manifest holds paths, hashes and wall time and is ignored).  A ``spectrum``
 case that exports its operator as CSV also compares the (row, column, prob)
 triplets, sorted.  A case with an ``{ensemble}`` placeholder first writes the
 planted ensemble of ``PLANT`` (plant seed 3, alphabet 2, 20 % of the sets
-resampled) for the instance its flags name.  Regenerate files only on
+resampled) for the instance its flags name; one with a ``{sets}`` placeholder
+first writes its ``SETS`` entry as the ``mixing --sets-file`` JSON.  Regenerate files only on
 purpose, from a commit whose reports are trusted, naming the cases to write
 (all cases when none given):
 
@@ -78,11 +79,27 @@ def _spectrum(walk, *flags, on="weighted"):
                  "--export-csv", "{csv}"])
 
 
+def _mixing_sets(on):
+    return (on, ["mixing", "{complex}", "--sets-file", "{sets}"])
+
+
+# name -> the sets file of a mixing case, in the format the README documents
+SETS = {
+    "mixing_sets_weighted_dims_0_1": {"sets": [
+        {"dim": 0, "faces": [[0], [3], [5]]},
+        {"dim": 1, "faces": [[1, 2], [2, 4], [6, 7], [1, 7]]}]},
+    "mixing_sets_colored_weighted_partite": {"colored": True, "sets": [
+        {"colors": [0], "faces": [[0], [2]]},
+        {"colors": [1, 2], "faces": [[3, 6], [4, 8], [5, 7]]}]},
+}
+
+
 def _decode(*flags):
     return ["decode", "--complex", "{complex}", *flags, "--ensemble", "{ensemble}"]
 
 
-# name -> (complex, command argv with {complex}, {csv} and {ensemble} placeholders)
+# name -> (complex, command argv with {complex}, {csv}, {ensemble} and {sets}
+# placeholders)
 CASES = {
     "stav_check_complete_9_5_l1": (
         C95, ["stav-check", "--complex", "{complex}", "--stav", "hdx", "--l", "1",
@@ -117,6 +134,8 @@ CASES = {
     "mixing_random_weighted_seed7": (
         "weighted", ["mixing", "{complex}", "--random-vertex-sets", "2",
                      "--density", "0.25", "--seed", "7"]),
+    "mixing_sets_weighted_dims_0_1": _mixing_sets("weighted"),
+    "mixing_sets_colored_weighted_partite": _mixing_sets("weighted_partite"),
     "grassmann_containment_linear_2_4": (
         None, ["grassmann", "--q", "2", "--n", "4", "--d", "2", "--flavor", "linear",
                "--walk", "containment", "--k", "1", "--l", "0"]),
@@ -166,12 +185,17 @@ def run_case(name: str, workdir: str):
     cpath = os.path.join(workdir, f"{name}.complex.json")
     csv_path = os.path.join(workdir, f"{name}.csv")
     ens_path = os.path.join(workdir, f"{name}.ensemble.json")
+    sets_path = os.path.join(workdir, f"{name}.sets.json")
     out = os.path.join(workdir, f"{name}.report.json")
     if isinstance(source, str):
         FIXED[source]().save(cpath)
     elif source is not None:
         assert main(["build", *source, "-o", cpath]) == 0
-    argv = [a.format(complex=cpath, csv=csv_path, ensemble=ens_path) for a in argv]
+    if name in SETS:
+        with open(sets_path, "w") as fh:
+            json.dump(SETS[name], fh)
+    argv = [a.format(complex=cpath, csv=csv_path, ensemble=ens_path, sets=sets_path)
+            for a in argv]
     argv += ["--report" if argv[0] == "decode" else "-o", out]
     if "{ensemble}" in CASES[name][1]:
         _write_ensemble(cpath, argv, ens_path)

@@ -232,6 +232,26 @@ def test_mixing_full_levels():
     assert rep.measured == pytest.approx(1 / math.comb(8, 3), abs=1e-12)
 
 
+def test_mixing_counts_a_repeated_member_once():
+    c = complete_complex(8, 3)
+    once = mixing_check(c, [(0, [(3,)]), (0, [(5,)])])
+    twice = mixing_check(c, [(0, [(3,), (3,)]), (0, [(5,)])])
+    assert twice == once
+    assert once.predicted == pytest.approx(2 / 64, abs=1e-15)
+    y = partite_complete_complex([3, 3])
+    once = partite_mixing_check(y, [([0], [(0,)]), ([1], [(3,), (4,)])])
+    twice = partite_mixing_check(y, [([0], [(0,), (0,)]), ([1], [(4,), (3,), (4,)])])
+    assert twice == once
+
+
+def test_mixing_rejects_vertices_outside_the_complex():
+    with pytest.raises(HypothesisViolated, match="outside"):
+        mixing_check(complete_complex(8, 3), [(0, [(3,)]), (1, [(5, 8)])])
+    with pytest.raises(HypothesisViolated, match="outside"):
+        partite_mixing_check(partite_complete_complex([3, 3, 3]),
+                             [([0], [(0,)]), ([1], [(-1,)])])
+
+
 def test_mixing_monotone_in_n():
     devs = []
     for n in (10, 15, 20):
@@ -246,8 +266,8 @@ def test_mixing_monotone_in_n():
 
 def test_partite_mixing():
     c = partite_complete_complex([4, 4, 4])
-    faces0, _ = c.colored_level(frozenset([0]))
-    faces1, _ = c.colored_level(frozenset([1]))
+    faces0 = c.colored_level(frozenset([0])).faces
+    faces1 = c.colored_level(frozenset([1])).faces
     all0 = [tuple(int(v) for v in f) for f in faces0]
     all1 = [tuple(int(v) for v in f) for f in faces1]
     rep = partite_mixing_check(c, [([0], all0), ([1], all1)])
@@ -476,8 +496,8 @@ def test_complement_vertex_walk_value():
 def test_partite_mixing_random_subsets():
     rng = np.random.default_rng(9)
     c = partite_complete_complex([4, 4, 4])
-    faces0, _ = c.colored_level(frozenset([0]))
-    faces1, _ = c.colored_level(frozenset([1]))
+    faces0 = c.colored_level(frozenset([0])).faces
+    faces1 = c.colored_level(frozenset([1])).faces
     sub0 = [tuple(int(v) for v in f) for f in faces0[:2]]
     sub1 = [tuple(int(v) for v in f) for f in faces1[1:3]]
     rep = partite_mixing_check(c, [([0], sub0), ([1], sub1)])

@@ -10,9 +10,17 @@ maximum is unique by more than 1e-12, and no eigensolve on a second call.
 They run on fixed instances and, under hypothesis, on random weighted
 complexes, partite complexes with tops dropped (which gives star and 1x1
 links) and complexes glued at a few vertices (which gives disconnected links).
+
+``mixing_check_by_faces`` and ``partite_mixing_check_by_faces`` are the face
+loops the mixing checks were before they became member-mask lookups: each face
+of the counted level is tested against every set with Python sets, and the
+plain check's sets are first checked pairwise for shared vertices.  On random
+sets of distinct members, the measured mass, the prediction and the deviation
+must agree within 1e-15.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -27,10 +35,14 @@ from hdxlab.complexes import (
     complete_complex,
     partite_complete_complex,
 )
+from hdxlab.errors import HypothesisViolated
 from hdxlab.spectra import (
     LinkExpansionReport,
+    MixingReport,
     bipartite_norm,
     link_expansion,
+    mixing_check,
+    partite_mixing_check,
     square_lambda,
     verify_trickling,
 )
@@ -83,6 +95,87 @@ def trickling_eta_by_vertices(y: Complex) -> float:
     return eta
 
 
+def _check_cross_disjoint(face_sets):
+    for (i, fs1), (j, fs2) in itertools.combinations(enumerate(face_sets), 2):
+        for f1 in fs1:
+            for f2 in fs2:
+                if set(f1) & set(f2):
+                    raise HypothesisViolated(
+                        f"faces {f1} (set {i}) and {f2} (set {j}) intersect")
+
+
+def _mixing_tail(c, measured, probs, predicted, two_sided):
+    deviation = abs(measured - predicted)
+    lam = link_expansion(c, two_sided=two_sided).value
+    geo = math.prod(probs) ** (1.0 / len(probs)) if all(p > 0 for p in probs) else 0.0
+    bound_rhs = lam * geo
+    const = deviation / bound_rhs if bound_rhs > 0 else None
+    return MixingReport(measured, predicted, deviation, bound_rhs, const)
+
+
+def mixing_check_by_faces(c: Complex, sets) -> MixingReport:
+    dims = [int(j) for j, _ in sets]
+    face_sets = [[tuple(sorted(int(v) for v in f)) for f in faces]
+                 for _, faces in sets]
+    for jdim, faces in zip(dims, face_sets):
+        for f in faces:
+            if len(f) != jdim + 1:
+                raise HypothesisViolated(f"face {f} is not at dimension {jdim}")
+    k = sum(j + 1 for j in dims) - 1
+    if k > c.d:
+        raise HypothesisViolated(f"total size {k + 1} exceeds d+1 = {c.d + 1}")
+    _check_cross_disjoint(face_sets)
+    lookups = [set(fs) for fs in face_sets]
+    lev = c.level(k)
+    measured = 0.0
+    for face, w in zip(lev.iter_faces(), lev.measure):
+        ok = True
+        for jdim, members in zip(dims, lookups):
+            if not any(set(m) <= set(face) for m in members):
+                ok = False
+                break
+        if ok:
+            measured += float(w)
+    probs = [sum(c.measure_of(f) for f in fs) for fs in face_sets]
+    multinomial = math.factorial(k + 1)
+    for j in dims:
+        multinomial //= math.factorial(j + 1)
+    return _mixing_tail(c, measured, probs, multinomial * math.prod(probs), True)
+
+
+def partite_mixing_check_by_faces(c: Complex, colored_sets) -> MixingReport:
+    col_sets = [frozenset(int(x) for x in colors) for colors, _ in colored_sets]
+    for a, b in itertools.combinations(col_sets, 2):
+        if a & b:
+            raise HypothesisViolated("color sets must be pairwise disjoint")
+    face_sets = [{tuple(sorted(int(v) for v in f)) for f in faces}
+                 for _, faces in colored_sets]
+    col = np.asarray(c.coloring)
+    for colors, faces in zip(col_sets, face_sets):
+        for f in faces:
+            if frozenset(col[list(f)].tolist()) != colors:
+                raise HypothesisViolated(f"face {f} does not have colors {sorted(colors)}")
+    union = frozenset().union(*col_sets)
+    lev_u = c.colored_level(union)
+    measured = 0.0
+    for face, w in zip(lev_u.faces, lev_u.measure):
+        face = tuple(int(v) for v in face)
+        ok = True
+        for colors, members in zip(col_sets, face_sets):
+            sub = tuple(sorted(v for v in face if col[v] in colors))
+            if sub not in members:
+                ok = False
+                break
+        if ok:
+            measured += float(w)
+    cond = []
+    for colors, members in zip(col_sets, face_sets):
+        lev_i = c.colored_level(colors)
+        lut = {tuple(int(v) for v in f): float(w) for f, w in zip(lev_i.faces, lev_i.measure)}
+        cond.append(sum(lut.get(m, 0.0) for m in members))
+    return _mixing_tail(c, measured, cond, math.prod(cond), False)
+
+
 # -- complexes ----------------------------------------------------------------------------
 
 
@@ -123,7 +216,53 @@ def _fresh(c: Complex) -> Complex:
                    coloring=c.coloring)
 
 
+def random_sets(c: Complex, seed: int):
+    """One to three sets of distinct faces, whose sizes fill a level of ``c``
+    and whose vertices are drawn from disjoint random pools."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, c.d + 1))
+    cuts = np.sort(rng.choice(np.arange(1, k + 1), size=min(k, int(rng.integers(0, 3))),
+                              replace=False))
+    sizes = np.diff(np.concatenate([[0], cuts, [k + 1]]))
+    pool = rng.integers(0, len(sizes), size=c.n_vertices)
+    sets = []
+    for i, size in enumerate(sizes):
+        faces = c.level(int(size) - 1).faces
+        own = faces[(pool[faces] == i).all(axis=1)]
+        keep = own[rng.random(len(own)) < 0.6]
+        sets.append((int(size) - 1, [tuple(int(v) for v in rng.permutation(f))
+                                     for f in rng.permutation(keep)]))
+    return sets
+
+
+def random_colored_sets(c: Complex, seed: int):
+    """Disjoint color sets, each with a random share of its color-correct
+    vertex tuples, faces of the complex or not."""
+    rng = np.random.default_rng(seed)
+    colors = rng.permutation(c.d + 1)[:int(rng.integers(1, c.d + 2))]
+    cuts = np.sort(rng.choice(np.arange(1, len(colors)), replace=False,
+                              size=min(len(colors) - 1, int(rng.integers(0, 3)))))
+    col = np.asarray(c.coloring)
+    sets = []
+    for cs in np.split(colors, cuts):
+        tuples = list(itertools.product(*(np.flatnonzero(col == x).tolist() for x in cs)))
+        sets.append((cs.tolist(), [t for t in tuples if rng.random() < 0.5]))
+    return sets
+
+
 # -- checks -------------------------------------------------------------------------------
+
+
+def check_mixing(check, oracle, c: Complex, sets) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a disconnected link warns in both
+        got, want = check(c, sets), oracle(c, sets)
+    for name in ("measured", "predicted", "deviation", "bound_rhs"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-15), name
+    if want.observed_constant is None:
+        assert got.observed_constant is None
+    else:
+        assert got.observed_constant == pytest.approx(want.observed_constant, rel=1e-12)
 
 
 def _link_expansion_recorded(c: Complex, two_sided: bool):
@@ -259,6 +398,42 @@ def test_links_over_the_dense_limit_use_square_lambda(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 2), n=st.integers(5, 9), d=st.integers(2, 3))
 def test_random_weighted_complexes(seed, n, d):
     check_link_expansion(random_weighted_complex(seed, n, d))
+
+
+@given(seed=st.integers(0, 2**32 - 2), n=st.integers(5, 9), d=st.integers(1, 3))
+def test_mixing_matches_face_loop(seed, n, d):
+    c = random_weighted_complex(seed, n, d)
+    sets = random_sets(c, seed)
+    check_mixing(mixing_check, mixing_check_by_faces, c, sets)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       keep=st.floats(0.0, 1.0))
+def test_partite_mixing_matches_face_loop(seed, sizes, keep):
+    for y in (random_partite_complex(seed, sizes),
+              partite_with_dropped_tops(seed, sizes, keep)):
+        sets = random_colored_sets(y, seed)
+        check_mixing(partite_mixing_check, partite_mixing_check_by_faces, y, sets)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_mixing_on_fixed_instances_matches_face_loop(name):
+    c = FIXED[name]()
+    for seed in range(5):
+        if c.is_partite:
+            sets = random_colored_sets(c, seed)
+            check_mixing(partite_mixing_check, partite_mixing_check_by_faces, c, sets)
+        sets = random_sets(c, seed)
+        check_mixing(mixing_check, mixing_check_by_faces, c, sets)
+
+
+def test_mixing_rejects_shared_vertices_as_the_face_loop_does():
+    c = FIXED["weighted_8_3"]()
+    sets = [(0, [(0,), (3,)]), (1, [(1, 2), (3, 5)])]
+    for check in (mixing_check, mixing_check_by_faces):
+        with pytest.raises(HypothesisViolated):
+            check(c, sets)
 
 
 @given(seed=st.integers(0, 2**32 - 1),

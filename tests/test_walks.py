@@ -190,7 +190,7 @@ def test_colored_walk_bipartite():
     assert m2.shape == (3, 9)
     assert np.allclose(m2[m2 > 0], 1 / 9)
     # marginals match the colored level measures
-    faces_i, meas_i = c3.colored_level(frozenset([0]))
+    meas_i = c3.colored_level(frozenset([0])).measure
     assert np.allclose(np.asarray(op2.joint()).sum(axis=1), meas_i, atol=1e-12)
 
 
