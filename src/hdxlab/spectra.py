@@ -590,10 +590,27 @@ def _member_mask(lev, rows: np.ndarray, strict: bool) -> np.ndarray:
     return member
 
 
-def _mixing_report(c: Complex, measured: float, probs, predicted: float,
+def _hit_mass(lev, label: np.ndarray, levels, members) -> float:
+    """The mass of the faces of ``lev`` whose vertices with label i form a
+    member of set i, for every set i; ``label`` gives each vertex a set or -1,
+    and a face whose label counts differ from the set widths counts for
+    nothing."""
+    lab = label[lev.faces]
+    widths = [l.k + 1 for l in levels]
+    fit = (np.sort(lab, axis=1) == np.repeat(np.arange(len(widths)), widths)).all(axis=1)
+    faces, lab = lev.faces[fit], lab[fit]
+    hit = np.logical_and.reduce([m[l.index_rows(faces[lab == i].reshape(len(faces), w))]
+                                 for i, (w, l, m) in enumerate(zip(widths, levels, members))])
+    return float(lev.measure[fit] @ hit)
+
+
+def _mixing_report(c: Complex, measured: float, levels, members, multinomial: int,
                    two_sided: bool) -> MixingReport:
-    """The deviation against link expansion times the geometric mean of the
-    set probabilities; the constant is observed, never asserted."""
+    """The measured mass against the product prediction, and the deviation
+    against link expansion times the geometric mean of the set
+    probabilities; the constant is observed, never asserted."""
+    probs = [float(l.measure[m].sum()) for l, m in zip(levels, members)]
+    predicted = multinomial * math.prod(probs)
     deviation = abs(measured - predicted)
     lam = link_expansion(c, two_sided=two_sided).value
     geo = math.prod(probs) ** (1.0 / len(probs)) if all(p > 0 for p in probs) else 0.0
@@ -609,9 +626,10 @@ def mixing_check(c: Complex, sets) -> MixingReport:
     be pairwise disjoint.  The deviation bound constant is reported from the
     observation, never asserted.
 
-    Disjoint members of the sets fill a face of level k = sum (j_i + 1) - 1, so
-    a face counts when, for one choice of ``position_subsets`` blocks, block i
-    is a member of set i: one sub-face lookup per block against a member mask.
+    Disjoint members of the sets fill a face of level k = sum (j_i + 1) - 1.
+    Each vertex in a member of set i is owned by set i, so a face counts when,
+    for every i, its vertices owned by set i are a member of set i: one
+    sub-face lookup per set against a member mask.
     """
     if not sets:
         raise HypothesisViolated("mixing needs at least one set")
@@ -621,7 +639,7 @@ def mixing_check(c: Complex, sets) -> MixingReport:
     k = sum(dims) + len(dims) - 1
     if k > c.d:
         raise HypothesisViolated(f"total size {k + 1} exceeds d+1 = {c.d + 1}")
-    # each vertex is owned by the last set that lists it: a clash means two sets
+    # a vertex listed by two sets leaves one of them disagreeing with owner
     verts = np.concatenate([r.ravel() for r in rows])
     set_of = np.repeat(np.arange(len(rows)), [r.size for r in rows])
     owner = np.full(c.n_vertices, -1)
@@ -633,22 +651,18 @@ def mixing_check(c: Complex, sets) -> MixingReport:
             f"vertex {v} is in faces of sets {set_of[clash[0]]} and {owner[v]}")
     levels = [c.level(j) for j in dims]
     members = [_member_mask(lev, r, strict=True) for lev, r in zip(levels, rows)]
-    lev = c.level(k)
-    blocks = position_subsets(k + 1, *(j + 1 for j in dims))[:-1]
-    hit = np.logical_and.reduce([m[l.sub_faces(lev.faces, b)]
-                                 for l, m, b in zip(levels, members, blocks)]).any(axis=0)
-    probs = [float(l.measure[m].sum()) for l, m in zip(levels, members)]
     multinomial = math.factorial(k + 1) // math.prod(math.factorial(j + 1) for j in dims)
-    return _mixing_report(c, float(lev.measure @ hit), probs,
-                          multinomial * math.prod(probs), two_sided=True)
+    return _mixing_report(c, _hit_mass(c.level(k), owner, levels, members), levels,
+                          members, multinomial, two_sided=True)
 
 
 def partite_mixing_check(c: Complex, colored_sets) -> MixingReport:
     """Partite analogue with conditional probabilities inside color classes.
 
-    A face of the union's colored level counts when, for every set, its block
-    of that set's colors (the color mask of ``colored_walk``) is a member.  A
-    member that is not a face of its colored level counts for nothing.
+    A face of the union's colored level counts when, for every set, its
+    vertices of that set's colors are a member: the check of ``mixing_check``
+    with colors in place of owners.  A member that is not a face of its
+    colored level counts for nothing.
     """
     if not c.is_partite:
         raise NotPartite("partite mixing needs a coloring")
@@ -668,14 +682,11 @@ def partite_mixing_check(c: Complex, colored_sets) -> MixingReport:
                 f"face {tuple(rows[wrong[0]].tolist())} does not have colors {colors}")
         levels.append(c.colored_level(colors))
         members.append(_member_mask(levels[-1], rows, strict=False))
-    lev_u = c.colored_level(union)
-    col_u = col[lev_u.faces]
-    hit = np.logical_and.reduce([
-        m[l.index_rows(lev_u.faces[np.isin(col_u, cs)].reshape(lev_u.size, len(cs)))]
-        for cs, l, m in zip(col_sets, levels, members)])
-    cond = [float(l.measure[m].sum()) for l, m in zip(levels, members)]
-    return _mixing_report(c, float(lev_u.measure @ hit), cond, math.prod(cond),
-                          two_sided=False)
+    set_of_color = np.full(int(col.max()) + 1, -1)
+    set_of_color[np.concatenate(col_sets)] = np.repeat(np.arange(len(col_sets)),
+                                                       list(map(len, col_sets)))
+    measured = _hit_mass(c.colored_level(union), set_of_color[col], levels, members)
+    return _mixing_report(c, measured, levels, members, 1, two_sided=False)
 
 
 # -- sampler / cut lemmas -----------------------------------------------------------

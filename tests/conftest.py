@@ -36,6 +36,13 @@ def random_partite_complex(seed: int, sizes=None, noise: float = 1.0) -> Complex
                    coloring=base.coloring)
 
 
+def weighted_8_3() -> Complex:
+    """Non-uniform 3-complex on 8 vertices: not every 4-set, uneven weights."""
+    tops = [t for t in itertools.combinations(range(8), 4) if sum(t) % 3]
+    w = [1.0 + sum(v * v for v in t) % 7 for t in tops]
+    return build_from_top_faces(8, [(t, x / sum(w)) for t, x in zip(tops, w)])
+
+
 def random_weighted_complex(seed: int, n: int, d: int) -> Complex:
     """Random weights on a random share of the (d+1)-sets of n vertices; one
     cyclic window per vertex keeps every vertex in a top face."""

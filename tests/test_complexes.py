@@ -30,8 +30,7 @@ from hdxlab.errors import (
     ZeroWeight,
 )
 
-from conftest import random_weighted_complex
-from test_golden import _weighted_complex
+from conftest import random_weighted_complex, weighted_8_3
 
 
 def test_single_simplex_levels():
@@ -200,7 +199,7 @@ def test_skeleton():
 # a row with an id outside [0, n) can key like a present row: 0*8 + 10 is
 # the key of (1, 2), and -1*8 + 9 that of (0, 1)
 def test_is_face_rejects_ids_past_n():
-    c = _weighted_complex()
+    c = weighted_8_3()
     assert c.is_face((1, 2))
     assert not c.is_face((0, 10))
     assert (c.level(1).index_rows(np.array([[0, 10], [1, 2]]), strict=False)
@@ -208,14 +207,14 @@ def test_is_face_rejects_ids_past_n():
 
 
 def test_measure_of_rejects_ids_past_n():
-    c = _weighted_complex()
+    c = weighted_8_3()
     with pytest.raises(NotAFace):
         c.measure_of((0, 10))
     assert c.level(1).measure_of_rows(np.array([[0, 10]])).tolist() == [0.0]
 
 
 def test_negative_ids_are_not_faces():
-    c = _weighted_complex()
+    c = weighted_8_3()
     assert c.is_face((0, 1))
     assert not c.is_face((-1, 9))
     with pytest.raises(NotAFace):

@@ -15,7 +15,6 @@ purpose, from a commit whose reports are trusted, naming the cases to write
 """
 
 import csv
-import itertools
 import json
 import os
 import sys
@@ -27,20 +26,14 @@ from hdxlab.agreement import corrupt, perfect_ensemble, save_ensemble
 from hdxlab.cli import _build_instance, build_parser, main
 from hdxlab.complexes import (
     Complex,
-    build_from_top_faces,
     load_complex,
     partite_complete_complex,
 )
 
+from conftest import weighted_8_3
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-12
-
-
-def _weighted_complex() -> Complex:
-    """Non-uniform 3-complex on 8 vertices: not every 4-set, uneven weights."""
-    tops = [t for t in itertools.combinations(range(8), 4) if sum(t) % 3]
-    w = [1.0 + sum(v * v for v in t) % 7 for t in tops]
-    return build_from_top_faces(8, [(t, x / sum(w)) for t, x in zip(tops, w)])
 
 
 def _weighted_partite() -> Complex:
@@ -63,7 +56,7 @@ def _mild_partite() -> Complex:
 
 
 # complexes written with Complex.save; any other complex is `hdxlab build` flags
-FIXED = {"weighted": _weighted_complex, "weighted_partite": _weighted_partite,
+FIXED = {"weighted": weighted_8_3, "weighted_partite": _weighted_partite,
          "mild_partite": _mild_partite}
 
 C95 = ["--complete", "9", "5"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ def test_mixing_rejects_vertices_outside_the_complex():
     with pytest.raises(HypothesisViolated, match="outside"):
         partite_mixing_check(partite_complete_complex([3, 3, 3]),
                              [([0], [(0,)]), ([1], [(-1,)])])
+
+
+def test_mixing_many_singletons_on_a_large_level():
+    # six singleton sets count level 5 of complete(30,5), 593,775 faces; the
+    # one face holding all six vertices is the only hit
+    c = complete_complex(30, 5)
+    rep = mixing_check(c, [(0, [(v,)]) for v in range(6)])
+    assert rep.measured == pytest.approx(1 / math.comb(30, 6), rel=1e-12)
+    assert rep.predicted == pytest.approx(math.factorial(6) / 30 ** 6, rel=1e-12)
+
+
+def test_mixing_memory_does_not_grow_with_the_splits():
+    # eight singleton sets split a face of complete(10,7) in 8! = 40,320 ways;
+    # an enumeration of the splits would hold 40,320 x 45 positions per set
+    c = complete_complex(10, 7)
+    sets = [(0, [(v,)]) for v in range(8)]
+    link_expansion(c)
+    tracemalloc.start()
+    try:
+        rep = mixing_check(c, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.measured == pytest.approx(1 / math.comb(10, 8), rel=1e-12)
+    assert peak < 1_000_000
 
 
 def test_mixing_monotone_in_n():

@@ -48,7 +48,7 @@ from hdxlab.spectra import (
 )
 from hdxlab.walks import colored_walk, underlying_graph
 
-from conftest import random_partite_complex, random_weighted_complex
+from conftest import random_partite_complex, random_weighted_complex, weighted_8_3
 
 TOL = 1e-12
 
@@ -217,11 +217,11 @@ def _fresh(c: Complex) -> Complex:
 
 
 def random_sets(c: Complex, seed: int):
-    """One to three sets of distinct faces, whose sizes fill a level of ``c``
+    """One to k+1 sets of distinct faces, whose sizes fill a level k of ``c``
     and whose vertices are drawn from disjoint random pools."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, c.d + 1))
-    cuts = np.sort(rng.choice(np.arange(1, k + 1), size=min(k, int(rng.integers(0, 3))),
+    cuts = np.sort(rng.choice(np.arange(1, k + 1), size=int(rng.integers(0, k + 1)),
                               replace=False))
     sizes = np.diff(np.concatenate([[0], cuts, [k + 1]]))
     pool = rng.integers(0, len(sizes), size=c.n_vertices)
@@ -241,7 +241,7 @@ def random_colored_sets(c: Complex, seed: int):
     rng = np.random.default_rng(seed)
     colors = rng.permutation(c.d + 1)[:int(rng.integers(1, c.d + 2))]
     cuts = np.sort(rng.choice(np.arange(1, len(colors)), replace=False,
-                              size=min(len(colors) - 1, int(rng.integers(0, 3)))))
+                              size=int(rng.integers(0, len(colors)))))
     col = np.asarray(c.coloring)
     sets = []
     for cs in np.split(colors, cuts):
@@ -314,14 +314,8 @@ def solve_counter(monkeypatch):
 # -- fixed instances ------------------------------------------------------------------------
 
 
-def _weighted_8_3() -> Complex:
-    tops = [t for t in itertools.combinations(range(8), 4) if sum(t) % 3]
-    w = [1.0 + sum(v * v for v in t) % 7 for t in tops]
-    return build_from_top_faces(8, [(t, x / sum(w)) for t, x in zip(tops, w)])
-
-
 FIXED = {
-    "weighted_8_3": _weighted_8_3,
+    "weighted_8_3": weighted_8_3,
     "complete_8_3": lambda: complete_complex(8, 3),
     "single_simplex": lambda: build_from_top_faces(5, [((0, 1, 2, 3, 4), 1.0)]),
     "two_triangles": lambda: build_from_top_faces(6, [((0, 1, 2), 0.5),
@@ -346,7 +340,7 @@ def test_trickling_eta_matches_vertex_loop(seed):
 
 
 def test_second_call_runs_no_eigensolve(solve_counter):
-    c = _weighted_8_3()
+    c = weighted_8_3()
     link_expansion(c)
     assert solve_counter["n"] > 0
     solve_counter["n"] = 0
@@ -384,7 +378,7 @@ def test_batches_split_within_a_link_size(monkeypatch, name):
 def test_links_over_the_dense_limit_use_square_lambda(monkeypatch):
     # links of more than 4 vertices go through square_lambda's Lanczos path,
     # here as in the face loop, so both clip the same way
-    c = _weighted_8_3()
+    c = weighted_8_3()
     monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 4)
     want, _ = link_expansion_by_faces(c)
     got = link_expansion(c)
@@ -400,7 +394,7 @@ def test_random_weighted_complexes(seed, n, d):
     check_link_expansion(random_weighted_complex(seed, n, d))
 
 
-@given(seed=st.integers(0, 2**32 - 2), n=st.integers(5, 9), d=st.integers(1, 3))
+@given(seed=st.integers(0, 2**32 - 2), n=st.integers(5, 9), d=st.integers(1, 4))
 def test_mixing_matches_face_loop(seed, n, d):
     c = random_weighted_complex(seed, n, d)
     sets = random_sets(c, seed)
