@@ -7,9 +7,14 @@ d-complex therefore satisfies
 
     measure_k(s) = sum_{top t >= s} weight(t) / C(d+1, k+1).
 
-Levels are enumerated lazily per k and cached.  The complete complex gets a
-closed-form fast path (every level measure is uniform) so that large instances
-never materialize their top level.
+Levels are enumerated lazily per k and cached.  A level of a general complex
+is its rows sorted by one integer key each, and a row is looked up by a search
+over the keys.  The complete complex is closed form throughout: every level
+measure is uniform, a level is the (k+1)-subsets of [n] built in
+lexicographic order one column at a time, a row's position is its rank in the
+combinatorial number system, and containment masses are one binomial ratio,
+so large instances never materialize their top level and no complete level is
+sorted or searched.
 """
 
 from __future__ import annotations
@@ -96,6 +101,56 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
     return np.where(found, pos, -1)
 
 
+def _is_subset(rows: np.ndarray, n: int) -> np.ndarray:
+    """Which vertex rows list strictly increasing ids inside [0, n)."""
+    ok = np.ones(len(rows), dtype=bool)
+    if rows.shape[1]:
+        ok &= (rows[:, 0] >= 0) & (rows[:, -1] < n)
+    for j in range(rows.shape[1] - 1):
+        ok &= rows[:, j] < rows[:, j + 1]
+    return ok
+
+
+def _subset_rows(n: int, w: int) -> np.ndarray:
+    """The w-subsets of [n] (w >= 1) as lexicographically ordered rows, built
+    one column at a time: a row ending in c gets each of c+1 .. n-w+j as its
+    column j, in order."""
+    rows = np.arange(n - w + 1, dtype=np.int32)[:, None]
+    for j in range(1, w):
+        last = rows[:, -1].astype(np.int64)
+        counts = n - w + j - last
+        parent = np.repeat(np.arange(len(rows)), counts)
+        first = np.cumsum(counts) - counts
+        out = np.empty((len(parent), j + 1), dtype=np.int32)
+        out[:, :j] = rows[parent]
+        out[:, j] = np.arange(len(parent)) + (last + 1 - first)[parent]
+        rows = out
+    return rows
+
+
+def _subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Positions of vertex rows among the lexicographically ordered w-subsets
+    of [n], by the combinatorial number system:
+    rank = C(n, w) - 1 - sum_j C(n-1-c_j, w-j).  A row that is not strictly
+    increasing inside [0, n) maps to -1."""
+    rows = np.asarray(rows, dtype=np.int64)
+    w = rows.shape[1]
+    # binom[m, c] = C(n-1-c, m), each row the running sum of the one before
+    # (Pascal's rule); entries no subset reaches may wrap, and are never read
+    binom = np.zeros((w + 1, n), dtype=np.int64)
+    binom[0] = 1
+    for m in range(1, w + 1):
+        np.cumsum(binom[m - 1, :0:-1], out=binom[m, -2::-1])
+    rank = np.full(len(rows), math.comb(n, w) - 1, dtype=np.int64)
+    term = np.empty_like(rank)
+    for j in range(w):
+        rank -= binom[w - j].take(rows[:, j], mode="clip", out=term)
+    ok = _is_subset(rows, n)
+    if not ok.all():
+        rank[~ok] = -1
+    return rank
+
+
 def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
     """Every choice of disjoint ascending blocks of the given sizes inside m
     positions, and the positions left over as a last block: one (choices, size)
@@ -138,10 +193,14 @@ def _group(*keys):
 
 @dataclass(frozen=True)
 class LevelIndex:
-    """Indexed enumeration of one face level with its chain measure."""
+    """Indexed enumeration of one face level with its chain measure.
+
+    Rows are looked up among ``_keys``, their sorted ``_encode_rows`` keys; a
+    level without keys holds every (k+1)-subset of [n] and ranks rows by
+    formula (``_subset_ranks``)."""
 
     k: int
-    faces: np.ndarray  # (m, k+1) int32, rows sorted by encoded key
+    faces: np.ndarray  # (m, k+1) int32, rows in lexicographic order
     measure: np.ndarray  # (m,) probabilities summing to 1
     n_vertices: int
     _keys: np.ndarray = field(repr=False, default=None)
@@ -149,9 +208,6 @@ class LevelIndex:
     @property
     def size(self) -> int:
         return len(self.faces)
-
-    def keys(self) -> np.ndarray:
-        return self._keys
 
     def face(self, i: int) -> Face:
         return tuple(int(v) for v in self.faces[i])
@@ -168,7 +224,10 @@ class LevelIndex:
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
         """Vectorized face-row lookup; missing rows raise or yield -1."""
-        out = _lookup_rows(self._keys, rows, self.n_vertices)
+        if self._keys is None:
+            out = _subset_ranks(rows, self.n_vertices)
+        else:
+            out = _lookup_rows(self._keys, rows, self.n_vertices)
         if strict and (out < 0).any():
             bad = np.asarray(rows)[out < 0][0]
             raise NotAFace(f"{tuple(int(v) for v in bad)} is not a face of this complex")
@@ -310,10 +369,9 @@ class Complex:
                 raise SizeCapError(
                     f"level {k} has {math.comb(self.n_vertices, k + 1)} faces, over "
                     f"the cap {level_cap()} (raise HDX_SIZE_CAP to override)")
-            rows = np.array(list(itertools.combinations(range(self.n_vertices), k + 1)),
-                            dtype=np.int32).reshape(-1, k + 1)
-            m = len(rows)
-            lev = _make_level(rows, np.full(m, 1.0 / m), self.n_vertices, k)
+            rows = _subset_rows(self.n_vertices, k + 1)
+            lev = LevelIndex(k=k, faces=rows, measure=np.full(len(rows), 1.0 / len(rows)),
+                             n_vertices=self.n_vertices)
         elif k == self.d:
             lev = _make_level(self._tops.copy(), self._weights.copy(), self.n_vertices, k)
         else:
@@ -346,8 +404,9 @@ class Complex:
         if self.uniform_complete:
             if j - 1 > self.d:
                 return np.zeros(len(rows))
-            return np.full(len(rows), math.comb(self.n_vertices - j, self.d + 1 - j)
-                           / math.comb(self.n_vertices, self.d + 1))
+            mass = (math.comb(self.n_vertices - j, self.d + 1 - j)
+                    / math.comb(self.n_vertices, self.d + 1))
+            return np.where(_is_subset(rows, self.n_vertices), mass, 0.0)
         return math.comb(self.d + 1, j) * self.level(j - 1).measure_of_rows(rows)
 
     def is_face(self, face) -> bool:

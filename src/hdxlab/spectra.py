@@ -50,6 +50,7 @@ from .walks import (
     DENSE_EIG_LIMIT,
     BipartiteGraph,
     WeightedGraph,
+    _diag_scale,
     colored_walk,
     complement_walk,
     fixed_union_walk,
@@ -127,7 +128,7 @@ def _check_converged(resid: float) -> None:
 def _sym_square(joint, pi):
     s = np.sqrt(pi)
     if sp.issparse(joint):
-        return sp.diags(1.0 / s) @ joint @ sp.diags(1.0 / s)
+        return _diag_scale(joint, 1.0 / s, 1.0 / s)
     return joint / np.outer(s, s)
 
 
@@ -238,7 +239,7 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
         return SpectralReport(lambda_bip=0.0, method="trivial")
     sl, sr = np.sqrt(pi_l), np.sqrt(pi_r)
     if sp.issparse(joint):
-        M = sp.diags(1.0 / sl) @ joint @ sp.diags(1.0 / sr)
+        M = _diag_scale(joint, 1.0 / sl, 1.0 / sr)
     else:
         M = joint / np.outer(sl, sr)
     if M.shape[0] < M.shape[1]:  # D^T D on the smaller side

@@ -63,7 +63,8 @@ from .spectra import (
     bipartite_lambda,
     square_lambda,
 )
-from .walks import BipartiteGraph, WeightedGraph, _containment_joint, neighborhood_system
+from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_scale,
+                    neighborhood_system)
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
@@ -307,7 +308,7 @@ def _restricted_joint(c: Complex, k: int, l: int, s_keep, t_keep) -> sp.csr_matr
     col_tot = np.asarray(st.sum(axis=0)).ravel()
     w = np.where(col_tot > 0, c.level(l).measure[t_keep], 0.0)
     scale = np.divide(w, col_tot * w.sum(), out=np.zeros(len(w)), where=col_tot > 0)
-    return (st @ sp.diags(scale)).tocsr()
+    return _diag_scale(st, cols=scale)
 
 
 def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
@@ -409,8 +410,12 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     v_rank = np.cumsum(v_in) - 1
     v_labels = [int(v) for v in np.flatnonzero(v_in)]
 
-    # (s, t) joint: P(t) conditional measure, P(s | t) prop to level measure
+    # (s, t) joint: P(t) conditional measure, P(s | t) prop to level measure.
+    # Each s lists its t by descending position: the amplification table
+    # below meets the (s, t) entries in that order, and the JSON files list it
     st = _restricted_joint(c, k, l, s_keep, t_keep)
+    flip = np.repeat(st.indptr[:-1] + st.indptr[1:] - 1, np.diff(st.indptr)) - np.arange(st.nnz)
+    st = sp.csr_matrix((st.data[flip], st.indices[flip], st.indptr), shape=st.shape)
     sts = STSTable.from_joint(st)
     if not np.all(sts.t_probs > 0):
         raise ParameterRange("some t-face extends to no valid k-face")

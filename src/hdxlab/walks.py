@@ -34,6 +34,19 @@ DENSE_EIG_LIMIT = 400
 ROW_TOL = 1e-10
 
 
+def _diag_scale(mat, rows=None, cols=None) -> sp.csr_matrix:
+    """diag(rows) @ mat @ diag(cols) as a pass over a CSR copy's data: entry
+    (i, j) times rows[i], then times cols[j], the sparse products' values bit
+    for bit; zero results are dropped, as the products drop them."""
+    out = sp.csr_matrix(mat, dtype=float, copy=True)
+    if rows is not None:
+        out.data *= np.repeat(rows, np.diff(out.indptr))
+    if cols is not None:
+        out.data *= cols[out.indices]
+    out.eliminate_zeros()
+    return out
+
+
 def _maybe_dense(mat):
     if sp.issparse(mat) and max(mat.shape) <= DENSE_EIG_LIMIT:
         return np.asarray(mat.todense())
@@ -77,14 +90,14 @@ class MarkovOperator:
     def joint(self):
         """Joint distribution source(u) * P(u, v); sums to 1."""
         if sp.issparse(self.matrix):
-            return sp.diags(self.source_measure) @ self.matrix
+            return _diag_scale(self.matrix, self.source_measure)
         return self.source_measure[:, None] * self.matrix
 
     def reverse(self) -> "MarkovOperator":
         """Time-reversed operator from target to source."""
         j = self.joint()
         if sp.issparse(j):
-            mat = (sp.diags(1.0 / self.target_measure) @ j.T).tocsr()
+            mat = _diag_scale(j.T, 1.0 / self.target_measure)
         else:
             mat = j.T / self.target_measure[:, None]
         return MarkovOperator(self.target_faces, self.target_measure,
@@ -176,7 +189,7 @@ class WeightedGraph:
     def transition(self):
         pi = self.vertex_measure
         if sp.issparse(self.joint):
-            return sp.diags(1.0 / pi) @ self.joint
+            return _diag_scale(self.joint, 1.0 / pi)
         return self.joint / pi[:, None]
 
     def cut(self, a, b) -> float:
@@ -201,13 +214,11 @@ def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, rows, cols,
     (rows, cols, vals), each a list of arrays; repeated entries add up."""
     joint = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(len(src_meas), len(tgt_meas))).tocsr()
-    joint.sum_duplicates()
+                          shape=(len(src_meas), len(tgt_meas)))
     if joint.nnz == 0:
         raise EmptyWalk("no face joins the source and target levels")
-    mat = sp.diags(1.0 / src_meas) @ joint
     return MarkovOperator(src_faces, src_meas, tgt_faces, tgt_meas,
-                          _maybe_dense(mat.tocsr()))
+                          _maybe_dense(_diag_scale(joint, 1.0 / src_meas)))
 
 
 def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:

@@ -229,6 +229,24 @@ def test_complete_complex_rejects_negative_ids():
         c.measure_of((-1, 3))
 
 
+def test_complete_containment_mass_of_non_faces_is_zero():
+    # the closed form read 0.2, the mass of (0, 1), for each of the first four
+    c = complete_complex(6, 2)
+    rows = np.array([(0, 9), (-1, 3), (3, 1), (2, 2), (0, 1)])
+    assert c.containment_mass_rows(rows).tolist() == [0.0, 0.0, 0.0, 0.0, 0.2]
+    general = build_from_top_faces(
+        6, [(t, 1 / 20) for t in itertools.combinations(range(6), 3)])
+    assert not general.uniform_complete
+    rng = np.random.default_rng(0)
+    for j in range(4):
+        rows = rng.integers(-1, 8, size=(200, j))
+        rows[::2] = np.sort(rows[::2], axis=1)
+        got = c.containment_mass_rows(rows)
+        np.testing.assert_allclose(got, general.containment_mass_rows(rows), rtol=1e-15, atol=0)
+        assert (got == 0).any() and (got > 0).any() or j == 0
+    assert c.containment_mass_rows(np.zeros((3, 4), dtype=int)).tolist() == [0.0] * 3
+
+
 def test_construction_errors():
     with pytest.raises(MixedDimension):
         build_from_top_faces(4, [((0, 1), 0.5), ((0, 1, 2), 0.5)])

@@ -9,6 +9,9 @@ tolerance): the gathers add the same masses in the same order.  They run on
 random weighted and partite complexes under the ``hdxlab`` hypothesis
 profile, and on fixed degenerate patterns: empty subsets, containment down to
 the empty face, fixed-union walks with j = l + 1 and zero-width face rows.
+Every diagonal scaling was a sparse product with ``sp.diags``; the products
+are kept as the oracle of ``_diag_scale``, which must give the same entries
+bit for bit.
 """
 
 import itertools
@@ -38,6 +41,7 @@ from hdxlab.spectra import (
 from hdxlab.stav import _structured_vasa_v_lambda
 from hdxlab.walks import (
     _containment_joint,
+    _diag_scale,
     _from_joint,
     complement_walk,
     containment_operator,
@@ -360,3 +364,36 @@ def test_missing_sub_face_raises():
     absent = next(e for e in itertools.combinations(range(8), 2) if not c.is_face(e))
     with pytest.raises(NotAFace):
         c.level(1).sub_faces(np.array([absent]), position_subsets(2, 2)[0])
+
+
+def diag_scale_by_products(mat, rows=None, cols=None):
+    out = mat if rows is None else sp.diags(rows) @ mat
+    out = out if cols is None else out @ sp.diags(cols)
+    out = sp.csr_matrix(out)
+    out.sort_indices()
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 9), n=st.integers(0, 9),
+       form=st.sampled_from(["csr", "csc", "coo"]),
+       sides=st.sampled_from(["rows", "cols", "both"]))
+def test_diag_scale_matches_the_products(seed, m, n, form, sides):
+    rng = np.random.default_rng(seed)
+    mat = sp.csr_matrix(rng.random((m, n)) * (rng.random((m, n)) < 0.4))
+    mat.data[rng.random(mat.nnz) < 0.2] = 0.0  # explicit zeros
+    if form == "csc":
+        mat = sp.csr_matrix(mat.T).T
+    elif form == "coo":  # with every third entry stored twice
+        coo, dup = mat.tocoo(), slice(None, None, 3)
+        mat = sp.coo_matrix((np.concatenate([coo.data, coo.data[dup]]),
+                             (np.concatenate([coo.row, coo.row[dup]]),
+                              np.concatenate([coo.col, coo.col[dup]]))), shape=(m, n))
+    rows = None if sides == "cols" else rng.random(m) * (rng.random(m) < 0.8)
+    cols = None if sides == "rows" else 1.0 / (0.1 + rng.random(n))
+    got = _diag_scale(mat, rows, cols)
+    want = diag_scale_by_products(mat, rows, cols)
+    assert got.format == "csr" and got.shape == (m, n) and got.dtype == np.float64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+    assert got.data is not getattr(mat, "data", None)
