@@ -24,10 +24,10 @@ from .stav import (
     STSTable,
     StavInstance,
     _cached,
+    _pair_graphs,
     _segment_pairs,
     neighborhood_stav,
 )
-from .spectra import square_lambda
 from .walks import _containment_joint
 
 BRUTE_FORCE_CAP = 10_000_000
@@ -489,16 +489,9 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
 
 def sts_t_expansions(x) -> list[float]:
     """Two-sided expansion of each t-conditioned pair graph (the hypothesis of
-    the independent-versus-expanding comparison)."""
+    the independent-versus-expanding comparison), for every t with mass: one
+    family over all pairs, each graph on the s of positive mass."""
     test = _as_test(x)
-    t, i, j, q = test.sts.all_pairs()
-    bounds = np.searchsorted(t, np.arange(len(test.sts.t_probs) + 1))
-    out = []
-    for ti in np.flatnonzero(test.sts.t_probs > 0):
-        i_idx, j_idx, p = (col[bounds[ti]:bounds[ti + 1]] for col in (i, j, q))
-        live, pos = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
-        dense = np.zeros((len(live), len(live)))
-        np.add.at(dense, (pos[:len(i_idx)], pos[len(i_idx):]), p)
-        rep = square_lambda(dense, dense.sum(axis=1))
-        out.append(rep.two_sided)
-    return out
+    graphs = _pair_graphs(len(test.sts.t_probs), *test.sts.all_pairs())
+    lam = graphs.spectra(np.flatnonzero(test.sts.t_probs > 0))
+    return np.max(np.abs(lam), axis=0).tolist()

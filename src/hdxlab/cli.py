@@ -268,6 +268,8 @@ def _cmd_mixing(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("mixing with random sets needs --seed")
+        if not 0 < args.density <= 1:
+            raise UsageError(f"--density must be in (0, 1], got {args.density}")
         rng = np.random.default_rng(args.seed)
         verts = rng.permutation(c.n_vertices)
         size = max(1, int(args.density * c.n_vertices))
@@ -321,7 +323,13 @@ def _cmd_grassmann(args) -> int:
 # -- four-layer instances -----------------------------------------------------------
 
 
-def _build_instance(c: Complex, args):
+def _build_instance(c: Complex | None, args):
+    if args.stav == "custom":
+        if not args.stav_file:
+            raise UsageError("--stav custom needs --stav-file")
+        return stmod.load_stav(args.stav_file)
+    if c is None:
+        raise UsageError(f"--stav {args.stav} needs --complex")
     if args.stav == "hdx":
         return stmod.hdx_stav(c, args.d if args.d is not None else c.d, args.l)
     if args.stav == "neighborhood":
@@ -330,8 +338,6 @@ def _build_instance(c: Complex, args):
         return stmod.partite_ij_stav(c, _colors(args.colors_i),
                                      _colors(args.colors_j),
                                      args.k if args.k is not None else c.d)
-    if args.stav == "custom":
-        return stmod.load_stav(args.stav_file)
     raise UsageError(f"unknown instance kind {args.stav!r}")
 
 

@@ -11,16 +11,16 @@ lambda2 survives), and lambda_bip^2 of D^T D, D the bipartite operator without
 its top singular pair.  The report carries the iteration residual; a residual
 above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
 
-Many small graphs are solved together: ``_stacked_spectra`` groups them by
-shape and solves each batch as one stacked dense eigenproblem (square) or
-singular value problem (bipartite), with the checks and clipping of
-``square_lambda`` and ``bipartite_lambda``, whose dense path is the same
-solver on a stack of one.  Link spectra are computed this way one level at a
-time: the underlying graphs of the links of all k-faces are read off the
-X(k+1) and X(k+2) arrays.  The (lambda2, lambda_min) arrays are cached per
-level on the complex, so every verifier that takes link expansion as its
-hypothesis reuses them, and the trickling check reads its eta from level 0.
-The goodness checker of ``stav`` solves its local graphs the same way.
+Many small graphs are solved together as one local-graph family, built by
+``_entry_graphs`` from entries grouped by graph: ``_stacked_spectra`` groups
+the graphs by shape and solves each batch as one stacked dense eigenproblem
+(square) or singular value problem (bipartite), with the checks and clipping
+of ``square_lambda`` and ``bipartite_lambda``, whose dense path is the same
+solver on a stack of one.  Link spectra are one family per level, read off
+the X(k+1) and X(k+2) arrays, and cached on the complex, so every verifier
+that takes link expansion as its hypothesis reuses them; the trickling check
+reads its eta from level 0.  The local graphs of ``stav`` and ``agreement``
+are families too.
 """
 
 from __future__ import annotations
@@ -329,6 +329,58 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     return out[:, 0] if bipartite else out.T
 
 
+@dataclass
+class _Graphs:
+    """A family of local graphs, one per conditioning element.
+
+    Graph k has the layer positions ``rows[1][rows[0][k]:rows[0][k+1]]`` as
+    rows and ``cols`` likewise as columns; a graph without rows has no mass.
+    ``fill(ids, shape)`` gives the unscaled joints of graphs ``ids``, all of
+    that shape: a dense stack, or a CSR matrix past ``DENSE_EIG_LIMIT``.
+    ``entries`` are the (ptr, row, col, mass) entries grouped by graph, where
+    the family is built from them; a family without them fills joints of mass 1.
+    """
+
+    rows: tuple
+    cols: tuple
+    fill: object
+    entries: tuple | None = None
+
+    def __post_init__(self):
+        self.shapes = np.column_stack([np.diff(self.rows[0]), np.diff(self.cols[0])])
+
+    def live(self) -> np.ndarray:
+        return np.flatnonzero(self.shapes[:, 0] > 0)
+
+    def spectra(self, ids: np.ndarray, bipartite: bool = False) -> np.ndarray:
+        return _stacked_spectra(self.shapes[ids],
+                                lambda b, shape: self.fill(ids[b], shape), bipartite)
+
+    def joint(self, k: int) -> np.ndarray:
+        """The dense joint of graph k, of mass 1: scaled by the sum of its
+        entries in entry order, as a canonical sparse matrix sums them."""
+        j = self.fill(np.array([k]), tuple(self.shapes[k]))
+        j = j.toarray() if sp.issparse(j) else j[0]
+        if self.entries is None:
+            return j
+        ptr, _, _, p = self.entries
+        return j / p[ptr[k]:ptr[k + 1]].sum()
+
+
+def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:
+    """n graphs from entries (graph, local row, local column, mass) grouped by
+    graph; repeated cells add up."""
+    entries = (np.concatenate([[0], np.cumsum(np.bincount(g, minlength=n))]), r, c, p)
+
+    def fill(ids, shape):
+        if max(shape) <= DENSE_EIG_LIMIT:
+            return _scatter(entries, ids, shape)
+        idx, _ = _runs(entries[0], ids)
+        return sp.csr_matrix((p[idx], (r[idx], c[idx])), shape=shape)
+
+    return _Graphs(rows, cols, fill, entries)
+
+
 def square_spectrum(op) -> SpectralReport:
     """Spectrum of a square reversible Markov operator or weighted graph."""
     if isinstance(op, WeightedGraph):
@@ -414,18 +466,11 @@ def _batched_link_spectra(c: Complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     # each face's edges, both directions, as one contiguous run
     face = np.concatenate([edge_s, edge_s])
     order = np.argsort(face, kind="stable")
-    entries = (np.concatenate([[0], np.cumsum(np.bincount(face, minlength=lev.size))]),
-               np.concatenate([edge_u, edge_v])[order],
-               np.concatenate([edge_v, edge_u])[order], np.tile(edge_w, 2)[order])
-
-    def fill(ids, shape):
-        if max(shape) <= DENSE_EIG_LIMIT:
-            return _scatter(entries, ids, shape)
-        idx, _ = _runs(entries[0], ids)
-        return sp.csr_matrix((entries[3][idx], (entries[1][idx], entries[2][idx])),
-                             shape=shape)
-
-    return tuple(_stacked_spectra(np.column_stack([sizes, sizes]), fill))
+    rows = (np.concatenate([[0], np.cumsum(sizes)]), keys % base)
+    graphs = _entry_graphs(lev.size, face[order], np.concatenate([edge_u, edge_v])[order],
+                           np.concatenate([edge_v, edge_u])[order], np.tile(edge_w, 2)[order],
+                           rows, rows)
+    return tuple(graphs.spectra(np.arange(lev.size)))
 
 
 def link_expansion(c: Complex, two_sided: bool = True) -> LinkExpansionReport:

@@ -25,10 +25,11 @@ layer is flat, like the (a, v) layer given t, one t-sorted ``AvTable``, and
 the amplification table, one ``VasaTable``; ``STSTable.tables`` is a per-t
 view of it that nothing here reads.
 
-The local graphs of the goodness checker (per s, v, a or conditioning set)
-are built a kind at a time from these tables, grouped once per instance and
-cached on it, and solved in stacked batches by ``spectra._stacked_spectra``;
-``derive_graph`` reads one graph of the same family.
+Every local graph of the goodness checker belongs to a family
+(``spectra._Graphs``) solved in stacked batches: on the tabular path one per
+kind, built from the tables and cached on the instance, which ``derive_graph``
+reads; on the structured path one per block of a-faces (A2a, A3b) or vertices
+(A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -54,20 +55,22 @@ from .errors import (
 )
 from . import spectra
 from .spectra import (
+    _Graphs,
     _check_square_stack,
+    _entry_graphs,
     _min_cut_ratio,
     _runs,
     _scatter,
     _shape_batches,
-    _stacked_spectra,
     bipartite_lambda,
-    square_lambda,
 )
 from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_scale,
                     neighborhood_system)
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
+# entries per block in which the structured goodness path gathers its graphs
+_GATHER_ENTRIES = 1 << 18
 
 
 # -- distribution containers ---------------------------------------------------
@@ -654,37 +657,6 @@ def _structured_invariants(x: StructuredHdxStav) -> InvariantReport:
 # -- derived graphs -----------------------------------------------------------------
 
 
-@dataclass
-class _Graphs:
-    """One local graph per conditioning element.
-
-    Graph k has the layer positions ``rows[1][rows[0][k]:rows[0][k+1]]`` as
-    rows and ``cols`` likewise as columns (the columns of a square graph are
-    its rows); a graph without rows has no mass.  ``fill(ids, shape)`` is the
-    dense stack of the joints of graphs ``ids``, all of that shape, each of
-    mass 1.  ``entries`` are the (ptr, row, col, mass) entries grouped by
-    graph, where the family is built from them.
-    """
-
-    rows: tuple
-    cols: tuple
-    fill: object
-    entries: tuple | None = None
-
-    def __post_init__(self):
-        self.shapes = np.column_stack([np.diff(self.rows[0]), np.diff(self.cols[0])])
-
-    def live(self) -> np.ndarray:
-        return np.flatnonzero(self.shapes[:, 0] > 0)
-
-    def spectra(self, ids: np.ndarray, bipartite: bool = False) -> np.ndarray:
-        return _stacked_spectra(self.shapes[ids],
-                                lambda b, shape: self.fill(ids[b], shape), bipartite)
-
-    def joint(self, k: int) -> np.ndarray:
-        return self.fill(np.array([k]), tuple(self.shapes[k]))[0]
-
-
 def _cached(obj, key, build):
     """``obj._cache[key]``, built on first use."""
     if key not in obj._cache:
@@ -723,27 +695,6 @@ def _local(n: int, g: np.ndarray, keys: tuple, w=None, first_seen: bool = False)
     return pos[ids], ptr, tuple(k[first[sel]] for k in keys)
 
 
-def _run_sums(ptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Sum of each run vals[ptr[k]:ptr[k+1]], summed as one contiguous array
-    (numpy's pairwise sum)."""
-    n = np.diff(ptr)
-    out = np.zeros(len(n))
-    for k in np.unique(n[n > 0]):
-        runs = np.flatnonzero(n == k)
-        out[runs] = vals[_runs(ptr, runs)[0]].reshape(len(runs), k).sum(axis=1)
-    return out
-
-
-def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:
-    """n graphs from entries (graph, local row, local column, mass) grouped by
-    graph; each is scaled to mass 1 by the sum of its entries in entry order."""
-    entries = (np.concatenate([[0], np.cumsum(np.bincount(g, minlength=n))]), r, c, p)
-    total = _run_sums(entries[0], p)
-    return _Graphs(rows, cols, lambda ids, shape: (_scatter(entries, ids, shape)
-                                                   / total[ids][:, None, None]),
-                   entries)
-
-
 def _local_reach_graphs(x: StavInstance) -> _Graphs:
     """Per s, the (a, v) marginal given s, on the a and v of positive mass.
     Each s holds its entries in (a, v) order, so that its mass is summed as
@@ -759,19 +710,34 @@ def _local_reach_graphs(x: StavInstance) -> _Graphs:
     return _cached(x, "local_reach", build)
 
 
+def _pair_graphs(n: int, g, a1, a2, p) -> _Graphs:
+    """Per graph g < n, the (a1, a2) joint of entries (g, a1, a2, mass)
+    grouped by graph, on the a of positive mass in id order.  The a are
+    numbered within each graph by sorting, or through a dense (graph, a)
+    table where that has at most as many cells as the a have entries."""
+    n_a = int(max(a1.max(initial=-1), a2.max(initial=-1))) + 1
+    gg, aa, pp = np.concatenate([g, g]), np.concatenate([a1, a2]), np.concatenate([p, p])
+    if n * n_a > len(gg):
+        pos, ptr, a_ids = _local(n, gg, (aa,), pp)
+    else:
+        key = gg * n_a + aa
+        live = np.bincount(key, pp, minlength=n * n_a) > 0
+        ptr = np.concatenate([[0], np.cumsum(live.reshape(n, n_a).sum(axis=1))])
+        pos = np.where(live, np.cumsum(live) - 1 - np.repeat(ptr[:-1], n_a), -1)[key]
+        a_ids = (np.flatnonzero(live) % n_a,)
+    r, c = np.split(pos, 2)
+    keep = (r >= 0) & (c >= 0)
+    rows = (ptr, *a_ids)
+    return _entry_graphs(n, g[keep], r[keep], c[keep], p[keep], rows, rows)
+
+
 def _vasa_v_graphs(x: StavInstance) -> _Graphs:
     """Per v, the (a1, a2) joint of the amplification given v, on the a of
     positive mass."""
     def build():
         va = x.vasa
         order = np.argsort(va.v_idx, kind="stable")
-        g, a1, a2, p = (col[order] for col in (va.v_idx, va.a1_idx, va.a2_idx, va.probs))
-        pos, ptr, a_ids = _local(x.n_v, np.concatenate([g, g]), (np.concatenate([a1, a2]),),
-                                 np.concatenate([p, p]))
-        r, c = np.split(pos, 2)
-        keep = (r >= 0) & (c >= 0)
-        rows = (ptr, *a_ids)
-        return _entry_graphs(x.n_v, g[keep], r[keep], c[keep], p[keep], rows, rows)
+        return _pair_graphs(x.n_v, *(c[order] for c in (va.v_idx, va.a1_idx, va.a2_idx, va.probs)))
     return _cached(x, "vasa_v", build)
 
 
@@ -1144,16 +1110,12 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
 # -- structured goodness path -----------------------------------------------------
 
 
-def _one_orbit(c: Complex) -> bool:
-    """Whether the automorphisms of ``c`` act transitively on every level, so
-    one representative face stands for all (the uniform complete complex)."""
-    return c.uniform_complete
-
-
 def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     c, d, l = x.complex, x.d, x.l
     notes = {"path": "structured (containment-mass reductions in a pure complex)"}
-    dedupe = _one_orbit(c)
+    # the automorphisms of a uniform complete complex act transitively on
+    # every level, so one representative face stands for all
+    dedupe = c.uniform_complete
     if dedupe:
         notes["orbits"] = ("one representative a-face (A2a, A3b) and vertex (A3a), "
                            "exact A5 ratio: all faces of a level are isomorphic")
@@ -1165,44 +1127,12 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
                           np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
 
-    # neighbor lists in the reach graph
-    reach_csr = reach.tocsr()
-
-    def candidates(ai):
-        return reach_csr.indices[reach_csr.indptr[ai]:reach_csr.indptr[ai + 1]]
-
-    # A2a and A3b share the level-(l+1) mass ratios
-    min_l2 = -np.inf
-    a3b = 0.0
-    for ai in range(1 if dedupe else lev_a.size):
-        a = lev_a.faces[ai]
-        vs = candidates(ai)
-        m = len(vs)
-        rows_1 = np.sort(np.concatenate(
-            [np.tile(a, (m, 1)), vs[:, None]], axis=1), axis=1)
-        mass_1 = c.containment_mass_rows(rows_1)
-        pairs = np.array(list(itertools.combinations(range(m), 2)), dtype=int)
-        ratio = np.zeros((m, m))
-        if len(pairs):
-            rows_2 = np.sort(np.concatenate(
-                [np.tile(a, (len(pairs), 1)), vs[pairs[:, 0], None],
-                 vs[pairs[:, 1], None]], axis=1), axis=1)
-            mass_2 = c.containment_mass_rows(rows_2)
-            ratio[pairs[:, 0], pairs[:, 1]] = mass_2
-            ratio[pairs[:, 1], pairs[:, 0]] = mass_2
-        pi = mass_1 / mass_1.sum()
-        # two-step pair graph through s: T[v1, v2]
-        t_mat = ratio / mass_1[:, None] / (d + 1 - l)
-        np.fill_diagonal(t_mat, 1.0 / (d + 1 - l))
-        l2 = square_lambda(pi[:, None] * t_mat, pi).lambda2
-        min_l2 = max(min_l2, l2)
-        # bipartite amplification graph through (a', s) pairs: W[v1, v2]
-        denom = (d + 1 - 2 * l) * math.comb(d - l, l)
-        w_mat = ratio / mass_1[:, None] * (math.comb(d - l - 1, l) / denom)
-        np.fill_diagonal(w_mat, 1.0 / (d + 1 - 2 * l))
-        w_l2 = square_lambda(pi[:, None] * w_mat, pi).lambda2
-        a3b = max(a3b, math.sqrt(max(w_l2, 0.0)))
-    min_phi = (1.0 - min_l2) / 2.0
+    # A2a and A3b: the lambda2 of each a-face's pair operator, T, and of the
+    # small-side two-step of its bipartite amplification graph, W
+    blocks = _structured_a_graphs(c, d, l, reach, 1 if dedupe else lev_a.size)
+    l2_t, l2_w = np.max([[np.max(g.spectra(g.live())[0]) for g in gs] for _, *gs in blocks], 0)
+    min_phi = (1.0 - float(l2_t)) / 2.0
+    a3b = math.sqrt(max(float(l2_w), 0.0))
     notes["a2a"] = "lambda2 via the small-side pair operator; Cheeger lower bound"
     notes["a3b"] = "lambda via the small-side two-step of the bipartite graph"
 
@@ -1212,9 +1142,15 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     notes["a2b"] = "structural (rank-one independent pair)"
 
     # A3a: v-conditioned amplification graph = disjointness walk in the link
-    a3a = 0.0
-    for v in range(1 if dedupe else c.n_vertices):
-        a3a = max(a3a, _structured_vasa_v_lambda(c, d, l, v))
+    # of v.  On a uniform complete complex it is the Kneser graph K(n-1, l),
+    # whose normalised eigenvalues are (-1)^i C(n-1-l-i, l-i) / C(n-1-l, l)
+    # for i = 0..l; the largest magnitude past i = 0 is the value.
+    if dedupe:
+        m = c.n_vertices - 1
+        a3a = max(math.comb(m - l - i, l - i) / math.comb(m - l, l) for i in range(1, l + 1))
+    else:
+        a3a = max(float(np.max(np.abs(graphs.spectra(graphs.live())), initial=0.0))
+                  for _, graphs in _structured_vasa_v_graphs(c, l))
 
     # A4: the local reach graph depends only on (d, l) in a pure complex
     a4, spot_failures = _structured_a4(d, l, r * gamma, cfg)
@@ -1246,39 +1182,58 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
     return rep
 
 
-def _structured_vasa_v_lambda(c: Complex, d: int, l: int, v: int) -> float:
-    """Two-sided expansion of the disjoint-pair graph in the link of v.
+def _blocks(sizes: np.ndarray):
+    """[lo, hi) ranges of consecutive elements whose sizes add up to at most
+    ``_GATHER_ENTRIES``, or of one element where that alone is more."""
+    ends, lo = np.cumsum(sizes), 0
+    while lo < len(sizes):
+        hi = int(np.searchsorted(ends, ends[lo] - sizes[lo] + _GATHER_ENTRIES, "right"))
+        yield lo, max(hi, lo + 1)
+        lo = max(hi, lo + 1)
 
-    On a uniform complete complex it is the Kneser graph K(n-1, l), whose
-    normalised eigenvalues are (-1)^i C(n-1-l-i, l-i) / C(n-1-l, l) for
-    i = 0..l; the largest magnitude past i = 0 is the value.  Otherwise the
-    operator is assembled from the 2l-faces through v.
-    """
-    if c.uniform_complete:
-        m = c.n_vertices - 1
-        return max(math.comb(m - l - i, l - i) / math.comb(m - l, l)
-                   for i in range(1, l + 1))
-    lev = c.level(2 * l)
-    has_v = (lev.faces == v).any(axis=1)
-    rows = lev.faces[has_v]
-    union_rows = rows[rows != v].reshape(len(rows), 2 * l)
-    mass = c.containment_mass_rows(rows)
-    # each split of the other 2l vertices into two a-faces (level l-1); the
-    # faces through v get no mass and leave with the other dead rows
-    lev_a = c.level(l - 1)
+
+def _structured_a_graphs(c: Complex, d: int, l: int, reach, n: int):
+    """Families of the pair operator T and the amplification two-step W of
+    the first n a-faces, on the v of their rows of the reach CSR matrix, in
+    blocks: yields (first a-face, T, W).  Off the diagonal both hold the
+    containment mass of a + v1 + v2, W's scaled by C(d-l-1, l) / C(d-l, l);
+    on it that of a + v."""
+    sizes = np.diff(reach.indptr[:n + 1])
+    for lo, hi in _blocks(sizes * sizes):
+        m = sizes[lo:hi]
+        verts = reach.indices[reach.indptr[lo]:reach.indptr[hi]]
+        i, j = _segment_pairs(m, m)
+        g = np.repeat(np.arange(hi - lo), m * m)
+        a, off = c.level(l - 1).faces[lo + g], i != j
+        # a row a + v + v repeats a vertex, so it is no face and has no mass
+        mass = c.containment_mass_rows(np.sort(np.column_stack([a, verts[i], verts[j]]),
+                                               axis=1))
+        mass[~off] = c.containment_mass_rows(np.sort(np.column_stack([a[~off], verts[i[~off]]]),
+                                                     axis=1))
+        start = (np.cumsum(m) - m)[g]
+        rows = (np.concatenate([[0], np.cumsum(m)]), verts)
+        w_mass = np.where(off, mass * (math.comb(d - l - 1, l) / math.comb(d - l, l)), mass)
+        yield (lo, *(_entry_graphs(hi - lo, g, i - start, j - start, p, rows, rows)
+                     for p in (mass, w_mass)))
+
+
+def _structured_vasa_v_graphs(c: Complex, l: int):
+    """Per vertex v, the disjoint-pair graph in the link of v: the splits
+    (a1 | a2) of the other 2l vertices of each 2l-face through v, weighted by
+    the face's measure; yields (first vertex, family) in blocks."""
+    lev, lev_a, m = c.level(2 * l), c.level(l - 1), 2 * l + 1
     keep, rest = position_subsets(2 * l, l)
-    j = sp.coo_matrix((np.tile(mass, len(keep)),
-                       (lev_a.sub_faces(union_rows, keep).ravel(),
-                        lev_a.sub_faces(union_rows, rest).ravel())),
-                      shape=(lev_a.size, lev_a.size)).tocsr()
-    j.sum_duplicates()
-    live = np.asarray(j.sum(axis=1)).ravel() > 0
-    keep_idx = np.flatnonzero(live)
-    j = j[keep_idx][:, keep_idx]
-    j = j / j.sum()
-    pi = np.asarray(j.sum(axis=1)).ravel()
-    rep = square_lambda(j, pi)
-    return rep.two_sided
+    verts = lev.faces.ravel()
+    order = np.argsort(verts, kind="stable")
+    n_faces = np.bincount(verts, minlength=c.n_vertices)
+    ptr = np.concatenate([[0], np.cumsum(n_faces)])
+    for lo, hi in _blocks(n_faces * len(keep)):
+        # each (face, position of v) pair of the block, and its other vertices
+        f, q = np.divmod(order[ptr[lo]:ptr[hi]], m)
+        other = lev.faces[f][np.arange(m) != q[:, None]].reshape(len(f), 2 * l)
+        g = np.repeat(np.arange(hi - lo), n_faces[lo:hi] * len(keep))
+        a1, a2 = (lev_a.sub_faces(other, pat).T.ravel() for pat in (keep, rest))
+        yield lo, _pair_graphs(hi - lo, g, a1, a2, np.repeat(lev.measure[f], len(keep)))
 
 
 def _structured_a4(d: int, l: int, delta: float, cfg) -> tuple[float, int]:

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from hdxlab.complexes import Complex, build_from_top_faces, partite_complete_complex
-from hdxlab.stav import STSTable
+from hdxlab.stav import STSTable, _structured_vasa_v_graphs
 from hdxlab.walks import BipartiteGraph, WeightedGraph, down_operator
 
 # one profile for every property test; per-example deadlines fail spuriously
@@ -52,6 +52,17 @@ def random_weighted_complex(seed: int, n: int, d: int) -> Complex:
     tops = sorted(tops)
     w = rng.gamma(1.0, 1.0, size=len(tops)) + 1e-3
     return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
+
+
+def structured_vasa_v_values(c: Complex, l: int) -> np.ndarray:
+    """Two-sided expansion of the disjoint-pair graph in the link of each
+    vertex, read vertex by vertex off the structured A3a families."""
+    out = np.full(c.n_vertices, np.nan)
+    for lo, graphs in _structured_vasa_v_graphs(c, l):
+        live = graphs.live()
+        lam2, lam_min = graphs.spectra(live)
+        out[lo + live] = np.maximum(np.abs(lam2), np.abs(lam_min))
+    return out
 
 
 def containment_operator_by_product(c: Complex, k: int, l: int):

@@ -8,7 +8,8 @@ popular restrictions, bad sets, flags and witnesses, on fixed instances and
 on random weighted and partite complexes with random ensembles.  Property
 tests check alphabet-permutation equivariance and the ensemble JSON format.
 The per-t pair dicts of ``up2k_distribution`` must equal its tables entry
-for entry, in order.
+for entry, in order.  The per-t expansions of the pair graphs, solved one t
+at a time, must match the one family of ``sts_t_expansions`` within 1e-12.
 """
 
 import itertools
@@ -34,12 +35,14 @@ from hdxlab.agreement import (
     random_ensemble,
     rejection,
     save_ensemble,
+    sts_t_expansions,
     surprise,
     up2k_distribution,
 )
 from hdxlab.complexes import Complex, complete_complex, partite_complete_complex
 from hdxlab.decoder import DecoderConfig, global_decode, subset_agreement
 from hdxlab.errors import OrphanA, SupportMismatch
+from hdxlab.spectra import square_lambda
 from hdxlab.stav import (
     hdx_stav,
     neighborhood_stav,
@@ -472,6 +475,41 @@ def test_random_up2k_tables_match_dict(seed, n, d, k_t):
     assert_up2k_matches_dict(random_weighted_complex(seed, n, d), *k_t)
 
 
+def sts_t_expansions_loop(x):
+    """Two-sided expansion of the pair graph of each t with mass, one t and
+    one dense square_lambda call at a time."""
+    t, i, j, q = x.sts.all_pairs()
+    bounds = np.searchsorted(t, np.arange(len(x.sts.t_probs) + 1))
+    out = []
+    for ti in np.flatnonzero(x.sts.t_probs > 0):
+        i_idx, j_idx, p = (col[bounds[ti]:bounds[ti + 1]] for col in (i, j, q))
+        live, pos = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
+        dense = np.zeros((len(live), len(live)))
+        np.add.at(dense, (pos[:len(i_idx)], pos[len(i_idx):]), p)
+        out.append(square_lambda(dense, dense.sum(axis=1)).two_sided)
+    return out
+
+
+def assert_sts_t_expansions_match_loop(x):
+    got, want = sts_t_expansions(x), sts_t_expansions_loop(x)
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= TOL
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_l2", "partite", "nbhd_independent",
+                                  "nbhd_complement", "all_pairs_tables"])
+def test_sts_t_expansions_match_loop(fixed_instances, name):
+    assert_sts_t_expansions_match_loop(fixed_instances[name])
+
+
+@pytest.mark.parametrize("make", [lambda c: d_l_test(c, 3, 1),
+                                  lambda c: up2k_distribution(c, 2),
+                                  lambda c: up2k_distribution(c, 2, t_level=0),
+                                  lambda c: up2k_distribution(c, 2, t_level=1)])
+def test_test_distribution_expansions_match_loop(make):
+    assert_sts_t_expansions_match_loop(make(random_weighted_complex(4, 9, 5)))
+
+
 def test_bruteforce_matches_loop(fixed_instances):
     x = hdx_stav(random_weighted_complex(5, 7, 4), 4, 1)
     for plant, f in _ensembles(x, 7):
@@ -550,6 +588,11 @@ def test_random_complexes_match_loops(x, alphabet, seed, alpha):
     plant, f = _random_ensemble(x, alphabet, seed, alpha)
     assert_agreement_matches(x, f, plant)
     assert_decode_matches(x, f)
+
+
+@given(instances)
+def test_random_sts_t_expansions_match_loop(x):
+    assert_sts_t_expansions_match_loop(x)
 
 
 @given(instances, *ensemble_args, st.randoms(use_true_random=False))

@@ -58,6 +58,21 @@ def test_mixing_random(tmp_path, complex_file):
     assert run_cli(["mixing", complex_file, "--random-vertex-sets", "2"]) == 1
 
 
+@pytest.mark.parametrize("density", ["-0.5", "0", "1.5", "nan"])
+def test_mixing_rejects_a_density_outside_the_unit_interval(complex_file, capsys, density):
+    capsys.readouterr()
+    assert run_cli(["mixing", complex_file, "--seed", "1", "--density", density]) == 1
+    assert capsys.readouterr().err == (f"usage error: --density must be in (0, 1], "
+                                       f"got {float(density)}\n")
+
+
+def test_mixing_accepts_density_one(tmp_path, complex_file):
+    out = tmp_path / "mix.json"
+    assert run_cli(["mixing", complex_file, "--seed", "1", "--density", "1",
+                    "--random-vertex-sets", "1", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["measured"] == pytest.approx(1.0)
+
+
 def test_mixing_sets_file_rejects_a_vertex_out_of_range(tmp_path, capsys):
     cpath = tmp_path / "p.json"
     assert run_cli(["build", "--partite", "3,3,3", "-o", str(cpath)]) == 0
@@ -115,6 +130,15 @@ def test_stav_check(tmp_path, complex_file):
                     "--l", "1", "--gamma", "0.5", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())["report"]
     assert rep["goodness"]["overall_pass"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--stav", "hdx"], "--stav hdx needs --complex"),
+    (["--stav", "custom"], "--stav custom needs --stav-file")])
+def test_stav_check_missing_input_is_a_usage_error(capsys, args, message):
+    capsys.readouterr()
+    assert run_cli(["stav-check", *args, "--gamma", "0.5"]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_agree_run_exact_and_mc(tmp_path, complex_file):

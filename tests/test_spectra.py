@@ -399,6 +399,29 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
     assert iter_rep.residual < 1e-7
 
 
+def test_entry_graphs_fill_a_graph_past_the_dense_limit_as_csr(monkeypatch):
+    # a family of a 12-vertex and a 3-vertex graph, given unscaled and with
+    # a repeated cell; past the limit the fill is CSR, the joint read back
+    # dense, and the spectra those of the dense solve
+    import scipy.sparse as sp
+
+    import hdxlab.spectra as spectra
+    joints = [random_weighted_graph(1, 12).joint, random_weighted_graph(2, 3).joint]
+    g, r, c, p = (np.concatenate(cols) for cols in zip(
+        *[(np.full(j.size, k), *np.divmod(np.arange(j.size), len(j)), 7.0 * j.ravel())
+          for k, j in enumerate(joints)]))
+    g, r, c, p = (np.insert(col, 0, x) for col, x in zip((g, r, c, p), (0, 2, 5, 0.0)))
+    rows = (np.array([0, 12, 15]), np.arange(15))
+    want = spectra._entry_graphs(2, g, r, c, p, rows, rows).spectra(np.arange(2))
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    graphs = spectra._entry_graphs(2, g, r, c, p, rows, rows)
+    assert sp.issparse(graphs.fill(np.array([0]), (12, 12)))
+    for k, j in enumerate(joints):
+        got = graphs.joint(k)
+        assert isinstance(got, np.ndarray) and np.max(np.abs(got - j)) <= 1e-15
+    assert np.max(np.abs(graphs.spectra(np.arange(2)) - want)) <= 1e-9
+
+
 def test_iterative_solvers_raise_when_not_converged(unconverged_solvers):
     c = complete_complex(12, 3)
     with pytest.raises(NotConverged):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
@@ -13,8 +15,14 @@ from hdxlab.errors import (
     ZeroConditioning,
 )
 from hdxlab.spectra import bipartite_norm, square_spectrum
+from hdxlab import stav
 from hdxlab.stav import (
     StructuredHdxStav,
+    _blocks,
+    _pair_graphs,
+    _structured_a_graphs,
+    _structured_vasa_v_graphs,
+    _vasa_v_graphs,
     derive_graph,
     goodness_check,
     hdx_stav,
@@ -27,7 +35,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import pair_arrays
+from conftest import pair_arrays, random_weighted_complex
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +239,76 @@ def test_goodness_dual_route_weighted_complex():
             getattr(r2, fieldname), abs=1e-9), fieldname
     # the structured reach conditional is a lower bound off the uniform path
     assert r2.a5_min_conditional <= r1.a5_min_conditional + 1e-12
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       case=st.sampled_from([(1, 6, 4), (1, 7, 4), (1, 7, 5), (2, 8, 6), (2, 9, 6)]))
+def test_goodness_dual_route_random_dropped_tops(seed, case):
+    # the tabular A2a brute-forces 2^m vertex sets of each pair graph, so the
+    # complexes stay small; their tops are a random share of all (d+1)-sets
+    l, n, d = case
+    c = random_weighted_complex(seed, n, d)
+    tab = goodness_check(hdx_stav(c, d, l, force_mode="tabular"), gamma=0.5)
+    struct = goodness_check(hdx_stav(c, d, l, force_mode="structured"), gamma=0.5)
+    for fieldname in ("a1_reach_lambda", "a2b_max_lambda", "a3a_max_lambda",
+                      "a3b_max_lambda"):
+        assert getattr(struct, fieldname) == pytest.approx(
+            getattr(tab, fieldname), abs=1e-9), fieldname
+    # the structured A2a is a Cheeger lower bound and A5 a lower bound
+    assert struct.a2a_min_edge_expansion <= tab.a2a_min_edge_expansion + 1e-12
+    assert struct.a5_min_conditional <= tab.a5_min_conditional + 1e-12
+
+
+def test_pair_graphs_number_alike_by_table_and_by_sort():
+    # 3 graphs on 6 a-ids fit a (graph, a) table of at most twice the 40
+    # entries; the same entries among 50 graphs are numbered by sorting
+    rng = np.random.default_rng(5)
+    g = np.sort(rng.integers(0, 3, 40))
+    a1, a2 = rng.integers(0, 6, 40), rng.integers(0, 6, 40)
+    p = rng.random(40) * (rng.random(40) < 0.8)
+    table, by_sort = _pair_graphs(3, g, a1, a2, p), _pair_graphs(50, g, a1, a2, p)
+    assert np.array_equal(table.rows[0], by_sort.rows[0][:4])
+    for got, want in zip((table.rows[1], *table.entries[1:]),
+                         (by_sort.rows[1], *by_sort.entries[1:])):
+        assert np.array_equal(got, want)
+
+
+def test_vasa_v_graphs_of_a_sparse_complex_on_many_vertices():
+    # 600 disjoint 4-simplices on 3000 vertices: a (v, a) table would hold 9M
+    # cells for 36k amplification entries
+    c = build_from_top_faces(3000, [(tuple(range(5 * i, 5 * i + 5)), 1 / 600)
+                                    for i in range(600)])
+    x = hdx_stav(c, 4, 1, force_mode="tabular")
+    tracemalloc.start()
+    try:
+        graphs = _vasa_v_graphs(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert np.array_equal(graphs.shapes[:, 0], np.full(3000, 4))
+
+
+def test_blocks_bound_the_entries_of_consecutive_elements(monkeypatch):
+    monkeypatch.setattr(stav, "_GATHER_ENTRIES", 6)
+    assert list(_blocks(np.array([3, 5, 0, 2, 10, 1]))) == [(0, 1), (1, 3), (3, 4), (4, 5),
+                                                            (5, 6)]
+    assert list(_blocks(np.zeros(0, dtype=np.int64))) == []
+
+
+def test_structured_goodness_gathered_in_blocks(monkeypatch):
+    # small blocks give the same report, bit for bit
+    c = random_weighted_complex(11, 10, 6)
+    fields = ("a2a_min_edge_expansion", "a3a_max_lambda", "a3b_max_lambda")
+    want = goodness_check(hdx_stav(c, 6, 2, force_mode="structured"), 0.5)
+    monkeypatch.setattr(stav, "_GATHER_ENTRIES", 300)
+    lev_t, lev_a = c.level(2), c.level(1)
+    reach = stav._reach(stav._drop_one(lev_t, lev_a), lev_t.measure,
+                        (lev_a.size, c.n_vertices))
+    assert len(list(_structured_a_graphs(c, 6, 2, reach, lev_a.size))) > 1
+    assert len(list(_structured_vasa_v_graphs(c, 2))) > 1
+    got = goodness_check(hdx_stav(c, 6, 2, force_mode="structured"), 0.5)
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 def test_goodness_neighborhood_instances():

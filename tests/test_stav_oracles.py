@@ -1,7 +1,9 @@
 """Loop-based reference versions of the four-layer array code.
 
 Each oracle is the per-element loop the array version replaced: the goodness
-checker's conditioned pair graphs and spot checks, the invariant report, the
+checker's conditioned pair graphs and spot checks, the structured path's
+per-a-face pair operators (A2a, A3b) and per-vertex disjointness graphs
+(A3a), each solved alone and matched within 1e-12, the invariant report, the
 builders of the (S, T) main distribution and its pair tables, the builders'
 per-t (a, v) tables and amplification tables, and the per-t marginals read
 from them.  The tests require equal labels and index arrays, values within
@@ -37,8 +39,10 @@ from hdxlab.stav import (
     GoodnessConfig,
     VasaTable,
     _assemble_report,
+    _drop_one,
+    _reach,
     _sampler_spot_checks,
-    _structured_vasa_v_lambda,
+    _structured_a_graphs,
     derive_graph,
     goodness_check,
     hdx_stav,
@@ -50,7 +54,7 @@ from hdxlab.stav import (
 )
 
 from conftest import (kneser_lambda, pair_arrays, random_partite_complex,
-                      random_weighted_complex, sts_from_tables)
+                      random_weighted_complex, structured_vasa_v_values, sts_from_tables)
 
 
 def sts_conditioned_loop(x, need):
@@ -206,15 +210,21 @@ def test_json_roundtrip_is_all_pairs_tables(instances):
 @pytest.mark.parametrize("n,d,l", [(9, 5, 1), (10, 6, 2)])
 def test_structured_vasa_rank_matches_dict_weighted(n, d, l):
     c = _weighted_complex(n + d, n, d)
+    got = structured_vasa_v_values(c, l)
     for v in range(c.n_vertices):
-        assert _structured_vasa_v_lambda(c, d, l, v) == pytest.approx(
-            structured_vasa_v_lambda_dict(c, d, l, v), abs=1e-12)
+        assert got[v] == pytest.approx(structured_vasa_v_lambda_dict(c, d, l, v), abs=1e-12)
+
+
+def _structured_a3a(c, d, l):
+    return goodness_check(hdx_stav(c, d, l, force_mode="structured"), 0.5).a3a_max_lambda
 
 
 def test_structured_vasa_rank_matches_dict_complete():
+    # the gathered family of a complete complex, and its closed form
     c = complete_complex(12, 6)
-    assert _structured_vasa_v_lambda(c, 6, 2, 0) == pytest.approx(
-        structured_vasa_v_lambda_dict(c, 6, 2, 0), abs=1e-12)
+    want = structured_vasa_v_lambda_dict(c, 6, 2, 0)
+    assert structured_vasa_v_values(c, 2) == pytest.approx(np.full(12, want), abs=1e-12)
+    assert _structured_a3a(c, 6, 2) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,d,l", [(14, 8, 3), (16, 8, 2), (9, 5, 1), (11, 8, 3)])
@@ -222,9 +232,59 @@ def test_structured_vasa_kneser_closed_form(n, d, l):
     # the closed form against the assembled disjointness operator on the
     # l-subsets of the link, and against the exact-rational Kneser spectrum
     c = complete_complex(n, d)
-    got = _structured_vasa_v_lambda(c, d, l, 0)
+    got = _structured_a3a(c, d, l)
     assert got == pytest.approx(structured_vasa_v_lambda_dict(c, d, l, 0), abs=1e-12)
     assert got == pytest.approx(kneser_lambda(n - 1, l), abs=1e-15)
+
+
+def structured_a_loop(c, d, l):
+    """lambda2 of the pair operator T and of the amplification two-step W of
+    every a-face, one a-face and two dense square_lambda calls at a time; the
+    v of a are the vertices with a + v a face of positive mass."""
+    lev_a = c.level(l - 1)
+    out = []
+    for a in lev_a.faces:
+        others = np.setdiff1d(np.arange(c.n_vertices), a)
+        mass_1 = c.containment_mass_rows(np.sort(np.column_stack(
+            [np.tile(a, (len(others), 1)), others]), axis=1))
+        vs = others[mass_1 > 0]
+        mass_1 = mass_1[mass_1 > 0]
+        m = len(vs)
+        pairs = np.array(list(itertools.combinations(range(m), 2)), dtype=int)
+        ratio = np.zeros((m, m))
+        if len(pairs):
+            mass_2 = c.containment_mass_rows(np.sort(np.concatenate(
+                [np.tile(a, (len(pairs), 1)), vs[pairs[:, 0], None],
+                 vs[pairs[:, 1], None]], axis=1), axis=1))
+            ratio[pairs[:, 0], pairs[:, 1]] = mass_2
+            ratio[pairs[:, 1], pairs[:, 0]] = mass_2
+        pi = mass_1 / mass_1.sum()
+        t_mat = ratio / mass_1[:, None] / (d + 1 - l)
+        np.fill_diagonal(t_mat, 1.0 / (d + 1 - l))
+        denom = (d + 1 - 2 * l) * math.comb(d - l, l)
+        w_mat = ratio / mass_1[:, None] * (math.comb(d - l - 1, l) / denom)
+        np.fill_diagonal(w_mat, 1.0 / (d + 1 - 2 * l))
+        out.append([square_lambda(pi[:, None] * mat, pi).lambda2 for mat in (t_mat, w_mat)])
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("make,l", [
+    (lambda: _weighted_complex(7, 9, 5), 1), (lambda: _weighted_complex(7, 10, 6), 2),
+    (lambda: random_weighted_complex(3, 10, 6), 1), (lambda: random_weighted_complex(3, 10, 6), 2),
+    (lambda: random_weighted_complex(4, 12, 8), 3), (lambda: complete_complex(12, 5), 1),
+    (lambda: complete_complex(14, 8), 3)],
+    ids=["weighted_9_5", "weighted_10_6", "dropped_10_6_l1", "dropped_10_6_l2",
+         "dropped_12_8", "complete_12_5", "complete_14_8"])
+def test_structured_a_graphs_match_loop(make, l):
+    # every a-face's T and W, one family each, against the per-a loop
+    c = make()
+    lev_t, lev_a = c.level(l), c.level(l - 1)
+    reach = _reach(_drop_one(lev_t, lev_a), lev_t.measure, (lev_a.size, c.n_vertices))
+    (_, *families), = _structured_a_graphs(c, c.d, l, reach, lev_a.size)
+    want = structured_a_loop(c, c.d, l)
+    for graphs, values in zip(families, want):
+        assert np.array_equal(graphs.live(), np.arange(lev_a.size))
+        assert np.max(np.abs(graphs.spectra(graphs.live())[0] - values)) <= 1e-12
 
 
 def _split_graph(d, l):
