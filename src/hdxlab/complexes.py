@@ -565,13 +565,12 @@ def partite_complete_complex(part_sizes) -> Complex:
     if any(s < 1 for s in sizes):
         raise EmptyPart("every part needs at least one vertex")
     offsets = np.cumsum([0] + sizes)
-    coloring = []
-    for i, s in enumerate(sizes):
-        coloring += [i] * s
-    parts = [range(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
-    rows = np.array(list(itertools.product(*parts)), dtype=np.int32)
+    # one vertex per part, the last part's varying fastest
+    rows = (np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+            + offsets[:-1]).astype(np.int32)
     weights = np.full(len(rows), 1.0 / len(rows))
-    return Complex(int(offsets[-1]), len(sizes) - 1, rows, weights, coloring=coloring)
+    return Complex(int(offsets[-1]), len(sizes) - 1, rows, weights,
+                   coloring=np.repeat(np.arange(len(sizes)), sizes).tolist())
 
 
 def graphic_matroid_complex(edges, truncation: int) -> Complex:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .agreement import AgreementTest, _row_codes
 from .errors import (
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .complexes import _lookup_rows, size_cap_multiplier
 from .stav import AvTable, STSTable, StavInstance, VasaTable
-from .walks import MarkovOperator, _from_joint
+from .walks import MarkovOperator, _from_joint, _joint
 
 MAX_Q = 9
 _BASE_POINTS = 1_100_000
@@ -479,7 +478,8 @@ def _uniform_operator(left: np.ndarray, right: np.ndarray) -> MarkovOperator:
     live_r, c = np.unique(right, return_inverse=True)
     vals = np.full(len(left), 1.0 / len(left))
     return _from_joint(live_l[:, None], np.bincount(r, weights=vals),
-                       live_r[:, None], np.bincount(c, weights=vals), [r], [c], [vals])
+                       live_r[:, None], np.bincount(c, weights=vals),
+                       _joint(r, c, vals, (len(live_l), len(live_r))))
 
 
 def grassmann_containment_walk(p: GrassmannPoset, k: int, l: int) -> MarkovOperator:
@@ -538,8 +538,7 @@ def _sts_from_levels(p: GrassmannPoset, d: int, l: int):
     n_up = np.bincount(t_idx, minlength=len(mids))
     if not n_up.all():
         raise EmptyWalk(f"level-{l} element {int(np.argmin(n_up))} extends to no top")
-    st = sp.csr_matrix((1.0 / (len(mids) * n_up[t_idx]), (s_idx, t_idx)),
-                       shape=(len(tops), len(mids)))
+    st = _joint(s_idx, t_idx, 1.0 / (len(mids) * n_up[t_idx]), (len(tops), len(mids)))
     return STSTable.from_joint(st), st, tops, mids
 
 

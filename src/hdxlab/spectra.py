@@ -3,13 +3,15 @@
 All spectra are computed on measure-symmetrized operators: a reversible walk P
 with stationary measure pi becomes D^{1/2} P D^{-1/2}, which is symmetric, and
 bipartite operators become J / sqrt(pi_L x pi_R) whose second singular value
-is the bipartite expansion.  An operator with no side above
-``DENSE_EIG_LIMIT`` gets its whole spectrum from one dense solve; a larger one
-only its extremal eigenvalues from Lanczos: lambda_min of the operator M,
-lambda2 of M with its constant eigenvector moved from 1 to -1 (so a negative
-lambda2 survives), and lambda_bip^2 of D^T D, D the bipartite operator without
-its top singular pair.  The report carries the iteration residual; a residual
+is the bipartite expansion.  An operator whose shape ``walks._solves_dense``
+admits gets its whole spectrum from one dense solve; a larger one only its
+extremal eigenvalues from Lanczos: lambda_min of the operator M, lambda2 of M
+with its constant eigenvector moved from 1 to -1 (so a negative lambda2
+survives), and lambda_bip^2 of D^T D, D the bipartite operator without its
+top singular pair.  The report carries the iteration residual; a residual
 above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
+Dense and CSR operators go through the same arithmetic, the scalings,
+marginals and densification of ``walks``, so no solver asks which it holds.
 
 Many small graphs are solved together as one local-graph family, built by
 ``_entry_graphs`` from entries grouped by graph: ``_stacked_spectra`` groups
@@ -31,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .complexes import (Complex, _encode_rows, _lookup_rows, complete_complex,
@@ -47,10 +48,13 @@ from .errors import (
     TooLarge,
 )
 from .walks import (
-    DENSE_EIG_LIMIT,
     BipartiteGraph,
     WeightedGraph,
+    _dense,
     _diag_scale,
+    _joint,
+    _marginal,
+    _solves_dense,
     colored_walk,
     complement_walk,
     fixed_union_walk,
@@ -126,10 +130,8 @@ def _check_converged(resid: float) -> None:
 
 
 def _sym_square(joint, pi):
-    s = np.sqrt(pi)
-    if sp.issparse(joint):
-        return _diag_scale(joint, 1.0 / s, 1.0 / s)
-    return joint / np.outer(s, s)
+    s = 1.0 / np.sqrt(pi)
+    return _diag_scale(joint, s, s)
 
 
 def _check_symmetric(resid: float) -> None:
@@ -181,15 +183,12 @@ def square_lambda(joint, pi) -> SpectralReport:
     """lambda2 (excluding constants) and lambda_min of a reversible walk."""
     pi = np.asarray(pi, dtype=float)
     m = joint.shape[0]
-    if m <= DENSE_EIG_LIMIT:
-        dense = np.asarray(joint.todense()) if sp.issparse(joint) else np.asarray(joint)
-        l2, lmin = _square_stack(dense[None], pi[None])
+    if _solves_dense(joint.shape):
+        l2, lmin = _square_stack(_dense(joint)[None], pi[None])
         return SpectralReport(lambda2=float(l2[0]), lambda_min=float(lmin[0]),
                               method="trivial" if m == 1 else "dense")
     _positive(pi, "stationary measure")
-    resid = joint - joint.T
-    _check_symmetric(float(abs(resid).max()) if sp.issparse(resid)
-                     else float(np.max(np.abs(resid))))
+    _check_symmetric(float(abs(joint - joint.T).max()))
     M = _sym_square(joint, pi)
     u = np.sqrt(pi / pi.sum())
     # the constant eigenvector u moved from 1 to -1, the rest of M kept
@@ -228,20 +227,15 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     """Second singular value of the symmetrized bipartite operator."""
     pi_l = np.asarray(pi_l, dtype=float)
     pi_r = np.asarray(pi_r, dtype=float)
-    if max(joint.shape) <= DENSE_EIG_LIMIT:
-        dense = np.asarray(joint.todense()) if sp.issparse(joint) else np.asarray(joint)
-        lam = _bipartite_stack(dense[None], pi_l[None], pi_r[None])[0]
+    if _solves_dense(joint.shape):
+        lam = _bipartite_stack(_dense(joint)[None], pi_l[None], pi_r[None])[0]
         return SpectralReport(lambda_bip=float(lam),
                               method="trivial" if min(joint.shape) == 1 else "dense")
-    _check_marginals(np.asarray(joint.sum(axis=1)).ravel(),
-                     np.asarray(joint.sum(axis=0)).ravel(), pi_l, pi_r)
+    _check_marginals(_marginal(joint, 1), _marginal(joint, 0), pi_l, pi_r)
     if min(joint.shape) == 1:
         return SpectralReport(lambda_bip=0.0, method="trivial")
     sl, sr = np.sqrt(pi_l), np.sqrt(pi_r)
-    if sp.issparse(joint):
-        M = _diag_scale(joint, 1.0 / sl, 1.0 / sr)
-    else:
-        M = joint / np.outer(sl, sr)
+    M = _diag_scale(joint, 1.0 / sl, 1.0 / sr)
     if M.shape[0] < M.shape[1]:  # D^T D on the smaller side
         M, sl, sr = M.T, sr, sl
 
@@ -283,16 +277,16 @@ def _scatter(entries, ids: np.ndarray, shape) -> np.ndarray:
 
 def _shape_batches(shapes: np.ndarray):
     """Graph ids grouped by (rows, cols) shape, yielded as (shape, ids) batches
-    whose dense stack stays under ``_LINK_BATCH_BYTES``; a graph with a side
-    above ``DENSE_EIG_LIMIT`` is a batch of its own."""
+    whose dense stack stays under ``_LINK_BATCH_BYTES``; a graph that
+    ``_solves_dense`` does not admit is a batch of its own."""
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     code = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
     order = np.argsort(code, kind="stable")
     bounds = np.flatnonzero(np.diff(code[order], prepend=-1, append=-1)).tolist()
     for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
         r, c = shapes[order[lo_g]].tolist()
-        step = (1 if max(r, c) > DENSE_EIG_LIMIT
-                else max(1, _LINK_BATCH_BYTES // (8 * r * c)))
+        step = (max(1, _LINK_BATCH_BYTES // (8 * r * c)) if _solves_dense((r, c))
+                else 1)
         for lo in range(lo_g, hi_g, step):
             yield (r, c), order[lo:min(lo + step, hi_g)]
 
@@ -306,19 +300,19 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     (rows, cols) shape, as a dense stack; their measures are the row and
     column sums.  Each batch of ``_shape_batches`` is one stacked dense solve
     with every check of ``square_lambda`` and ``bipartite_lambda``.  A graph
-    above ``DENSE_EIG_LIMIT`` is scaled to mass 1 and goes to one of them,
-    and from there to the iterative path; its fill may be sparse.
+    that ``_solves_dense`` does not admit is scaled to mass 1 and goes to one
+    of them, and from there to the iterative path; its fill may be a CSR
+    matrix in place of a stack of one.
     """
     out = np.zeros((len(shapes), 1 if bipartite else 2))
     for shape, ids in _shape_batches(shapes):
         joint = fill(ids, shape)
-        if max(shape) > DENSE_EIG_LIMIT:
-            j = joint if sp.issparse(joint) else joint[0]
+        if not _solves_dense(shape):
+            j = _single(joint)
             j = j / j.sum()
-            pi_l = np.asarray(j.sum(axis=1)).ravel()
+            pi_l = _marginal(j, 1)
             if bipartite:
-                out[ids, 0] = bipartite_lambda(
-                    j, pi_l, np.asarray(j.sum(axis=0)).ravel()).lambda_bip
+                out[ids, 0] = bipartite_lambda(j, pi_l, _marginal(j, 0)).lambda_bip
             else:
                 rep = square_lambda(j, pi_l)
                 out[ids] = rep.lambda2, rep.lambda_min
@@ -329,6 +323,11 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     return out[:, 0] if bipartite else out.T
 
 
+def _single(joint):
+    """The one joint of a fill of one graph: a stack of one or a matrix."""
+    return joint[0] if joint.ndim == 3 else joint
+
+
 @dataclass
 class _Graphs:
     """A family of local graphs, one per conditioning element.
@@ -336,7 +335,8 @@ class _Graphs:
     Graph k has the layer positions ``rows[1][rows[0][k]:rows[0][k+1]]`` as
     rows and ``cols`` likewise as columns; a graph without rows has no mass.
     ``fill(ids, shape)`` gives the unscaled joints of graphs ``ids``, all of
-    that shape: a dense stack, or a CSR matrix past ``DENSE_EIG_LIMIT``.
+    that shape: a dense stack, or a CSR matrix where ``_solves_dense`` does
+    not admit the shape.
     ``entries`` are the (ptr, row, col, mass) entries grouped by graph, where
     the family is built from them; a family without them fills joints of mass 1.
     """
@@ -359,8 +359,7 @@ class _Graphs:
     def joint(self, k: int) -> np.ndarray:
         """The dense joint of graph k, of mass 1: scaled by the sum of its
         entries in entry order, as a canonical sparse matrix sums them."""
-        j = self.fill(np.array([k]), tuple(self.shapes[k]))
-        j = j.toarray() if sp.issparse(j) else j[0]
+        j = _dense(_single(self.fill(np.array([k]), tuple(self.shapes[k]))))
         if self.entries is None:
             return j
         ptr, _, _, p = self.entries
@@ -373,10 +372,10 @@ def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:
     entries = (np.concatenate([[0], np.cumsum(np.bincount(g, minlength=n))]), r, c, p)
 
     def fill(ids, shape):
-        if max(shape) <= DENSE_EIG_LIMIT:
+        if _solves_dense(shape):
             return _scatter(entries, ids, shape)
         idx, _ = _runs(entries[0], ids)
-        return sp.csr_matrix((p[idx], (r[idx], c[idx])), shape=shape)
+        return _joint(r[idx], c[idx], p[idx], shape)
 
     return _Graphs(rows, cols, fill, entries)
 
@@ -576,15 +575,16 @@ def verify_fixed_union_bound(c: Complex, l: int, j: int) -> BoundCheck:
     """Norm of (fixed-union walk - lower walk) against j^2 * link expansion.
 
     The norm is the largest |eigenvalue| of the symmetrised difference, whose
-    spectrum lies in [-2, 1] (a walk minus a positive semidefinite one); past
-    ``DENSE_EIG_LIMIT`` rows it is read from Lanczos on half the operator.
+    spectrum lies in [-2, 1] (a walk minus a positive semidefinite one);
+    where ``_solves_dense`` does not admit it, it is read from Lanczos on half
+    the operator.
     """
     a = fixed_union_walk(c, l, j)
     low = lower_walk(c, l, l - j)
     pi = a.source_measure
     diff = _sym_square(a.joint(), pi) - _sym_square(low.joint(), pi)
-    if len(pi) <= DENSE_EIG_LIMIT:
-        diff = np.asarray(diff.todense()) if sp.issparse(diff) else diff
+    if _solves_dense(diff.shape):
+        diff = _dense(diff)
         lhs = float(np.max(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0))))
     else:
         half = (diff + diff.T) / 4.0
@@ -742,17 +742,14 @@ def sampler_check(g: BipartiteGraph, subset, c: float) -> BoundCheck:
     """Expander sampler property for a right-side subset at threshold c."""
     if c <= 0:
         raise OrderingViolated("threshold c must be positive")
-    joint = g.joint.tocsr() if sp.issparse(g.joint) else g.joint
-    right = np.zeros(joint.shape[1], dtype=bool)
-    right[list(subset)] = True
+    right = np.zeros(g.joint.shape[1])
+    right[list(subset)] = 1.0
     pi_l = g.left_measure
-    pr_s = float(g.right_measure[right].sum())
-    mass_in_s = (np.asarray(joint[:, right].sum(axis=1)).ravel()
-                 if sp.issparse(joint) else joint[:, right].sum(axis=1))
-    cond = mass_in_s / pi_l
+    pr_s = float(g.right_measure[right > 0].sum())
+    cond = (g.joint @ right) / pi_l
     bad = np.abs(cond - pr_s) > c
     pr_t = float(pi_l[bad].sum())
-    lam = bipartite_lambda(joint, pi_l, g.right_measure).lambda_bip
+    lam = bipartite_lambda(g.joint, pi_l, g.right_measure).lambda_bip
     bound = lam * lam / (c * c) * pr_s
     return BoundCheck("sampler", pr_t, bound, pr_t <= bound + SLACK,
                       {"lambda": lam, "pr_subset": pr_s, "threshold": c})
@@ -792,7 +789,7 @@ def almost_cut_check(g, part_a, part_b, part_c) -> BoundCheck:
             raise OrderingViolated("need Pr[A] <= Pr[B]")
         a_l, a_r = split(a)
         b_l, b_r = split(b)
-        dense = np.asarray(joint.todense()) if sp.issparse(joint) else joint
+        dense = _dense(joint)
         e_ab = 0.0
         if a_l and b_r:
             e_ab += float(dense[np.ix_(a_l, b_r)].sum())
@@ -833,8 +830,7 @@ def edge_expansion_exact(g: WeightedGraph, max_vertices: int = 24) -> EdgeExpans
     lower, upper = (1.0 - l2) / 2.0, math.sqrt(max(2.0 * (1.0 - l2), 0.0))
     if m > max_vertices:
         raise TooLarge(f"{m} vertices exceeds the brute-force cap {max_vertices}")
-    joint = np.asarray(g.joint.todense()) if sp.issparse(g.joint) else np.asarray(g.joint)
-    best, best_mask = _min_cut_ratio(joint, g.vertex_measure)
+    best, best_mask = _min_cut_ratio(_dense(g.joint), g.vertex_measure)
     if best_mask is None:
         # no subset with 0 < Pr <= 1/2 exists (single live vertex): vacuous
         return EdgeExpansionReport(phi=math.inf, argmin=None, lambda2=l2,

@@ -53,7 +53,6 @@ from .errors import (
     SizeCapError,
     ZeroConditioning,
 )
-from . import spectra
 from .spectra import (
     _Graphs,
     _check_square_stack,
@@ -64,8 +63,8 @@ from .spectra import (
     _shape_batches,
     bipartite_lambda,
 )
-from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_scale,
-                    neighborhood_system)
+from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_scale, _joint,
+                    _marginal, _solves_dense, neighborhood_system)
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
@@ -300,7 +299,7 @@ def _drop_one(lev_t, lev_a) -> AvTable:
 
 def _reach(av: AvTable, t_probs: np.ndarray, shape) -> sp.csr_matrix:
     """The (a, v) marginal of t drawn by ``t_probs``, then (a, v) given t."""
-    return _accumulate((av.a_idx, av.v_idx, t_probs[av.t_idx] * av.probs), shape)
+    return _joint(av.a_idx, av.v_idx, t_probs[av.t_idx] * av.probs, shape)
 
 
 def _restricted_joint(c: Complex, k: int, l: int, s_keep, t_keep) -> sp.csr_matrix:
@@ -498,10 +497,8 @@ def neighborhood_stav(c: Complex, l: int, k: int, mode: str) -> StavInstance:
     # (z, t) joint: one entry per split of each union face
     u = c.level(k + l + 1)
     z_pat, t_pat = position_subsets(k + l + 2, k + 1)
-    st = _accumulate((lev_z.sub_faces(u.faces, z_pat).ravel(),
-                      lev_t.sub_faces(u.faces, t_pat).ravel(),
-                      np.tile(u.measure / len(z_pat), len(z_pat))),
-                     (lev_z.size, lev_t.size))
+    st = _joint(lev_z.sub_faces(u.faces, z_pat).ravel(), lev_t.sub_faces(u.faces, t_pat).ravel(),
+                np.tile(u.measure / len(z_pat), len(z_pat)), (lev_z.size, lev_t.size))
     sts = STSTable.from_joint(st)
 
     if mode == "complement":
@@ -895,13 +892,6 @@ def _find(x: StavInstance, layer: str, element) -> int:
         raise ZeroConditioning(f"element {element!r} not in layer") from None
 
 
-def _accumulate(triplet, shape):
-    r, c, v = triplet
-    m = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
-    m.sum_duplicates()
-    return m
-
-
 # -- goodness check ------------------------------------------------------------------
 
 
@@ -1019,8 +1009,7 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
         raise SizeCapError("instance too large for the exhaustive goodness check")
     notes = {}
     reach = x.reach_joint()
-    a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
-                          np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
+    a1 = bipartite_lambda(reach, _marginal(reach, 1), _marginal(reach, 0)).lambda_bip
     rc = reach.tocoo()
     ra, rv = rc.row[rc.data > 0], rc.col[rc.data > 0]
 
@@ -1050,8 +1039,8 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     live = graphs.live()
     lam2, lam_min = graphs.spectra(live)
     a2b = float(np.max(np.maximum(np.abs(lam2), np.abs(lam_min)), initial=0.0))
-    # a graph above the dense limit went to Lanczos
-    a2b_iterative = graphs.shapes[live, 0].max(initial=0) > spectra.DENSE_EIG_LIMIT
+    # a graph the dense solve does not admit went to Lanczos
+    a2b_iterative = not _solves_dense(graphs.shapes[live].max(axis=0, initial=0))
 
     # A3a: each v-conditioned amplification graph, two-sided; a graph with a
     # 2-colourable support is read as bipartite, where its spectrum is +-sigma
@@ -1124,8 +1113,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
 
     # A1: reach graph assembled from level l
     reach = _reach(_drop_one(lev_t, lev_a), lev_t.measure, (lev_a.size, c.n_vertices))
-    a1 = bipartite_lambda(reach, np.asarray(reach.sum(axis=1)).ravel(),
-                          np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
+    a1 = bipartite_lambda(reach, _marginal(reach, 1), _marginal(reach, 0)).lambda_bip
 
     # A2a and A3b: the lambda2 of each a-face's pair operator, T, and of the
     # small-side two-step of its bipartite amplification graph, W
@@ -1196,24 +1184,29 @@ def _structured_a_graphs(c: Complex, d: int, l: int, reach, n: int):
     """Families of the pair operator T and the amplification two-step W of
     the first n a-faces, on the v of their rows of the reach CSR matrix, in
     blocks: yields (first a-face, T, W).  Off the diagonal both hold the
-    containment mass of a + v1 + v2, W's scaled by C(d-l-1, l) / C(d-l, l);
-    on it that of a + v."""
+    containment mass of a + v1 + v2, looked up once per unordered pair and
+    mirrored, W's scaled by C(d-l-1, l) / C(d-l, l); on it that of a + v."""
     sizes = np.diff(reach.indptr[:n + 1])
     for lo, hi in _blocks(sizes * sizes):
         m = sizes[lo:hi]
         verts = reach.indices[reach.indptr[lo]:reach.indptr[hi]]
         i, j = _segment_pairs(m, m)
         g = np.repeat(np.arange(hi - lo), m * m)
-        a, off = c.level(l - 1).faces[lo + g], i != j
-        # a row a + v + v repeats a vertex, so it is no face and has no mass
-        mass = c.containment_mass_rows(np.sort(np.column_stack([a, verts[i], verts[j]]),
-                                               axis=1))
-        mass[~off] = c.containment_mass_rows(np.sort(np.column_stack([a[~off], verts[i[~off]]]),
-                                                     axis=1))
-        start = (np.cumsum(m) - m)[g]
+        a, start = c.level(l - 1).faces[lo + g], (np.cumsum(m) - m)[g]
+        li, lj = i - start, j - start
+        diag, upper, lower = i == j, i < j, i > j
+        mass = np.empty(len(i))
+        mass[diag] = c.containment_mass_rows(
+            np.sort(np.column_stack([a[diag], verts[i[diag]]]), axis=1))
+        mass[upper] = c.containment_mass_rows(
+            np.sort(np.column_stack([a[upper], verts[i[upper]], verts[j[upper]]]), axis=1))
+        # graph g's entries run row by row from its first, so (v2, v1) sits
+        # at the offset of (v1, v2) with the local row and column swapped
+        mirror = (np.cumsum(m * m) - m * m)[g] + lj * m[g] + li
+        mass[lower] = mass[mirror[lower]]
         rows = (np.concatenate([[0], np.cumsum(m)]), verts)
-        w_mass = np.where(off, mass * (math.comb(d - l - 1, l) / math.comb(d - l, l)), mass)
-        yield (lo, *(_entry_graphs(hi - lo, g, i - start, j - start, p, rows, rows)
+        w_mass = np.where(diag, mass, mass * (math.comb(d - l - 1, l) / math.comb(d - l, l)))
+        yield (lo, *(_entry_graphs(hi - lo, g, li, lj, p, rows, rows)
                      for p in (mass, w_mass)))
 
 
@@ -1321,10 +1314,8 @@ def stav_from_json_dict(data: dict) -> StavInstance:
     t_supports = [tuple(e["support"]) for e in data["T"]]
     s_supports = [tuple(e["support"]) for e in data["S"]]
     st_rows = data["st_joint"]
-    st = sp.coo_matrix(([p for _, _, p in st_rows],
-                        ([i for i, _, _ in st_rows], [j for _, j, _ in st_rows])),
-                       shape=(len(s_labels), len(t_labels))).tocsr()
-    st.sum_duplicates()
+    st = _joint([i for i, _, _ in st_rows], [j for _, j, _ in st_rows],
+                [p for _, _, p in st_rows], (len(s_labels), len(t_labels)))
     av = AvTable(*_read_tables(data["av_tables"], "(a,v) table"))
     sts = STSTable.from_pairs(np.asarray(st.sum(axis=0)).ravel(), len(s_labels),
                               *_read_tables(data["sts_pairs"], "pair table"))

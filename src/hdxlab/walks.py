@@ -3,12 +3,14 @@
 Every operator pairs a transition matrix with the stationary measures of its
 source and target levels; the joint distribution source(u) * P(u, v) is what
 the spectra module symmetrizes.  Each walk is written down as its joint over
-the two levels and turned into an operator by one constructor, ``_from_joint``
+the two levels, a CSR matrix built from (row, column, mass) entries by
+``_joint``, and turned into an operator by one constructor, ``_from_joint``
 (P = diag(1/source) J).  ``_containment_joint`` builds the joint of "s by level
 measure, then an l-face inside s", which is also the (S, T) main distribution
-of the agreement tests.  Operators are dense when both levels have at most
-``DENSE_EIG_LIMIT`` faces, exactly when the spectra module solves them dense,
-and sparse (CSR) otherwise.
+of the agreement tests.  One predicate, ``_solves_dense``, decides both storage
+and solver: operators it admits are stored dense and solved dense by the
+spectra module, larger ones stay CSR.  ``_diag_scale``, ``_marginal`` and
+``_dense`` take either storage, so no other code asks which one it holds.
 """
 
 from __future__ import annotations
@@ -34,10 +36,36 @@ DENSE_EIG_LIMIT = 400
 ROW_TOL = 1e-10
 
 
-def _diag_scale(mat, rows=None, cols=None) -> sp.csr_matrix:
-    """diag(rows) @ mat @ diag(cols) as a pass over a CSR copy's data: entry
-    (i, j) times rows[i], then times cols[j], the sparse products' values bit
-    for bit; zero results are dropped, as the products drop them."""
+def _solves_dense(shape) -> bool:
+    """Whether a matrix of this shape is stored and solved dense: no side above
+    ``DENSE_EIG_LIMIT``."""
+    return max(shape) <= DENSE_EIG_LIMIT
+
+
+def _joint(rows, cols, vals, shape) -> sp.csr_matrix:
+    """The canonical CSR matrix of the entries (rows, cols, vals); repeated
+    entries add up."""
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsr()
+
+
+def _dense(mat) -> np.ndarray:
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+
+
+def _maybe_dense(mat):
+    return _dense(mat) if _solves_dense(mat.shape) else mat
+
+
+def _diag_scale(mat, rows=None, cols=None):
+    """diag(rows) @ mat @ diag(cols): entry (i, j) times rows[i], then times
+    cols[j].  A dense matrix is scaled by broadcasting; a sparse one by a pass
+    over a CSR copy's data, the sparse products' values bit for bit, with zero
+    results dropped, as the products drop them."""
+    if not sp.issparse(mat):
+        out = np.asarray(mat, dtype=float)
+        if rows is not None:
+            out = out * rows[:, None]
+        return out if cols is None else out * cols
     out = sp.csr_matrix(mat, dtype=float, copy=True)
     if rows is not None:
         out.data *= np.repeat(rows, np.diff(out.indptr))
@@ -47,10 +75,17 @@ def _diag_scale(mat, rows=None, cols=None) -> sp.csr_matrix:
     return out
 
 
-def _maybe_dense(mat):
-    if sp.issparse(mat) and max(mat.shape) <= DENSE_EIG_LIMIT:
-        return np.asarray(mat.todense())
-    return mat
+def _marginal(joint, axis: int) -> np.ndarray:
+    """Row (axis 1) or column (axis 0) sums, each added entry after entry
+    along the other axis: a dense matrix and its canonical CSR copy give the
+    same bits, since the zeros the CSR skips add nothing."""
+    if sp.issparse(joint):
+        ones = np.ones(joint.shape[axis])
+        return joint @ ones if axis == 1 else ones @ joint
+    joint = np.asarray(joint, dtype=float)
+    if joint.shape[axis] == 0:
+        return np.zeros(joint.shape[1 - axis])
+    return np.cumsum(joint, axis=axis).take(-1, axis=axis)
 
 
 @dataclass
@@ -81,27 +116,19 @@ class MarkovOperator:
                 and np.array_equal(self.source_faces, self.target_faces))
 
     def row_sums(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return np.asarray(self.matrix.sum(axis=1)).ravel()
-        return self.matrix.sum(axis=1)
+        return _marginal(self.matrix, 1)
 
     # -- distributions -------------------------------------------------------------
 
     def joint(self):
         """Joint distribution source(u) * P(u, v); sums to 1."""
-        if sp.issparse(self.matrix):
-            return _diag_scale(self.matrix, self.source_measure)
-        return self.source_measure[:, None] * self.matrix
+        return _diag_scale(self.matrix, self.source_measure)
 
     def reverse(self) -> "MarkovOperator":
         """Time-reversed operator from target to source."""
-        j = self.joint()
-        if sp.issparse(j):
-            mat = _diag_scale(j.T, 1.0 / self.target_measure)
-        else:
-            mat = j.T / self.target_measure[:, None]
         return MarkovOperator(self.target_faces, self.target_measure,
-                              self.source_faces, self.source_measure, mat)
+                              self.source_faces, self.source_measure,
+                              _diag_scale(self.joint().T, 1.0 / self.target_measure))
 
     def compose(self, other: "MarkovOperator") -> "MarkovOperator":
         if self.shape[1] != other.shape[0]:
@@ -119,26 +146,16 @@ class MarkovOperator:
         """max|J - J^T| of a walk from a level to itself; between two levels,
         how far the joint's target marginal is from the target measure."""
         j = self.joint()
-        if self.is_square:
-            diff = j - j.T
-        else:
-            diff = np.asarray(j.sum(axis=0)).ravel() - self.target_measure
-        if sp.issparse(diff):
-            return float(abs(diff).max()) if diff.nnz else 0.0
-        return float(np.max(np.abs(diff))) if diff.size else 0.0
+        diff = j - j.T if self.is_square else _marginal(j, 0) - self.target_measure
+        # a sparse matrix's size counts its stored entries
+        return float(abs(diff).max()) if diff.size else 0.0
 
     def triplets(self):
-        """Yield (source_face, target_face, prob) rows for CSV export."""
-        mat = self.matrix.tocoo() if sp.issparse(self.matrix) else None
-        if mat is None:
-            for i in range(self.shape[0]):
-                for j in range(self.shape[1]):
-                    p = float(self.matrix[i, j])
-                    if p > 0:
-                        yield (tuple(self.source_faces[i]), tuple(self.target_faces[j]), p)
-        else:
-            for i, j, p in zip(mat.row, mat.col, mat.data):
-                yield (tuple(self.source_faces[i]), tuple(self.target_faces[j]), float(p))
+        """Yield (source_face, target_face, prob) rows for CSV export, one per
+        nonzero entry, row by row."""
+        mat = sp.coo_matrix(self.matrix)
+        for i, j, p in zip(mat.row, mat.col, mat.data):
+            yield (tuple(self.source_faces[i]), tuple(self.target_faces[j]), float(p))
 
 
 @dataclass
@@ -156,15 +173,11 @@ class BipartiteGraph:
 
     @property
     def left_measure(self) -> np.ndarray:
-        if sp.issparse(self.joint):
-            return np.asarray(self.joint.sum(axis=1)).ravel()
-        return self.joint.sum(axis=1)
+        return _marginal(self.joint, 1)
 
     @property
     def right_measure(self) -> np.ndarray:
-        if sp.issparse(self.joint):
-            return np.asarray(self.joint.sum(axis=0)).ravel()
-        return self.joint.sum(axis=0)
+        return _marginal(self.joint, 0)
 
 
 @dataclass
@@ -175,22 +188,16 @@ class WeightedGraph:
     joint: object  # (m, m), symmetric, sums to 1
 
     def __post_init__(self):
-        diff = self.joint - self.joint.T
-        resid = float(abs(diff).max()) if sp.issparse(diff) else float(np.max(np.abs(diff)))
+        resid = float(abs(self.joint - self.joint.T).max())
         if resid > 1e-9:
             raise HdxError(f"graph joint must be symmetric; residual {resid:.3g}")
 
     @property
     def vertex_measure(self) -> np.ndarray:
-        if sp.issparse(self.joint):
-            return np.asarray(self.joint.sum(axis=1)).ravel()
-        return self.joint.sum(axis=1)
+        return _marginal(self.joint, 1)
 
     def transition(self):
-        pi = self.vertex_measure
-        if sp.issparse(self.joint):
-            return _diag_scale(self.joint, 1.0 / pi)
-        return self.joint / pi[:, None]
+        return _diag_scale(self.joint, 1.0 / self.vertex_measure)
 
     def cut(self, a, b) -> float:
         """Ordered-pair mass J(A x B)."""
@@ -208,13 +215,8 @@ def _check_level(c: Complex, k: int, hi: int | None = None):
         raise LevelOutOfRange(f"level {k} out of range [0, {top}]")
 
 
-def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, rows, cols,
-                vals) -> MarkovOperator:
-    """Operator P = diag(1/src_meas) J of the joint J with COO entries
-    (rows, cols, vals), each a list of arrays; repeated entries add up."""
-    joint = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(len(src_meas), len(tgt_meas)))
+def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, joint) -> MarkovOperator:
+    """Operator P = diag(1/src_meas) J of the sparse joint J."""
     if joint.nnz == 0:
         raise EmptyWalk("no face joins the source and target levels")
     return MarkovOperator(src_faces, src_meas, tgt_faces, tgt_meas,
@@ -227,9 +229,8 @@ def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:
     src = c.level(k)
     tgt = c.level(l)
     cols = tgt.sub_faces(src.faces, position_subsets(k + 1, l + 1)[0])
-    return sp.coo_matrix((np.tile(src.measure / len(cols), len(cols)),
-                          (np.tile(np.arange(src.size), len(cols)), cols.ravel())),
-                         shape=(src.size, tgt.size)).tocsr()
+    return _joint(np.tile(np.arange(src.size), len(cols)), cols.ravel(),
+                  np.tile(src.measure / len(cols), len(cols)), (src.size, tgt.size))
 
 
 def up_operator(c: Complex, k: int) -> MarkovOperator:
@@ -237,9 +238,8 @@ def up_operator(c: Complex, k: int) -> MarkovOperator:
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"up operator needs 0 <= k <= d-1, got {k}")
     src, tgt = c.level(k), c.level(k + 1)
-    j = _containment_joint(c, k + 1, k).tocoo()
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       [j.col], [j.row], [j.data])
+                       _containment_joint(c, k + 1, k).T)
 
 
 def down_operator(c: Complex, k: int) -> MarkovOperator:
@@ -247,9 +247,8 @@ def down_operator(c: Complex, k: int) -> MarkovOperator:
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"down operator needs 0 <= k <= d-1, got {k}")
     src, tgt = c.level(k + 1), c.level(k)
-    j = _containment_joint(c, k + 1, k).tocoo()
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       [j.row], [j.col], [j.data])
+                       _containment_joint(c, k + 1, k))
 
 
 def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
@@ -260,9 +259,8 @@ def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
     if l == -1:
         return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure,
                               np.ones((src.size, 1)))
-    j = _containment_joint(c, k, l).tocoo()
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       [j.row], [j.col], [j.data])
+                       _containment_joint(c, k, l))
 
 
 def lower_walk(c: Complex, k: int, l: int) -> MarkovOperator:
@@ -285,9 +283,10 @@ def complement_walk(c: Complex, l1: int, l2: int) -> MarkovOperator:
     keep, rest = position_subsets(u_level + 1, l1 + 1)
     split = 1.0 / len(keep)
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       [src.sub_faces(union.faces, keep).ravel()],
-                       [tgt.sub_faces(union.faces, rest).ravel()],
-                       [np.tile(union.measure * split, len(keep))])
+                       _joint(src.sub_faces(union.faces, keep).ravel(),
+                              tgt.sub_faces(union.faces, rest).ravel(),
+                              np.tile(union.measure * split, len(keep)),
+                              (src.size, tgt.size)))
 
 
 def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
@@ -306,7 +305,7 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
     s_idx = lev_i.index_rows(lev_u.faces[in_i].reshape(lev_u.size, len(I)))
     t_idx = lev_j.index_rows(lev_u.faces[~in_i].reshape(lev_u.size, len(J)))
     return _from_joint(lev_i.faces, lev_i.measure, lev_j.faces, lev_j.measure,
-                       [s_idx], [t_idx], [lev_u.measure])
+                       _joint(s_idx, t_idx, lev_u.measure, (lev_i.size, lev_j.size)))
 
 
 def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
@@ -326,8 +325,8 @@ def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
     member = np.eye(l + j + 1, dtype=bool)[keep].any(axis=1)
     t1, t2 = np.nonzero((member[:, None] | member[None]).all(axis=2))
     return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
-                       [sub[t1].ravel()], [sub[t2].ravel()],
-                       [np.tile(union.measure * norm, len(t1))])
+                       _joint(sub[t1].ravel(), sub[t2].ravel(),
+                              np.tile(union.measure * norm, len(t1)), (lev.size, lev.size)))
 
 
 def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
@@ -359,8 +358,6 @@ def underlying_graph(c: Complex) -> WeightedGraph:
     verts = c.level(0)
     edges = c.level(1)
     ends = verts.sub_faces(edges.faces, position_subsets(2, 1)[0])
-    half = edges.measure / 2.0
-    joint = sp.coo_matrix((np.tile(half, 2), (ends.ravel(), ends[::-1].ravel())),
-                          shape=(verts.size, verts.size)).tocsr()
-    joint.sum_duplicates()
+    joint = _joint(ends.ravel(), ends[::-1].ravel(), np.tile(edges.measure / 2.0, 2),
+                   (verts.size, verts.size))
     return WeightedGraph(verts.faces, _maybe_dense(joint))

@@ -172,7 +172,7 @@ def unconverged_solvers(monkeypatch):
     solve is an ``eigsh`` too."""
     import scipy.sparse.linalg as spla
 
-    import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
 
     noise = np.random.default_rng(5)
     eigsh = spla.eigsh
@@ -185,5 +185,5 @@ def unconverged_solvers(monkeypatch):
         vals, vecs = eigsh(*args, **kwargs)
         return vals, unit(vecs.shape)
 
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(spla, "eigsh", wrong_eigsh)

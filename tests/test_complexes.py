@@ -121,6 +121,28 @@ def test_partite_complete():
         partite_complete_complex([2, 0, 2])
 
 
+def partite_complete_loop(sizes) -> Complex:
+    """The complex of color transversals as ``partite_complete_complex``
+    built it, by an ``itertools.product`` loop over the parts."""
+    offsets = np.cumsum([0] + list(sizes))
+    coloring = []
+    for i, s in enumerate(sizes):
+        coloring += [i] * s
+    parts = [range(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
+    rows = np.array(list(itertools.product(*parts)), dtype=np.int32)
+    weights = np.full(len(rows), 1.0 / len(rows))
+    return Complex(int(offsets[-1]), len(sizes) - 1, rows, weights, coloring=coloring)
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 1], [2, 2], [3, 1, 2], [1, 4, 1],
+                                   [2, 3, 2, 1], [4, 3, 5]])
+def test_partite_complete_matches_product_loop(sizes):
+    got, want = partite_complete_complex(sizes), partite_complete_loop(sizes)
+    assert got._tops.dtype == want._tops.dtype and np.array_equal(got._tops, want._tops)
+    assert np.array_equal(got._weights, want._weights)
+    assert (got.n_vertices, got.d, got.coloring) == (want.n_vertices, want.d, want.coloring)
+
+
 def test_partite_transversal_validation():
     with pytest.raises(HdxError):
         Complex(4, 1, np.array([[0, 1]]), np.array([1.0]), coloring=[0, 0, 1, 1])

@@ -384,13 +384,13 @@ def test_partition_property():
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
-    import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
     c = complete_complex(16, 3)
     low = lower_walk(c, 1, 0)
     dense_rep = square_spectrum(low)
     comp = complement_walk(c, 1, 1)
     dense_bip = bipartite_norm(comp)
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 10)
     iter_rep = square_spectrum(low)
     iter_bip = bipartite_norm(comp)
     assert iter_rep.method == "iterative"
@@ -406,6 +406,7 @@ def test_entry_graphs_fill_a_graph_past_the_dense_limit_as_csr(monkeypatch):
     import scipy.sparse as sp
 
     import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
     joints = [random_weighted_graph(1, 12).joint, random_weighted_graph(2, 3).joint]
     g, r, c, p = (np.concatenate(cols) for cols in zip(
         *[(np.full(j.size, k), *np.divmod(np.arange(j.size), len(j)), 7.0 * j.ravel())
@@ -413,7 +414,7 @@ def test_entry_graphs_fill_a_graph_past_the_dense_limit_as_csr(monkeypatch):
     g, r, c, p = (np.insert(col, 0, x) for col, x in zip((g, r, c, p), (0, 2, 5, 0.0)))
     rows = (np.array([0, 12, 15]), np.arange(15))
     want = spectra._entry_graphs(2, g, r, c, p, rows, rows).spectra(np.arange(2))
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 10)
     graphs = spectra._entry_graphs(2, g, r, c, p, rows, rows)
     assert sp.issparse(graphs.fill(np.array([0]), (12, 12)))
     for k, j in enumerate(joints):
@@ -447,9 +448,9 @@ def test_fixed_union_bound_lanczos_matches_dense(monkeypatch, c, l, j):
     # past the dense limit the norm comes from Lanczos on half the
     # symmetrised difference; the link spectra are solved before the limit
     # is patched, so only the fixed-union solve changes path
-    import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
     link_expansion(c, two_sided=True)
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 10)
     got = verify_fixed_union_bound(c, l, j)
     assert got.lhs == pytest.approx(fixed_union_norm_dense(c, l, j), abs=1e-10)
 
@@ -479,6 +480,7 @@ def test_lanczos_without_eigsh_rng(monkeypatch):
     import scipy.sparse.linalg as spla
 
     import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
     eigsh, kwargs_seen = spla.eigsh, []
 
     def recording_eigsh(*args, **kwargs):
@@ -494,7 +496,7 @@ def test_lanczos_without_eigsh_rng(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     reps = [solve(op) for solve, op in cases]
     assert kwargs_seen and not any("rng" in kw for kw in kwargs_seen)
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10**4)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 10**4)
     for (solve, op), rep in zip(cases, reps):
         want = solve(op)
         assert (rep.method, want.method) == ("iterative", "dense")

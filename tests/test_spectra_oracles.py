@@ -29,6 +29,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 import hdxlab.spectra as spectra
+import hdxlab.walks as walks
 from hdxlab.complexes import (
     Complex,
     build_from_top_faces,
@@ -379,7 +380,7 @@ def test_links_over_the_dense_limit_use_square_lambda(monkeypatch):
     # links of more than 4 vertices go through square_lambda's Lanczos path,
     # here as in the face loop, so both clip the same way
     c = weighted_8_3()
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 4)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 4)
     want, _ = link_expansion_by_faces(c)
     got = link_expansion(c)
     for k, v in want.per_level.items():

@@ -166,9 +166,9 @@ def test_goodness_monotone_in_gamma(hdx951):
 def test_goodness_a2b_method_follows_dense_limit(hdx951, monkeypatch):
     # the A2b graphs of complete(9, 5), l = 1 have more than 4 rows: with
     # the limit patched to 4 they go to Lanczos, and the report says so
-    import hdxlab.spectra as spectra
+    import hdxlab.walks as walks
     dense = goodness_check(hdx951, gamma=0.5)
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 4)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 4)
     iterative = goodness_check(hdx951, gamma=0.5)
     assert (dense.a2b_method, iterative.a2b_method) == ("dense", "iterative")
     assert iterative.a2b_max_lambda == pytest.approx(dense.a2b_max_lambda, abs=1e-10)

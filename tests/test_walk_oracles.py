@@ -16,7 +16,9 @@ degenerate patterns: empty subsets, containment down to the empty face,
 fixed-union walks with j = l + 1 and zero-width face rows.
 Every diagonal scaling was a sparse product with ``sp.diags``; the products
 are kept as the oracle of ``_diag_scale``, which must give the same entries
-bit for bit.
+bit for bit.  ``MarkovOperator.triplets`` looped over every cell of a dense
+matrix; that loop is the oracle of its rows and their order, for either
+storage.
 """
 
 import itertools
@@ -37,9 +39,11 @@ from hdxlab.complexes import (
 from hdxlab.errors import NotAFace
 from hdxlab.spectra import _batched_link_spectra, square_lambda
 from hdxlab.walks import (
+    MarkovOperator,
     _containment_joint,
     _diag_scale,
     _from_joint,
+    _joint,
     complement_walk,
     containment_operator,
     down_operator,
@@ -86,7 +90,7 @@ def containment_joint_loop(c: Complex, k: int, l: int):
 def operator_of(src, tgt, joint):
     j = joint.tocoo()
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       [j.row], [j.col], [j.data])
+                       _joint(j.row, j.col, j.data, j.shape))
 
 
 def complement_walk_loop(c: Complex, l1: int, l2: int):
@@ -100,7 +104,9 @@ def complement_walk_loop(c: Complex, l1: int, l2: int):
         rows.append(src.index_rows(union.faces[:, list(keep)]))
         cols.append(tgt.index_rows(union.faces[:, rest]))
         vals.append(union.measure * split)
-    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure, rows, cols, vals)
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       _joint(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                              (src.size, tgt.size)))
 
 
 def fixed_union_walk_loop(c: Complex, l: int, j: int):
@@ -118,7 +124,9 @@ def fixed_union_walk_loop(c: Complex, l: int, j: int):
             rows.append(t_idx)
             cols.append(t2_idx)
             vals.append(union.measure * norm)
-    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure, rows, cols, vals)
+    return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
+                       _joint(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                              (lev.size, lev.size)))
 
 
 def neighborhood_system_loop(c: Complex, k: int):
@@ -360,6 +368,40 @@ def test_missing_sub_face_raises():
     absent = next(e for e in itertools.combinations(range(8), 2) if not c.is_face(e))
     with pytest.raises(NotAFace):
         c.level(1).sub_faces(np.array([absent]), position_subsets(2, 2)[0])
+
+
+def triplets_loop(op):
+    """The dense double loop ``MarkovOperator.triplets`` ran on a dense matrix:
+    every positive entry, row by row."""
+    mat = _dense(op.matrix)
+    for i in range(op.shape[0]):
+        for j in range(op.shape[1]):
+            p = float(mat[i, j])
+            if p > 0:
+                yield (tuple(op.source_faces[i]), tuple(op.target_faces[j]), p)
+
+
+def _assert_triplets_match_loop(op, name):
+    want = list(triplets_loop(op))
+    for mat in (_dense(op.matrix), sp.csr_matrix(op.matrix)):
+        stored = MarkovOperator(op.source_faces, op.source_measure, op.target_faces,
+                                op.target_measure, mat)
+        assert list(stored.triplets()) == want, name
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
+def test_triplets_match_the_dense_loop(seed, n, d):
+    c = random_weighted_complex(seed, n, d)
+    for l1 in range(d):
+        _assert_triplets_match_loop(complement_walk(c, l1, d - 1 - l1), f"complement{l1}")
+    _assert_triplets_match_loop(down_operator(c, d - 1), "down")
+    _assert_triplets_match_loop(fixed_union_walk(c, 0, 1), "fixed_union")
+
+
+def test_triplets_of_a_csr_walk_match_the_dense_loop():
+    op = complement_walk(complete_complex(30, 2), 0, 1)
+    assert sp.issparse(op.matrix)
+    _assert_triplets_match_loop(op, "complement_30_2")
 
 
 def diag_scale_by_products(mat, rows=None, cols=None):

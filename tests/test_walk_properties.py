@@ -4,7 +4,9 @@ For each operator: rows are stochastic, the joint's marginals are the source
 and target level measures, reversing twice gives the operator back, and a
 walk from a level to itself has a symmetric joint (detailed balance).  Its
 lambda2, lambda_min and lambda_bip from Lanczos (the dense limit patched
-low) match the dense solve.
+low) match the dense solve.  A random joint stored dense and as CSR gives
+identical scalings, marginals, spectra and operator results, and each
+operator is stored as the dense-or-Lanczos predicate says.
 """
 
 import itertools
@@ -14,11 +16,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-import hdxlab.spectra as spectra
+import hdxlab.walks as walks
 from hdxlab.complexes import complete_complex
-from hdxlab.spectra import bipartite_norm, square_spectrum
+from hdxlab.spectra import bipartite_lambda, bipartite_norm, square_lambda, square_spectrum
 from hdxlab.walks import (
+    MarkovOperator,
     WeightedGraph,
+    _diag_scale,
+    _marginal,
     colored_walk,
     complement_walk,
     containment_operator,
@@ -116,7 +121,7 @@ def _values(reps) -> list[float]:
 def _solvers_agree(monkeypatch, ops) -> list[float]:
     """Dense against Lanczos on every (name, op); the dense lambda2 values."""
     dense = [_reports(op) for _, op in ops]
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", LOW_LIMIT)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", LOW_LIMIT)
     for (name, op), want in zip(ops, dense):
         got = _reports(op)
         np.testing.assert_allclose(_values(got), _values(want), rtol=0, atol=EIG_TOL,
@@ -153,8 +158,69 @@ def test_lanczos_keeps_a_negative_lambda2(monkeypatch):
     # the walk on K_12: lambda2 = lambda_min = -1/11, which a deflation that
     # zeroes the constant would report as 0
     op = nonlazy_upper_walk(complete_complex(12, 2), 0)
-    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 4)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 4)
     rep = square_spectrum(op)
     assert rep.method == "iterative"
     assert rep.lambda2 == pytest.approx(-1 / 11, abs=1e-12)
     assert rep.lambda_min == pytest.approx(-1 / 11, abs=1e-12)
+
+
+# -- one arithmetic for both storages ---------------------------------------------------
+
+
+def _random_joint(rng, m: int, n: int, density: float) -> np.ndarray:
+    """A nonnegative (m, n) joint of mass 1 with mass in every row and column."""
+    j = rng.random((m, n)) * (rng.random((m, n)) < density)
+    k = np.arange(max(m, n))
+    j[k % m, k % n] += 0.1
+    return j / j.sum()
+
+
+def _same(a, b) -> bool:
+    return (sp.issparse(a), sp.issparse(b)) == (False, True) and np.array_equal(a, _dense(b))
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), n=st.integers(1, 12),
+       density=st.floats(0.0, 1.0))
+def test_dense_and_csr_storage_give_identical_results(seed, m, n, density):
+    rng = np.random.default_rng(seed)
+    bip = _random_joint(rng, m, n, density)
+    sym = _random_joint(rng, m, m, density)
+    sym = (sym + sym.T) / 2.0
+    rows, cols = rng.random(m) + 0.5, rng.random(n) + 0.5
+    for j in (bip, sym):
+        csr = sp.csr_matrix(j)
+        c = cols if j is bip else rows
+        assert _same(_diag_scale(j, rows, c), _diag_scale(csr, rows, c))
+        assert _same(_diag_scale(j, rows), _diag_scale(csr, rows))
+        assert _same(_diag_scale(j, cols=c), _diag_scale(csr, cols=c))
+        for axis in (0, 1):
+            assert np.array_equal(_marginal(j, axis), _marginal(csr, axis))
+        pi_l, pi_r = _marginal(j, 1), _marginal(j, 0)
+        assert (bipartite_lambda(j, pi_l, pi_r).to_json_dict()
+                == bipartite_lambda(csr, pi_l, pi_r).to_json_dict())
+        if j is sym:
+            assert (square_lambda(j, pi_l).to_json_dict()
+                    == square_lambda(csr, pi_l).to_json_dict())
+        # the walk of the joint, both storages, between two levels or on one
+        p = _diag_scale(j, 1.0 / pi_l)
+        faces_l, faces_r = np.arange(j.shape[0])[:, None], np.arange(j.shape[1])[:, None]
+        dense_op, csr_op = (MarkovOperator(faces_l, pi_l, faces_r, pi_r, mat)
+                            for mat in (p, sp.csr_matrix(p)))
+        assert np.array_equal(dense_op.row_sums(), csr_op.row_sums())
+        assert _same(dense_op.joint(), csr_op.joint())
+        assert _same(dense_op.reverse().matrix, csr_op.reverse().matrix)
+        assert dense_op.detailed_balance_residual() == csr_op.detailed_balance_residual()
+
+
+def test_operators_are_stored_as_the_predicate_says(monkeypatch):
+    # 9 x 9 and 30 x 435 complement walks, at the limit of 400 and patched
+    small, large = complete_complex(9, 5), complete_complex(30, 2)
+    assert isinstance(complement_walk(small, 0, 0).matrix, np.ndarray)
+    assert sp.issparse(complement_walk(large, 0, 1).matrix)
+    assert isinstance(underlying_graph(small).joint, np.ndarray)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 8)
+    assert sp.issparse(complement_walk(small, 0, 0).matrix)
+    assert sp.issparse(underlying_graph(small).joint)
+    monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 435)
+    assert isinstance(complement_walk(large, 0, 1).matrix, np.ndarray)
