@@ -18,7 +18,12 @@ Many small graphs are solved together as one local-graph family, built by
 the graphs by shape and solves each batch as one stacked dense eigenproblem
 (square) or singular value problem (bipartite), with the checks and clipping
 of ``square_lambda`` and ``bipartite_lambda``, whose dense path is the same
-solver on a stack of one.  Link spectra are one family per level, read off
+solver on a stack of one.  A batch solves each bit-distinct joint once and
+copies its values to the other copies: ``_distinct`` groups the joints by a
+fixed weighted sum of their entries and confirms each group bit for bit, so
+no tolerance merges two graphs.  A dense solve whose eigenvalues or singular
+values lie more than 1e-8 outside [-1, 1] raises ``NotReversible`` before
+any value is clipped.  Link spectra are one family per level, read off
 the X(k+1) and X(k+2) arrays, and cached on the complex, so every verifier
 that takes link expansion as its hypothesis reuses them; the trickling check
 reads its eta from level 0.  The local graphs of ``stav`` and ``agreement``
@@ -154,6 +159,14 @@ def _check_square_stack(joints: np.ndarray, pi: np.ndarray) -> None:
         _check_symmetric(float(max(gap.max(), -gap.min())))
 
 
+def _check_unit_range(vals: np.ndarray, what: str) -> None:
+    """A walk's eigenvalues and singular values lie in [-1, 1]; one further
+    than 1e-8 outside means the joint is no walk, and is never clipped in."""
+    worst = float(np.max(np.abs(vals)))
+    if worst > 1 + 1e-8:
+        raise NotReversible(f"{what} of modulus {worst:.12g} outside [-1, 1]")
+
+
 def _square_stack(joints: np.ndarray, pi: np.ndarray):
     """(lambda2, lambda_min) arrays of a (B, m, m) stack of reversible walks
     with stationary measures (B, m), in one stacked dense solve."""
@@ -165,6 +178,7 @@ def _square_stack(joints: np.ndarray, pi: np.ndarray):
     m += m.transpose(0, 2, 1)
     m *= 0.5
     vals = np.linalg.eigvalsh(m)
+    _check_unit_range(vals, "eigenvalue")
     lam2 = np.clip(vals[:, -2], -1.0, 1.0)
     return lam2, np.clip(vals[:, 0], -1.0, lam2)
 
@@ -176,7 +190,9 @@ def _bipartite_stack(joints: np.ndarray, pi_l: np.ndarray, pi_r: np.ndarray):
     if min(joints.shape[1:]) == 1:
         return np.zeros(len(joints))
     m = joints / (np.sqrt(pi_l)[:, :, None] * np.sqrt(pi_r)[:, None, :])
-    return np.minimum(np.linalg.svd(m, compute_uv=False)[:, 1], 1.0)
+    vals = np.linalg.svd(m, compute_uv=False)
+    _check_unit_range(vals, "singular value")
+    return np.minimum(vals[:, 1], 1.0)
 
 
 def square_lambda(joint, pi) -> SpectralReport:
@@ -291,6 +307,39 @@ def _shape_batches(shapes: np.ndarray):
             yield (r, c), order[lo:min(lo + step, hi_g)]
 
 
+def _distinct(stack: np.ndarray):
+    """The first of each set of bit-identical matrices of a (B, ...) stack,
+    in stack order, and the position in that list of each matrix's set, so
+    that ``stack[first][group]`` equals ``stack`` bit for bit.
+
+    Matrices are grouped by a fixed weighted sum of their entries, and each
+    is compared bit for bit with the first of its group; one whose bits
+    differ stands alone, so no tolerance and no shared sum ever merges two
+    different matrices.
+    """
+    flat = stack.reshape(len(stack), -1)
+    # einsum sums each row by one loop, whatever its place in the stack, so
+    # equal rows get equal sums
+    key = np.einsum("ij,j->i", flat, np.sin(np.arange(1, flat.shape[1] + 1)))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.concatenate([[True], key[1:] != key[:-1]])
+    if head.all():  # no two sums are equal, so no two matrices are
+        return np.arange(len(flat)), np.arange(len(flat))
+    rep = np.empty(len(flat), dtype=np.int64)
+    rep[order] = order[head][np.cumsum(head) - 1]
+    dup = np.flatnonzero(rep != np.arange(len(flat)))
+    bits = flat.view(np.uint64)
+    # in slices of about 2^15 entries, whose copies stay in cache
+    step = max(1, (1 << 15) // flat.shape[1])
+    for lo in range(0, len(dup), step):
+        d = dup[lo:lo + step]
+        d = d[(bits[d] != bits[rep[d]]).any(axis=1)]
+        rep[d] = d
+    first = np.flatnonzero(rep == np.arange(len(flat)))
+    return first, np.searchsorted(first, rep)
+
+
 def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     """Spectra of many graphs with few distinct shapes, in graph order: a
     (2, n) array of (lambda2, lambda_min) for square graphs, the (n,) array
@@ -299,10 +348,12 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     ``fill(ids, shape)`` gives the joints of graphs ``ids``, all of that
     (rows, cols) shape, as a dense stack; their measures are the row and
     column sums.  Each batch of ``_shape_batches`` is one stacked dense solve
-    with every check of ``square_lambda`` and ``bipartite_lambda``.  A graph
-    that ``_solves_dense`` does not admit is scaled to mass 1 and goes to one
-    of them, and from there to the iterative path; its fill may be a CSR
-    matrix in place of a stack of one.
+    of its bit-distinct joints (``_distinct``), with every check of
+    ``square_lambda`` and ``bipartite_lambda``; each duplicate gets the value
+    of its first copy, which holds the same bits.  A graph that
+    ``_solves_dense`` does not admit is scaled to mass 1 and goes to one of
+    them, and from there to the iterative path; its fill may be a CSR matrix
+    in place of a stack of one.
     """
     out = np.zeros((len(shapes), 1 if bipartite else 2))
     for shape, ids in _shape_batches(shapes):
@@ -316,10 +367,14 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
             else:
                 rep = square_lambda(j, pi_l)
                 out[ids] = rep.lambda2, rep.lambda_min
-        elif bipartite:
-            out[ids, 0] = _bipartite_stack(joint, joint.sum(axis=2), joint.sum(axis=1))
+            continue
+        first, group = _distinct(joint)
+        if len(first) < len(joint):
+            joint = joint[first]
+        if bipartite:
+            out[ids, 0] = _bipartite_stack(joint, joint.sum(axis=2), joint.sum(axis=1))[group]
         else:
-            out[ids, 0], out[ids, 1] = _square_stack(joint, joint.sum(axis=2))
+            out[ids] = np.column_stack(_square_stack(joint, joint.sum(axis=2)))[group]
     return out[:, 0] if bipartite else out.T
 
 
@@ -339,6 +394,7 @@ class _Graphs:
     not admit the shape.
     ``entries`` are the (ptr, row, col, mass) entries grouped by graph, where
     the family is built from them; a family without them fills joints of mass 1.
+    Bit-identical graphs of a shape batch are solved once (``_distinct``).
     """
 
     rows: tuple
@@ -356,14 +412,18 @@ class _Graphs:
         return _stacked_spectra(self.shapes[ids],
                                 lambda b, shape: self.fill(ids[b], shape), bipartite)
 
-    def joint(self, k: int) -> np.ndarray:
-        """The dense joint of graph k, of mass 1: scaled by the sum of its
+    def joints(self, ids: np.ndarray, shape) -> np.ndarray:
+        """The dense (len(ids), rows, cols) stack of the joints of graphs
+        ``ids``, all of that shape, each of mass 1: scaled by the sum of its
         entries in entry order, as a canonical sparse matrix sums them."""
-        j = _dense(_single(self.fill(np.array([k]), tuple(self.shapes[k]))))
+        j = _dense(self.fill(ids, shape)).reshape(len(ids), *shape)
         if self.entries is None:
             return j
         ptr, _, _, p = self.entries
-        return j / p[ptr[k]:ptr[k + 1]].sum()
+        return j / np.array([p[ptr[k]:ptr[k + 1]].sum() for k in ids])[:, None, None]
+
+    def joint(self, k: int) -> np.ndarray:
+        return self.joints(np.array([k]), tuple(self.shapes[k]))[0]
 
 
 def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:

@@ -29,7 +29,10 @@ Every local graph of the goodness checker belongs to a family
 (``spectra._Graphs``) solved in stacked batches: on the tabular path one per
 kind, built from the tables and cached on the instance, which ``derive_graph``
 reads; on the structured path one per block of a-faces (A2a, A3b) or vertices
-(A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.
+(A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.  The A4
+spot checks of a local reach graph with at most ``_EXHAUSTIVE_COLUMNS``
+columns try every subset and draw nothing, so they run once per bit-distinct
+joint (``spectra._distinct``); wider graphs draw from one stream in s order.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .errors import (
 from .spectra import (
     _Graphs,
     _check_square_stack,
+    _distinct,
     _entry_graphs,
     _min_cut_ratio,
     _runs,
@@ -70,6 +74,8 @@ TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
 # entries per block in which the structured goodness path gathers its graphs
 _GATHER_ENTRIES = 1 << 18
+# the A4 spot checks try every right subset of a graph up to this many columns
+_EXHAUSTIVE_COLUMNS = 12
 
 
 # -- distribution containers ---------------------------------------------------
@@ -967,11 +973,14 @@ def goodness_check(x, gamma: float, r: float = 1.0,
 
 def _sampler_spot_checks(joint: np.ndarray, delta: float, n_checks: int,
                          rng) -> int:
-    """Direct checks of the delta-sampling property on random right subsets."""
+    """Direct checks of the delta-sampling property on right subsets: every
+    nonempty one where there are at most ``_EXHAUSTIVE_COLUMNS`` right
+    vertices, which draws nothing from ``rng`` and leaves its state as it
+    was, else ``n_checks`` random ones drawn from ``rng``."""
     pi_l = joint.sum(axis=1)
     pi_r = joint.sum(axis=0)
     nr = joint.shape[1]
-    if nr <= 12:
+    if nr <= _EXHAUSTIVE_COLUMNS:
         # every nonempty subset, one bit per right vertex
         members = (np.arange(1, 2 ** nr)[:, None] >> np.arange(nr)) & 1 == 1
     else:
@@ -1062,10 +1071,21 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     if len(empty):
         raise ZeroConditioning(f"s element {x.s_labels[empty[0]]} has no mass")
     a4 = float(np.max(graphs.spectra(np.arange(x.n_s), bipartite=True), initial=0.0))
+    # a graph of at most _EXHAUSTIVE_COLUMNS columns is checked on every
+    # subset and draws nothing, so it is checked once per distinct joint;
+    # a wider one draws from the one stream, s by s
     rng = np.random.default_rng(cfg.seed)
-    spot_failures = sum(_sampler_spot_checks(graphs.joint(si), r * gamma,
-                                             cfg.sampler_spot_checks, rng)
-                        for si in range(x.n_s))
+    delta, n_checks = r * gamma, cfg.sampler_spot_checks
+    wide = graphs.shapes[:, 1] > _EXHAUSTIVE_COLUMNS
+    narrow = np.flatnonzero(~wide)
+    spot_failures = 0
+    for shape, b in _shape_batches(graphs.shapes[narrow]):
+        joints = graphs.joints(narrow[b], shape)
+        first, group = _distinct(joints)
+        spot_failures += sum(int(n) * _sampler_spot_checks(j, delta, n_checks, rng)
+                             for j, n in zip(joints[first], np.bincount(group)))
+    spot_failures += sum(_sampler_spot_checks(graphs.joint(si), delta, n_checks, rng)
+                         for si in np.flatnonzero(wide))
 
     # A5: weighted conditional of landing in the reach of a inside s, over
     # the (a, s) pairs of the amplification's support

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
@@ -614,3 +615,50 @@ def test_stacked_solver_raises_on_bad_input():
         spectra._bipartite_stack(b, b.sum(axis=2)[:, ::-1], b.sum(axis=1))
     with pytest.raises(NotReversible):
         spectra._square_stack(lopsided[None], lopsided.sum(axis=1)[None])
+
+
+def test_stacked_values_outside_the_unit_interval_raise():
+    # symmetric, with positive row sums, but a negative entry: the walk
+    # matrix has eigenvalues 1 and -1.4, its bipartite reading singular
+    # values 1.4 and 1, which no clip may bring back into [-1, 1]
+    import hdxlab.spectra as spectra
+    j = np.array([[-0.1, 0.6], [0.6, -0.1]])
+    with pytest.raises(NotReversible, match="eigenvalue"):
+        square_lambda(j, j.sum(axis=1))
+    with pytest.raises(NotReversible, match="eigenvalue"):
+        spectra._stacked_spectra(np.array([(2, 2)] * 3), _fill([j / 2, j, j]))
+    b = j[:, ::-1]
+    with pytest.raises(NotReversible, match="singular value"):
+        spectra.bipartite_lambda(b, b.sum(axis=1), b.sum(axis=0))
+    with pytest.raises(NotReversible, match="singular value"):
+        spectra._stacked_spectra(np.array([(2, 2)]), _fill([b]), bipartite=True)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_spectra_solve_each_distinct_graph_once(seed, bipartite):
+    # a family with exact copies of its graphs and copies one ulp apart in
+    # one entry, in random order: each graph's value is that of its solve as
+    # a family of one, bit for bit, so copies share a solve and near-copies
+    # do not
+    import hdxlab.spectra as spectra
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 6, size=(3, 2))
+    shapes = [(r, c) if bipartite else (r, r) for r, c in sizes]
+    joints = []
+    for j in _random_graphs(rng, shapes, square=not bipartite):
+        joints += [j] * int(rng.integers(1, 4))
+        for _ in range(int(rng.integers(1, 3))):
+            near = j.copy()
+            cell = tuple(rng.integers(j.shape))
+            near[cell] = np.nextafter(near[cell], np.inf)
+            joints.append(near)
+    joints = [joints[i] for i in rng.permutation(len(joints))]
+    g, r, c, p = (np.concatenate(cols) for cols in zip(
+        *[(np.full(j.size, k), *np.divmod(np.arange(j.size), j.shape[1]), j.ravel())
+          for k, j in enumerate(joints)]))
+    rows, cols = ((np.concatenate([[0], np.cumsum(n)]), np.arange(sum(n)))
+                  for n in zip(*(j.shape for j in joints)))
+    graphs = spectra._entry_graphs(len(joints), g, r, c, p, rows, cols)
+    got = graphs.spectra(np.arange(len(joints)), bipartite)
+    for k in range(len(joints)):
+        assert np.array_equal(got[..., k], graphs.spectra(np.array([k]), bipartite)[..., 0])

@@ -40,6 +40,7 @@ from hdxlab.stav import (
     VasaTable,
     _assemble_report,
     _drop_one,
+    _local_reach_graphs,
     _reach,
     _sampler_spot_checks,
     _structured_a_graphs,
@@ -144,6 +145,26 @@ def _weighted_complex(seed, n, d):
     return build_from_top_faces(n, [(t, float(x)) for t, x in zip(tops, w / w.sum())])
 
 
+def _leaky_links(n_hubs=2, pad=7):
+    """Hubs 0, 1, ... with one and the same link: a triangle L, a heavy
+    triangle H whose pairs each span a light triangle with one more vertex X,
+    and all triangles of ``pad`` vertices P at a tiny weight.
+
+    A hub's local reach graph has 7 + pad columns.  Its subset L + X has
+    mass above 1/3, but only L (mass 0.28) reaches it with conditional
+    1/9 or more, as H sends a tenth of its mass to X: a spot check at
+    delta = 1/3 fails on the random draws that hit L + X and nothing else
+    of L, H and X.  The other vertices' graphs have at most 8 columns.
+    """
+    L, H, X = (n_hubs, n_hubs + 1, n_hubs + 2), (n_hubs + 3, n_hubs + 4, n_hubs + 5), n_hubs + 6
+    P = tuple(range(n_hubs + 7, n_hubs + 7 + pad))
+    link = ([(L, 4.5), (H, 8.0)] + [((hi, hj, X), 1.0) for hi, hj in itertools.combinations(H, 2)]
+            + [(t, 0.01) for t in itertools.combinations(P, 3)])
+    total = n_hubs * sum(w for _, w in link)
+    return build_from_top_faces(n_hubs + 7 + pad, [((z,) + t, w / total)
+                                                   for z in range(n_hubs) for t, w in link])
+
+
 def _instances():
     c95 = complete_complex(9, 5)
     hdx = hdx_stav(c95, 5, 1)
@@ -154,6 +175,8 @@ def _instances():
         "nbhd_independent": neighborhood_stav(c95, 1, 0, "independent"),
         "nbhd_complement": neighborhood_stav(c95, 1, 0, "complement"),
         "json_roundtrip": stav_from_json_dict(stav_to_json_dict(hdx)),
+        # repeated local reach graphs of at most and of more than 12 columns
+        "nbhd_leaky": neighborhood_stav(_leaky_links(), 1, 0, "independent"),
     }
 
 
@@ -326,6 +349,16 @@ def test_sampler_spot_checks_match_loop(delta):
         fired += want > 0
     if delta < 0.2:
         assert fired > 0
+
+
+def test_exhaustive_spot_checks_leave_the_generator_state():
+    # up to 12 right vertices every subset is checked and nothing is drawn,
+    # which lets goodness check each distinct such graph once
+    for name, joint in _spot_check_cases():
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        _sampler_spot_checks(joint, 0.25, 300, rng)
+        assert (rng.bit_generator.state == state) == (joint.shape[1] <= 12), name
 
 
 # -- invariant report -------------------------------------------------------------
@@ -1126,9 +1159,21 @@ def assert_goodness_matches_loop(x, gammas=(0.5, 1 / 3), r=1.0):
 
 
 @pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
-                                  "nbhd_complement", "json_roundtrip"])
+                                  "nbhd_complement", "json_roundtrip", "nbhd_leaky"])
 def test_goodness_matches_loop(instances, name):
     assert_goodness_matches_loop(instances[name])
+
+
+def test_leaky_instance_repeats_graphs_on_both_spot_check_branches(instances):
+    # the goodness oracle pins the A4 spot checks of each branch only if
+    # both hold repeated graphs, and the sampled ones fail on some draws
+    x = instances["nbhd_leaky"]
+    graphs = _local_reach_graphs(x)
+    joints = [graphs.joint(k).tobytes() for k in range(x.n_s)]
+    for wide in (False, True):
+        ids = np.flatnonzero((graphs.shapes[:, 1] > 12) == wide)
+        assert len({joints[k] for k in ids}) < len(ids), wide
+    assert goodness_check(x, 1 / 3).a4_spot_check_failures > 0
 
 
 @pytest.mark.parametrize("n,d,l", [(10, 5, 1), (11, 6, 2)])
@@ -1158,11 +1203,12 @@ def _split_links(hubs, side):
 
 
 @pytest.mark.parametrize("mode", ["independent", "complement"])
-@pytest.mark.parametrize("hubs,side", [((0.2,), 4), ((0.2, 0.7), 7)])
+@pytest.mark.parametrize("hubs,side", [((0.2,), 4), ((0.2, 0.7), 7), ((0.2, 0.2), 4)])
 def test_spot_check_failures_match_loop(mode, hubs, side):
-    # the spot checks fail, and the count must match exactly; with two hubs
-    # of 14 link vertices each, both draw random subsets from the one stream,
-    # so the count also pins the order in which the s draw
+    # the spot checks fail, and the count must match exactly; two equal hubs
+    # of 8 link vertices are checked once and counted twice, and with two
+    # hubs of 14 link vertices each, both draw random subsets from the one
+    # stream, so the count also pins the order in which the s draw
     x = neighborhood_stav(_split_links(hubs, side), 1, 0, mode)
     assert goodness_check(x, 0.1).a4_spot_check_failures > 0
     assert_goodness_matches_loop(x, (0.05, 0.1, 0.2, 0.3))
