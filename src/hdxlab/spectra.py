@@ -14,16 +14,17 @@ Dense and CSR operators go through the same arithmetic, the scalings,
 marginals and densification of ``walks``, so no solver asks which it holds.
 
 Many small graphs are solved together as one local-graph family, built by
-``_entry_graphs`` from entries grouped by graph: ``_stacked_spectra`` groups
-the graphs by shape and solves each batch as one stacked dense eigenproblem
-(square) or singular value problem (bipartite), with the checks and clipping
-of ``square_lambda`` and ``bipartite_lambda``, whose dense path is the same
-solver on a stack of one.  A batch solves each bit-distinct joint once and
-copies its values to the other copies: ``_distinct`` groups the joints by a
-fixed weighted sum of their entries and confirms each group bit for bit, so
-no tolerance merges two graphs.  A dense solve whose eigenvalues or singular
-values lie more than 1e-8 outside [-1, 1] raises ``NotReversible`` before
-any value is clipped.  Link spectra are one family per level, read off
+``_entry_graphs`` from entries grouped by graph.  One loop walks a family:
+``_distinct_batches`` groups the graphs by shape into batches, fills each
+once and keeps its bit-distinct joints (``_distinct`` groups them by a fixed
+weighted sum of their entries and confirms each group bit for bit, so no
+tolerance merges two graphs).  ``_stacked_spectra`` solves each batch as one
+stacked dense eigenproblem (square) or singular value problem (bipartite),
+with the checks and clipping of ``square_lambda`` and ``bipartite_lambda``,
+whose dense path is the same solver on a stack of one; each copy takes the
+values of its first.  A solve, dense or Lanczos, whose eigenvalues or
+singular values lie more than 1e-8 outside [-1, 1] raises ``NotReversible``
+before any value is clipped.  Link spectra are one family per level, read off
 the X(k+1) and X(k+2) arrays, and cached on the complex, so every verifier
 that takes link expansion as its hypothesis reuses them; the trickling check
 reads its eta from level 0.  The local graphs of ``stav`` and ``agreement``
@@ -74,6 +75,8 @@ _EIGSH_TAKES_RNG = "rng" in inspect.signature(spla.eigsh).parameters
 # stacked eigenproblems are solved in batches of at most this many bytes; a
 # solve holds about three more copies of its batch while it runs
 _LINK_BATCH_BYTES = 1 << 21
+# exact edge expansion enumerates every vertex set of a graph up to this size
+BRUTE_FORCE_VERTICES = 24
 
 
 @dataclass
@@ -212,6 +215,7 @@ def square_lambda(joint, pi) -> SpectralReport:
     lmin, _, rmin = _lanczos(lambda x: M @ x, m, "SA")
     resid = max(r2, rmin)
     _check_converged(resid)
+    _check_unit_range([l2, lmin], "eigenvalue")
     l2 = float(np.clip(l2, -1.0, 1.0))
     return SpectralReport(lambda2=l2, lambda_min=float(np.clip(lmin, -1.0, l2)),
                           method="iterative", residual=resid)
@@ -265,8 +269,9 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     _, x, resid = _lanczos(normal, M.shape[1], "LA")
     _check_converged(resid)
     # |Dx| keeps the precision a square root of the eigenvalue loses near 0
-    return SpectralReport(lambda_bip=min(float(np.linalg.norm(deflated(x))), 1.0),
-                          method="iterative", residual=resid)
+    lam = float(np.linalg.norm(deflated(x)))
+    _check_unit_range(lam, "singular value")
+    return SpectralReport(lambda_bip=min(lam, 1.0), method="iterative", residual=resid)
 
 
 # -- stacked solves of many small graphs ------------------------------------------
@@ -289,22 +294,6 @@ def _scatter(entries, ids: np.ndarray, shape) -> np.ndarray:
     r, c = shape
     return np.bincount((b * r + row[idx]) * c + col[idx], weights=val[idx],
                        minlength=len(ids) * r * c).reshape(len(ids), r, c)
-
-
-def _shape_batches(shapes: np.ndarray):
-    """Graph ids grouped by (rows, cols) shape, yielded as (shape, ids) batches
-    whose dense stack stays under ``_LINK_BATCH_BYTES``; a graph that
-    ``_solves_dense`` does not admit is a batch of its own."""
-    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
-    code = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
-    order = np.argsort(code, kind="stable")
-    bounds = np.flatnonzero(np.diff(code[order], prepend=-1, append=-1)).tolist()
-    for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
-        r, c = shapes[order[lo_g]].tolist()
-        step = (max(1, _LINK_BATCH_BYTES // (8 * r * c)) if _solves_dense((r, c))
-                else 1)
-        for lo in range(lo_g, hi_g, step):
-            yield (r, c), order[lo:min(lo + step, hi_g)]
 
 
 def _distinct(stack: np.ndarray):
@@ -340,6 +329,34 @@ def _distinct(stack: np.ndarray):
     return first, np.searchsorted(first, rep)
 
 
+def _distinct_batches(shapes, fill):
+    """The batch loop of a family of graphs with these (rows, cols) shapes:
+    graphs grouped by shape into batches whose dense stack stays under
+    ``_LINK_BATCH_BYTES``, each filled once by ``fill(ids, shape)``.  Yields
+    (shape, ids, joints, group) per batch: the bit-distinct joints of the
+    batch (``_distinct``) and the position in them of each graph's.  A graph
+    that ``_solves_dense`` does not admit is a batch of its own and is not
+    compared; its fill, a stack of one or a CSR matrix, is the one joint."""
+    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+    code = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
+    order = np.argsort(code, kind="stable")
+    bounds = np.flatnonzero(np.diff(code[order], prepend=-1, append=-1)).tolist()
+    for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
+        shape = tuple(shapes[order[lo_g]].tolist())
+        dense = _solves_dense(shape)
+        step = max(1, _LINK_BATCH_BYTES // (8 * shape[0] * shape[1])) if dense else 1
+        for lo in range(lo_g, hi_g, step):
+            ids = order[lo:min(lo + step, hi_g)]
+            joints = fill(ids, shape)
+            if not dense:
+                yield shape, ids, joints if joints.ndim == 3 else [joints], np.zeros(1, int)
+                continue
+            first, group = _distinct(joints)
+            if len(first) < len(joints):  # the full batch is freed before its use
+                joints = joints[first]
+            yield shape, ids, joints, group
+
+
 def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
     """Spectra of many graphs with few distinct shapes, in graph order: a
     (2, n) array of (lambda2, lambda_min) for square graphs, the (n,) array
@@ -347,40 +364,25 @@ def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
 
     ``fill(ids, shape)`` gives the joints of graphs ``ids``, all of that
     (rows, cols) shape, as a dense stack; their measures are the row and
-    column sums.  Each batch of ``_shape_batches`` is one stacked dense solve
-    of its bit-distinct joints (``_distinct``), with every check of
-    ``square_lambda`` and ``bipartite_lambda``; each duplicate gets the value
-    of its first copy, which holds the same bits.  A graph that
-    ``_solves_dense`` does not admit is scaled to mass 1 and goes to one of
-    them, and from there to the iterative path; its fill may be a CSR matrix
-    in place of a stack of one.
+    column sums.  Each batch of ``_distinct_batches`` is one stacked dense
+    solve of its bit-distinct joints, with every check of ``square_lambda``
+    and ``bipartite_lambda``; each copy gets the values of its first.  A
+    graph that ``_solves_dense`` does not admit is scaled to mass 1 and goes
+    to one of them, and from there to the iterative path; its fill may be a
+    CSR matrix in place of a stack of one.
     """
     out = np.zeros((len(shapes), 1 if bipartite else 2))
-    for shape, ids in _shape_batches(shapes):
-        joint = fill(ids, shape)
-        if not _solves_dense(shape):
-            j = _single(joint)
-            j = j / j.sum()
-            pi_l = _marginal(j, 1)
-            if bipartite:
-                out[ids, 0] = bipartite_lambda(j, pi_l, _marginal(j, 0)).lambda_bip
-            else:
-                rep = square_lambda(j, pi_l)
-                out[ids] = rep.lambda2, rep.lambda_min
-            continue
-        first, group = _distinct(joint)
-        if len(first) < len(joint):
-            joint = joint[first]
-        if bipartite:
-            out[ids, 0] = _bipartite_stack(joint, joint.sum(axis=2), joint.sum(axis=1))[group]
+    for shape, ids, joints, group in _distinct_batches(shapes, fill):
+        if _solves_dense(shape):
+            vals = (_bipartite_stack(joints, joints.sum(axis=2), joints.sum(axis=1))[:, None]
+                    if bipartite else np.column_stack(_square_stack(joints, joints.sum(axis=2))))
         else:
-            out[ids] = np.column_stack(_square_stack(joint, joint.sum(axis=2)))[group]
+            j = joints[0] / joints[0].sum()
+            rep = (bipartite_lambda(j, _marginal(j, 1), _marginal(j, 0)) if bipartite
+                   else square_lambda(j, _marginal(j, 1)))
+            vals = np.array([[rep.lambda_bip] if bipartite else [rep.lambda2, rep.lambda_min]])
+        out[ids] = vals[group]
     return out[:, 0] if bipartite else out.T
-
-
-def _single(joint):
-    """The one joint of a fill of one graph: a stack of one or a matrix."""
-    return joint[0] if joint.ndim == 3 else joint
 
 
 @dataclass
@@ -394,7 +396,7 @@ class _Graphs:
     not admit the shape.
     ``entries`` are the (ptr, row, col, mass) entries grouped by graph, where
     the family is built from them; a family without them fills joints of mass 1.
-    Bit-identical graphs of a shape batch are solved once (``_distinct``).
+    Bit-identical graphs of a shape batch are solved once (``_distinct_batches``).
     """
 
     rows: tuple
@@ -878,7 +880,8 @@ class EdgeExpansionReport:
                 "cheeger_upper": self.cheeger_upper, "cheeger_ok": self.cheeger_ok}
 
 
-def edge_expansion_exact(g: WeightedGraph, max_vertices: int = 24) -> EdgeExpansionReport:
+def edge_expansion_exact(g: WeightedGraph,
+                         max_vertices: int = BRUTE_FORCE_VERTICES) -> EdgeExpansionReport:
     """Brute-force edge expansion over all subsets with Pr <= 1/2.
 
     Also checks the Cheeger sandwich (1-lambda2)/2 <= Phi <= sqrt(2(1-lambda2)).

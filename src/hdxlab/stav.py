@@ -29,10 +29,13 @@ Every local graph of the goodness checker belongs to a family
 (``spectra._Graphs``) solved in stacked batches: on the tabular path one per
 kind, built from the tables and cached on the instance, which ``derive_graph``
 reads; on the structured path one per block of a-faces (A2a, A3b) or vertices
-(A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.  The A4
-spot checks of a local reach graph with at most ``_EXHAUSTIVE_COLUMNS``
-columns try every subset and draw nothing, so they run once per bit-distinct
-joint (``spectra._distinct``); wider graphs draw from one stream in s order.
+(A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.  The
+tabular A2a brute force, and the A4 spot checks of a local reach graph with
+at most ``_EXHAUSTIVE_COLUMNS`` columns, which try every subset and draw
+nothing, run once per bit-distinct joint of a batch of
+``spectra._distinct_batches``; wider graphs draw from one stream in s order.
+The thresholds, the brute-force cap and the spot-check count and seed are
+constants, not options.
 """
 
 from __future__ import annotations
@@ -57,14 +60,14 @@ from .errors import (
     ZeroConditioning,
 )
 from .spectra import (
+    BRUTE_FORCE_VERTICES,
     _Graphs,
     _check_square_stack,
-    _distinct,
+    _distinct_batches,
     _entry_graphs,
     _min_cut_ratio,
     _runs,
     _scatter,
-    _shape_batches,
     bipartite_lambda,
 )
 from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_scale, _joint,
@@ -74,8 +77,11 @@ TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
 # entries per block in which the structured goodness path gathers its graphs
 _GATHER_ENTRIES = 1 << 18
-# the A4 spot checks try every right subset of a graph up to this many columns
+# the A4 spot checks try every right subset of a graph up to this many columns,
+# else draw this many from a generator of this seed
 _EXHAUSTIVE_COLUMNS = 12
+_SPOT_CHECKS = 1000
+_SPOT_CHECK_SEED = 0
 
 
 # -- distribution containers ---------------------------------------------------
@@ -902,15 +908,6 @@ def _find(x: StavInstance, layer: str, element) -> int:
 
 
 @dataclass
-class GoodnessConfig:
-    edge_expansion_threshold: float = 1.0 / 3.0
-    a5_threshold: float = 0.5
-    brute_force_vertices: int = 24
-    sampler_spot_checks: int = 1000
-    seed: int = 0
-
-
-@dataclass
 class GoodnessReport:
     a1_reach_lambda: float
     a2a_min_edge_expansion: float
@@ -942,17 +939,17 @@ class GoodnessReport:
         return out
 
 
-def _assemble_report(vals, gamma, r, cfg) -> GoodnessReport:
+def _assemble_report(vals, gamma, r) -> GoodnessReport:
     a4_delta = r * gamma
     a4_sufficient = vals["a4_max_av_lambda"] ** 2 <= (8.0 / 27.0) * a4_delta
     passes = {
         "A1": vals["a1_reach_lambda"] <= math.sqrt(gamma) + 1e-9,
-        "A2a": vals["a2a_min_edge_expansion"] >= cfg.edge_expansion_threshold - 1e-9,
+        "A2a": vals["a2a_min_edge_expansion"] >= 1.0 / 3.0 - 1e-9,
         "A2b": vals["a2b_max_lambda"] <= gamma + 1e-9,
         "A3a": vals["a3a_max_lambda"] <= gamma + 1e-9,
         "A3b": vals["a3b_max_lambda"] <= math.sqrt(gamma) + 1e-9,
         "A4": bool(a4_sufficient and vals["a4_spot_check_failures"] == 0),
-        "A5": vals["a5_min_conditional"] >= cfg.a5_threshold - 1e-9,
+        "A5": vals["a5_min_conditional"] >= 0.5 - 1e-9,
     }
     inferred = max(vals["a1_reach_lambda"] ** 2, vals["a2b_max_lambda"],
                    vals["a3a_max_lambda"], vals["a3b_max_lambda"] ** 2)
@@ -962,13 +959,11 @@ def _assemble_report(vals, gamma, r, cfg) -> GoodnessReport:
                           inferred_gamma=inferred, **vals)
 
 
-def goodness_check(x, gamma: float, r: float = 1.0,
-                   config: GoodnessConfig | None = None) -> GoodnessReport:
+def goodness_check(x, gamma: float, r: float = 1.0) -> GoodnessReport:
     """Measure every goodness assumption and compare at the given gamma, r."""
-    cfg = config or GoodnessConfig()
     if isinstance(x, StructuredHdxStav):
-        return _goodness_structured(x, gamma, r, cfg)
-    return _goodness_tabular(x, gamma, r, cfg)
+        return _goodness_structured(x, gamma, r)
+    return _goodness_tabular(x, gamma, r)
 
 
 def _sampler_spot_checks(joint: np.ndarray, delta: float, n_checks: int,
@@ -1013,7 +1008,7 @@ def _two_colourable(graphs: _Graphs, ids: np.ndarray) -> np.ndarray:
     return np.bincount(odd, minlength=len(ids)) == 0
 
 
-def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
+def _goodness_tabular(x: StavInstance, gamma, r) -> GoodnessReport:
     if x.n_s > 50_000 or len(x.vasa) > TABULAR_TABLE_CAP:
         raise SizeCapError("instance too large for the exhaustive goodness check")
     notes = {}
@@ -1028,11 +1023,12 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     n_a = len(x.a_labels)
     graphs = _sts_graphs(x, n_a, np.repeat(np.arange(n_a), np.diff(a_ptr)), a_ground)
     m = graphs.shapes[:, 0]
-    small = np.flatnonzero((m > 0) & (m <= cfg.brute_force_vertices))
-    large = np.flatnonzero(m > cfg.brute_force_vertices)
+    small = np.flatnonzero((m > 0) & (m <= BRUTE_FORCE_VERTICES))
+    large = np.flatnonzero(m > BRUTE_FORCE_VERTICES)
     phis = [np.inf]
-    for shape, ids in _shape_batches(graphs.shapes[small]):
-        stack = graphs.fill(small[ids], shape)
+    # the minimum over the distinct graphs is the minimum over all
+    for _, _, stack, _ in _distinct_batches(graphs.shapes[small],
+                                            lambda b, shape: graphs.fill(small[b], shape)):
         pi = stack.sum(axis=2)
         _check_square_stack(stack, pi)
         phis += [_min_cut_ratio(j, p)[0] for j, p in zip(stack, pi)]
@@ -1074,17 +1070,16 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
     # a graph of at most _EXHAUSTIVE_COLUMNS columns is checked on every
     # subset and draws nothing, so it is checked once per distinct joint;
     # a wider one draws from the one stream, s by s
-    rng = np.random.default_rng(cfg.seed)
-    delta, n_checks = r * gamma, cfg.sampler_spot_checks
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
+    delta = r * gamma
     wide = graphs.shapes[:, 1] > _EXHAUSTIVE_COLUMNS
     narrow = np.flatnonzero(~wide)
     spot_failures = 0
-    for shape, b in _shape_batches(graphs.shapes[narrow]):
-        joints = graphs.joints(narrow[b], shape)
-        first, group = _distinct(joints)
-        spot_failures += sum(int(n) * _sampler_spot_checks(j, delta, n_checks, rng)
-                             for j, n in zip(joints[first], np.bincount(group)))
-    spot_failures += sum(_sampler_spot_checks(graphs.joint(si), delta, n_checks, rng)
+    for _, _, joints, group in _distinct_batches(
+            graphs.shapes[narrow], lambda b, shape: graphs.joints(narrow[b], shape)):
+        spot_failures += sum(int(n) * _sampler_spot_checks(j, delta, _SPOT_CHECKS, rng)
+                             for j, n in zip(joints, np.bincount(group)))
+    spot_failures += sum(_sampler_spot_checks(graphs.joint(si), delta, _SPOT_CHECKS, rng)
                          for si in np.flatnonzero(wide))
 
     # A5: weighted conditional of landing in the reach of a inside s, over
@@ -1111,7 +1106,7 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
                 a3a_max_lambda=a3a, a3b_max_lambda=a3b,
                 a4_max_av_lambda=a4, a4_spot_check_failures=spot_failures,
                 a5_min_conditional=float(a5))
-    rep = _assemble_report(vals, gamma, r, cfg)
+    rep = _assemble_report(vals, gamma, r)
     rep.notes = notes
     return rep
 
@@ -1119,7 +1114,7 @@ def _goodness_tabular(x: StavInstance, gamma, r, cfg) -> GoodnessReport:
 # -- structured goodness path -----------------------------------------------------
 
 
-def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
+def _goodness_structured(x: StructuredHdxStav, gamma, r) -> GoodnessReport:
     c, d, l = x.complex, x.d, x.l
     notes = {"path": "structured (containment-mass reductions in a pure complex)"}
     # the automorphisms of a uniform complete complex act transitively on
@@ -1161,7 +1156,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
                   for _, graphs in _structured_vasa_v_graphs(c, l))
 
     # A4: the local reach graph depends only on (d, l) in a pure complex
-    a4, spot_failures = _structured_a4(d, l, r * gamma, cfg)
+    a4, spot_failures = _structured_a4(d, l, r * gamma)
     notes["a4"] = "canonical split graph on d+1 labeled vertices"
 
     # A5: the reach of a inside s is exactly s minus a.  With a uniform
@@ -1185,7 +1180,7 @@ def _goodness_structured(x: StructuredHdxStav, gamma, r, cfg) -> GoodnessReport:
                 a3b_max_lambda=a3b, a4_max_av_lambda=a4,
                 a4_spot_check_failures=spot_failures,
                 a5_min_conditional=float(a5))
-    rep = _assemble_report(vals, gamma, r, cfg)
+    rep = _assemble_report(vals, gamma, r)
     rep.notes = notes
     return rep
 
@@ -1249,14 +1244,13 @@ def _structured_vasa_v_graphs(c: Complex, l: int):
         yield lo, _pair_graphs(hi - lo, g, a1, a2, np.repeat(lev.measure[f], len(keep)))
 
 
-def _structured_a4(d: int, l: int, delta: float, cfg) -> tuple[float, int]:
+def _structured_a4(d: int, l: int, delta: float) -> tuple[float, int]:
     a_pat, outside = position_subsets(d + 1, l)
     joint = np.zeros((len(a_pat), d + 1))
     joint[np.arange(len(a_pat))[:, None], outside] = 1.0 / (len(a_pat) * (d + 1 - l))
     lam = bipartite_lambda(joint, joint.sum(axis=1), joint.sum(axis=0)).lambda_bip
-    rng = np.random.default_rng(cfg.seed)
-    failures = _sampler_spot_checks(joint, delta, cfg.sampler_spot_checks, rng)
-    return lam, failures
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
+    return lam, _sampler_spot_checks(joint, delta, _SPOT_CHECKS, rng)
 
 
 # -- JSON interchange ----------------------------------------------------------------

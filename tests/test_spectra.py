@@ -634,6 +634,22 @@ def test_stacked_values_outside_the_unit_interval_raise():
         spectra._stacked_spectra(np.array([(2, 2)]), _fill([b]), bipartite=True)
 
 
+def test_lanczos_values_outside_the_unit_interval_raise():
+    # 201 copies of the joint above on the diagonal: 402 rows is past the
+    # dense limit, so both solves are Lanczos, which may no more clip -1.4
+    # to -1, or 1.4 to 1, than the dense solve
+    import scipy.sparse as sp
+    import hdxlab.spectra as spectra
+    j = sp.block_diag([np.array([[-0.1, 0.6], [0.6, -0.1]]) / 201] * 201, format="csr")
+    assert not spectra._solves_dense(j.shape)
+    with pytest.raises(NotReversible, match="eigenvalue"):
+        square_lambda(j, np.asarray(j.sum(axis=1)).ravel())
+    b = j[:, np.arange(402) ^ 1]
+    with pytest.raises(NotReversible, match="singular value"):
+        spectra.bipartite_lambda(b, np.asarray(b.sum(axis=1)).ravel(),
+                                 np.asarray(b.sum(axis=0)).ravel())
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_stacked_spectra_solve_each_distinct_graph_once(seed, bipartite):
     # a family with exact copies of its graphs and copies one ulp apart in

@@ -323,3 +323,24 @@ def test_goodness_neighborhood_instances():
             # expanding pair distribution: conditioned graphs are the
             # disjointness walks, measured at 1/6 here
             assert rep.a2b_max_lambda == pytest.approx(1 / 6, abs=1e-9)
+
+
+def test_a2a_brute_force_runs_once_per_distinct_pair_graph(monkeypatch):
+    # the 9 pair graphs of 8 vertices of either neighbourhood instance of
+    # complete(9, 5) are one matrix, bit for bit, and so one enumeration
+    calls = []
+    real = stav._min_cut_ratio
+
+    def counted(joint, pi):
+        calls.append(joint.shape)
+        return real(joint, pi)
+
+    monkeypatch.setattr(stav, "_min_cut_ratio", counted)
+    c = complete_complex(9, 5)
+    for mode, want in (("independent", 0.48979591836734704),
+                       ("complement", 0.5714285714285715)):
+        calls.clear()
+        rep = goodness_check(neighborhood_stav(c, 1, 0, mode), gamma=0.6)
+        assert calls == [(8, 8)], mode
+        assert rep.a2a_method == "brute_force"
+        assert rep.a2a_min_edge_expansion == want, mode

@@ -34,9 +34,11 @@ from hdxlab.decoder import in_one_set_test
 from hdxlab.errors import ZeroConditioning
 from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
 from hdxlab.walks import BipartiteGraph, WeightedGraph, complement_walk
-from hdxlab.spectra import bipartite_lambda, edge_expansion_exact, square_lambda
+from hdxlab.spectra import (BRUTE_FORCE_VERTICES, bipartite_lambda, edge_expansion_exact,
+                            square_lambda)
 from hdxlab.stav import (
-    GoodnessConfig,
+    _SPOT_CHECK_SEED,
+    _SPOT_CHECKS,
     VasaTable,
     _assemble_report,
     _drop_one,
@@ -1081,10 +1083,9 @@ def bipartite_value_loop(g):
     return bipartite_lambda(block, block.sum(axis=1), block.sum(axis=0)).lambda_bip
 
 
-def goodness_loop(x, gamma, r=1.0, cfg=None):
+def goodness_loop(x, gamma, r=1.0):
     """The tabular goodness check, one derived graph and one eigensolve per
     element."""
-    cfg = cfg or GoodnessConfig()
 
     def each(kind, elements):
         for element in elements:
@@ -1101,8 +1102,8 @@ def goodness_loop(x, gamma, r=1.0, cfg=None):
                           np.asarray(reach.sum(axis=0)).ravel()).lambda_bip
     min_phi, a2a_method = np.inf, "brute_force"
     for g in each("sts_a", x.a_labels):
-        if g.joint.shape[0] <= cfg.brute_force_vertices:
-            phi = edge_expansion_exact(g, cfg.brute_force_vertices).phi
+        if g.joint.shape[0] <= BRUTE_FORCE_VERTICES:
+            phi = edge_expansion_exact(g, BRUTE_FORCE_VERTICES).phi
         else:
             a2a_method = "cheeger_lower_bound"
             phi = (1.0 - square_lambda(g.joint, g.vertex_measure).lambda2) / 2.0
@@ -1116,13 +1117,13 @@ def goodness_loop(x, gamma, r=1.0, cfg=None):
         a3a = max(a3a, two_sided(g) if bip is None else min(two_sided(g), bip))
     a3b = max([0.0] + [bipartite_lambda(g.joint, g.left_measure, g.right_measure).lambda_bip
                        for g in each("vas_a", x.a_labels)])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
     a4, spot_failures = 0.0, 0
     for s in x.s_labels:
         dense = derive_graph_loop(x, "local_reach", s).joint
         dense = dense[np.ix_(dense.sum(axis=1) > 0, dense.sum(axis=0) > 0)]
         a4 = max(a4, bipartite_lambda(dense, dense.sum(axis=1), dense.sum(axis=0)).lambda_bip)
-        spot_failures += _sampler_spot_checks(dense, r * gamma, cfg.sampler_spot_checks, rng)
+        spot_failures += _sampler_spot_checks(dense, r * gamma, _SPOT_CHECKS, rng)
     vm = x.v_marginal()
     ground_to_v = {int(g): i for i, g in enumerate(x.v_ground)}
     a5 = np.inf
@@ -1141,7 +1142,7 @@ def goodness_loop(x, gamma, r=1.0, cfg=None):
                 a2a_method=a2a_method, a2b_max_lambda=a2b, a2b_method="dense",
                 a3a_max_lambda=a3a, a3b_max_lambda=a3b, a4_max_av_lambda=a4,
                 a4_spot_check_failures=spot_failures, a5_min_conditional=float(a5))
-    return _assemble_report(vals, gamma, r, cfg)
+    return _assemble_report(vals, gamma, r)
 
 
 def assert_goodness_matches_loop(x, gammas=(0.5, 1 / 3), r=1.0):
