@@ -151,6 +151,8 @@ def corrupt(f: Ensemble, alpha: float, mode: str, seed: int) -> Ensemble:
         raise ParameterRange(f"alpha must be in [0, 1], got {alpha}")
     if mode not in ("resample_set", "flip_one"):
         raise ParameterRange(f"unknown corruption mode {mode!r}")
+    if mode == "flip_one" and alpha > 0 and f.alphabet < 2:
+        raise ParameterRange("flip_one needs an alphabet of at least 2")
     rng = np.random.default_rng(seed)
     out = f.copy()
     for label in sorted(out.assignments, key=repr):
@@ -270,6 +272,8 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
         return TestResult(float(test.sts.t_probs @ eps_t), "exact")
     if mode != "mc":
         raise ParameterRange(f"unknown rejection mode {mode!r}")
+    if samples < 1:
+        raise ParameterRange(f"Monte Carlo needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     t = rng.choice(len(test.sts.t_probs), size=samples, p=test.sts.t_probs)
     u = rng.random((samples, 2))
@@ -417,8 +421,13 @@ def weak_neighborhood_tests(c: Complex, l: int, k: int, f: Ensemble, mode: str,
                             full_intersection: bool = False,
                             instance: StavInstance | None = None) -> TestResult:
     """Rejection of the ball-ensemble tests (compare on t, or the whole
-    intersection with ``full_intersection``)."""
+    intersection with ``full_intersection``).  A prebuilt ``instance`` must
+    have been built from these arguments."""
     x = instance if instance is not None else neighborhood_stav(c, l, k, mode)
+    built = [x.meta.get(key) for key in ("l", "k", "mode")]
+    if x.meta.get("complex") is not c or built != [l, k, mode]:
+        raise ParameterRange(f"the instance was built for l, k, mode = {built}, "
+                             f"not {[l, k, mode]}, or on another complex")
     test = _as_test(x)
     if full_intersection:
         test = AgreementTest(test.s_labels, test.s_supports, test.sts,

@@ -2,15 +2,22 @@
 bad-triple filtering, and the global plurality vote, with per-stage
 diagnostics.
 
+One array state: ``global_decode`` lifts the ensemble once, and its stages
+pass arrays, not dicts: the popular restriction h(a) as one padded row per a,
+the reach vote g(a, v) as an n_a x n_v table (-1 where no triple votes) and
+the bad sets as masks over a and (a, v).  Each stage returns its own tie and
+empty-vote counts; the dicts of ``DecodeOutput`` are built once, at the end.
+
 All conditional probabilities come from the instance's exact tables; there is
 no sampling inside the decoder.  Ties are always broken toward the
 lexicographically smallest assignment or symbol, which makes the pipeline
 deterministic (and alphabet-permutation equivariant whenever no tie fires).
+The partite color-pair search has fixed thresholds, the constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +30,17 @@ from .stav import STSTable, StavInstance, _restricted_joint, partite_ij_stav
 
 DEFAULT_TAU_GLOBAL = 1.0 / 40.0
 DEFAULT_TAU_LOCAL = 1.0 / 20.0
+
+# partite_decode keeps the first of at most _MAX_TUPLES shuffled color
+# 4-tuples whose two color pairs have rejection and in-one-set rejection within
+# their factor of the base rejection (at least _EPSILON_FLOOR) and surprise at
+# most _SURPRISE_BOUND: an implementation choice of "on the order of".
+_REJECTION_FACTOR = 6.0
+_ONESET_FACTOR = 6.0
+_SURPRISE_BOUND = 0.9
+_EPSILON_FLOOR = 1e-9
+_MAX_TUPLES = 60
+_TUPLE_SEED = 0
 
 
 @dataclass
@@ -89,74 +107,55 @@ def _as_pairs(x: StavInstance):
     return _cached(x, "as_pairs", build)
 
 
-def _agrees(x: StavInstance, lifted, h: dict, a_idx, s_idx) -> np.ndarray:
-    """Does f_s restrict to the popular assignment h[a], for each (a, s)?"""
+def _agrees(x: StavInstance, lifted, h_pad, a_idx, s_idx) -> np.ndarray:
+    """Does f_s restrict to the popular assignment h(a), for each (a, s)?"""
     a_pad = _padded(_as_test(x), "a_pad", x.a_supports)
-    h_pad = np.zeros(a_pad.shape, dtype=np.int64)
-    for ai in range(len(h_pad)):
-        h_pad[ai, :len(x.a_supports[ai])] = h[ai]
     return (_restrict(lifted, s_idx, a_pad[a_idx]) == h_pad[a_idx]).all(axis=1)
 
 
-def _values_at_v(x: StavInstance, lifted):
-    """f_s at the vertex v of every (v, a, s) triple."""
-    vv, _, ss, _ = x.vas_triples()
-    return _restrict(lifted, ss, np.asarray(x.v_ground, dtype=np.int64)[vv, None])[:, 0]
-
-
-def local_popularity(x: StavInstance, f: Ensemble, ties=None):
-    """Most popular restriction to each amplification face."""
-    ties = [] if ties is None else ties
-    test = _as_test(x)
+def local_popularity(x: StavInstance, lifted: np.ndarray):
+    """Most popular restriction to each amplification face, as padded rows in
+    a order (0 in the padding), and the number of ties."""
     a, s, pair = _as_pairs(x)
     orphan = np.setdiff1d(np.arange(len(x.a_labels)), a)
     if orphan.size:
         raise OrphanA(f"amplification face {x.a_labels[orphan[0]]} is in no set")
-    rows = _restrict(_lift(test, f), s, _padded(test, "a_pad", x.a_supports)[a])
+    rows = _restrict(lifted, s, _padded(_as_test(x), "a_pad", x.a_supports)[a])
     win, tied = _vote(a, _row_codes(rows),
                       np.bincount(pair, x.vas_triples()[3], minlength=len(a)))
-    h = {ai: tuple(r[:len(x.a_supports[ai])])
-         for ai, r in zip(a[win].tolist(), rows[win].tolist())}
-    ties.extend(h[ai] for ai in a[win][tied].tolist())
-    return h
+    return rows[win], int(tied.sum())
 
 
-def reach_functions(x: StavInstance, f: Ensemble, h: dict, ties=None,
-                    flags: dict | None = None):
+def reach_functions(x: StavInstance, agree: np.ndarray, val: np.ndarray):
     """Popularity of the value at each reachable vertex among the sets that
-    agree with the local popularity function."""
-    ties = [] if ties is None else ties
-    flags = {} if flags is None else flags
-    lifted = _lift(_as_test(x), f)
+    agree with the local popularity function.
+
+    ``agree`` and ``val`` hold, per (v, a, s) triple, whether f_s restricts to
+    h(a) and f_s(v).  An (a, v) that no agreeing set reaches votes among all
+    its sets.  Returns g(a, v) as an n_a x n_v table, -1 where no triple
+    votes, the number of ties and the number of such empty votes."""
     vv, aa, _, pp = x.vas_triples()
-    pa, ps, pair = _as_pairs(x)
-    agree = _agrees(x, lifted, h, pa, ps)[pair]
-    val = _values_at_v(x, lifted)
-    av = aa * len(x.v_labels) + vv  # (a, v) as one index
+    n_a, n_v = len(x.a_labels), len(x.v_labels)
+    av = aa * n_v + vv  # (a, v) as one index
     empty = (np.bincount(av, agree) == 0) & (np.bincount(av) > 0)
     use = np.flatnonzero(agree | empty[av])
     win, tied = _vote(av[use], val[use], pp[use])
-    win = use[win]
-    g = {}
-    for ai, vi, value in zip(aa[win].tolist(), vv[win].tolist(), val[win].tolist()):
-        g.setdefault(ai, {})[vi] = value
-    ties.extend(val[win][tied].tolist())
-    flags["empty_reach_votes"] = flags.get("empty_reach_votes", 0) + int(empty.sum())
-    return g
+    g_av = np.full(n_a * n_v, -1, dtype=np.int64)
+    g_av[av[use[win]]] = val[use[win]]
+    return g_av.reshape(n_a, n_v), int(tied.sum()), int(empty.sum())
 
 
 def _share(part, total):
     return np.divide(part, total, out=np.zeros_like(part), where=total > 0)
 
 
-def bad_sets(x: StavInstance, f: Ensemble, h: dict,
-             cfg: DecoderConfig | None = None):
-    """Globally bad amplification faces and the per-vertex bad sets."""
-    cfg = cfg or DecoderConfig()
+def bad_sets(x: StavInstance, lifted: np.ndarray, h_pad: np.ndarray,
+             cfg: DecoderConfig):
+    """Globally bad amplification faces (a mask over a), the per-vertex bad
+    sets (a mask over (a, v)) and the bad-triple mass."""
     va = x.vasa
-    lifted = _lift(_as_test(x), f)
-    bad_p = va.probs * ~(_agrees(x, lifted, h, va.a1_idx, va.s_idx)
-                         & _agrees(x, lifted, h, va.a2_idx, va.s_idx))
+    bad_p = va.probs * ~(_agrees(x, lifted, h_pad, va.a1_idx, va.s_idx)
+                         & _agrees(x, lifted, h_pad, va.a2_idx, va.s_idx))
     n_a, n_v = len(x.a_labels), len(x.v_labels)
     tot_a = np.bincount(va.a1_idx, va.probs, minlength=n_a)
     star = (tot_a > 0) & (_share(np.bincount(va.a1_idx, bad_p, minlength=n_a), tot_a)
@@ -166,10 +165,7 @@ def bad_sets(x: StavInstance, f: Ensemble, h: dict,
     local = (np.bincount(av, minlength=n_a * n_v) > 0) & (np.repeat(star, n_v) | (
         (tot_av > 0) & (_share(np.bincount(av, bad_p, minlength=n_a * n_v), tot_av)
                         > cfg.tau_local + 1e-15)))
-    a_star_v = {}
-    for ai, vi in zip(*(k.tolist() for k in np.divmod(np.flatnonzero(local), n_v))):
-        a_star_v.setdefault(vi, set()).add(ai)
-    return set(np.flatnonzero(star).tolist()), a_star_v, float(bad_p.sum())
+    return star, local.reshape(n_a, n_v), float(bad_p.sum())
 
 
 def global_decode(x: StavInstance, f: Ensemble,
@@ -178,60 +174,61 @@ def global_decode(x: StavInstance, f: Ensemble,
     cfg = cfg or DecoderConfig()
     if not isinstance(x, StavInstance):
         raise HdxError("decoding needs a tabular instance")
-    flags = {}
-    h_ties, g_ties = [], []
-    h = local_popularity(x, f, ties=h_ties)
-    g = reach_functions(x, f, h, ties=g_ties, flags=flags)
-    a_star, a_star_v, bad_prob = bad_sets(x, f, h, cfg)
+    lifted = _lift(_as_test(x), f)
+    h_pad, h_ties = local_popularity(x, lifted)
+    vv, aa, ss, _ = x.vas_triples()
+    pa, ps, pair = _as_pairs(x)
+    ok = _agrees(x, lifted, h_pad, pa, ps)  # per (a, s) pair
+    f_v = _restrict(lifted, ss, np.asarray(x.v_ground, dtype=np.int64)[vv, None])[:, 0]
+    g_av, g_ties, empty_reach = reach_functions(x, ok[pair], f_v)
+    star, star_av, bad_prob = bad_sets(x, lifted, h_pad, cfg)
 
-    n_a, n_v = len(x.a_labels), len(x.v_labels)
-    g_av = np.full((n_a, n_v), -1, dtype=np.int64)
-    for ai, row in g.items():
-        g_av[ai, list(row)] = list(row.values())
-    star_av = np.zeros((n_a, n_v), dtype=bool)
-    for vi, a_set in a_star_v.items():
-        star_av[list(a_set), vi] = True
+    n_v = len(x.v_labels)
     reach = x.reach_joint().tocsc()  # the reach entries v major
     ra, rp = reach.indices, reach.data
     rv = np.repeat(np.arange(n_v), np.diff(reach.indptr))
-    val = g_av[ra, rv]
+    val, in_star = g_av[ra, rv], star_av[ra, rv]
     votes = (val >= 0) & (rp > 0)
-    empty = np.bincount(rv, votes & ~star_av[ra, rv], minlength=n_v) == 0
-    use = np.flatnonzero(votes & (~star_av[ra, rv] | empty[rv]))
+    empty = np.bincount(rv, votes & ~in_star, minlength=n_v) == 0
+    use = np.flatnonzero(votes & (~in_star | empty[rv]))
     win, tied = _vote(rv[use], val[use], rp[use])
     if len(win) < n_v:
         raise HdxError("some v-layer vertex receives no reach vote")
     g_values = val[use[win]]
-    flags.update(empty_global_votes=int(empty.sum()), h_ties=len(h_ties),
-                 g_ties=len(g_ties), global_ties=int(tied.sum()))
+    flags = {"empty_reach_votes": empty_reach, "empty_global_votes": int(empty.sum()),
+             "h_ties": h_ties, "g_ties": g_ties, "global_ties": int(tied.sum())}
 
+    h = {ai: tuple(row[:len(sup)])
+         for ai, (row, sup) in enumerate(zip(h_pad.tolist(), x.a_supports))}
+    g, (ga, gv) = {}, np.nonzero(g_av >= 0)
+    for ai, vi, value in zip(ga.tolist(), gv.tolist(), g_av[ga, gv].tolist()):
+        g.setdefault(ai, {})[vi] = value
+    a_star = set(np.flatnonzero(star).tolist())
+    a_star_v = {}
+    for ai, vi in zip(*(k.tolist() for k in np.nonzero(star_av))):
+        a_star_v.setdefault(vi, set()).add(ai)
     g_ground = np.full(len(x.ground_labels), -1, dtype=np.int64)
     g_ground[np.asarray(x.v_ground, dtype=np.int64)] = g_values
     return DecodeOutput(g_values=g_values, g_ground=g_ground, a_star=a_star,
                         a_star_v=a_star_v, h=h, g=g, flags=flags, diagnostics=_diagnostics(
-                            x, f, h, (ra, rv, rp), g_av, star_av, a_star, g_values, bad_prob))
+                            x, f, (ra, rv, rp, val, in_star), ok, f_v, g_av, star, star_av,
+                            a_star, g_values, bad_prob))
 
 
-def _diagnostics(x, f, h, reach, g_av, star_av, a_star, g_values, bad_prob):
-    lifted = _lift(_as_test(x), f)
-    ra, rv, rp = reach
+def _diagnostics(x, f, reach, ok, f_v, g_av, star, star_av, a_star, g_values, bad_prob):
+    ra, rv, rp, val, in_star = reach
     pr_a = np.bincount(ra, rp, minlength=len(x.a_labels))
     vv, aa, _, pp = x.vas_triples()
-    pa, ps, pair = _as_pairs(x)
-    ok = _agrees(x, lifted, h, pa, ps)
-    in_star = star_av[ra, rv]
-    not_global = np.ones(len(x.a_labels), dtype=bool)
-    not_global[list(a_star)] = False
-    val = g_av[ra, rv]
-    g_miss = ~star_av[aa, vv] & ok[pair] & (_values_at_v(x, lifted) != g_av[aa, vv])
+    pair = _as_pairs(x)[2]
+    g_miss = ~star_av[aa, vv] & ok[pair] & (f_v != g_av[aa, vv])
     return {
         "epsilon": rejection(x, f).epsilon,
         "pr_a_star": float(sum(pr_a[a] for a in a_star)),
         "bad_triple_prob": bad_prob,
         # Pr[(a, s)] of disagreeing with the popular assignment
-        "h_mismatch": float(np.bincount(pair, pp, minlength=len(pa))[~ok].sum()),
+        "h_mismatch": float(np.bincount(pair, pp, minlength=len(ok))[~ok].sum()),
         "g_mismatch": float(pp[g_miss].sum()),
-        "not_global_bad_but_local": float(rp[in_star & not_global[ra]].sum()),
+        "not_global_bad_but_local": float(rp[in_star & ~star[ra]].sum()),
         "global_vote_mismatch": float(rp[~in_star & (val >= 0)
                                          & (val != g_values[rv])].sum()),
     }
@@ -290,24 +287,6 @@ def subset_agreement(x: StavInstance, f: Ensemble, g_ground: np.ndarray,
 # -- partite decoding --------------------------------------------------------------
 
 
-@dataclass
-class PartiteDecodeConfig:
-    """Acceptance thresholds for the color-pair search.
-
-    The search keeps the first 4-tuple whose two color pairs satisfy all three
-    empirical conditions; the factors govern how loose "on the order of the
-    base rejection" is taken to be.  These are implementation choices.
-    """
-
-    rejection_factor: float = 6.0
-    oneset_factor: float = 6.0
-    surprise_bound: float = 0.9
-    epsilon_floor: float = 1e-9
-    max_tuples: int = 60
-    seed: int = 0
-    decoder: DecoderConfig = field(default_factory=DecoderConfig)
-
-
 def in_one_set_test(c: Complex, colors_i, colors_j, k: int, l: int) -> AgreementTest:
     """Sample any l-face, then two independent k-faces above it that carry
     both color sets."""
@@ -324,23 +303,21 @@ def in_one_set_test(c: Complex, colors_i, colors_j, k: int, l: int) -> Agreement
                          meta={"kind": "in_one_set", "I": sorted(I), "J": sorted(J)})
 
 
-def partite_decode(c: Complex, k: int, l: int, f: Ensemble,
-                   cfg: PartiteDecodeConfig | None = None) -> DecodeOutput:
+def partite_decode(c: Complex, k: int, l: int, f: Ensemble) -> DecodeOutput:
     """Search disjoint color 4-tuples, decode both color-pair instances, and
     glue the two partial assignments into one total function."""
-    cfg = cfg or PartiteDecodeConfig()
     if not c.is_partite:
         raise ParameterRange("partite decoding needs a coloring")
     n_colors = c.d + 1
     if n_colors < 4 * l:
         raise ParameterRange(f"need at least 4l colors, have {n_colors}")
     base = rejection(d_l_test(c, k, l), f).epsilon
-    eps_ref = max(base, cfg.epsilon_floor)
+    eps_ref = max(base, _EPSILON_FLOOR)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_TUPLE_SEED)
     tuples = []
     colors = list(range(n_colors))
-    for _ in range(cfg.max_tuples):
+    for _ in range(_MAX_TUPLES):
         rng.shuffle(colors)
         groups = tuple(tuple(sorted(colors[i * l:(i + 1) * l])) for i in range(4))
         if groups not in tuples:
@@ -357,17 +334,17 @@ def partite_decode(c: Complex, k: int, l: int, f: Ensemble,
             oneset = rejection(in_one_set_test(c, ci, cj, k, l), f).epsilon
             stats.append({"I": ci, "J": cj, "rejection": rej, "surprise": xi,
                           "in_one_set": oneset, "instance": inst})
-            if (rej > cfg.rejection_factor * eps_ref
-                    or xi > cfg.surprise_bound
-                    or oneset > cfg.oneset_factor * eps_ref):
+            if (rej > _REJECTION_FACTOR * eps_ref
+                    or xi > _SURPRISE_BOUND
+                    or oneset > _ONESET_FACTOR * eps_ref):
                 ok = False
         score = sum(s["rejection"] + s["in_one_set"] for s in stats)
         if best is None or score < best[0]:
             best = (score, stats)
         if not ok:
             continue
-        out1 = global_decode(stats[0]["instance"], f, cfg.decoder)
-        out2 = global_decode(stats[1]["instance"], f, cfg.decoder)
+        out1 = global_decode(stats[0]["instance"], f)
+        out2 = global_decode(stats[1]["instance"], f)
         col = np.asarray(c.coloring)
         forbidden_1 = set(i1) | set(j1)
         g_total = np.where(np.isin(col, sorted(forbidden_1)),

@@ -880,8 +880,7 @@ class EdgeExpansionReport:
                 "cheeger_upper": self.cheeger_upper, "cheeger_ok": self.cheeger_ok}
 
 
-def edge_expansion_exact(g: WeightedGraph,
-                         max_vertices: int = BRUTE_FORCE_VERTICES) -> EdgeExpansionReport:
+def edge_expansion_exact(g: WeightedGraph) -> EdgeExpansionReport:
     """Brute-force edge expansion over all subsets with Pr <= 1/2.
 
     Also checks the Cheeger sandwich (1-lambda2)/2 <= Phi <= sqrt(2(1-lambda2)).
@@ -891,8 +890,8 @@ def edge_expansion_exact(g: WeightedGraph,
     m = g.joint.shape[0]
     l2 = square_lambda(g.joint, g.vertex_measure).lambda2
     lower, upper = (1.0 - l2) / 2.0, math.sqrt(max(2.0 * (1.0 - l2), 0.0))
-    if m > max_vertices:
-        raise TooLarge(f"{m} vertices exceeds the brute-force cap {max_vertices}")
+    if m > BRUTE_FORCE_VERTICES:
+        raise TooLarge(f"{m} vertices exceeds the brute-force cap {BRUTE_FORCE_VERTICES}")
     best, best_mask = _min_cut_ratio(_dense(g.joint), g.vertex_measure)
     if best_mask is None:
         # no subset with 0 < Pr <= 1/2 exists (single live vertex): vacuous

@@ -84,6 +84,24 @@ def test_corrupt_mode_validation(setup951):
         corrupt(f, 0.5, "nope", seed=0)
 
 
+def test_flip_one_needs_two_symbols(setup951):
+    _, x, _, _ = setup951
+    f = perfect_ensemble(x, np.zeros(9, dtype=int), alphabet=1)
+    with pytest.raises(ParameterRange, match="flip_one needs an alphabet of at least 2"):
+        corrupt(f, 0.5, "flip_one", seed=0)
+    same = corrupt(f, 0.0, "flip_one", seed=0)
+    assert all(np.array_equal(same.assignments[k], f.assignments[k])
+               for k in f.assignments)
+
+
+def test_monte_carlo_needs_a_sample(setup951):
+    _, x, _, f = setup951
+    for samples in (0, -1):
+        with pytest.raises(ParameterRange, match="at least one sample"):
+            rejection(x, f, mode="mc", samples=samples, seed=3)
+    assert rejection(x, f, mode="mc", samples=1, seed=3).epsilon == 0.0
+
+
 def test_flip_one_union_bound_realized():
     # per-realization form: rejection <= 2 * corrupted-mass * (l+1)/(d+1)
     c = complete_complex(8, 4)
@@ -239,6 +257,21 @@ def test_weak_tests_perfect_zero():
         x = neighborhood_stav(c, 1, 0, mode)
         f = perfect_ensemble(x, np.zeros(9, dtype=int), alphabet=2)
         assert weak_neighborhood_tests(c, 1, 0, f, mode, instance=x).epsilon == 0.0
+
+
+def test_weak_tests_refuse_a_mismatched_instance():
+    c = complete_complex(9, 5)
+    x = neighborhood_stav(c, 1, 0, "independent")
+    f = perfect_ensemble(x, np.zeros(9, dtype=int), alphabet=2)
+    for args in ((c, 1, 0, "complement"), (c, 2, 0, "independent"),
+                 (c, 1, 1, "independent"), (complete_complex(9, 5), 1, 0, "independent")):
+        cc, l, k, mode = args
+        with pytest.raises(ParameterRange, match="the instance was built for"):
+            weak_neighborhood_tests(cc, l, k, f, mode, instance=x)
+        with pytest.raises(ParameterRange, match="the instance was built for"):
+            weak_neighborhood_tests(cc, l, k, f, mode, full_intersection=True,
+                                    instance=x)
+    assert weak_neighborhood_tests(c, 1, 0, f, "independent", instance=x).epsilon == 0.0
 
 
 def test_weak_le_full_intersection():

@@ -153,6 +153,24 @@ def test_agree_run_exact_and_mc(tmp_path, complex_file):
                     "--l", "1", "--plant-seed", "5", "--mode", "mc"]) == 1
 
 
+def test_agree_run_monte_carlo_without_samples_is_an_error(tmp_path, complex_file, capsys):
+    out = tmp_path / "a.json"
+    assert run_cli(["agree-run", "--complex", complex_file, "--plant-seed", "1",
+                    "--mode", "mc", "--seed", "3", "--samples", "0",
+                    "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Monte Carlo needs at least one sample, got 0\n")
+    assert not out.exists()
+
+
+def test_agree_run_flip_one_on_one_symbol_is_an_error(complex_file, capsys):
+    assert run_cli(["agree-run", "--complex", complex_file, "--plant-seed", "1",
+                    "--alphabet", "1", "--alpha", "0.5",
+                    "--corrupt-mode", "flip_one"]) == 1
+    assert capsys.readouterr().err == (
+        "error: flip_one needs an alphabet of at least 2\n")
+
+
 def test_decode_deterministic(tmp_path, complex_file):
     from hdxlab.agreement import corrupt, perfect_ensemble, save_ensemble
     from hdxlab.stav import hdx_stav

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from hdxlab import decoder
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
 from hdxlab.errors import MarginalMismatch, NoGoodColors, ParameterRange
 from hdxlab.agreement import (
+    _as_test,
+    _lift,
     corrupt,
     d_l_test,
     dist_gamma,
@@ -14,7 +17,6 @@ from hdxlab.agreement import (
 )
 from hdxlab.decoder import (
     DecoderConfig,
-    PartiteDecodeConfig,
     bad_sets,
     global_decode,
     in_one_set_test,
@@ -63,9 +65,10 @@ def test_perfect_recovery(setup951):
 
 def test_local_popularity_perfect(setup951):
     x, plant, f = setup951
-    h = local_popularity(x, f)
+    h_pad, ties = local_popularity(x, _lift(_as_test(x), f))
+    assert h_pad.shape[0] == len(x.a_supports) and ties == 0
     for ai, sup in enumerate(x.a_supports):
-        assert h[ai] == tuple(int(plant[v]) for v in sup)
+        assert tuple(h_pad[ai, :len(sup)]) == tuple(int(plant[v]) for v in sup)
 
 
 def test_local_popularity_single_cover():
@@ -73,25 +76,47 @@ def test_local_popularity_single_cover():
     x = hdx_stav(c, 4, 1)
     f = perfect_ensemble(x, np.arange(9) % 2, alphabet=2)
     f.assignments[(0, 1, 2, 3, 4)] = np.array([1, 1, 1, 1, 1])
-    h = local_popularity(x, f)
+    h_pad, _ = local_popularity(x, _lift(_as_test(x), f))
     ai = x.a_labels.index((3,))  # vertex 3 is covered by one set only
-    assert h[ai] == (1,)
+    assert tuple(h_pad[ai, :1]) == (1,)
 
 
 def test_reach_functions_perfect(setup951):
     x, plant, f = setup951
-    h = local_popularity(x, f)
-    g = reach_functions(x, f, h)
-    for ai, votes in g.items():
+    out = global_decode(x, f)
+    for ai, votes in out.g.items():
         for vi, val in votes.items():
             assert val == int(plant[x.v_ground[vi]])
+    assert out.flags["g_ties"] == 0 and out.flags["empty_reach_votes"] == 0
 
 
 def test_bad_sets_perfect_empty(setup951):
     x, _, f = setup951
-    h = local_popularity(x, f)
-    a_star, a_star_v, bad = bad_sets(x, f, h)
-    assert not a_star and not a_star_v and bad == 0.0
+    lifted = _lift(_as_test(x), f)
+    h_pad, _ = local_popularity(x, lifted)
+    star, star_av, bad = bad_sets(x, lifted, h_pad, DecoderConfig())
+    assert star.shape == (len(x.a_labels),)
+    assert star_av.shape == (len(x.a_labels), len(x.v_labels))
+    assert not star.any() and not star_av.any() and bad == 0.0
+
+
+def test_global_decode_lifts_once_and_runs_each_stage_once(setup951, monkeypatch):
+    x, _, f = setup951
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    names = ("_lift", "local_popularity", "reach_functions", "bad_sets")
+    for name in names:
+        monkeypatch.setattr(decoder, name, counted(name, getattr(decoder, name)))
+    fc = corrupt(f, 0.2, "resample_set", seed=77)
+    out = global_decode(x, fc)
+    assert sorted(calls) == sorted(names)
+    assert out.diagnostics["epsilon"] > 0.0
 
 
 def test_markov_bound_on_a_star(setup951):
@@ -235,16 +260,17 @@ def test_partite_decode_perfect_and_corrupted():
     assert d0 <= 2.0 * eps + 1e-12
 
 
-def test_partite_decode_no_good_colors():
+def test_partite_decode_no_good_colors(monkeypatch):
     c = partite_complete_complex([2] * 9)
     test = d_l_test(c, 8, 1)
     plant = np.zeros(c.n_vertices, dtype=int)
     f = corrupt(perfect_ensemble(test, plant, alphabet=2), 0.5,
                 "resample_set", seed=1)
-    cfg = PartiteDecodeConfig(rejection_factor=0.0, oneset_factor=0.0,
-                              epsilon_floor=0.0, max_tuples=4)
+    for name, value in (("_REJECTION_FACTOR", 0.0), ("_ONESET_FACTOR", 0.0),
+                        ("_EPSILON_FLOOR", 0.0), ("_MAX_TUPLES", 4)):
+        monkeypatch.setattr(decoder, name, value)
     with pytest.raises(NoGoodColors):
-        partite_decode(c, 8, 1, f, cfg)
+        partite_decode(c, 8, 1, f)
 
 
 def test_in_one_set_distribution():

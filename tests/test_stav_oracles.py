@@ -1103,7 +1103,7 @@ def goodness_loop(x, gamma, r=1.0):
     min_phi, a2a_method = np.inf, "brute_force"
     for g in each("sts_a", x.a_labels):
         if g.joint.shape[0] <= BRUTE_FORCE_VERTICES:
-            phi = edge_expansion_exact(g, BRUTE_FORCE_VERTICES).phi
+            phi = edge_expansion_exact(g).phi
         else:
             a2a_method = "cheeger_lower_bound"
             phi = (1.0 - square_lambda(g.joint, g.vertex_measure).lambda2) / 2.0
