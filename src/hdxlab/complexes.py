@@ -19,6 +19,7 @@ sorted or searched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -47,6 +48,9 @@ Face = tuple[int, ...]
 WEIGHT_TOL = 1e-12
 RENORM_WARN = 1e-9
 _BASE_LEVEL_CAP = 3_000_000
+# entries per block of a blocked gather: the sub-face lookups of a level and
+# the structured goodness families of ``stav``
+_GATHER_ENTRIES = 1 << 18
 
 
 def size_cap_multiplier() -> float:
@@ -151,12 +155,14 @@ def _subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
+@functools.cache
 def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
     """Every choice of disjoint ascending blocks of the given sizes inside m
     positions, and the positions left over as a last block: one (choices, size)
     array per block, in the order of nested ``itertools.combinations`` loops,
     each over the positions the blocks before it left.  With one size k: the
-    k-subsets, and their complements in reverse lexicographic order."""
+    k-subsets, and their complements in reverse lexicographic order.  Built
+    once per argument tuple; the arrays are read-only."""
     def rest(blocks):
         return [p for p in range(m) if not any(p in b for b in blocks)]
 
@@ -166,8 +172,11 @@ def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
                    for b in itertools.combinations(rest(blocks), k)]
     choices = [blocks + (tuple(rest(blocks)),) for blocks in choices]
     widths = [*sizes, m - sum(sizes)]
-    return tuple(np.array([blocks[i] for blocks in choices], dtype=np.int64)
-                 .reshape(len(choices), w) for i, w in enumerate(widths))
+    out = tuple(np.array([blocks[i] for blocks in choices], dtype=np.int64)
+                .reshape(len(choices), w) for i, w in enumerate(widths))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:
@@ -235,15 +244,23 @@ class LevelIndex:
 
     def sub_faces(self, rows: np.ndarray, pattern) -> np.ndarray:
         """Positions at this level of the sub-faces rows[i, pattern[p]] of face
-        rows, as a (len(pattern), len(rows)) array, pattern-major; each
-        pattern row lists ascending columns, so sub-faces of sorted rows stay
-        sorted.  A sub-face that is not at this level raises ``NotAFace``."""
+        rows, as a (len(pattern), len(rows)) array, pattern-major, int32
+        where the level has fewer than 2^31 faces; each pattern row lists
+        ascending columns, so sub-faces of sorted rows stay sorted.  A
+        sub-face that is not at this level raises ``NotAFace``."""
         pattern = np.asarray(pattern, dtype=np.int64)
         (m, w), n = pattern.shape, len(rows)
-        # column j of every sub-face as one contiguous (m, n) block, so the
-        # keys are encoded column by column and looked up pattern by pattern
-        cols = np.asarray(rows, dtype=np.int64).T[pattern.T]
-        return self.index_rows(cols.reshape(w, m * n).T).reshape(m, n)
+        columns = np.asarray(rows).T
+        out = np.empty((m, n), dtype=np.int32 if self.size < 2**31 else np.int64)
+        # the patterns in blocks of at most _GATHER_ENTRIES gathered ids, each
+        # with column j of every sub-face as one contiguous (patterns, n) block,
+        # so the keys are encoded column by column
+        step = max(1, _GATHER_ENTRIES // max(1, n * w))
+        for lo in range(0, m, step):
+            cols = columns[pattern[lo:lo + step].T].astype(np.int64)
+            size = cols.shape[1]
+            out[lo:lo + size] = self.index_rows(cols.reshape(w, size * n).T).reshape(size, n)
+        return out
 
     def measure_of_rows(self, rows: np.ndarray) -> np.ndarray:
         idx = self.index_rows(rows, strict=False)

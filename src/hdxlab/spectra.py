@@ -10,6 +10,13 @@ with its constant eigenvector moved from 1 to -1 (so a negative lambda2
 survives), and lambda_bip^2 of D^T D, D the bipartite operator without its
 top singular pair.  The report carries the iteration residual; a residual
 above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
+``square_lambda`` and ``bipartite_lambda`` take a joint, or a
+``MarkovOperator`` standing for its joint diag(source) P, which
+``square_spectrum`` and ``bipartite_norm`` pass: the stored matrix with a row
+scale of ones or of the source measure.  Lanczos applies the row scale and
+D^{+-1/2} as vector scalings around the stored matrix, and the symmetry check
+compares it with one transposed copy in row blocks (``walks._asymmetry``), so
+no scaled, symmetrised or difference copy of a large walk is formed.
 Dense and CSR operators go through the same arithmetic, the scalings,
 marginals and densification of ``walks``, so no solver asks which it holds.
 
@@ -55,7 +62,9 @@ from .errors import (
 )
 from .walks import (
     BipartiteGraph,
+    MarkovOperator,
     WeightedGraph,
+    _asymmetry,
     _dense,
     _diag_scale,
     _joint,
@@ -198,21 +207,38 @@ def _bipartite_stack(joints: np.ndarray, pi_l: np.ndarray, pi_r: np.ndarray):
     return np.minimum(vals[:, 1], 1.0)
 
 
+def _stored(joint):
+    """The stored matrix of a joint and its row scale: a joint with a row
+    scale of ones, or a ``MarkovOperator`` standing for its joint
+    diag(source measure) P, which is never formed."""
+    if isinstance(joint, MarkovOperator):
+        return joint.matrix, joint.source_measure
+    return joint, np.ones(joint.shape[0])
+
+
 def square_lambda(joint, pi) -> SpectralReport:
-    """lambda2 (excluding constants) and lambda_min of a reversible walk."""
+    """lambda2 (excluding constants) and lambda_min of a reversible walk,
+    given by its joint or as a ``MarkovOperator`` (``_stored``).  Lanczos
+    applies D^{-1/2} J D^{-1/2} as vector scalings around the stored matrix."""
     pi = np.asarray(pi, dtype=float)
-    m = joint.shape[0]
-    if _solves_dense(joint.shape):
-        l2, lmin = _square_stack(_dense(joint)[None], pi[None])
+    mat, scale = _stored(joint)
+    m = mat.shape[0]
+    if _solves_dense(mat.shape):
+        l2, lmin = _square_stack(_dense(_diag_scale(mat, scale))[None], pi[None])
         return SpectralReport(lambda2=float(l2[0]), lambda_min=float(lmin[0]),
                               method="trivial" if m == 1 else "dense")
     _positive(pi, "stationary measure")
-    _check_symmetric(float(abs(joint - joint.T).max()))
-    M = _sym_square(joint, pi)
+    _check_symmetric(_asymmetry(mat, scale))
+    s = 1.0 / np.sqrt(pi)
+    left = scale * s
     u = np.sqrt(pi / pi.sum())
+
+    def sym(x):  # M x, M = D^{-1/2} diag(scale) mat D^{-1/2}
+        return left * (mat @ (s * x))
+
     # the constant eigenvector u moved from 1 to -1, the rest of M kept
-    l2, _, r2 = _lanczos(lambda x: M @ x - 2.0 * u * float(u @ x), m, "LA")
-    lmin, _, rmin = _lanczos(lambda x: M @ x, m, "SA")
+    l2, _, r2 = _lanczos(lambda x: sym(x) - 2.0 * u * float(u @ x), m, "LA")
+    lmin, _, rmin = _lanczos(sym, m, "SA")
     resid = max(r2, rmin)
     _check_converged(resid)
     _check_unit_range([l2, lmin], "eigenvalue")
@@ -244,29 +270,41 @@ def _lanczos(matvec, n: int, which: str):
 
 
 def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
-    """Second singular value of the symmetrized bipartite operator."""
+    """Second singular value of the symmetrized bipartite operator, given by
+    its joint or as a ``MarkovOperator`` (``_stored``).  Lanczos applies
+    D_L^{-1/2} J D_R^{-1/2} and its transpose as vector scalings around the
+    stored matrix."""
     pi_l = np.asarray(pi_l, dtype=float)
     pi_r = np.asarray(pi_r, dtype=float)
-    if _solves_dense(joint.shape):
-        lam = _bipartite_stack(_dense(joint)[None], pi_l[None], pi_r[None])[0]
+    mat, scale = _stored(joint)
+    if _solves_dense(mat.shape):
+        lam = _bipartite_stack(_dense(_diag_scale(mat, scale))[None], pi_l[None],
+                               pi_r[None])[0]
         return SpectralReport(lambda_bip=float(lam),
-                              method="trivial" if min(joint.shape) == 1 else "dense")
-    _check_marginals(_marginal(joint, 1), _marginal(joint, 0), pi_l, pi_r)
-    if min(joint.shape) == 1:
+                              method="trivial" if min(mat.shape) == 1 else "dense")
+    _check_marginals(scale * _marginal(mat, 1), scale @ mat, pi_l, pi_r)
+    if min(mat.shape) == 1:
         return SpectralReport(lambda_bip=0.0, method="trivial")
     sl, sr = np.sqrt(pi_l), np.sqrt(pi_r)
-    M = _diag_scale(joint, 1.0 / sl, 1.0 / sr)
-    if M.shape[0] < M.shape[1]:  # D^T D on the smaller side
-        M, sl, sr = M.T, sr, sl
+    left, right = scale / sl, 1.0 / sr
+
+    def fwd(x):
+        return left * (mat @ (right * x))
+
+    def bwd(y):
+        return right * (mat.T @ (left * y))
+
+    if mat.shape[0] < mat.shape[1]:  # D^T D on the smaller side
+        fwd, bwd, sl, sr = bwd, fwd, sr, sl
 
     def deflated(x):
-        return M @ x - sl * float(sr @ x)
+        return fwd(x) - sl * float(sr @ x)
 
     def normal(x):
         y = deflated(x)
-        return M.T @ y - sr * float(sl @ y)
+        return bwd(y) - sr * float(sl @ y)
 
-    _, x, resid = _lanczos(normal, M.shape[1], "LA")
+    _, x, resid = _lanczos(normal, len(sr), "LA")
     _check_converged(resid)
     # |Dx| keeps the precision a square root of the eigenvalue loses near 0
     lam = float(np.linalg.norm(deflated(x)))
@@ -448,13 +486,13 @@ def square_spectrum(op) -> SpectralReport:
         return square_lambda(op.joint, op.vertex_measure)
     if not op.is_square:
         raise NotReversible("operator is not square")
-    return square_lambda(op.joint(), op.source_measure)
+    return square_lambda(op, op.source_measure)
 
 
 def bipartite_norm(op) -> SpectralReport:
     if isinstance(op, BipartiteGraph):
         return bipartite_lambda(op.joint, op.left_measure, op.right_measure)
-    return bipartite_lambda(op.joint(), op.source_measure, op.target_measure)
+    return bipartite_lambda(op, op.source_measure, op.target_measure)
 
 
 # -- link expansion --------------------------------------------------------------

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .complexes import Complex, _group, position_subsets
+from .complexes import _GATHER_ENTRIES, Complex, _group, position_subsets
 from .errors import (
     ColorSize,
     HdxError,
@@ -75,8 +75,6 @@ from .walks import (BipartiteGraph, WeightedGraph, _containment_joint, _diag_sca
 
 TABULAR_S_CAP = 200_000
 TABULAR_TABLE_CAP = 4_000_000
-# entries per block in which the structured goodness path gathers its graphs
-_GATHER_ENTRIES = 1 << 18
 # the A4 spot checks try every right subset of a graph up to this many columns,
 # else draw this many from a generator of this seed
 _EXHAUSTIVE_COLUMNS = 12

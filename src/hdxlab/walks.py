@@ -5,12 +5,18 @@ source and target levels; the joint distribution source(u) * P(u, v) is what
 the spectra module symmetrizes.  Each walk is written down as its joint over
 the two levels, a CSR matrix built from (row, column, mass) entries by
 ``_joint``, and turned into an operator by one constructor, ``_from_joint``
-(P = diag(1/source) J).  ``_containment_joint`` builds the joint of "s by level
-measure, then an l-face inside s", which is also the (S, T) main distribution
-of the agreement tests.  One predicate, ``_solves_dense``, decides both storage
-and solver: operators it admits are stored dense and solved dense by the
-spectra module, larger ones stay CSR.  ``_diag_scale``, ``_marginal`` and
-``_dense`` take either storage, so no other code asks which one it holds.
+(P = diag(1/source) J), which scales that fresh joint in place, so a walk
+past the dense limit is held once while it is built.  Every sparse matrix a
+constructor returns, products of ``MarkovOperator.compose`` included, is
+canonical CSR: sorted columns in each row, no repeated cell.
+``_containment_joint`` builds the joint of "s by level measure, then an
+l-face inside s", which is also the (S, T) main distribution of the
+agreement tests.  One predicate, ``_solves_dense``, decides both storage and
+solver: operators it admits are stored dense and solved dense by the spectra
+module, larger ones stay CSR.  ``_diag_scale``, ``_marginal``, ``_dense``
+and ``_asymmetry`` (the detailed-balance residual, checked block by block
+against one transposed copy) take either storage, so no other code asks
+which one it holds.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Complex, position_subsets
+from .complexes import _GATHER_ENTRIES, Complex, position_subsets
 from .errors import (
     EmptyWalk,
     HdxError,
@@ -44,7 +50,7 @@ def _solves_dense(shape) -> bool:
 
 def _joint(rows, cols, vals, shape) -> sp.csr_matrix:
     """The canonical CSR matrix of the entries (rows, cols, vals); repeated
-    entries add up."""
+    entries add up.  Int32 positions are taken as they are, with no copy."""
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsr()
 
 
@@ -54,6 +60,17 @@ def _dense(mat) -> np.ndarray:
 
 def _maybe_dense(mat):
     return _dense(mat) if _solves_dense(mat.shape) else mat
+
+
+def _scale_csr(mat: sp.csr_matrix, rows=None, cols=None) -> sp.csr_matrix:
+    """``_diag_scale`` of a CSR matrix in place: its data times rows[i], then
+    times cols[j], with zero results dropped."""
+    if rows is not None:
+        mat.data *= np.repeat(rows, np.diff(mat.indptr))
+    if cols is not None:
+        mat.data *= cols[mat.indices]
+    mat.eliminate_zeros()
+    return mat
 
 
 def _diag_scale(mat, rows=None, cols=None):
@@ -66,13 +83,48 @@ def _diag_scale(mat, rows=None, cols=None):
         if rows is not None:
             out = out * rows[:, None]
         return out if cols is None else out * cols
-    out = sp.csr_matrix(mat, dtype=float, copy=True)
-    if rows is not None:
-        out.data *= np.repeat(rows, np.diff(out.indptr))
-    if cols is not None:
-        out.data *= cols[out.indices]
-    out.eliminate_zeros()
-    return out
+    return _scale_csr(sp.csr_matrix(mat, dtype=float, copy=True), rows, cols)
+
+
+def _asymmetry(mat, rows) -> float:
+    """max |J[i, j] - J[j, i]| of the square J = diag(rows) @ mat over every
+    entry that J stores, without forming J or J - J^T.  A sparse matrix is
+    compared with one transposed copy, row block by row block, each block of
+    about ``_GATHER_ENTRIES / 4`` stored entries, so that its values, scales
+    and gathered positions stay within ``_GATHER_ENTRIES`` numbers: where a
+    block of a canonical matrix stores the same cells as the transpose, entry
+    by entry; elsewhere cell by cell, repeated entries added up and a cell
+    stored on one side only compared with 0."""
+    if not sp.issparse(mat):
+        j = _diag_scale(mat, rows)
+        return float(np.abs(j - j.T).max(initial=0.0))
+    mat = sp.csr_matrix(mat)
+    tr = mat.T.tocsr()
+    n = mat.shape[1]
+    canonical = mat.has_canonical_format
+    step = max(1, _GATHER_ENTRIES // 4)
+    starts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, step), "right") - 1
+    bounds = np.unique(np.concatenate([[0], starts, [mat.shape[0]]]))
+    worst = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a = slice(mat.indptr[lo], mat.indptr[hi])
+        b = slice(tr.indptr[lo], tr.indptr[hi])
+        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr[lo:hi + 1])
+        gap = np.repeat(rows[lo:hi], n_a)
+        gap *= mat.data[a]  # J[i, j]
+        other = rows[tr.indices[b]]
+        other *= tr.data[b]  # J[j, i]
+        if (canonical and np.array_equal(n_a, n_b)
+                and np.array_equal(mat.indices[a], tr.indices[b])):
+            gap -= other
+        else:
+            cells = np.concatenate([np.repeat(np.arange(lo, hi), count) * n + cols
+                                    for count, cols in ((n_a, mat.indices[a]),
+                                                        (n_b, tr.indices[b]))])
+            cell = np.unique(cells, return_inverse=True)[1].ravel()
+            gap = np.bincount(cell, np.concatenate([gap, -other]))
+        worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
+    return worst
 
 
 def _marginal(joint, axis: int) -> np.ndarray:
@@ -134,6 +186,8 @@ class MarkovOperator:
         if self.shape[1] != other.shape[0]:
             raise HdxError("operator shapes do not compose")
         mat = self.matrix @ other.matrix
+        if sp.issparse(mat):  # the sparse product leaves each row's columns unsorted
+            mat.sum_duplicates()
         return MarkovOperator(self.source_faces, self.source_measure,
                               other.target_faces, other.target_measure,
                               _maybe_dense(mat))
@@ -145,10 +199,10 @@ class MarkovOperator:
     def detailed_balance_residual(self) -> float:
         """max|J - J^T| of a walk from a level to itself; between two levels,
         how far the joint's target marginal is from the target measure."""
-        j = self.joint()
-        diff = j - j.T if self.is_square else _marginal(j, 0) - self.target_measure
-        # a sparse matrix's size counts its stored entries
-        return float(abs(diff).max()) if diff.size else 0.0
+        if self.is_square:
+            return _asymmetry(self.matrix, self.source_measure)
+        diff = _marginal(self.joint(), 0) - self.target_measure
+        return float(np.abs(diff).max(initial=0.0))
 
     def triplets(self):
         """Yield (source_face, target_face, prob) rows for CSV export, one per
@@ -188,7 +242,7 @@ class WeightedGraph:
     joint: object  # (m, m), symmetric, sums to 1
 
     def __post_init__(self):
-        resid = float(abs(self.joint - self.joint.T).max())
+        resid = _asymmetry(self.joint, np.ones(self.joint.shape[0]))
         if resid > 1e-9:
             raise HdxError(f"graph joint must be symmetric; residual {resid:.3g}")
 
@@ -216,11 +270,12 @@ def _check_level(c: Complex, k: int, hi: int | None = None):
 
 
 def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, joint) -> MarkovOperator:
-    """Operator P = diag(1/src_meas) J of the sparse joint J."""
+    """Operator P = diag(1/src_meas) J of the sparse joint J, a matrix of the
+    caller's own making: a CSR joint is scaled in place and becomes P."""
     if joint.nnz == 0:
         raise EmptyWalk("no face joins the source and target levels")
     return MarkovOperator(src_faces, src_meas, tgt_faces, tgt_meas,
-                          _maybe_dense(_diag_scale(joint, 1.0 / src_meas)))
+                          _maybe_dense(_scale_csr(joint.tocsr(), 1.0 / src_meas)))
 
 
 def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:

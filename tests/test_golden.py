@@ -15,6 +15,7 @@ purpose, from a commit whose reports are trusted, naming the cases to write
 """
 
 import csv
+import itertools
 import json
 import os
 import sys
@@ -55,9 +56,19 @@ def _mild_partite() -> Complex:
                    coloring=base.coloring)
 
 
+def _weighted_30_3() -> Complex:
+    """The 4-sets {a < b < c < d} of [30] with ab + cd = 0 or 1 mod 5, with
+    weights 1 + (a^2 + b^2 + c^2 + d^2) mod 7: 435 edges and 4042 triangles,
+    so its walks on those levels take the Lanczos path."""
+    rows = np.array(list(itertools.combinations(range(30), 4)), dtype=np.int32)
+    rows = rows[(rows[:, 0] * rows[:, 1] + rows[:, 2] * rows[:, 3]) % 5 < 2]
+    w = 1.0 + (rows.astype(np.int64) ** 2).sum(axis=1) % 7
+    return Complex(30, 3, rows, w / w.sum())
+
+
 # complexes written with Complex.save; any other complex is `hdxlab build` flags
 FIXED = {"weighted": weighted_8_3, "weighted_partite": _weighted_partite,
-         "mild_partite": _mild_partite}
+         "mild_partite": _mild_partite, "weighted_30_3": _weighted_30_3}
 
 C95 = ["--complete", "9", "5"]
 P2X9 = ["--partite", ",".join(["2"] * 9)]
@@ -120,6 +131,11 @@ CASES = {
     "spectrum_fixed_union_weighted_1_1": _spectrum("fixed-union", "--l", "1", "--j", "1"),
     "spectrum_underlying_weighted": ("weighted", ["spectrum", "{complex}", "--walk",
                                                   "underlying"]),
+    # past walks.DENSE_EIG_LIMIT: the Lanczos solves of both spectrum kinds
+    "spectrum_lower_weighted_30_3_2_1": ("weighted_30_3", [
+        "spectrum", "{complex}", "--walk", "lower", "--k", "2", "--l", "1"]),
+    "spectrum_complement_weighted_30_3_1_1": ("weighted_30_3", [
+        "spectrum", "{complex}", "--walk", "complement", "--l1", "1", "--l2", "1"]),
     "verify_all_complete_9_5": (C95, ["verify", "{complex}", "--all"]),
     "verify_all_weighted_partite": ("weighted_partite", ["verify", "{complex}", "--all"]),
     "verify_all_weighted": ("weighted", ["verify", "{complex}", "--all"]),

@@ -35,6 +35,7 @@ from hdxlab.spectra import (
 from hdxlab.walks import (
     BipartiteGraph,
     MarkovOperator,
+    _diag_scale,
     complement_walk,
     containment_operator,
     fixed_union_walk,
@@ -648,6 +649,65 @@ def test_lanczos_values_outside_the_unit_interval_raise():
     with pytest.raises(NotReversible, match="singular value"):
         spectra.bipartite_lambda(b, np.asarray(b.sum(axis=1)).ravel(),
                                  np.asarray(b.sum(axis=0)).ravel())
+
+
+@pytest.mark.parametrize("build,solve,want,bound", [
+    # 780 x 780, 548k entries: the Kneser value of 2-sets of [40], 1/19
+    (lambda: complement_walk(complete_complex(40, 3), 1, 1), bipartite_norm, 1 / 19, 18),
+    # 5456 x 5456, 496k entries: the Johnson value of 3-sets of [33], 20/31
+    (lambda: lower_walk(complete_complex(33, 2), 2, 1), square_spectrum, 20 / 31, 14),
+], ids=["complement_40_3_11", "lower_33_2_21"])
+def test_large_walks_are_built_and_solved_holding_their_matrix_once(build, solve, want, bound):
+    # the CSR matrix takes 6.3 and 5.7 MiB; a scaled, symmetrised or
+    # difference copy of it, or int64 sub-face positions, would pass the bound
+    tracemalloc.start()
+    try:
+        rep = solve(build())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "iterative"
+    assert (rep.lambda_bip if rep.lambda_bip is not None else rep.lambda2) == \
+        pytest.approx(want, abs=1e-9)
+    assert peak < bound * 2**20
+
+
+def _asymmetric_walks():
+    """A reversible 402 x 402 joint, past the dense limit, and two copies that
+    break detailed balance: one by an entry's value, one by a 3-cycle of
+    entries whose transposes are not stored, so that every row stores as many
+    entries as its transpose."""
+    import scipy.sparse as sp
+    j = sp.block_diag([np.array([[0.1, 0.4], [0.4, 0.1]]) / 201] * 201, format="csr")
+    value = j.tolil()
+    value[300, 301] += 1e-7
+    pattern = j.tolil()
+    for r, c in ((7, 250), (250, 300), (300, 7)):
+        pattern[r, c] = 1e-7
+    return j, value.tocsr(), pattern.tocsr()
+
+
+@pytest.mark.parametrize("entries", [None, 8])
+def test_lanczos_symmetry_check_sees_every_entry(monkeypatch, entries):
+    # the solves take the joint and the operator of each; the check runs in
+    # row blocks, one block or blocks of a few rows
+    import hdxlab.walks as walks
+    if entries is not None:
+        monkeypatch.setattr(walks, "_GATHER_ENTRIES", entries)
+    ok, *bad = _asymmetric_walks()
+    for j in (ok, *bad):
+        pi = np.asarray(j.sum(axis=1)).ravel()
+        faces = np.arange(j.shape[0])[:, None]
+        op = MarkovOperator(faces, pi, faces, pi, _diag_scale(j, 1.0 / pi))
+        if j is ok:  # 201 components of [[0.2, 0.8], [0.8, 0.2]]: lambda2 = 1
+            for rep in (square_lambda(j, pi), square_spectrum(op)):
+                assert rep.method == "iterative"
+                assert rep.lambda_min == pytest.approx(-0.6, abs=1e-12)
+            continue
+        with pytest.raises(NotReversible, match="not symmetric"):
+            square_lambda(j, pi)
+        with pytest.raises(NotReversible, match="not symmetric"):
+            square_spectrum(op)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())

@@ -320,6 +320,36 @@ def test_position_subsets_match_combinations(m):
             assert list(zip(*([tuple(r) for r in g] for g in got))) == want
 
 
+def test_position_subsets_are_cached_and_read_only():
+    # one build per argument tuple: a second call returns the same arrays,
+    # which no caller can change
+    got = position_subsets(9, 3, 3)
+    assert position_subsets(9, 3, 3) is got
+    want = [(x, y, tuple(j for j in range(9) if j not in x + y))
+            for x in itertools.combinations(range(9), 3)
+            for y in itertools.combinations([j for j in range(9) if j not in x], 3)]
+    assert list(zip(*([tuple(r) for r in g] for g in got))) == want
+    for arr in (*got, *position_subsets(5, 2)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_sub_faces_in_blocks_are_int32_and_equal_to_one_gather(monkeypatch, complete):
+    # blocks of a few patterns, of one pattern, and of every pattern rank the
+    # same positions as the per-pattern loop, as int32
+    import hdxlab.complexes as complexes
+    c = complete_complex(9, 4) if complete else random_weighted_complex(8, 9, 4)
+    upper, lev = c.level(4), c.level(1)
+    pattern = position_subsets(5, 2)[0]
+    want = np.array([lev.index_rows(upper.faces[:, list(p)]) for p in pattern])
+    for entries in (1, 2 * len(upper.faces) * 3, complexes._GATHER_ENTRIES):
+        monkeypatch.setattr(complexes, "_GATHER_ENTRIES", entries)
+        got = lev.sub_faces(upper.faces, pattern)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
 def test_empty_subsets_rank_the_empty_face():
     c = random_weighted_complex(3, 7, 3)
     empty = c.level(-1)

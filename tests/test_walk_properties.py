@@ -22,6 +22,7 @@ from hdxlab.spectra import bipartite_lambda, bipartite_norm, square_lambda, squa
 from hdxlab.walks import (
     MarkovOperator,
     WeightedGraph,
+    _asymmetry,
     _diag_scale,
     _marginal,
     colored_walk,
@@ -163,6 +164,76 @@ def test_lanczos_keeps_a_negative_lambda2(monkeypatch):
     assert rep.method == "iterative"
     assert rep.lambda2 == pytest.approx(-1 / 11, abs=1e-12)
     assert rep.lambda_min == pytest.approx(-1 / 11, abs=1e-12)
+
+
+# -- canonical sparse storage ------------------------------------------------------------
+
+
+def _canonical(mat) -> bool:
+    """CSR with ascending columns in every row and no repeated cell, read off
+    its arrays, not off scipy's cached flag."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    cells = rows * mat.shape[1] + mat.indices
+    return mat.format == "csr" and bool(np.all(np.diff(cells) > 0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
+def test_walk_constructors_store_canonical_csr(seed, n, d):
+    # every operator stored sparse (no side is at most 0), its reverse, a
+    # colored walk and the underlying graph; a composed operator took the
+    # sparse product's unsorted rows before
+    c = random_weighted_complex(seed, n, d)
+    p = random_partite_complex(seed % 2**31, [2, 3, 2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "DENSE_EIG_LIMIT", 0)
+        ops = [*_walks(c), ("colored", colored_walk(p, [0], [1, 2]))]
+        mats = ([(name, op.matrix) for name, op in ops]
+                + [(f"{name} reversed", op.reverse().matrix) for name, op in ops]
+                + [("graph", underlying_graph(c).joint)])
+    sparse = [(name, mat) for name, mat in mats if sp.issparse(mat)]
+    # containment to the empty face, and its reverse, are dense
+    assert len(sparse) == len(mats) - 2 * (d + 1)
+    for name, mat in sparse:
+        assert _canonical(mat), name
+
+
+def test_lower_walk_past_the_dense_limit_is_canonical():
+    op = lower_walk(complete_complex(16, 2), 2, 1)
+    assert sp.issparse(op.matrix) and _canonical(op.matrix)
+    assert op.matrix.has_canonical_format
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), canonical=st.booleans(),
+       entries=st.sampled_from([1, 8, 1 << 18]))
+def test_asymmetry_matches_the_dense_difference(seed, m, canonical, entries):
+    # a square sparse matrix with few distinct values, so that equal values
+    # may sit in cells that do not mirror each other, scaled by rows; stored
+    # canonical, or with unsorted and repeated entries; one row block, or
+    # blocks of a few entries
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 2 * m * m + 1))
+    r, c = rng.integers(0, m, size=(2, k))
+    vals = rng.choice([0.25, 0.5, 1.0], size=k)
+    if canonical:
+        mat = sp.csr_matrix((vals, (r, c)), shape=(m, m))
+    else:
+        order = np.argsort(r, kind="stable")
+        mat = sp.csr_matrix((vals[order], c[order], np.searchsorted(r[order], np.arange(m + 1))),
+                            shape=(m, m))
+    rows = rng.choice([0.5, 1.0, 2.0], size=m)
+    j = rows[:, None] * mat.toarray()
+    want = float(np.max(np.abs(j - j.T)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "_GATHER_ENTRIES", entries)
+        got = _asymmetry(mat, rows)
+    assert got == want if canonical else abs(got - want) <= 1e-15
+    assert _asymmetry(mat.toarray(), rows) == want
+
+
+def test_asymmetry_of_a_cycle_of_equal_entries():
+    # every row stores one entry, as does its transpose, in a different cell
+    cycle = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
+    assert _asymmetry(cycle, np.ones(3)) == 1.0
 
 
 # -- one arithmetic for both storages ---------------------------------------------------
