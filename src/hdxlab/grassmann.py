@@ -40,7 +40,7 @@ from .errors import (
 )
 from .complexes import _lookup_rows, size_cap_multiplier
 from .stav import AvTable, STSTable, StavInstance, VasaTable
-from .walks import MarkovOperator, _from_joint, _joint
+from .walks import MarkovOperator, _from_joint, _joint, _walk_joint
 
 MAX_Q = 9
 _BASE_POINTS = 1_100_000
@@ -479,7 +479,8 @@ def _uniform_operator(left: np.ndarray, right: np.ndarray) -> MarkovOperator:
     vals = np.full(len(left), 1.0 / len(left))
     return _from_joint(live_l[:, None], np.bincount(r, weights=vals),
                        live_r[:, None], np.bincount(c, weights=vals),
-                       _joint(r, c, vals, (len(live_l), len(live_r))))
+                       _walk_joint((len(live_l), len(live_r)), 1, len(left),
+                                   lambda lo, hi: (r, c, vals)))
 
 
 def grassmann_containment_walk(p: GrassmannPoset, k: int, l: int) -> MarkovOperator:

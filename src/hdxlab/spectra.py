@@ -5,7 +5,9 @@ with stationary measure pi becomes D^{1/2} P D^{-1/2}, which is symmetric, and
 bipartite operators become J / sqrt(pi_L x pi_R) whose second singular value
 is the bipartite expansion.  An operator whose shape ``walks._solves_dense``
 admits gets its whole spectrum from one dense solve; a larger one only its
-extremal eigenvalues from Lanczos: lambda_min of the operator M, lambda2 of M
+extremal eigenvalues from Lanczos, whichever storage ``walks._stores_dense``
+gave it (a near-full walk past the limit is held dense, and Lanczos runs on
+that dense matrix): lambda_min of the operator M, lambda2 of M
 with its constant eigenvector moved from 1 to -1 (so a negative lambda2
 survives), and lambda_bip^2 of D^T D, D the bipartite operator without its
 top singular pair.  The report carries the iteration residual; a residual
@@ -15,8 +17,9 @@ above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
 ``square_spectrum`` and ``bipartite_norm`` pass: the stored matrix with a row
 scale of ones or of the source measure.  Lanczos applies the row scale and
 D^{+-1/2} as vector scalings around the stored matrix, and the symmetry check
-compares it with one transposed copy in row blocks (``walks._asymmetry``), so
-no scaled, symmetrised or difference copy of a large walk is formed.
+compares it with its transpose in row blocks (``walks._asymmetry``), so no
+scaled, symmetrised or difference copy of a large walk is formed; the
+fixed-union bound applies the difference of its two walks the same way.
 Dense and CSR operators go through the same arithmetic, the scalings,
 marginals and densification of ``walks``, so no solver asks which it holds.
 
@@ -677,18 +680,26 @@ def verify_fixed_union_bound(c: Complex, l: int, j: int) -> BoundCheck:
     The norm is the largest |eigenvalue| of the symmetrised difference, whose
     spectrum lies in [-2, 1] (a walk minus a positive semidefinite one);
     where ``_solves_dense`` does not admit it, it is read from Lanczos on half
-    the operator.
+    the operator, applied through the two stored matrices and their
+    transposes with the measure scalings on vectors, as ``square_lambda``
+    does.
     """
     a = fixed_union_walk(c, l, j)
     low = lower_walk(c, l, l - j)
     pi = a.source_measure
-    diff = _sym_square(a.joint(), pi) - _sym_square(low.joint(), pi)
-    if _solves_dense(diff.shape):
-        diff = _dense(diff)
+    if _solves_dense(a.shape):
+        diff = _dense(_sym_square(a.joint(), pi) - _sym_square(low.joint(), pi))
         lhs = float(np.max(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0))))
     else:
-        half = (diff + diff.T) / 4.0
-        ends = [_lanczos(lambda x: half @ x, len(pi), which) for which in ("LA", "SA")]
+        s = 1.0 / np.sqrt(pi)
+        left = pi * s
+
+        def half(x):  # (M + M^T) x / 4, M = D^{-1/2} diag(pi) (A - L) D^{-1/2}
+            y, z = s * x, left * x
+            return (left * (a.matrix @ y - low.matrix @ y)
+                    + s * (a.matrix.T @ z - low.matrix.T @ z)) / 4.0
+
+        ends = [_lanczos(half, len(pi), which) for which in ("LA", "SA")]
         _check_converged(max(r for _, _, r in ends))
         lhs = 2.0 * max(abs(val) for val, _, _ in ends)
     lam = link_expansion(c, two_sided=True).value

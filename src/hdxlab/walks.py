@@ -3,20 +3,25 @@
 Every operator pairs a transition matrix with the stationary measures of its
 source and target levels; the joint distribution source(u) * P(u, v) is what
 the spectra module symmetrizes.  Each walk is written down as its joint over
-the two levels, a CSR matrix built from (row, column, mass) entries by
-``_joint``, and turned into an operator by one constructor, ``_from_joint``
-(P = diag(1/source) J), which scales that fresh joint in place, so a walk
-past the dense limit is held once while it is built.  Every sparse matrix a
-constructor returns, products of ``MarkovOperator.compose`` included, is
-canonical CSR: sorted columns in each row, no repeated cell.
-``_containment_joint`` builds the joint of "s by level measure, then an
-l-face inside s", which is also the (S, T) main distribution of the
-agreement tests.  One predicate, ``_solves_dense``, decides both storage and
-solver: operators it admits are stored dense and solved dense by the spectra
-module, larger ones stay CSR.  ``_diag_scale``, ``_marginal``, ``_dense``
-and ``_asymmetry`` (the detailed-balance residual, checked block by block
-against one transposed copy) take either storage, so no other code asks
-which one it holds.
+the two levels by one builder, ``_walk_joint``, from (row, column, mass)
+entries handed over one sub-face pattern block at a time, and turned into an
+operator by one constructor, ``_from_joint`` (P = diag(1/source) J), which
+scales that fresh joint in place, so a walk is held once while it is built.
+One storage rule, ``_stores_dense(shape, entries)``, chosen before the build:
+a matrix whose shape ``_solves_dense`` admits, or whose dense array takes no
+more bytes than its CSR (8 a cell against 12 an entry), is stored dense and
+filled block by block in entry order; any other is canonical CSR from
+``_joint``.  So a near-full walk past the dense limit is held dense, and
+still solved by Lanczos in the spectra module, which reads ``_solves_dense``
+alone.  Every sparse matrix a constructor returns, products of
+``MarkovOperator.compose`` included, is canonical CSR: sorted columns in
+each row, no repeated cell.  ``_containment_joint`` builds the joint of "s
+by level measure, then an l-face inside s", which is also the (S, T) main
+distribution of the agreement tests, always as CSR.  ``_diag_scale``,
+``_marginal``, ``_dense`` and ``_asymmetry`` (the detailed-balance residual)
+take either storage, so no other code asks which one it holds; the dense
+marginals and residual run in row blocks, so a large dense walk gets no
+full-size copy.
 """
 
 from __future__ import annotations
@@ -37,15 +42,23 @@ from .errors import (
     OverlappingColors,
 )
 
-# no side above this: stored dense, solved dense (the measured crossover)
+# no side above this: solved dense (the measured crossover), and stored dense
 DENSE_EIG_LIMIT = 400
 ROW_TOL = 1e-10
 
 
 def _solves_dense(shape) -> bool:
-    """Whether a matrix of this shape is stored and solved dense: no side above
+    """Whether a matrix of this shape is solved dense: no side above
     ``DENSE_EIG_LIMIT``."""
     return max(shape) <= DENSE_EIG_LIMIT
+
+
+def _stores_dense(shape, entries: int) -> bool:
+    """Whether a matrix of this shape with this many stored entries is held
+    dense: where ``_solves_dense`` admits its shape, or where the dense array
+    (8 bytes a cell) takes no more bytes than the CSR (12 bytes an entry), so
+    that a stored matrix never grows."""
+    return _solves_dense(shape) or 8 * int(shape[0]) * int(shape[1]) <= 12 * int(entries)
 
 
 def _joint(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -54,17 +67,49 @@ def _joint(rows, cols, vals, shape) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsr()
 
 
+def _walk_joint(shape, blocks: int, size: int, entries):
+    """The joint of a walk from ``blocks`` blocks of ``size`` (row, column,
+    mass) entries each, ``entries(lo, hi)`` giving those of blocks lo to hi-1
+    in order; repeated cells add up.  Stored as ``_stores_dense`` says: a
+    zeroed array that each block in turn is added into by flat cell id, in
+    entry order, so that only one block's entries are held beside it, or the
+    CSR of all the entries from ``_joint``.  No entry at all raises
+    ``EmptyWalk``."""
+    if blocks * size == 0:
+        raise EmptyWalk("no face joins the source and target levels")
+    if not _stores_dense(shape, blocks * size):
+        return _joint(*entries(0, blocks), shape)
+    out = np.zeros(shape)
+    for lo in range(blocks):
+        rows, cols, vals = entries(lo, lo + 1)
+        cells = rows.astype(np.intp)
+        cells *= shape[1]
+        cells += cols
+        np.add.at(out.reshape(-1), cells, vals)
+    return out
+
+
 def _dense(mat) -> np.ndarray:
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
 def _maybe_dense(mat):
-    return _dense(mat) if _solves_dense(mat.shape) else mat
+    """A sparse matrix densified where ``_stores_dense`` admits it; a dense
+    one as it is."""
+    if sp.issparse(mat) and not _stores_dense(mat.shape, mat.nnz):
+        return mat
+    return _dense(mat)
 
 
-def _scale_csr(mat: sp.csr_matrix, rows=None, cols=None) -> sp.csr_matrix:
-    """``_diag_scale`` of a CSR matrix in place: its data times rows[i], then
-    times cols[j], with zero results dropped."""
+def _scale_in_place(mat, rows=None, cols=None):
+    """``_diag_scale`` of a dense array or a CSR matrix in place: each entry
+    times rows[i], then times cols[j]; a CSR matrix drops zero results."""
+    if not sp.issparse(mat):
+        if rows is not None:
+            mat *= rows[:, None]
+        if cols is not None:
+            mat *= cols
+        return mat
     if rows is not None:
         mat.data *= np.repeat(rows, np.diff(mat.indptr))
     if cols is not None:
@@ -74,30 +119,41 @@ def _scale_csr(mat: sp.csr_matrix, rows=None, cols=None) -> sp.csr_matrix:
 
 
 def _diag_scale(mat, rows=None, cols=None):
-    """diag(rows) @ mat @ diag(cols): entry (i, j) times rows[i], then times
-    cols[j].  A dense matrix is scaled by broadcasting; a sparse one by a pass
-    over a CSR copy's data, the sparse products' values bit for bit, with zero
-    results dropped, as the products drop them."""
+    """diag(rows) @ mat @ diag(cols) as a copy: entry (i, j) times rows[i],
+    then times cols[j].  A dense matrix is scaled by broadcasting; a sparse
+    one by a pass over a CSR copy's data, the sparse products' values bit for
+    bit, with zero results dropped, as the products drop them."""
     if not sp.issparse(mat):
-        out = np.asarray(mat, dtype=float)
-        if rows is not None:
-            out = out * rows[:, None]
-        return out if cols is None else out * cols
-    return _scale_csr(sp.csr_matrix(mat, dtype=float, copy=True), rows, cols)
+        return _scale_in_place(np.array(mat, dtype=float), rows, cols)
+    return _scale_in_place(sp.csr_matrix(mat, dtype=float, copy=True), rows, cols)
+
+
+def _row_blocks(shape):
+    """(lo, hi) row ranges of a dense matrix of this shape, each of about
+    ``_GATHER_ENTRIES`` cells, or of one row where that alone is more."""
+    step = max(1, _GATHER_ENTRIES // max(1, int(shape[1])))
+    return [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
 
 
 def _asymmetry(mat, rows) -> float:
     """max |J[i, j] - J[j, i]| of the square J = diag(rows) @ mat over every
-    entry that J stores, without forming J or J - J^T.  A sparse matrix is
-    compared with one transposed copy, row block by row block, each block of
-    about ``_GATHER_ENTRIES / 4`` stored entries, so that its values, scales
-    and gathered positions stay within ``_GATHER_ENTRIES`` numbers: where a
-    block of a canonical matrix stores the same cells as the transpose, entry
-    by entry; elsewhere cell by cell, repeated entries added up and a cell
-    stored on one side only compared with 0."""
+    entry that J stores, without forming J or J - J^T.  A dense matrix is
+    compared row block by row block (``_row_blocks``) with the matching
+    column block.  A sparse matrix is compared with one transposed copy, row
+    block by row block, each block of about ``_GATHER_ENTRIES / 4`` stored
+    entries, so that its values, scales and gathered positions stay within
+    ``_GATHER_ENTRIES`` numbers: where a block of a canonical matrix stores
+    the same cells as the transpose, entry by entry; elsewhere cell by cell,
+    repeated entries added up and a cell stored on one side only compared
+    with 0."""
     if not sp.issparse(mat):
-        j = _diag_scale(mat, rows)
-        return float(np.abs(j - j.T).max(initial=0.0))
+        mat = np.asarray(mat, dtype=float)
+        worst = 0.0
+        for lo, hi in _row_blocks(mat.shape):
+            gap = mat[lo:hi] * rows[lo:hi, None]  # J[i, j]
+            gap -= (mat[:, lo:hi] * rows[:, None]).T  # J[j, i]
+            worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
+        return worst
     mat = sp.csr_matrix(mat)
     tr = mat.T.tocsr()
     n = mat.shape[1]
@@ -130,14 +186,26 @@ def _asymmetry(mat, rows) -> float:
 def _marginal(joint, axis: int) -> np.ndarray:
     """Row (axis 1) or column (axis 0) sums, each added entry after entry
     along the other axis: a dense matrix and its canonical CSR copy give the
-    same bits, since the zeros the CSR skips add nothing."""
+    same bits, since the zeros the CSR skips add nothing.  A dense matrix is
+    summed in row blocks (``_row_blocks``), each column sum carried from one
+    block into the next."""
     if sp.issparse(joint):
         ones = np.ones(joint.shape[axis])
         return joint @ ones if axis == 1 else ones @ joint
     joint = np.asarray(joint, dtype=float)
-    if joint.shape[axis] == 0:
+    if joint.size == 0:
         return np.zeros(joint.shape[1 - axis])
-    return np.cumsum(joint, axis=axis).take(-1, axis=axis)
+    sums, carry = [], None
+    for lo, hi in _row_blocks(joint.shape):
+        block = joint[lo:hi]
+        if axis == 1:
+            sums.append(np.cumsum(block, axis=1).take(-1, axis=1))
+            continue
+        if carry is not None:
+            block = block.copy()
+            block[0] += carry
+        carry = np.cumsum(block, axis=0).take(-1, axis=0)
+    return np.concatenate(sums) if axis == 1 else carry
 
 
 @dataclass
@@ -270,52 +338,67 @@ def _check_level(c: Complex, k: int, hi: int | None = None):
 
 
 def _from_joint(src_faces, src_meas, tgt_faces, tgt_meas, joint) -> MarkovOperator:
-    """Operator P = diag(1/src_meas) J of the sparse joint J, a matrix of the
-    caller's own making: a CSR joint is scaled in place and becomes P."""
-    if joint.nnz == 0:
-        raise EmptyWalk("no face joins the source and target levels")
+    """Operator P = diag(1/src_meas) J of the joint J, a dense array or CSR
+    matrix of the caller's own making, scaled in place into P; a CSR one is
+    densified where ``_stores_dense`` admits it."""
     return MarkovOperator(src_faces, src_meas, tgt_faces, tgt_meas,
-                          _maybe_dense(_scale_csr(joint.tocsr(), 1.0 / src_meas)))
+                          _maybe_dense(_scale_in_place(joint, 1.0 / src_meas)))
+
+
+def _containment_entries(c: Complex, k: int, l: int, up: bool = False):
+    """The entries of the joint of X(k) and X(l), a k-face s by level measure,
+    then one of its l-faces uniformly: J[s, t] = measure(s) / C(k+1, l+1) for
+    t in s, one block per l-subset pattern of a k-face, as (blocks, size,
+    entries) for ``_walk_joint``; with ``up``, of its transpose."""
+    src, tgt = c.level(k), c.level(l)
+    pattern = position_subsets(k + 1, l + 1)[0]
+    mass = src.measure / len(pattern)
+
+    def entries(lo, hi):
+        rows = np.tile(np.arange(src.size), hi - lo)
+        cols = tgt.sub_faces(src.faces, pattern[lo:hi]).ravel()
+        vals = np.tile(mass, hi - lo)
+        return (cols, rows, vals) if up else (rows, cols, vals)
+    return len(pattern), src.size, entries
 
 
 def _containment_joint(c: Complex, k: int, l: int) -> sp.csr_matrix:
-    """Joint of X(k) and X(l): a k-face s by level measure, then one of its
-    l-faces uniformly, so J[s, t] = measure(s) / C(k+1, l+1) for t in s."""
-    src = c.level(k)
-    tgt = c.level(l)
-    cols = tgt.sub_faces(src.faces, position_subsets(k + 1, l + 1)[0])
-    return _joint(np.tile(np.arange(src.size), len(cols)), cols.ravel(),
-                  np.tile(src.measure / len(cols), len(cols)), (src.size, tgt.size))
+    """Joint of X(k) and X(l) (``_containment_entries``), always CSR."""
+    blocks, _, entries = _containment_entries(c, k, l)
+    return _joint(*entries(0, blocks), (c.level(k).size, c.level(l).size))
+
+
+def _containment_walk(c: Complex, k: int, l: int, up: bool = False) -> MarkovOperator:
+    """Walk X(k) -> X(l) of the containment joint, or with ``up`` its reverse
+    X(l) -> X(k)."""
+    src, tgt = (c.level(l), c.level(k)) if up else (c.level(k), c.level(l))
+    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
+                       _walk_joint((src.size, tgt.size), *_containment_entries(c, k, l, up)))
 
 
 def up_operator(c: Complex, k: int) -> MarkovOperator:
     """Walk one level up; P(t -> s) = measure(s) / ((k+2) measure(t))."""
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"up operator needs 0 <= k <= d-1, got {k}")
-    src, tgt = c.level(k), c.level(k + 1)
-    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       _containment_joint(c, k + 1, k).T)
+    return _containment_walk(c, k + 1, k, up=True)
 
 
 def down_operator(c: Complex, k: int) -> MarkovOperator:
     """Walk one level down; uniform over the k+2 facets."""
     if not 0 <= k <= c.d - 1:
         raise LevelOutOfRange(f"down operator needs 0 <= k <= d-1, got {k}")
-    src, tgt = c.level(k + 1), c.level(k)
-    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       _containment_joint(c, k + 1, k))
+    return _containment_walk(c, k + 1, k)
 
 
 def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
     """Multi-level down walk X(k) -> X(l); uniform over contained l-faces."""
     if not (-1 <= l < k <= c.d):
         raise LevelOutOfRange(f"containment needs -1 <= l < k <= d, got k={k}, l={l}")
-    src, tgt = c.level(k), c.level(l)
     if l == -1:
+        src, tgt = c.level(k), c.level(l)
         return MarkovOperator(src.faces, src.measure, tgt.faces, tgt.measure,
                               np.ones((src.size, 1)))
-    return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       _containment_joint(c, k, l))
+    return _containment_walk(c, k, l)
 
 
 def lower_walk(c: Complex, k: int, l: int) -> MarkovOperator:
@@ -336,12 +419,13 @@ def complement_walk(c: Complex, l1: int, l2: int) -> MarkovOperator:
     src = c.level(l1)
     tgt = c.level(l2)
     keep, rest = position_subsets(u_level + 1, l1 + 1)
-    split = 1.0 / len(keep)
+    mass = union.measure * (1.0 / len(keep))
+
+    def entries(lo, hi):
+        return (src.sub_faces(union.faces, keep[lo:hi]).ravel(),
+                tgt.sub_faces(union.faces, rest[lo:hi]).ravel(), np.tile(mass, hi - lo))
     return _from_joint(src.faces, src.measure, tgt.faces, tgt.measure,
-                       _joint(src.sub_faces(union.faces, keep).ravel(),
-                              tgt.sub_faces(union.faces, rest).ravel(),
-                              np.tile(union.measure * split, len(keep)),
-                              (src.size, tgt.size)))
+                       _walk_joint((src.size, tgt.size), len(keep), union.size, entries))
 
 
 def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
@@ -360,7 +444,8 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
     s_idx = lev_i.index_rows(lev_u.faces[in_i].reshape(lev_u.size, len(I)))
     t_idx = lev_j.index_rows(lev_u.faces[~in_i].reshape(lev_u.size, len(J)))
     return _from_joint(lev_i.faces, lev_i.measure, lev_j.faces, lev_j.measure,
-                       _joint(s_idx, t_idx, lev_u.measure, (lev_i.size, lev_j.size)))
+                       _walk_joint((lev_i.size, lev_j.size), 1, lev_u.size,
+                                   lambda lo, hi: (s_idx, t_idx, lev_u.measure)))
 
 
 def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
@@ -379,9 +464,12 @@ def fixed_union_walk(c: Complex, l: int, j: int) -> MarkovOperator:
     # (l+1)-subsets that together cover the union
     member = np.eye(l + j + 1, dtype=bool)[keep].any(axis=1)
     t1, t2 = np.nonzero((member[:, None] | member[None]).all(axis=2))
+    mass = union.measure * norm
+
+    def entries(lo, hi):
+        return sub[t1[lo:hi]].ravel(), sub[t2[lo:hi]].ravel(), np.tile(mass, hi - lo)
     return _from_joint(lev.faces, lev.measure, lev.faces, lev.measure,
-                       _joint(sub[t1].ravel(), sub[t2].ravel(),
-                              np.tile(union.measure * norm, len(t1)), (lev.size, lev.size)))
+                       _walk_joint((lev.size, lev.size), len(t1), union.size, entries))
 
 
 def nonlazy_upper_walk(c: Complex, l: int) -> MarkovOperator:
@@ -413,6 +501,9 @@ def underlying_graph(c: Complex) -> WeightedGraph:
     verts = c.level(0)
     edges = c.level(1)
     ends = verts.sub_faces(edges.faces, position_subsets(2, 1)[0])
-    joint = _joint(ends.ravel(), ends[::-1].ravel(), np.tile(edges.measure / 2.0, 2),
-                   (verts.size, verts.size))
-    return WeightedGraph(verts.faces, _maybe_dense(joint))
+    mass = edges.measure / 2.0
+
+    def entries(lo, hi):  # each edge both ways
+        return ends[lo:hi].ravel(), ends[::-1][lo:hi].ravel(), np.tile(mass, hi - lo)
+    return WeightedGraph(verts.faces, _walk_joint((verts.size, verts.size), 2, edges.size,
+                                                  entries))

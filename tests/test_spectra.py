@@ -652,14 +652,21 @@ def test_lanczos_values_outside_the_unit_interval_raise():
 
 
 @pytest.mark.parametrize("build,solve,want,bound", [
-    # 780 x 780, 548k entries: the Kneser value of 2-sets of [40], 1/19
-    (lambda: complement_walk(complete_complex(40, 3), 1, 1), bipartite_norm, 1 / 19, 18),
+    # 780 x 780, 548k entries (90 % full): the Kneser value of 2-sets of
+    # [40], 1/19
+    (lambda: complement_walk(complete_complex(40, 3), 1, 1), bipartite_norm, 1 / 19, 15),
+    # 33 x 5456, 164k entries (91 % full): the Kneser value of 1-sets and
+    # 3-sets of [33], sqrt(5) / 40
+    (lambda: complement_walk(complete_complex(33, 3), 0, 2), bipartite_norm,
+     math.sqrt(5) / 40, 6),
     # 5456 x 5456, 496k entries: the Johnson value of 3-sets of [33], 20/31
     (lambda: lower_walk(complete_complex(33, 2), 2, 1), square_spectrum, 20 / 31, 14),
-], ids=["complement_40_3_11", "lower_33_2_21"])
+], ids=["complement_40_3_11", "complement_33_3_02", "lower_33_2_21"])
 def test_large_walks_are_built_and_solved_holding_their_matrix_once(build, solve, want, bound):
-    # the CSR matrix takes 6.3 and 5.7 MiB; a scaled, symmetrised or
-    # difference copy of it, or int64 sub-face positions, would pass the bound
+    # the two complement walks are stored dense (4.6 and 1.4 MiB), the lower
+    # walk as CSR (5.7 MiB); a CSR build of a near-full walk, a scaled,
+    # symmetrised or difference copy, a full-size marginal or residual
+    # temporary, or int64 sub-face positions, would pass the bound
     tracemalloc.start()
     try:
         rep = solve(build())
@@ -670,6 +677,25 @@ def test_large_walks_are_built_and_solved_holding_their_matrix_once(build, solve
     assert (rep.lambda_bip if rep.lambda_bip is not None else rep.lambda2) == \
         pytest.approx(want, abs=1e-9)
     assert peak < bound * 2**20
+
+
+def test_fixed_union_bound_past_the_dense_limit_holds_each_walk_once():
+    # complete(24,3), l=2, j=1: two 2024 x 2024 CSR walks of about 1.5 MiB
+    # each; forming the symmetrised square of both joints, their difference
+    # and its symmetrised copy peaked at 10.4 MiB.  The link spectra are
+    # solved first, outside the trace.
+    c = complete_complex(24, 3)
+    link_expansion(c, two_sided=True)
+    tracemalloc.start()
+    try:
+        chk = verify_fixed_union_bound(c, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.passed
+    # the difference's norm on complete(24,3) is 1/21
+    assert chk.lhs == pytest.approx(1 / 21, abs=1e-9)
+    assert peak < 5 * 2**20
 
 
 def _asymmetric_walks():

@@ -19,15 +19,22 @@ are kept as the oracle of ``_diag_scale``, which must give the same entries
 bit for bit.  ``MarkovOperator.triplets`` looped over every cell of a dense
 matrix; that loop is the oracle of its rows and their order, for either
 storage.
+Every walk constructor built one CSR joint of all its entries, scaled it and
+densified it where the shape alone admitted it; that CSR-first build is the
+oracle of the one walk builder, which chooses the storage by fill first: the
+stored matrices must be equal bit for bit, at the dense limit and with every
+shape past it, and each stored as ``walks._stores_dense`` says.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+import hdxlab.walks as walks
 from hdxlab.complexes import (
     Complex,
     _encode_rows,
@@ -36,7 +43,7 @@ from hdxlab.complexes import (
     complete_complex,
     position_subsets,
 )
-from hdxlab.errors import NotAFace
+from hdxlab.errors import EmptyWalk, NotAFace
 from hdxlab.spectra import _batched_link_spectra, square_lambda
 from hdxlab.walks import (
     MarkovOperator,
@@ -44,6 +51,7 @@ from hdxlab.walks import (
     _diag_scale,
     _from_joint,
     _joint,
+    colored_walk,
     complement_walk,
     containment_operator,
     down_operator,
@@ -400,6 +408,129 @@ def test_missing_sub_face_raises():
         c.level(1).sub_faces(np.array([absent]), position_subsets(2, 2)[0])
 
 
+# -- the CSR-first build ------------------------------------------------------------------
+
+
+def csr_first_joints(c: Complex):
+    """(name, walk, joint, source measure) of every walk a constructor builds
+    from entries, with the joint as every constructor built it before its
+    storage was chosen by fill: one canonical CSR matrix of all the entries
+    from ``_joint``.  The source measure is None for the underlying graph,
+    whose joint is not scaled."""
+    d = c.d
+
+    def containment(k, l):
+        src, tgt = c.level(k), c.level(l)
+        cols = tgt.sub_faces(src.faces, position_subsets(k + 1, l + 1)[0])
+        return _joint(np.tile(np.arange(src.size), len(cols)), cols.ravel(),
+                      np.tile(src.measure / len(cols), len(cols)), (src.size, tgt.size))
+
+    for k in range(d):
+        joint = containment(k + 1, k)
+        yield f"up{k}", up_operator(c, k), joint.T.tocsr(), c.level(k).measure
+        yield f"down{k}", down_operator(c, k), joint, c.level(k + 1).measure
+    for l, k in itertools.combinations(range(d + 1), 2):
+        yield f"containment{k},{l}", containment_operator(c, k, l), containment(k, l), \
+            c.level(k).measure
+    for l1, l2 in itertools.product(range(d), repeat=2):
+        if l1 + l2 + 1 <= d:
+            union, src, tgt = c.level(l1 + l2 + 1), c.level(l1), c.level(l2)
+            keep, rest = position_subsets(l1 + l2 + 2, l1 + 1)
+            joint = _joint(src.sub_faces(union.faces, keep).ravel(),
+                           tgt.sub_faces(union.faces, rest).ravel(),
+                           np.tile(union.measure * (1.0 / len(keep)), len(keep)),
+                           (src.size, tgt.size))
+            yield f"complement{l1},{l2}", complement_walk(c, l1, l2), joint, src.measure
+    for l in range(d + 1):
+        for j in range(1, l + 2):
+            if l + j <= d:
+                union, lev = c.level(l + j), c.level(l)
+                norm = 1.0 / (math.comb(l + j + 1, l + 1) * math.comb(l + 1, j))
+                keep = position_subsets(l + j + 1, l + 1)[0]
+                sub = lev.sub_faces(union.faces, keep)
+                member = np.eye(l + j + 1, dtype=bool)[keep].any(axis=1)
+                t1, t2 = np.nonzero((member[:, None] | member[None]).all(axis=2))
+                joint = _joint(sub[t1].ravel(), sub[t2].ravel(),
+                               np.tile(union.measure * norm, len(t1)), (lev.size, lev.size))
+                yield f"fixed_union{l},{j}", fixed_union_walk(c, l, j), joint, lev.measure
+    if c.is_partite:
+        colors = sorted(set(np.asarray(c.coloring).tolist()))
+        for i, j in itertools.permutations(colors, 2):
+            lev_i, lev_j, lev_u = (c.colored_level(frozenset(x)) for x in ({i}, {j}, {i, j}))
+            in_i = np.asarray(c.coloring)[lev_u.faces] == i
+            joint = _joint(lev_i.index_rows(lev_u.faces[in_i].reshape(lev_u.size, 1)),
+                           lev_j.index_rows(lev_u.faces[~in_i].reshape(lev_u.size, 1)),
+                           lev_u.measure, (lev_i.size, lev_j.size))
+            yield f"colored{i},{j}", colored_walk(c, [i], [j]), joint, lev_i.measure
+    verts, edges = c.level(0), c.level(1)
+    ends = verts.sub_faces(edges.faces, position_subsets(2, 1)[0])
+    joint = _joint(ends.ravel(), ends[::-1].ravel(), np.tile(edges.measure / 2.0, 2),
+                   (verts.size, verts.size))
+    yield "graph", underlying_graph(c), joint, None
+
+
+def csr_first_matrix(joint, src_meas) -> np.ndarray:
+    """The stored matrix of the CSR-first build, densified: the CSR joint
+    scaled in place by 1/src_meas row by row, zero results dropped."""
+    mat = joint.copy()
+    if src_meas is not None:
+        mat.data *= np.repeat(1.0 / src_meas, np.diff(mat.indptr))
+        mat.eliminate_zeros()
+    return mat.toarray()
+
+
+def assert_builds_match_csr_first(c: Complex):
+    """Each walk's matrix equals the CSR-first build bit for bit, at the dense
+    limit and with every shape past it, and is stored as ``_stores_dense``
+    says for the joint's entries; a sparse one is canonical CSR."""
+    for limit in (walks.DENSE_EIG_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "DENSE_EIG_LIMIT", limit)
+            for name, walk, joint, src_meas in csr_first_joints(c):
+                mat = walk.joint if src_meas is None else walk.matrix
+                want = csr_first_matrix(joint, src_meas)
+                assert np.array_equal(_dense(mat).view(np.int64), want.view(np.int64)), \
+                    (name, limit)
+                dense = walks._stores_dense(joint.shape, joint.nnz)
+                assert isinstance(mat, np.ndarray) == dense, (name, limit)
+                if not dense:
+                    assert mat.format == "csr" and mat.has_canonical_format, (name, limit)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
+def test_random_weighted_walks_match_the_csr_first_build(seed, n, d):
+    assert_builds_match_csr_first(random_weighted_complex(seed, n, d))
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       sizes=st.lists(st.integers(1, 3), min_size=3, max_size=4))
+def test_random_partite_walks_match_the_csr_first_build(seed, sizes):
+    assert_builds_match_csr_first(random_partite_complex(seed, sizes))
+
+
+def test_large_walks_match_the_csr_first_build():
+    # complete(16,3): past the dense limit, the complement walks between X(0)
+    # and X(2), 81 % full, are stored dense; the containment walks and the
+    # fixed-union walk on X(2), at most 25 % full, CSR
+    assert_builds_match_csr_first(complete_complex(16, 3))
+
+
+def test_walk_joint_adds_repeated_cells_in_entry_order():
+    # one cell hit by 1e16, 1, -1e16, within one block and across three: in
+    # entry order the 1 is lost (1e16 + 1 == 1e16), in another order it
+    # would survive, and an assignment would keep one entry only
+    big = np.array([1e16, 1.0, -1e16])
+    for blocks, size in ((1, 3), (3, 1)):
+        def entries(lo, hi):
+            vals = big[lo * size:hi * size]
+            return np.zeros(len(vals), dtype=np.int32), np.ones(len(vals), dtype=np.int32), vals
+        out = walks._walk_joint((2, 2), blocks, size, entries)
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [[0.0, 0.0], [0.0, 0.0]], (blocks, size)
+        with pytest.raises(EmptyWalk):
+            walks._walk_joint((2, 2), 0, size, entries)
+
+
 def triplets_loop(op):
     """The dense double loop ``MarkovOperator.triplets`` ran on a dense matrix:
     every positive entry, row by row."""
@@ -429,9 +560,11 @@ def test_triplets_match_the_dense_loop(seed, n, d):
 
 
 def test_triplets_of_a_csr_walk_match_the_dense_loop():
-    op = complement_walk(complete_complex(30, 2), 0, 1)
+    # complete(30,2) X(1) -> X(0): 435 x 30 past the dense limit, 2 entries a
+    # row, so stored CSR
+    op = down_operator(complete_complex(30, 2), 0)
     assert sp.issparse(op.matrix)
-    _assert_triplets_match_loop(op, "complement_30_2")
+    _assert_triplets_match_loop(op, "down_30_2")
 
 
 def diag_scale_by_products(mat, rows=None, cols=None):

@@ -6,7 +6,7 @@ walk from a level to itself has a symmetric joint (detailed balance).  Its
 lambda2, lambda_min and lambda_bip from Lanczos (the dense limit patched
 low) match the dense solve.  A random joint stored dense and as CSR gives
 identical scalings, marginals, spectra and operator results, and each
-operator is stored as the dense-or-Lanczos predicate says.
+operator is stored as the storage predicate says.
 """
 
 import itertools
@@ -179,13 +179,13 @@ def _canonical(mat) -> bool:
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
 def test_walk_constructors_store_canonical_csr(seed, n, d):
-    # every operator stored sparse (no side is at most 0), its reverse, a
-    # colored walk and the underlying graph; a composed operator took the
-    # sparse product's unsorted rows before
+    # every operator stored sparse (the storage rule refuses every matrix),
+    # its reverse, a colored walk and the underlying graph; a composed
+    # operator took the sparse product's unsorted rows before
     c = random_weighted_complex(seed, n, d)
     p = random_partite_complex(seed % 2**31, [2, 3, 2])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walks, "DENSE_EIG_LIMIT", 0)
+        mp.setattr(walks, "_stores_dense", lambda shape, entries: False)
         ops = [*_walks(c), ("colored", colored_walk(p, [0], [1, 2]))]
         mats = ([(name, op.matrix) for name, op in ops]
                 + [(f"{name} reversed", op.reverse().matrix) for name, op in ops]
@@ -284,14 +284,52 @@ def test_dense_and_csr_storage_give_identical_results(seed, m, n, density):
         assert dense_op.detailed_balance_residual() == csr_op.detailed_balance_residual()
 
 
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 12), n=st.integers(0, 12))
+def test_dense_marginals_in_row_blocks_match_one_pass(seed, m, n):
+    # row and column sums of a dense matrix with entries of many magnitudes,
+    # in row blocks of one row, of a few rows or of all of them: one cumsum
+    # over the whole matrix and the canonical CSR copy's sums give the same
+    # bits
+    rng = np.random.default_rng(seed)
+    j = rng.random((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n)) * (rng.random((m, n)) < 0.6)
+    want = [np.cumsum(j, axis=axis).take(-1, axis=axis) if j.shape[axis]
+            else np.zeros(j.shape[1 - axis]) for axis in (0, 1)]
+    for entries in (1, 8, 24, 1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "_GATHER_ENTRIES", entries)
+            for axis in (0, 1):
+                got = _marginal(j, axis)
+                assert np.array_equal(got, want[axis]), (entries, axis)
+                assert np.array_equal(got, _marginal(sp.csr_matrix(j), axis)), (entries, axis)
+
+
 def test_operators_are_stored_as_the_predicate_says(monkeypatch):
-    # 9 x 9 and 30 x 435 complement walks, at the limit of 400 and patched
+    # complete(30,2): X(0) -> X(1) is 30 x 435 and 93 % full, stored dense past
+    # the limit of 400; X(1) -> X(0) is 435 x 30 with 2 entries a row, CSR.
+    # complete(9,5): X(1) -> X(0) is 36 x 9, dense within the limit and CSR
+    # under a limit of 8, where the 9 x 9 complement walk and underlying
+    # graph, 89 % full, stay dense
     small, large = complete_complex(9, 5), complete_complex(30, 2)
-    assert isinstance(complement_walk(small, 0, 0).matrix, np.ndarray)
-    assert sp.issparse(complement_walk(large, 0, 1).matrix)
-    assert isinstance(underlying_graph(small).joint, np.ndarray)
+    full, thin = complement_walk(large, 0, 1), down_operator(large, 0)
+    assert not walks._solves_dense(full.shape) and not walks._solves_dense(thin.shape)
+    assert walks._stores_dense(full.shape, 30 * 406)
+    assert not walks._stores_dense(thin.shape, 2 * 435)
+    assert isinstance(full.matrix, np.ndarray)
+    assert sp.issparse(thin.matrix)
+    assert isinstance(down_operator(small, 0).matrix, np.ndarray)
     monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 8)
-    assert sp.issparse(complement_walk(small, 0, 0).matrix)
-    assert sp.issparse(underlying_graph(small).joint)
+    assert sp.issparse(down_operator(small, 0).matrix)
+    assert isinstance(complement_walk(small, 0, 0).matrix, np.ndarray)
+    assert isinstance(underlying_graph(small).joint, np.ndarray)
     monkeypatch.setattr(walks, "DENSE_EIG_LIMIT", 435)
-    assert isinstance(complement_walk(large, 0, 1).matrix, np.ndarray)
+    assert isinstance(down_operator(large, 0).matrix, np.ndarray)
+
+
+def test_stored_dense_at_the_byte_crossover():
+    # 8 bytes a cell against 12 an entry: 3 x 3 cells take 72 bytes, as do 6
+    # entries; below the limit every shape is stored dense
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "DENSE_EIG_LIMIT", 2)
+        assert walks._stores_dense((3, 3), 6)
+        assert not walks._stores_dense((3, 3), 5)
+        assert walks._stores_dense((2, 2), 0)
