@@ -14,12 +14,16 @@ top singular pair.  The report carries the iteration residual; a residual
 above 1e-8, or ARPACK running out of iterations, raises ``NotConverged``.
 ``square_lambda`` and ``bipartite_lambda`` take a joint, or a
 ``MarkovOperator`` standing for its joint diag(source) P, which
-``square_spectrum`` and ``bipartite_norm`` pass: the stored matrix with a row
-scale of ones or of the source measure.  Lanczos applies the row scale and
-D^{+-1/2} as vector scalings around the stored matrix, and the symmetry check
-compares it with its transpose in row blocks (``walks._asymmetry``), so no
-scaled, symmetrised or difference copy of a large walk is formed; the
-fixed-union bound applies the difference of its two walks the same way.
+``square_spectrum`` and ``bipartite_norm`` pass: the matrix as held with a
+row scale of ones or of the source measure.  Lanczos applies the row scale
+and D^{+-1/2} as vector scalings around the matrix as held, which for the
+lower walk is its two factors applied in turn, never their product; the
+symmetry check compares a joint with its transpose in row blocks
+(``walks._asymmetry``) and reads an operator's detailed-balance residual,
+for the lower walk the gap between its second factor and the reverse of its
+first.  So no scaled, symmetrised, difference or product copy of a large
+walk is formed; the fixed-union bound applies the difference of its two
+walks the same way.
 Dense and CSR operators go through the same arithmetic, the scalings,
 marginals and densification of ``walks``, so no solver asks which it holds.
 
@@ -67,6 +71,7 @@ from .walks import (
     BipartiteGraph,
     MarkovOperator,
     WeightedGraph,
+    _Product,
     _asymmetry,
     _dense,
     _diag_scale,
@@ -211,27 +216,35 @@ def _bipartite_stack(joints: np.ndarray, pi_l: np.ndarray, pi_r: np.ndarray):
 
 
 def _stored(joint):
-    """The stored matrix of a joint and its row scale: a joint with a row
+    """The matrix of a joint as held and its row scale: a joint with a row
     scale of ones, or a ``MarkovOperator`` standing for its joint
-    diag(source measure) P, which is never formed."""
+    diag(source measure) P, which is never formed: its matrix as held
+    (``MarkovOperator.held``), for a lower walk its two factors."""
     if isinstance(joint, MarkovOperator):
-        return joint.matrix, joint.source_measure
+        return joint.held, joint.source_measure
     return joint, np.ones(joint.shape[0])
+
+
+def _formed(mat):
+    """A held matrix as one matrix: two factors multiplied out, once."""
+    return mat.formed() if isinstance(mat, _Product) else mat
 
 
 def square_lambda(joint, pi) -> SpectralReport:
     """lambda2 (excluding constants) and lambda_min of a reversible walk,
     given by its joint or as a ``MarkovOperator`` (``_stored``).  Lanczos
-    applies D^{-1/2} J D^{-1/2} as vector scalings around the stored matrix."""
+    applies D^{-1/2} J D^{-1/2} as vector scalings around the matrix as
+    held, after the operator's detailed-balance check."""
     pi = np.asarray(pi, dtype=float)
     mat, scale = _stored(joint)
     m = mat.shape[0]
     if _solves_dense(mat.shape):
-        l2, lmin = _square_stack(_dense(_diag_scale(mat, scale))[None], pi[None])
+        l2, lmin = _square_stack(_dense(_diag_scale(_formed(mat), scale))[None], pi[None])
         return SpectralReport(lambda2=float(l2[0]), lambda_min=float(lmin[0]),
                               method="trivial" if m == 1 else "dense")
     _positive(pi, "stationary measure")
-    _check_symmetric(_asymmetry(mat, scale))
+    _check_symmetric(joint.detailed_balance_residual() if isinstance(joint, MarkovOperator)
+                     else _asymmetry(mat, scale))
     s = 1.0 / np.sqrt(pi)
     left = scale * s
     u = np.sqrt(pi / pi.sum())
@@ -280,6 +293,7 @@ def bipartite_lambda(joint, pi_l, pi_r) -> SpectralReport:
     pi_l = np.asarray(pi_l, dtype=float)
     pi_r = np.asarray(pi_r, dtype=float)
     mat, scale = _stored(joint)
+    mat = _formed(mat)
     if _solves_dense(mat.shape):
         lam = _bipartite_stack(_dense(_diag_scale(mat, scale))[None], pi_l[None],
                                pi_r[None])[0]
@@ -680,9 +694,9 @@ def verify_fixed_union_bound(c: Complex, l: int, j: int) -> BoundCheck:
     The norm is the largest |eigenvalue| of the symmetrised difference, whose
     spectrum lies in [-2, 1] (a walk minus a positive semidefinite one);
     where ``_solves_dense`` does not admit it, it is read from Lanczos on half
-    the operator, applied through the two stored matrices and their
-    transposes with the measure scalings on vectors, as ``square_lambda``
-    does.
+    the operator, applied through the two walks as held (the lower walk
+    through its two factors) and their transposes with the measure scalings
+    on vectors, as ``square_lambda`` does.
     """
     a = fixed_union_walk(c, l, j)
     low = lower_walk(c, l, l - j)
@@ -693,11 +707,12 @@ def verify_fixed_union_bound(c: Complex, l: int, j: int) -> BoundCheck:
     else:
         s = 1.0 / np.sqrt(pi)
         left = pi * s
+        fwd, low_fwd = a.held, low.held
+        bwd, low_bwd = fwd.T, low_fwd.T
 
         def half(x):  # (M + M^T) x / 4, M = D^{-1/2} diag(pi) (A - L) D^{-1/2}
             y, z = s * x, left * x
-            return (left * (a.matrix @ y - low.matrix @ y)
-                    + s * (a.matrix.T @ z - low.matrix.T @ z)) / 4.0
+            return (left * (fwd @ y - low_fwd @ y) + s * (bwd @ z - low_bwd @ z)) / 4.0
 
         ends = [_lanczos(half, len(pi), which) for which in ("LA", "SA")]
         _check_converged(max(r for _, _, r in ends))

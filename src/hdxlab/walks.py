@@ -17,11 +17,16 @@ alone.  Every sparse matrix a constructor returns, products of
 ``MarkovOperator.compose`` included, is canonical CSR: sorted columns in
 each row, no repeated cell.  ``_containment_joint`` builds the joint of "s
 by level measure, then an l-face inside s", which is also the (S, T) main
-distribution of the agreement tests, always as CSR.  ``_diag_scale``,
-``_marginal``, ``_dense`` and ``_asymmetry`` (the detailed-balance residual)
-take either storage, so no other code asks which one it holds; the dense
-marginals and residual run in row blocks, so a large dense walk gets no
-full-size copy.
+distribution of the agreement tests, always as CSR.  The lower walk, down to
+X(l) and back up, is a ``FactoredWalk``: it holds the containment walk and
+its reverse, applies the two in turn to vectors (``held``), checks its rows
+and detailed balance through them, and forms their product with the
+arithmetic of ``compose`` only when its ``matrix`` is read.  ``reverse``
+copies a transpose once and scales it in place.  ``_diag_scale``,
+``_marginal``, ``_dense`` and ``_asymmetry`` (the detailed-balance residual,
+of one matrix or of a pair that should be each other's reverse) take either
+storage, so no other code asks which one it holds; the dense marginals and
+the residual run in row blocks, so a large walk gets no full-size copy.
 """
 
 from __future__ import annotations
@@ -101,6 +106,41 @@ def _maybe_dense(mat):
     return _dense(mat)
 
 
+def _product(a, b):
+    """a @ b as an operator stores it: canonical CSR, densified where
+    ``_stores_dense`` admits it."""
+    mat = a @ b
+    if sp.issparse(mat):  # the sparse product leaves each row's columns unsorted
+        mat.sum_duplicates()
+    return _maybe_dense(mat)
+
+
+class _Product:
+    """The product a @ b of two stored matrices, held as the two: ``@``
+    applies it to a vector right to left, ``T`` is its transpose b^T a^T
+    held the same way, and ``formed()`` forms it (``_product``) on its first
+    call and keeps it."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self._formed = a, b, None
+
+    @property
+    def shape(self):
+        return (self.a.shape[0], self.b.shape[1])
+
+    @property
+    def T(self):
+        return _Product(self.b.T, self.a.T)
+
+    def __matmul__(self, x):
+        return self.a @ (self.b @ x)
+
+    def formed(self):
+        if self._formed is None:
+            self._formed = _product(self.a, self.b)
+        return self._formed
+
+
 def _scale_in_place(mat, rows=None, cols=None):
     """``_diag_scale`` of a dense array or a CSR matrix in place: each entry
     times rows[i], then times cols[j]; a CSR matrix drops zero results."""
@@ -135,27 +175,30 @@ def _row_blocks(shape):
     return [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
 
 
-def _asymmetry(mat, rows) -> float:
-    """max |J[i, j] - J[j, i]| of the square J = diag(rows) @ mat over every
-    entry that J stores, without forming J or J - J^T.  A dense matrix is
+def _asymmetry(mat, rows, other=None, other_rows=None) -> float:
+    """max |J[i, j] - K[j, i]| of J = diag(rows) @ mat and K = diag(other_rows)
+    @ other, a matrix of the transposed shape stored alike (by default J
+    itself, the asymmetry of a square J), over every entry that J or K
+    stores, without forming J, K or their difference.  A dense matrix is
     compared row block by row block (``_row_blocks``) with the matching
-    column block.  A sparse matrix is compared with one transposed copy, row
-    block by row block, each block of about ``_GATHER_ENTRIES / 4`` stored
-    entries, so that its values, scales and gathered positions stay within
-    ``_GATHER_ENTRIES`` numbers: where a block of a canonical matrix stores
-    the same cells as the transpose, entry by entry; elsewhere cell by cell,
-    repeated entries added up and a cell stored on one side only compared
-    with 0."""
+    column block of ``other``.  A sparse one is compared in row blocks of
+    about ``_GATHER_ENTRIES / 4`` stored entries, each with the same rows of
+    K^T, transposed from a column slice of ``other``, so that its values,
+    scales and gathered positions stay within ``_GATHER_ENTRIES`` numbers and
+    no full-size copy is made: where a block of a canonical matrix stores
+    the same cells as K^T, entry by entry; elsewhere cell by cell, repeated
+    entries added up and a cell stored on one side only compared with 0."""
+    if other is None:
+        other, other_rows = mat, rows
     if not sp.issparse(mat):
-        mat = np.asarray(mat, dtype=float)
+        mat, other = (np.asarray(_dense(m), dtype=float) for m in (mat, other))
         worst = 0.0
         for lo, hi in _row_blocks(mat.shape):
             gap = mat[lo:hi] * rows[lo:hi, None]  # J[i, j]
-            gap -= (mat[:, lo:hi] * rows[:, None]).T  # J[j, i]
+            gap -= (other[:, lo:hi] * other_rows[:, None]).T  # K[j, i]
             worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
         return worst
-    mat = sp.csr_matrix(mat)
-    tr = mat.T.tocsr()
+    mat, other = sp.csr_matrix(mat), sp.csr_matrix(other)
     n = mat.shape[1]
     canonical = mat.has_canonical_format
     step = max(1, _GATHER_ENTRIES // 4)
@@ -163,22 +206,22 @@ def _asymmetry(mat, rows) -> float:
     bounds = np.unique(np.concatenate([[0], starts, [mat.shape[0]]]))
     worst = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
+        tr = other[:, lo:hi].T.tocsr()  # rows lo to hi-1 of other^T
         a = slice(mat.indptr[lo], mat.indptr[hi])
-        b = slice(tr.indptr[lo], tr.indptr[hi])
-        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr[lo:hi + 1])
+        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr)
         gap = np.repeat(rows[lo:hi], n_a)
         gap *= mat.data[a]  # J[i, j]
-        other = rows[tr.indices[b]]
-        other *= tr.data[b]  # J[j, i]
+        back = other_rows[tr.indices]
+        back *= tr.data  # K[j, i]
         if (canonical and np.array_equal(n_a, n_b)
-                and np.array_equal(mat.indices[a], tr.indices[b])):
-            gap -= other
+                and np.array_equal(mat.indices[a], tr.indices)):
+            gap -= back
         else:
             cells = np.concatenate([np.repeat(np.arange(lo, hi), count) * n + cols
                                     for count, cols in ((n_a, mat.indices[a]),
-                                                        (n_b, tr.indices[b]))])
+                                                        (n_b, tr.indices))])
             cell = np.unique(cells, return_inverse=True)[1].ravel()
-            gap = np.bincount(cell, np.concatenate([gap, -other]))
+            gap = np.bincount(cell, np.concatenate([gap, -back]))
         worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
     return worst
 
@@ -188,7 +231,9 @@ def _marginal(joint, axis: int) -> np.ndarray:
     along the other axis: a dense matrix and its canonical CSR copy give the
     same bits, since the zeros the CSR skips add nothing.  A dense matrix is
     summed in row blocks (``_row_blocks``), each column sum carried from one
-    block into the next."""
+    block into the next; the last sums of a block are copied out of its
+    cumulative sums, which ``take`` would first copy whole where the matrix
+    is laid out by columns."""
     if sp.issparse(joint):
         ones = np.ones(joint.shape[axis])
         return joint @ ones if axis == 1 else ones @ joint
@@ -199,12 +244,12 @@ def _marginal(joint, axis: int) -> np.ndarray:
     for lo, hi in _row_blocks(joint.shape):
         block = joint[lo:hi]
         if axis == 1:
-            sums.append(np.cumsum(block, axis=1).take(-1, axis=1))
+            sums.append(np.cumsum(block, axis=1)[:, -1].copy())
             continue
         if carry is not None:
             block = block.copy()
             block[0] += carry
-        carry = np.cumsum(block, axis=0).take(-1, axis=0)
+        carry = np.cumsum(block, axis=0)[-1].copy()
     return np.concatenate(sums) if axis == 1 else carry
 
 
@@ -235,6 +280,12 @@ class MarkovOperator:
         return (self.source_faces.shape == self.target_faces.shape
                 and np.array_equal(self.source_faces, self.target_faces))
 
+    @property
+    def held(self):
+        """The matrix as held, which ``@`` applies to a vector and ``T``
+        transposes: here the stored matrix."""
+        return self.matrix
+
     def row_sums(self) -> np.ndarray:
         return _marginal(self.matrix, 1)
 
@@ -245,24 +296,24 @@ class MarkovOperator:
         return _diag_scale(self.matrix, self.source_measure)
 
     def reverse(self) -> "MarkovOperator":
-        """Time-reversed operator from target to source."""
+        """Time-reversed operator from target to source, diag(1/target)
+        joint^T: the transpose copied once and scaled in place by the source
+        measure, then by 1/target, the bits of the joint's scaled transpose."""
+        back = _diag_scale(self.matrix.T, cols=self.source_measure)
         return MarkovOperator(self.target_faces, self.target_measure,
                               self.source_faces, self.source_measure,
-                              _diag_scale(self.joint().T, 1.0 / self.target_measure))
+                              _scale_in_place(back, rows=1.0 / self.target_measure))
 
     def compose(self, other: "MarkovOperator") -> "MarkovOperator":
         if self.shape[1] != other.shape[0]:
             raise HdxError("operator shapes do not compose")
-        mat = self.matrix @ other.matrix
-        if sp.issparse(mat):  # the sparse product leaves each row's columns unsorted
-            mat.sum_duplicates()
         return MarkovOperator(self.source_faces, self.source_measure,
                               other.target_faces, other.target_measure,
-                              _maybe_dense(mat))
+                              _product(self.matrix, other.matrix))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """Average a function on the target level back to the source level."""
-        return self.matrix @ g
+        return self.held @ g
 
     def detailed_balance_residual(self) -> float:
         """max|J - J^T| of a walk from a level to itself; between two levels,
@@ -278,6 +329,42 @@ class MarkovOperator:
         mat = sp.coo_matrix(self.matrix)
         for i, j, p in zip(mat.row, mat.col, mat.data):
             yield (tuple(self.source_faces[i]), tuple(self.target_faces[j]), float(p))
+
+
+class FactoredWalk(MarkovOperator):
+    """The walk ``down`` then ``up`` from a level to itself, X(k) -> X(l) ->
+    X(k), held as the two factors A and B of P = A B: ``held`` applies P and
+    its transpose through them, and the row check at construction reads
+    A (B 1).  Detailed balance is B being the reverse of A: diag(pi_k) A
+    equal to (diag(pi_l) B)^T, which makes diag(pi_k) A B = J diag(1/pi_l)
+    J^T symmetric; ``detailed_balance_residual`` reads the gap, with no
+    full-size copy.  ``matrix`` forms P on its first read, with the
+    arithmetic of ``compose``, and keeps it."""
+
+    def __init__(self, down: MarkovOperator, up: MarkovOperator):
+        if down.shape != up.shape[::-1]:
+            raise HdxError("operator shapes do not compose")
+        self.source_faces, self.source_measure = down.source_faces, down.source_measure
+        self.target_faces, self.target_measure = up.target_faces, up.target_measure
+        self._middle = down.target_measure
+        self._factors = _Product(down.matrix, up.matrix)
+        self.__post_init__()
+
+    @property
+    def held(self) -> _Product:
+        return self._factors
+
+    @property
+    def matrix(self):
+        return self._factors.formed()
+
+    def row_sums(self) -> np.ndarray:
+        return self._factors @ np.ones(self.shape[1])
+
+    def detailed_balance_residual(self) -> float:
+        """max |diag(pi_k) A - (diag(pi_l) B)^T| over the stored entries."""
+        return _asymmetry(self._factors.a, self.source_measure,
+                          self._factors.b, self._middle)
 
 
 @dataclass
@@ -401,10 +488,11 @@ def containment_operator(c: Complex, k: int, l: int) -> MarkovOperator:
     return _containment_walk(c, k, l)
 
 
-def lower_walk(c: Complex, k: int, l: int) -> MarkovOperator:
-    """Down to X(l), back up: a self-adjoint PSD walk on X(k)."""
+def lower_walk(c: Complex, k: int, l: int) -> FactoredWalk:
+    """Down to X(l), back up: a self-adjoint PSD walk on X(k), held as its
+    two factors (``FactoredWalk``)."""
     down = containment_operator(c, k, l)
-    return down.compose(down.reverse())
+    return FactoredWalk(down, down.reverse())
 
 
 def complement_walk(c: Complex, l1: int, l2: int) -> MarkovOperator:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
 from hdxlab.errors import (
+    HdxError,
     HypothesisViolated,
     InconsistentMarginals,
     NotApplicable,
@@ -659,14 +660,16 @@ def test_lanczos_values_outside_the_unit_interval_raise():
     # 3-sets of [33], sqrt(5) / 40
     (lambda: complement_walk(complete_complex(33, 3), 0, 2), bipartite_norm,
      math.sqrt(5) / 40, 6),
-    # 5456 x 5456, 496k entries: the Johnson value of 3-sets of [33], 20/31
-    (lambda: lower_walk(complete_complex(33, 2), 2, 1), square_spectrum, 20 / 31, 14),
+    # 5456 x 5456, the product of 5456 x 528 and 528 x 5456 factors of 16k
+    # entries each: the Johnson value of 3-sets of [33], 20/31
+    (lambda: lower_walk(complete_complex(33, 2), 2, 1), square_spectrum, 20 / 31, 4),
 ], ids=["complement_40_3_11", "complement_33_3_02", "lower_33_2_21"])
 def test_large_walks_are_built_and_solved_holding_their_matrix_once(build, solve, want, bound):
     # the two complement walks are stored dense (4.6 and 1.4 MiB), the lower
-    # walk as CSR (5.7 MiB); a CSR build of a near-full walk, a scaled,
-    # symmetrised or difference copy, a full-size marginal or residual
-    # temporary, or int64 sub-face positions, would pass the bound
+    # walk as its two CSR factors (0.2 MiB each); a CSR build of a near-full
+    # walk, a scaled, symmetrised or difference copy, a full-size marginal or
+    # residual temporary, int64 sub-face positions, or the lower walk's
+    # product (5.7 MiB of CSR), would pass the bound
     tracemalloc.start()
     try:
         rep = solve(build())
@@ -696,6 +699,44 @@ def test_fixed_union_bound_past_the_dense_limit_holds_each_walk_once():
     # the difference's norm on complete(24,3) is 1/21
     assert chk.lhs == pytest.approx(1 / 21, abs=1e-9)
     assert peak < 5 * 2**20
+
+
+def _reverse_against(down, mu):
+    """The reverse of ``down`` built against the measure ``mu`` on its source
+    in place of its own: a stochastic walk from the perturbed middle measure
+    mu @ down back to the source, which is not the reverse of ``down``."""
+    joint = _diag_scale(down.matrix, mu)
+    nu = np.asarray(joint.sum(axis=0)).ravel()
+    return MarkovOperator(down.target_faces, nu, down.source_faces, mu,
+                          _diag_scale(joint.T, 1.0 / nu))
+
+
+def test_lower_walk_without_a_reverse_second_factor_fails_loudly(monkeypatch):
+    # complete(16,2), X(2) -> X(1) -> X(2): 560 x 560, so the solve is
+    # Lanczos through the factors; a second factor built against a measure
+    # 1 % off the level's keeps the rows stochastic and breaks detailed
+    # balance, and a second factor whose rows miss 1 by more than 1e-10 is
+    # refused when the walk is built
+    import hdxlab.walks as walks
+    down = containment_operator(complete_complex(16, 2), 2, 1)
+    rng = np.random.default_rng(7)
+    mu = down.source_measure * (1.0 + 0.01 * rng.random(down.shape[0]))
+    bad = walks.FactoredWalk(down, _reverse_against(down, mu / mu.sum()))
+    good = walks.FactoredWalk(down, down.reverse())
+    assert good.detailed_balance_residual() < 1e-15 < 1e-8 < bad.detailed_balance_residual()
+    monkeypatch.setattr(walks, "_product", None)  # the product is never formed
+    # the Johnson value of 3-sets of [16], 2/3 x 13/14
+    assert square_spectrum(good).lambda2 == pytest.approx(13 / 21, abs=1e-9)
+    with pytest.raises(NotReversible, match="not symmetric"):
+        square_spectrum(bad)
+    for miss in (1e-11, 1e-9):
+        up = down.reverse()
+        up.matrix.data *= 1.0 + miss
+        if miss > walks.ROW_TOL:
+            with pytest.raises(HdxError, match="stochastic"):
+                walks.FactoredWalk(down, up)
+        else:
+            walks.FactoredWalk(down, up)
 
 
 def _asymmetric_walks():

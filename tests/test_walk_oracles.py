@@ -24,6 +24,11 @@ densified it where the shape alone admitted it; that CSR-first build is the
 oracle of the one walk builder, which chooses the storage by fill first: the
 stored matrices must be equal bit for bit, at the dense limit and with every
 shape past it, and each stored as ``walks._stores_dense`` says.
+The lower walk was stored as the formed product of the containment walk and
+its reverse, and every reverse as a scaled copy of the joint's transpose;
+that product and that formula are the oracles of the factored lower walk's
+``matrix`` and of ``MarkovOperator.reverse``, bit for bit, and the dense
+solve of the formed product is the oracle of Lanczos through the factors.
 """
 
 import itertools
@@ -44,7 +49,7 @@ from hdxlab.complexes import (
     position_subsets,
 )
 from hdxlab.errors import EmptyWalk, NotAFace
-from hdxlab.spectra import _batched_link_spectra, square_lambda
+from hdxlab.spectra import _batched_link_spectra, square_lambda, square_spectrum
 from hdxlab.walks import (
     MarkovOperator,
     _containment_joint,
@@ -56,6 +61,7 @@ from hdxlab.walks import (
     containment_operator,
     down_operator,
     fixed_union_walk,
+    lower_walk,
     neighborhood_system,
     nonlazy_upper_walk,
     underlying_graph,
@@ -598,3 +604,121 @@ def test_diag_scale_matches_the_products(seed, m, n, form, sides):
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
     assert got.data is not getattr(mat, "data", None)
+
+
+# -- the lower walk held as its two factors -----------------------------------------------
+
+
+def reverse_by_joint(op) -> MarkovOperator:
+    """The time reversal as it was formed: the joint, then a scaled copy of
+    its transpose."""
+    return MarkovOperator(op.target_faces, op.target_measure, op.source_faces,
+                          op.source_measure, _diag_scale(op.joint().T, 1.0 / op.target_measure))
+
+
+def lower_matrix_by_product(c: Complex, k: int, l: int):
+    """The lower walk's matrix as it was stored: the containment walk times
+    its reverse (``reverse_by_joint``), the sparse product's repeated cells
+    summed, densified where the storage rule admits it."""
+    down = containment_operator(c, k, l)
+    mat = down.matrix @ reverse_by_joint(down).matrix
+    if sp.issparse(mat):
+        mat.sum_duplicates()
+    return walks._maybe_dense(mat)
+
+
+def assert_same_bits(got, want, name):
+    """The same storage, dense layout, sparse structure and bits."""
+    assert sp.issparse(got) == sp.issparse(want), name
+    if sp.issparse(want):
+        assert got.format == want.format == "csr", name
+        assert np.array_equal(got.indptr, want.indptr), name
+        assert np.array_equal(got.indices, want.indices), name
+        got, want = got.data, want.data
+    else:
+        # the layout decides the bits of a dense product with the matrix
+        assert got.flags.f_contiguous == want.flags.f_contiguous, name
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def assert_factors_match_products(c: Complex):
+    """Every reverse and every formed lower walk equals its oracle bit for
+    bit, at the dense limit and with every shape past it."""
+    for limit in (walks.DENSE_EIG_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "DENSE_EIG_LIMIT", limit)
+            for name, walk, _, src_meas in csr_first_joints(c):
+                if src_meas is not None:
+                    assert_same_bits(walk.reverse().matrix, reverse_by_joint(walk).matrix,
+                                     (name, limit))
+            for l, k in itertools.combinations(range(-1, c.d + 1), 2):
+                down = containment_operator(c, k, l)
+                assert_same_bits(down.reverse().matrix, reverse_by_joint(down).matrix,
+                                 (k, l, limit))
+                assert_same_bits(lower_walk(c, k, l).matrix, lower_matrix_by_product(c, k, l),
+                                 (k, l, limit))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
+def test_random_weighted_lower_walks_form_the_product(seed, n, d):
+    assert_factors_match_products(random_weighted_complex(seed, n, d))
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       sizes=st.lists(st.integers(1, 3), min_size=3, max_size=4))
+def test_random_partite_lower_walks_form_the_product(seed, sizes):
+    assert_factors_match_products(random_partite_complex(seed, sizes))
+
+
+def test_reverse_of_large_walks_matches_the_joint_formula():
+    # complement_walk(complete(40,3),1,1) is 780 x 780, held dense; the
+    # containment walk of complete(33,2) from X(2) to X(1) is 5456 x 528, CSR
+    for walk in (complement_walk(complete_complex(40, 3), 1, 1),
+                 containment_operator(complete_complex(33, 2), 2, 1)):
+        assert_same_bits(walk.reverse().matrix, reverse_by_joint(walk).matrix, walk.shape)
+
+
+def _never_formed(a, b):
+    raise AssertionError("the lower walk's product was formed")
+
+
+def assert_factored_lanczos_matches_dense(c: Complex, limit: int):
+    """lambda2 and lambda_min of each lower walk from Lanczos through its
+    factors, the product never formed, against the dense solve of the formed
+    product; ``limit`` is the dense limit of the Lanczos side, the dense side
+    solves with every shape admitted.  Gives the number of walks compared."""
+    compared = 0
+    for l, k in itertools.combinations(range(-1, c.d + 1), 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "DENSE_EIG_LIMIT", limit)
+            walk = lower_walk(c, k, l)
+            if walks._solves_dense(walk.shape):
+                continue
+            mp.setattr(walks, "_product", _never_formed)
+            got = square_spectrum(walk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "DENSE_EIG_LIMIT", max(walk.shape))
+            want = square_spectrum(walk)
+        assert (got.method, want.method) == ("iterative", "dense"), (k, l)
+        assert got.lambda2 == pytest.approx(want.lambda2, abs=1e-10), (k, l)
+        assert got.lambda_min == pytest.approx(want.lambda_min, abs=1e-10), (k, l)
+        compared += 1
+    return compared
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), d=st.integers(1, 3))
+def test_random_weighted_factored_lanczos_matches_dense(seed, n, d):
+    assert_factored_lanczos_matches_dense(random_weighted_complex(seed, n, d), 2)
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       sizes=st.lists(st.integers(1, 3), min_size=3, max_size=4))
+def test_random_partite_factored_lanczos_matches_dense(seed, sizes):
+    assert_factored_lanczos_matches_dense(random_partite_complex(seed, sizes), 2)
+
+
+def test_factored_lanczos_past_the_dense_limit_matches_dense():
+    # a weighted complex with 468 triangles: the lower walks on X(2) through
+    # X(1), X(0) and the empty face are past the limit as it stands
+    assert assert_factored_lanczos_matches_dense(random_weighted_complex(3, 20, 2),
+                                                 walks.DENSE_EIG_LIMIT) == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ def test_reversibility_and_reverse_pairing():
     comp10 = complement_walk(c, 1, 0)
     rev = comp01.reverse()
     assert np.max(np.abs(dense(rev) - dense(comp10))) < 1e-10
+
+
+def test_reverse_of_a_dense_walk_holds_one_copy():
+    # complement_walk(complete(40,3),1,1) is 780 x 780, held dense (4.6 MiB);
+    # forming the joint and then a scaled copy of its transpose peaked at
+    # 9.4 MiB
+    op = complement_walk(complete_complex(40, 3), 1, 1)
+    assert isinstance(op.matrix, np.ndarray)
+    tracemalloc.start()
+    try:
+        rev = op.reverse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rev.shape == (780, 780)
+    assert peak < 7 * 2**20
 
 
 def test_row_stochastic_everywhere():
