@@ -2,16 +2,16 @@
 distances, distance-promise checks, and the surprise parameter.
 
 Every computation reads the ensemble lifted onto the ground set: one integer
-matrix with F[s, support(s)] = f_s and -1 elsewhere.  Grouping sets by their
-restriction to a face is then a group-by on integer row codes, so rejection
-and surprise are exact sums over the pair tables (independent pairs stay
-linear in the support), with a seeded Monte Carlo fallback that samples in
-batches.
+matrix with F[s, support(s)] = f_s and -1 elsewhere.  A tabular instance is
+its own test distribution; the lift and the padded face rows are built from
+``stav._flat_supports`` and cached on it.  Grouping sets by their restriction
+to a face is then a group-by on integer row codes, so rejection and surprise
+are exact sums over the pair tables (independent pairs stay linear in the
+support), with a seeded Monte Carlo fallback that samples in batches.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,6 +24,8 @@ from .stav import (
     STSTable,
     StavInstance,
     _cached,
+    _face_tuples,
+    _flat_supports,
     _pair_graphs,
     _segment_pairs,
     neighborhood_stav,
@@ -102,17 +104,14 @@ class AgreementTest:
     sts: STSTable
     t_supports: list | None  # None => compare on the support intersection
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._cache = {}
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _as_test(x) -> AgreementTest:
-    if isinstance(x, AgreementTest):
+def _as_test(x):
+    """A test distribution or a tabular instance, unchanged: both carry
+    ``s_labels``, ``s_supports``, ``sts``, ``t_supports`` and ``_cache``."""
+    if isinstance(x, (AgreementTest, StavInstance)):
         return x
-    if isinstance(x, StavInstance):
-        return _cached(x, "test", lambda: AgreementTest(
-            x.s_labels, x.s_supports, x.sts, x.t_supports))
     raise SupportMismatch(f"cannot run an agreement test on {type(x)!r}")
 
 
@@ -123,15 +122,12 @@ def perfect_ensemble(x, global_fn, alphabet: int | None = None) -> Ensemble:
     """Restrict a total assignment on the ground set to every set."""
     test = _as_test(x)
     g = np.asarray(global_fn, dtype=np.int64)
-    n_v = max((max(sup) for sup in test.s_supports if sup), default=-1) + 1
-    if len(g) < n_v:
-        raise PartialGlobal(f"global assignment covers {len(g)} of {n_v} vertices")
+    ptr, flat = _flat_supports(test, "s_supports")
+    if len(g) <= flat.max(initial=-1):
+        raise PartialGlobal(f"global assignment covers {len(g)} of {flat.max() + 1} vertices")
     if alphabet is None:
         alphabet = int(g.max()) + 1 if len(g) else 1
-    assignments = {}
-    for label, sup in zip(test.s_labels, test.s_supports):
-        assignments[label] = g[np.asarray(sup, dtype=np.int64)]
-    return Ensemble(alphabet, assignments)
+    return Ensemble(alphabet, dict(zip(test.s_labels, np.split(g[flat], ptr[1:-1]))))
 
 
 def random_ensemble(x, alphabet: int, seed: int) -> Ensemble:
@@ -173,33 +169,31 @@ def corrupt(f: Ensemble, alpha: float, mode: str, seed: int) -> Ensemble:
 # -- the lifted ensemble --------------------------------------------------------------
 
 
-def _layout(test: AgreementTest):
+def _layout(test):
     """Entry k of the concatenated local functions sits at (rows[k], cols[k])
     of the lifted matrix, whose last column ``n_ground`` is padding."""
     def build():
-        sizes = np.array([len(sup) for sup in test.s_supports], dtype=np.int64)
-        cols = np.fromiter(itertools.chain.from_iterable(test.s_supports),
-                           dtype=np.int64, count=int(sizes.sum()))
+        ptr, cols = _flat_supports(test, "s_supports")
+        sizes = np.diff(ptr)
         return np.repeat(np.arange(len(sizes)), sizes), cols, sizes, int(cols.max()) + 1
     return _cached(test, "layout", build)
 
 
-def _padded(test: AgreementTest, key: str, supports) -> np.ndarray:
-    """Face supports as rows of one width, padded with the padding column."""
+def _padded(test, layer: str) -> np.ndarray:
+    """A layer's supports as rows of one width, padded with the padding column."""
     def build():
         n_ground = _layout(test)[3]
-        sizes = np.array([len(sup) for sup in supports], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64,
-                           count=int(sizes.sum()))
+        ptr, flat = _flat_supports(test, layer)
+        sizes = np.diff(ptr)
         if flat.size and (flat.min() < 0 or flat.max() >= n_ground):
             raise SupportMismatch("a face holds a vertex that no set covers")
         out = np.full((len(sizes), int(sizes.max(initial=0))), n_ground, dtype=np.int64)
         out[np.arange(out.shape[1]) < sizes[:, None]] = flat
         return out
-    return _cached(test, key, build)
+    return _cached(test, f"pad_{layer}", build)
 
 
-def _lift(test: AgreementTest, f: Ensemble) -> np.ndarray:
+def _lift(test, f: Ensemble) -> np.ndarray:
     """The ensemble on the ground set: F[s, support(s)] = f_s, -1 elsewhere,
     and 0 in the padding column."""
     rows, cols, sizes, n_ground = _layout(test)
@@ -237,13 +231,13 @@ def _diff(lifted: np.ndarray, i, j, cols=None) -> np.ndarray:
     return (fi != fj) & (fi >= 0) & (fj >= 0)
 
 
-def _indep_spread(test: AgreementTest, lifted: np.ndarray) -> np.ndarray:
+def _indep_spread(test, lifted: np.ndarray) -> np.ndarray:
     """Per t with a column of ``sts.cond``, the probability that two sets
     drawn from it restrict differently to t: 1 - sum of squared group
     masses."""
     cond = test.sts.cond.tocoo()
     it = cond.col
-    t_pad = _padded(test, "t_pad", test.t_supports)
+    t_pad = _padded(test, "t_supports")
     ids, first = _group(it, _row_codes(_restrict(lifted, cond.row, t_pad[it])))
     mass = np.bincount(ids, cond.data, minlength=len(first))
     n_t = len(test.sts.t_probs)
@@ -259,17 +253,8 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
     """Probability that two sampled sets disagree on the compared face."""
     test = _as_test(x)
     lifted = _lift(test, f)
-    t_pad = None if test.t_supports is None else _padded(test, "t_pad", test.t_supports)
     if mode == "exact":
-        eps_t = np.zeros(len(test.sts.t_probs))
-        if t_pad is None:
-            t, i, j, p = test.sts.all_pairs()
-        else:
-            eps_t += _indep_spread(test, lifted)
-            t, i, j, p = test.sts.pairs
-        differ = _diff(lifted, i, j, None if t_pad is None else t_pad[t]).any(axis=1)
-        eps_t += np.bincount(t, p * differ, minlength=len(eps_t))
-        return TestResult(float(test.sts.t_probs @ eps_t), "exact")
+        return TestResult(_exact_rejection(test, lifted), "exact")
     if mode != "mc":
         raise ParameterRange(f"unknown rejection mode {mode!r}")
     if samples < 1:
@@ -284,9 +269,26 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
     si[~on_pair], sj[~on_pair] = cond.row[k[:, 0]], cond.row[k[:, 1]]
     k = _draw(pt, p_p, t[on_pair], u[on_pair])[:, 0]
     si[on_pair], sj[on_pair] = p_i[k], p_j[k]
-    eps = _diff(lifted, si, sj, None if t_pad is None else t_pad[t]).any(axis=1).mean()
+    t_pad = None if test.t_supports is None else _padded(test, "t_supports")[t]
+    eps = _diff(lifted, si, sj, t_pad).any(axis=1).mean()
     return TestResult(float(eps), "monte_carlo", samples=samples,
                       std_error=math.sqrt(max(eps * (1 - eps), 1e-12) / samples))
+
+
+def _exact_rejection(test, lifted: np.ndarray) -> float:
+    """Exact rejection of a lifted ensemble; ``rejection`` and the decoder
+    read it."""
+    eps_t = np.zeros(len(test.sts.t_probs))
+    if test.t_supports is None:
+        t, i, j, p = test.sts.all_pairs()
+        cols = None
+    else:
+        eps_t += _indep_spread(test, lifted)
+        t, i, j, p = test.sts.pairs
+        cols = _padded(test, "t_supports")[t]
+    differ = _diff(lifted, i, j, cols).any(axis=1)
+    eps_t += np.bincount(t, p * differ, minlength=len(eps_t))
+    return float(test.sts.t_probs @ eps_t)
 
 
 def _draw(t_of, weights, t, u) -> np.ndarray:
@@ -344,23 +346,33 @@ def dist_to_perfect_bruteforce(x, f: Ensemble, gamma: float) -> float:
 
 
 def delta_ensemble_check(x, f: Ensemble, delta: float):
-    """Every disagreeing pair must differ on more than a delta fraction of t.
+    """Every disagreeing pair must differ on more than a delta fraction of t,
+    or of the two sets' common support when the test has no t supports.
 
     The witness is the first offending pair of positive mass, in t order and
-    then in table order.
+    then in table order, with the vertices it was compared on.
     """
     test = _as_test(x)
     lifted = _lift(test, f)
+    n_ground = _layout(test)[3]
     t, i, j, p = test.sts.all_pairs()
     keep = (p > 0) & (test.sts.t_probs[t] > 0)
     t, i, j = t[keep], i[keep], j[keep]
-    cols = _padded(test, "t_pad", test.t_supports)[t]
-    d = _diff(lifted, i, j, cols).sum(axis=1) / (cols < _layout(test)[3]).sum(axis=1)
+    if test.t_supports is None:
+        on = (lifted[i, :n_ground] >= 0) & (lifted[j, :n_ground] >= 0)
+        differ = _diff(lifted, i, j)[:, :n_ground]
+    else:
+        cols = _padded(test, "t_supports")[t]
+        on, differ = cols < n_ground, _diff(lifted, i, j, cols)
+    size = on.sum(axis=1)
+    d = np.divide(differ.sum(axis=1), size, out=np.zeros(len(size)), where=size > 0)
     hit = np.flatnonzero((d > 0) & (d <= delta))
     if not hit.size:
         return True, None
     k = hit[0]
-    return False, (test.s_labels[i[k]], test.t_supports[t[k]], test.s_labels[j[k]])
+    verts = (tuple(np.flatnonzero(on[k]).tolist()) if test.t_supports is None
+             else test.t_supports[t[k]])
+    return False, (test.s_labels[i[k]], verts, test.s_labels[j[k]])
 
 
 def _av_index(x: StavInstance):
@@ -386,11 +398,10 @@ def surprise(x: StavInstance, f: Ensemble):
     """
     if not isinstance(x, StavInstance):
         raise SupportMismatch("surprise needs a tabular four-layer instance")
-    test = _as_test(x)
-    lifted = _lift(test, f)
+    lifted = _lift(x, f)
     av_t, av_a, av_v, av_p, (e, k), (kp, ep) = _av_index(x)
     i_s, i_p, (pt, p_i, p_j, p_p) = x.sts.cond.indices, x.sts.cond.data, x.sts.pairs
-    a_pad = _padded(test, "a_pad", x.a_supports)[av_a]
+    a_pad = _padded(x, "a_supports")[av_a]
     v_col = np.asarray(x.v_ground, dtype=np.int64)[av_v, None]
     # columns of cond: per (a, v) entry, Pr[agree on a] - Pr[agree on a and at v]
     ca = _row_codes(_restrict(lifted, i_s[k], a_pad[e]))
@@ -401,9 +412,9 @@ def surprise(x: StavInstance, f: Ensemble):
         mass = np.bincount(ids, i_p[k], minlength=len(first))
         agree += sign * np.bincount(e[first], mass * mass, minlength=len(av_t))
     num = (x.t_probs[av_t] * av_p) @ agree
-    den = x.t_probs @ _indep_spread(test, lifted)
+    den = x.t_probs @ _indep_spread(x, lifted)
     # explicit pairs: pairs that differ on t, then agree on a and differ at v
-    differ = _diff(lifted, p_i, p_j, _padded(test, "t_pad", test.t_supports)[pt]).any(1)
+    differ = _diff(lifted, p_i, p_j, _padded(x, "t_supports")[pt]).any(1)
     den += x.t_probs[pt] @ (p_p * differ)
     kp, ep = kp[differ[kp]], ep[differ[kp]]
     hit = (~_diff(lifted, p_i[kp], p_j[kp], a_pad[ep]).any(axis=1)
@@ -428,11 +439,9 @@ def weak_neighborhood_tests(c: Complex, l: int, k: int, f: Ensemble, mode: str,
     if x.meta.get("complex") is not c or built != [l, k, mode]:
         raise ParameterRange(f"the instance was built for l, k, mode = {built}, "
                              f"not {[l, k, mode]}, or on another complex")
-    test = _as_test(x)
     if full_intersection:
-        test = AgreementTest(test.s_labels, test.s_supports, test.sts,
-                             t_supports=None)
-    return rejection(test, f, mode="exact")
+        x = AgreementTest(x.s_labels, x.s_supports, x.sts, t_supports=None)
+    return rejection(x, f, mode="exact")
 
 
 # -- alternative test distributions ----------------------------------------------------
@@ -445,9 +454,8 @@ def d_l_test(c: Complex, d: int, l: int) -> AgreementTest:
         raise ParameterRange(f"need 0 <= l < d <= {c.d}")
     lev_s, lev_t = c.level(d), c.level(l)
     sts = STSTable.from_joint(_containment_joint(c, d, l))
-    return AgreementTest(list(lev_s.iter_faces()),
-                         [tuple(int(v) for v in row) for row in lev_s.faces],
-                         sts, list(lev_t.iter_faces()),
+    s_faces = _face_tuples(lev_s.faces)
+    return AgreementTest(s_faces, s_faces, sts, _face_tuples(lev_t.faces),
                          meta={"kind": "d_l", "d": d, "l": l})
 
 
@@ -488,11 +496,10 @@ def up2k_distribution(c: Complex, k: int, t_level: int | None = None) -> Agreeme
     t_probs = (np.ones(1) if t_level is None
                else np.bincount(t_g, mass, minlength=lev_t.size))
     sts = STSTable.from_pairs(t_probs, lev_s.size, t_g, i_g, j_g, mass / t_probs[t_g])
-    s_supports = [tuple(int(v) for v in row) for row in lev_s.faces]
+    s_faces = _face_tuples(lev_s.faces)
     if t_level is None:
-        return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, t_supports=None,
-                             meta={"kind": "up2k", "k": k})
-    return AgreementTest(list(lev_s.iter_faces()), s_supports, sts, list(lev_t.iter_faces()),
+        return AgreementTest(s_faces, s_faces, sts, None, meta={"kind": "up2k", "k": k})
+    return AgreementTest(s_faces, s_faces, sts, _face_tuples(lev_t.faces),
                          meta={"kind": "up2k_t", "k": k, "t_level": t_level})
 
 

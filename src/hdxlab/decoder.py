@@ -4,9 +4,10 @@ diagnostics.
 
 One array state: ``global_decode`` lifts the ensemble once, and its stages
 pass arrays, not dicts: the popular restriction h(a) as one padded row per a,
-the reach vote g(a, v) as an n_a x n_v table (-1 where no triple votes) and
-the bad sets as masks over a and (a, v).  Each stage returns its own tie and
-empty-vote counts; the dicts of ``DecodeOutput`` are built once, at the end.
+whether f_s restricts to it once per (a, s) key (``_keys``), the reach vote
+g(a, v) as an n_a x n_v table (-1 where no triple votes) and the bad sets as
+masks over a and (a, v).  Each stage returns its own tie and empty-vote
+counts; the dicts of ``DecodeOutput`` are built once, at the end.
 
 All conditional probabilities come from the instance's exact tables; there is
 no sampling inside the decoder.  Ties are always broken toward the
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, _group, _row_codes
 from .errors import (HdxError, MarginalMismatch, NoGoodColors, OrphanA, ParameterRange,
                      SupportMismatch)
-from .agreement import (AgreementTest, Ensemble, _as_test, _cached, _group, _layout, _lift,
-                        _padded, _restrict, _row_codes, d_l_test, rejection, surprise)
-from .stav import STSTable, StavInstance, _restricted_joint, partite_ij_stav
+from .agreement import (AgreementTest, Ensemble, _exact_rejection, _layout, _lift, _padded,
+                        _restrict, d_l_test, rejection, surprise)
+from .stav import (STSTable, StavInstance, _as_pairs, _cached, _face_tuples,
+                   _restricted_joint, partite_ij_stav)
 
 DEFAULT_TAU_GLOBAL = 1.0 / 40.0
 DEFAULT_TAU_LOCAL = 1.0 / 20.0
@@ -96,33 +98,37 @@ def _vote(seg, key, weight):
     return first[np.array(win, dtype=np.int64)], np.array(tied, dtype=bool)
 
 
-def _as_pairs(x: StavInstance):
-    """The (a, s) pairs of the (v, a, s) triples by first appearance, and the
-    pair of each triple."""
+def _keys(x: StavInstance):
+    """The (a, s) keys (the pairs of ``stav._as_pairs``, then any amplification
+    (a, s) that is no pair) and each amplification row's two keys; cached."""
     def build():
-        _, aa, ss, _ = x.vas_triples()
-        ids, first = _group(aa, ss)
-        order = np.argsort(first)
-        return aa[first[order]], ss[first[order]], np.argsort(order)[ids]
-    return _cached(x, "as_pairs", build)
+        pa, ps = _as_pairs(x)[:2]
+        va, n_s = x.vasa, len(x.s_labels)
+        code = pa.astype(np.int64) * n_s + ps
+        rows = [a.astype(np.int64) * n_s + va.s_idx for a in (va.a1_idx, va.a2_idx)]
+        extra = np.unique(np.concatenate([r[~np.isin(r, code)] for r in rows]))
+        code = np.concatenate([code, extra])
+        order = np.argsort(code).astype(np.int32)  # the row keys are cached: 4 bytes each
+        return (code // n_s, code % n_s,
+                *(order[np.searchsorted(code[order], r)] for r in rows))
+    return _cached(x, "decoder_keys", build)
 
 
-def _agrees(x: StavInstance, lifted, h_pad, a_idx, s_idx) -> np.ndarray:
-    """Does f_s restrict to the popular assignment h(a), for each (a, s)?"""
-    a_pad = _padded(_as_test(x), "a_pad", x.a_supports)
-    return (_restrict(lifted, s_idx, a_pad[a_idx]) == h_pad[a_idx]).all(axis=1)
+def _agrees(x: StavInstance, lifted, h_pad) -> np.ndarray:
+    """Whether f_s restricts to the popular assignment h(a), per ``_keys`` key."""
+    ka, ks = _keys(x)[:2]
+    return (_restrict(lifted, ks, _padded(x, "a_supports")[ka]) == h_pad[ka]).all(axis=1)
 
 
 def local_popularity(x: StavInstance, lifted: np.ndarray):
     """Most popular restriction to each amplification face, as padded rows in
     a order (0 in the padding), and the number of ties."""
-    a, s, pair = _as_pairs(x)
+    a, s, _, mass = _as_pairs(x)
     orphan = np.setdiff1d(np.arange(len(x.a_labels)), a)
     if orphan.size:
         raise OrphanA(f"amplification face {x.a_labels[orphan[0]]} is in no set")
-    rows = _restrict(lifted, s, _padded(_as_test(x), "a_pad", x.a_supports)[a])
-    win, tied = _vote(a, _row_codes(rows),
-                      np.bincount(pair, x.vas_triples()[3], minlength=len(a)))
+    rows = _restrict(lifted, s, _padded(x, "a_supports")[a])
+    win, tied = _vote(a, _row_codes(rows), mass)
     return rows[win], int(tied.sum())
 
 
@@ -149,13 +155,13 @@ def _share(part, total):
     return np.divide(part, total, out=np.zeros_like(part), where=total > 0)
 
 
-def bad_sets(x: StavInstance, lifted: np.ndarray, h_pad: np.ndarray,
-             cfg: DecoderConfig):
+def bad_sets(x: StavInstance, agree: np.ndarray, cfg: DecoderConfig):
     """Globally bad amplification faces (a mask over a), the per-vertex bad
-    sets (a mask over (a, v)) and the bad-triple mass."""
+    sets (a mask over (a, v)) and the bad-triple mass.  ``agree`` holds per
+    (a, s) key of ``_keys`` whether f_s restricts to h(a)."""
     va = x.vasa
-    bad_p = va.probs * ~(_agrees(x, lifted, h_pad, va.a1_idx, va.s_idx)
-                         & _agrees(x, lifted, h_pad, va.a2_idx, va.s_idx))
+    k1, k2 = _keys(x)[2:]
+    bad_p = va.probs * ~(agree[k1] & agree[k2])
     n_a, n_v = len(x.a_labels), len(x.v_labels)
     tot_a = np.bincount(va.a1_idx, va.probs, minlength=n_a)
     star = (tot_a > 0) & (_share(np.bincount(va.a1_idx, bad_p, minlength=n_a), tot_a)
@@ -174,14 +180,15 @@ def global_decode(x: StavInstance, f: Ensemble,
     cfg = cfg or DecoderConfig()
     if not isinstance(x, StavInstance):
         raise HdxError("decoding needs a tabular instance")
-    lifted = _lift(_as_test(x), f)
+    lifted = _lift(x, f)
     h_pad, h_ties = local_popularity(x, lifted)
-    vv, aa, ss, _ = x.vas_triples()
-    pa, ps, pair = _as_pairs(x)
-    ok = _agrees(x, lifted, h_pad, pa, ps)  # per (a, s) pair
+    vv, aa, ss, pp = x.vas_triples()
+    _, _, pair, mass = _as_pairs(x)
+    agree = _agrees(x, lifted, h_pad)  # per (a, s) key, the pairs first
+    ok = agree[:len(mass)]
     f_v = _restrict(lifted, ss, np.asarray(x.v_ground, dtype=np.int64)[vv, None])[:, 0]
     g_av, g_ties, empty_reach = reach_functions(x, ok[pair], f_v)
-    star, star_av, bad_prob = bad_sets(x, lifted, h_pad, cfg)
+    star, star_av, bad_prob = bad_sets(x, agree, cfg)
 
     n_v = len(x.v_labels)
     reach = x.reach_joint().tocsc()  # the reach entries v major
@@ -209,29 +216,22 @@ def global_decode(x: StavInstance, f: Ensemble,
         a_star_v.setdefault(vi, set()).add(ai)
     g_ground = np.full(len(x.ground_labels), -1, dtype=np.int64)
     g_ground[np.asarray(x.v_ground, dtype=np.int64)] = g_values
-    return DecodeOutput(g_values=g_values, g_ground=g_ground, a_star=a_star,
-                        a_star_v=a_star_v, h=h, g=g, flags=flags, diagnostics=_diagnostics(
-                            x, f, (ra, rv, rp, val, in_star), ok, f_v, g_av, star, star_av,
-                            a_star, g_values, bad_prob))
 
-
-def _diagnostics(x, f, reach, ok, f_v, g_av, star, star_av, a_star, g_values, bad_prob):
-    ra, rv, rp, val, in_star = reach
     pr_a = np.bincount(ra, rp, minlength=len(x.a_labels))
-    vv, aa, _, pp = x.vas_triples()
-    pair = _as_pairs(x)[2]
     g_miss = ~star_av[aa, vv] & ok[pair] & (f_v != g_av[aa, vv])
-    return {
-        "epsilon": rejection(x, f).epsilon,
+    diagnostics = {
+        "epsilon": _exact_rejection(x, lifted),
         "pr_a_star": float(sum(pr_a[a] for a in a_star)),
         "bad_triple_prob": bad_prob,
         # Pr[(a, s)] of disagreeing with the popular assignment
-        "h_mismatch": float(np.bincount(pair, pp, minlength=len(ok))[~ok].sum()),
+        "h_mismatch": float(mass[~ok].sum()),
         "g_mismatch": float(pp[g_miss].sum()),
         "not_global_bad_but_local": float(rp[in_star & ~star[ra]].sum()),
         "global_vote_mismatch": float(rp[~in_star & (val >= 0)
                                          & (val != g_values[rv])].sum()),
     }
+    return DecodeOutput(g_values=g_values, g_ground=g_ground, a_star=a_star,
+                        a_star_v=a_star_v, h=h, g=g, diagnostics=diagnostics, flags=flags)
 
 
 # -- stronger subset comparison -------------------------------------------------------
@@ -247,9 +247,8 @@ def subset_agreement(x: StavInstance, f: Ensemble, g_ground: np.ndarray,
     the (v, a, s) marginal by construction.  An explicit ``b_table`` of rows
     (v, a, s, b_vertices, p) is validated against that marginal.
     """
-    test = _as_test(x)
-    lifted = _lift(test, f)
-    n_ground = _layout(test)[3]
+    lifted = _lift(x, f)
+    n_ground = _layout(x)[3]
     vals = lifted[:, :n_ground]
     g = np.asarray(g_ground)[:n_ground]
     one_hot = np.eye(n_ground + 1, dtype=bool)[:, :n_ground]  # the padding column is empty
@@ -276,11 +275,10 @@ def subset_agreement(x: StavInstance, f: Ensemble, g_ground: np.ndarray,
     if mode == "singleton":
         return float(pp[differs(ss, one_hot[x.v_ground[vv]])].sum())
     if mode == "s_minus_a":
-        pa, ps, pair = _as_pairs(x)
-        a_pad = _padded(test, "a_pad", x.a_supports)
-        b = (vals[ps] >= 0) & ~one_hot[a_pad[pa]].any(axis=1)
+        pa, ps, _, mass = _as_pairs(x)
+        b = (vals[ps] >= 0) & ~one_hot[_padded(x, "a_supports")[pa]].any(axis=1)
         hit = b.any(axis=1) & differs(ps, b)
-        return float(np.bincount(pair, pp, minlength=len(pa))[hit].sum())
+        return float(mass[hit].sum())
     raise ParameterRange(f"unknown subset sampler {mode!r}")
 
 
@@ -297,9 +295,9 @@ def in_one_set_test(c: Complex, colors_i, colors_j, k: int, l: int) -> Agreement
     lev_k = c.level(k)
     s_keep = np.flatnonzero(
         np.isin(col[lev_k.faces], sorted(I | J)).sum(axis=1) == len(I | J))
-    s_faces = [tuple(int(x) for x in lev_k.faces[i]) for i in s_keep]
+    s_faces = _face_tuples(lev_k.faces[s_keep])
     sts = STSTable.from_joint(_restricted_joint(c, k, l, s_keep, np.arange(lev_t.size)))
-    return AgreementTest(s_faces, s_faces, sts, list(lev_t.iter_faces()),
+    return AgreementTest(s_faces, s_faces, sts, _face_tuples(lev_t.faces),
                          meta={"kind": "in_one_set", "I": sorted(I), "J": sorted(J)})
 
 
@@ -325,15 +323,15 @@ def partite_decode(c: Complex, k: int, l: int, f: Ensemble) -> DecodeOutput:
 
     best = None
     for (i1, j1, i2, j2) in tuples:
-        stats = []
+        stats, insts = [], []
         ok = True
         for (ci, cj) in ((i1, j1), (i2, j2)):
-            inst = partite_ij_stav(c, ci, cj, k)
-            rej = rejection(inst, f).epsilon
-            xi, _ = surprise(inst, f)
+            insts.append(partite_ij_stav(c, ci, cj, k))
+            rej = rejection(insts[-1], f).epsilon
+            xi, _ = surprise(insts[-1], f)
             oneset = rejection(in_one_set_test(c, ci, cj, k, l), f).epsilon
             stats.append({"I": ci, "J": cj, "rejection": rej, "surprise": xi,
-                          "in_one_set": oneset, "instance": inst})
+                          "in_one_set": oneset})
             if (rej > _REJECTION_FACTOR * eps_ref
                     or xi > _SURPRISE_BOUND
                     or oneset > _ONESET_FACTOR * eps_ref):
@@ -343,25 +341,17 @@ def partite_decode(c: Complex, k: int, l: int, f: Ensemble) -> DecodeOutput:
             best = (score, stats)
         if not ok:
             continue
-        out1 = global_decode(stats[0]["instance"], f)
-        out2 = global_decode(stats[1]["instance"], f)
-        col = np.asarray(c.coloring)
-        forbidden_1 = set(i1) | set(j1)
-        g_total = np.where(np.isin(col, sorted(forbidden_1)),
+        out1, out2 = (global_decode(inst, f) for inst in insts)
+        g_total = np.where(np.isin(c.coloring, sorted(set(i1) | set(j1))),
                            out2.g_ground, out1.g_ground)
         if (g_total < 0).any():
             raise NoGoodColors("glued assignment left vertices uncovered")
-        diagnostics = {"epsilon_base": base,
-                       "pair_1": {kk: vv for kk, vv in stats[0].items()
-                                  if kk != "instance"},
-                       "pair_2": {kk: vv for kk, vv in stats[1].items()
-                                  if kk != "instance"}}
+        diagnostics = {"epsilon_base": base, "pair_1": stats[0], "pair_2": stats[1]}
         flags = {**{f"pair1_{kk}": vv for kk, vv in out1.flags.items()},
                  **{f"pair2_{kk}": vv for kk, vv in out2.flags.items()}}
         return DecodeOutput(g_values=g_total, g_ground=g_total,
                             a_star=out1.a_star | out2.a_star,
                             a_star_v={}, h={}, g={},
                             diagnostics=diagnostics, flags=flags)
-    detail = {kk: vv for kk, vv in best[1][0].items() if kk != "instance"}
     raise NoGoodColors(f"no color 4-tuple met the thresholds; best candidate "
-                       f"{detail}")
+                       f"{best[1][0]}")

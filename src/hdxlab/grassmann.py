@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .agreement import AgreementTest, _row_codes
+from .agreement import AgreementTest
 from .errors import (
     DimensionArithmetic,
     EmptyWalk,
@@ -38,7 +38,7 @@ from .errors import (
     ParameterRange,
     SizeCapError,
 )
-from .complexes import _lookup_rows, size_cap_multiplier
+from .complexes import _lookup_rows, _row_codes, size_cap_multiplier
 from .stav import AvTable, STSTable, StavInstance, VasaTable
 from .walks import MarkovOperator, _from_joint, _joint, _walk_joint
 

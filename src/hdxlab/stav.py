@@ -23,7 +23,9 @@ keeps it as the conditional matrix ``cond``; explicit pair tables are handed
 to ``STSTable.from_pairs`` as flat arrays sorted by t.  So the (s1, t, s2)
 layer is flat, like the (a, v) layer given t, one t-sorted ``AvTable``, and
 the amplification table, one ``VasaTable``; ``STSTable.tables`` is a per-t
-view of it that nothing here reads.
+view of it that nothing here reads.  A layer's supports as flat arrays
+(``_flat_supports``) and the (a, s) pairs of the (v, a, s) triples with their
+mass (``_as_pairs``) are built once per instance, for every reader.
 
 Every local graph of the goodness checker belongs to a family
 (``spectra._Graphs``) solved in stacked batches: on the tabular path one per
@@ -100,9 +102,7 @@ class STSTable:
     t_probs: np.ndarray
     cond: sp.csc_matrix
     pairs: tuple
-
-    def __post_init__(self):
-        self._cache = {}
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_joint(cls, st) -> "STSTable":
@@ -214,11 +214,9 @@ class StavInstance:
     vasa: VasaTable
     meta: dict = field(default_factory=dict)
     mode: str = "tabular"
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- derived marginals (cached) -------------------------------------------
-
-    def __post_init__(self):
-        self._cache = {}
 
     @property
     def t_probs(self) -> np.ndarray:
@@ -233,35 +231,29 @@ class StavInstance:
         return len(self.v_labels)
 
     def s_probs(self) -> np.ndarray:
-        if "s_probs" not in self._cache:
-            self._cache["s_probs"] = np.asarray(self.st_joint.sum(axis=1)).ravel()
-        return self._cache["s_probs"]
+        return _cached(self, "s_probs",
+                       lambda: np.asarray(self.st_joint.sum(axis=1)).ravel())
 
     def v_marginal(self) -> np.ndarray:
-        if "v_marginal" not in self._cache:
-            av = self.av
-            self._cache["v_marginal"] = np.bincount(
-                av.v_idx, weights=self.t_probs[av.t_idx] * av.probs, minlength=self.n_v)
-        return self._cache["v_marginal"]
+        av = self.av
+        return _cached(self, "v_marginal", lambda: np.bincount(
+            av.v_idx, weights=self.t_probs[av.t_idx] * av.probs, minlength=self.n_v))
 
     def reach_joint(self) -> sp.csr_matrix:
         """Marginal joint over (a, v)."""
-        if "reach" not in self._cache:
-            self._cache["reach"] = _reach(self.av, self.t_probs,
-                                          (len(self.a_labels), self.n_v))
-        return self._cache["reach"]
+        return _cached(self, "reach", lambda: _reach(self.av, self.t_probs,
+                                                     (len(self.a_labels), self.n_v)))
 
     def vas_triples(self):
         """Arrays (v_idx, a_idx, s_idx, p) of the (v, a, s) marginal: per t,
         every (a, v) entry against every s with mass on t, (a, v) major."""
-        if "vas" not in self._cache:
+        def build():
             st = self.st_joint.tocsc()
             av = self.av
             e, k = _segment_pairs(np.bincount(av.t_idx, minlength=st.shape[1]),
                                   np.diff(st.indptr))
-            self._cache["vas"] = (av.v_idx[e], av.a_idx[e], st.indices[k],
-                                  av.probs[e] * st.data[k])
-        return self._cache["vas"]
+            return av.v_idx[e], av.a_idx[e], st.indices[k], av.probs[e] * st.data[k]
+        return _cached(self, "vas", build)
 
 
 @dataclass
@@ -671,14 +663,28 @@ def _cached(obj, key, build):
     return obj._cache[key]
 
 
-def _flat_supports(x: StavInstance, layer: str):
-    """A layer's supports as (ptr, ground ids) arrays, cached."""
+def _flat_supports(x, layer: str):
+    """A layer's supports as (ptr, ground ids) arrays, cached on the instance
+    or test distribution ``x``."""
     def build():
         sups = getattr(x, layer)
         sizes = np.fromiter(map(len, sups), np.int64, len(sups))
         flat = np.fromiter(itertools.chain.from_iterable(sups), np.int64, int(sizes.sum()))
         return np.concatenate([[0], np.cumsum(sizes)]), flat
     return _cached(x, f"flat_{layer}", build)
+
+
+def _as_pairs(x: StavInstance):
+    """The (a, s) pairs of the (v, a, s) triples by first appearance, the
+    pair of each triple and the mass of each pair; cached."""
+    def build():
+        _, aa, ss, pp = x.vas_triples()
+        ids, first = _group(aa, ss)
+        order = np.argsort(first)
+        pair = np.argsort(order)[ids]
+        return (aa[first[order]], ss[first[order]], pair,
+                np.bincount(pair, pp, minlength=len(first)))
+    return _cached(x, "as_pairs", build)
 
 
 def _local(n: int, g: np.ndarray, keys: tuple, w=None, first_seen: bool = False):
@@ -892,12 +898,10 @@ def derive_graph(x: StavInstance, kind: str, element=None):
 
 def _find(x: StavInstance, layer: str, element) -> int:
     """Position of ``element`` in a layer's label list (first occurrence)."""
-    key = ("pos", layer)
-    if key not in x._cache:
-        labels = getattr(x, layer)
-        x._cache[key] = {lab: i for i, lab in reversed(list(enumerate(labels)))}
+    pos = _cached(x, ("pos", layer), lambda: {
+        lab: i for i, lab in reversed(list(enumerate(getattr(x, layer))))})
     try:
-        return x._cache[key][element]
+        return pos[element]
     except (KeyError, TypeError):
         raise ZeroConditioning(f"element {element!r} not in layer") from None
 
@@ -1081,15 +1085,14 @@ def _goodness_tabular(x: StavInstance, gamma, r) -> GoodnessReport:
                          for si in np.flatnonzero(wide))
 
     # A5: weighted conditional of landing in the reach of a inside s, over
-    # the (a, s) pairs of the amplification's support
+    # the (a, s) pairs of positive mass
     vm = x.v_marginal()
     s_ptr, s_ground = _flat_supports(x, "s_supports")
     ground_to_v = np.full(max(int(s_ground.max(initial=-1)),
                               int(x.v_ground.max(initial=-1))) + 1, -1)
     ground_to_v[x.v_ground] = np.arange(x.n_v)
-    vv, aa, ss, pp = x.vas_triples()
-    _, first = _group(aa[pp > 0], ss[pp > 0])
-    pa, ps = aa[pp > 0][first], ss[pp > 0][first]
+    pa, ps, _, mass = _as_pairs(x)
+    pa, ps = pa[mass > 0], ps[mass > 0]
     idx, k = _runs(s_ptr, ps)
     vi = ground_to_v[s_ground[idx]]
     k, vi = k[vi >= 0], vi[vi >= 0]  # outside the v-layer: zero mass

@@ -206,6 +206,19 @@ def test_delta_ensemble_witness(setup951):
     assert set(t) <= set(s1) and set(t) <= set(s2)
 
 
+def test_delta_ensemble_without_t_supports_compares_common_supports():
+    # up2k without a t level has no t supports: each pair of edges of a
+    # triangle is compared on the vertex they share
+    test = up2k_distribution(complete_complex(6, 2), 1)
+    assert test.t_supports is None
+    f = perfect_ensemble(test, np.zeros(6, dtype=int), alphabet=2)
+    assert delta_ensemble_check(test, f, 1.0) == (True, None)
+    f.assignments[(0, 1)] = np.array([1, 0])
+    ok, (s1, common, s2) = delta_ensemble_check(test, f, 1.0)
+    assert not ok and common == tuple(sorted(set(s1) & set(s2))) and 0 in common
+    assert delta_ensemble_check(test, f, 0.99)[0]
+
+
 def test_xor_family_is_delta_ensemble(setup951):
     _, x, plant, f = setup951
     rng = np.random.default_rng(17)

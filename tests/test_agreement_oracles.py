@@ -126,13 +126,15 @@ def bruteforce_loop(test, f, gamma):
 
 
 def delta_check_loop(test, f, delta):
+    """Without t supports, every pair is compared on the two sets' common
+    support, and an empty one differs nowhere."""
     pos_maps = _position_maps(test)
     for ti, pt in enumerate(test.sts.t_probs):
         if pt <= 0:
             continue
-        verts = test.t_supports[ti]
         tab = test.sts.tables[ti]
-        if tab[0] == "indep":
+        if tab[0] == "indep" and test.t_supports is not None:
+            verts = test.t_supports[ti]
             groups, members = _signature_groups(f, test, pos_maps, ti)
             for g1, g2 in itertools.combinations(list(groups), 2):
                 d = np.mean(np.array(g1) != np.array(g2))
@@ -140,10 +142,11 @@ def delta_check_loop(test, f, delta):
                     return False, (test.s_labels[members[g1]], verts,
                                    test.s_labels[members[g2]])
             continue
-        for si, sj, q in zip(*tab[1:]):
+        for si, sj, q in zip(*pair_arrays(test.sts, ti)):
+            verts = _compare_verts(test, ti, int(si), int(sj))
             r1 = np.array(_restriction(f, test, pos_maps, int(si), verts))
             r2 = np.array(_restriction(f, test, pos_maps, int(sj), verts))
-            d = np.mean(r1 != r2)
+            d = np.mean(r1 != r2) if verts else 0.0
             if q > 0 and 0 < d <= delta:
                 return False, (test.s_labels[int(si)], verts, test.s_labels[int(sj)])
     return True, None
@@ -351,9 +354,9 @@ def assert_agreement_matches(x, f, plant, whole=True):
         on_union = AgreementTest(test.s_labels, test.s_supports, test.sts, None)
         assert rejection(on_union, f).epsilon == pytest.approx(
             rejection_loop(on_union, f), abs=TOL)
-    if test.t_supports is not None:
-        for delta in (0.3, 0.6, 1.0):
-            assert delta_ensemble_check(x, f, delta) == delta_check_loop(test, f, delta)
+        assert delta_ensemble_check(on_union, f, 0.6) == delta_check_loop(on_union, f, 0.6)
+    for delta in (0.3, 0.6, 1.0):
+        assert delta_ensemble_check(x, f, delta) == delta_check_loop(test, f, delta)
 
 
 def assert_decode_matches(x, f, cfg=None):
@@ -540,6 +543,21 @@ def test_missing_vertex_raises(fixed_instances):
             rejection(x, bad)
         with pytest.raises(SupportMismatch):
             global_decode(x, bad)
+
+
+def test_amplification_row_outside_its_set_raises(fixed_instances):
+    # two zero-mass amplification rows whose a1 = {8} is not in s = {0..5}:
+    # their (a, s) is no (v, a, s) pair, and restricting f_s to it fails
+    x = fixed_instances["hdx"]
+    data = stav_to_json_dict(x)
+    s, a1, a2 = x.s_labels.index((0, 1, 2, 3, 4, 5)), x.a_labels.index((8,)), \
+        x.a_labels.index((0,))
+    data["vasa"] += [[1, a1, s, a2, 0.0], [1, a2, s, a1, 0.0]]
+    y = stav_from_json_dict(data)
+    assert len(y.vasa) == len(x.vasa) + 2
+    f = perfect_ensemble(y, np.zeros(9, dtype=int), alphabet=2)
+    with pytest.raises(SupportMismatch, match="does not cover vertex 8"):
+        global_decode(y, f)
 
 
 # -- properties on random complexes ---------------------------------------------------

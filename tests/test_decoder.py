@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdxlab import decoder
+from hdxlab import agreement, decoder
 from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
 from hdxlab.errors import MarginalMismatch, NoGoodColors, ParameterRange
@@ -25,7 +25,7 @@ from hdxlab.decoder import (
     reach_functions,
     subset_agreement,
 )
-from hdxlab.stav import hdx_stav, neighborhood_stav
+from hdxlab.stav import _as_pairs, hdx_stav, neighborhood_stav
 
 # ladder ceilings frozen from pilot sweeps (complete complex on nine
 # vertices, levels five over one, binary alphabet, resample corruption)
@@ -94,7 +94,7 @@ def test_bad_sets_perfect_empty(setup951):
     x, _, f = setup951
     lifted = _lift(_as_test(x), f)
     h_pad, _ = local_popularity(x, lifted)
-    star, star_av, bad = bad_sets(x, lifted, h_pad, DecoderConfig())
+    star, star_av, bad = bad_sets(x, decoder._agrees(x, lifted, h_pad), DecoderConfig())
     assert star.shape == (len(x.a_labels),)
     assert star_av.shape == (len(x.a_labels), len(x.v_labels))
     assert not star.any() and not star_av.any() and bad == 0.0
@@ -102,7 +102,7 @@ def test_bad_sets_perfect_empty(setup951):
 
 def test_global_decode_lifts_once_and_runs_each_stage_once(setup951, monkeypatch):
     x, _, f = setup951
-    calls = []
+    calls, restricted = [], []
 
     def counted(name, real):
         def wrapper(*args):
@@ -110,13 +110,27 @@ def test_global_decode_lifts_once_and_runs_each_stage_once(setup951, monkeypatch
             return real(*args)
         return wrapper
 
-    names = ("_lift", "local_popularity", "reach_functions", "bad_sets")
-    for name in names:
+    def restrict(real):
+        def wrapper(lifted, s_idx, cols):
+            restricted.append(len(s_idx))
+            return real(lifted, s_idx, cols)
+        return wrapper
+
+    # the lift and the restriction are counted in both modules, so that the
+    # epsilon diagnostic, computed in agreement, is seen too
+    for module in (agreement, decoder):
+        monkeypatch.setattr(module, "_lift", counted("_lift", module._lift))
+        monkeypatch.setattr(module, "_restrict", restrict(module._restrict))
+    for name in ("local_popularity", "reach_functions", "bad_sets"):
         monkeypatch.setattr(decoder, name, counted(name, getattr(decoder, name)))
     fc = corrupt(f, 0.2, "resample_set", seed=77)
     out = global_decode(x, fc)
-    assert sorted(calls) == sorted(names)
+    assert sorted(calls) == sorted(("_lift", "local_popularity", "reach_functions",
+                                    "bad_sets"))
     assert out.diagnostics["epsilon"] > 0.0
+    # f_s is restricted to a once per (a, s) pair, never per amplification row
+    assert (len(x.vasa), len(_as_pairs(x)[0])) == (10_080, 504)
+    assert restricted and max(restricted) < len(x.vasa)
 
 
 def test_markov_bound_on_a_star(setup951):
