@@ -7,7 +7,9 @@ its own test distribution; the lift and the padded face rows are built from
 ``stav._flat_supports`` and cached on it.  Grouping sets by their restriction
 to a face is then a group-by on integer row codes, so rejection and surprise
 are exact sums over the pair tables (independent pairs stay linear in the
-support), with a seeded Monte Carlo fallback that samples in batches.
+support), with a seeded Monte Carlo fallback that samples in batches.  A
+global assignment may be partial (negative where undefined, as the decoder's
+g is off the v-layer): distances compare each set where it is defined.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Complex, _group, _row_codes, position_subsets
+from .complexes import Complex, _group, _member, _row_codes, position_subsets
 from .errors import ParameterRange, PartialGlobal, SizeCapError, SupportMismatch
 from .stav import (
     STSTable,
@@ -263,7 +265,7 @@ def rejection(x, f: Ensemble, mode: str = "exact", samples: int = 100_000,
     t = rng.choice(len(test.sts.t_probs), size=samples, p=test.sts.t_probs)
     u = rng.random((samples, 2))
     cond, (pt, p_i, p_j, p_p) = test.sts.cond.tocoo(), test.sts.pairs
-    on_pair = np.isin(t, pt)
+    on_pair = _member(pt, len(test.sts.t_probs))[t]
     si, sj = np.empty((2, samples), dtype=np.int64)
     k = _draw(cond.col, cond.data, t[~on_pair], u[~on_pair])
     si[~on_pair], sj[~on_pair] = cond.row[k[:, 0]], cond.row[k[:, 1]]
@@ -308,13 +310,19 @@ def _draw(t_of, weights, t, u) -> np.ndarray:
 
 def dist_gamma(f: Ensemble, global_fn, gamma: float, x) -> float:
     """Weighted fraction of sets that differ from the restriction of the
-    global assignment on more than a gamma fraction of their points."""
+    global assignment on more than a gamma fraction of their points.  A
+    negative value leaves the assignment undefined at that point (as
+    ``DecodeOutput.g_ground`` is off the v-layer), and each set is compared
+    on the points where it is defined only."""
     test = _as_test(x)
     lifted = _lift(test, f)
     rows, cols, sizes, _ = _layout(test)
-    g = np.asarray(global_fn, dtype=np.int64)
-    miss = np.bincount(rows, lifted[rows, cols] != g[cols], minlength=len(sizes))
-    return float(_cached(test, "s_marginal", test.sts.s_marginal)[miss / sizes > gamma].sum())
+    g = np.asarray(global_fn, dtype=np.int64)[cols]
+    defined = g >= 0
+    miss = np.bincount(rows, (lifted[rows, cols] != g) & defined, minlength=len(sizes))
+    n = np.bincount(rows, defined, minlength=len(sizes))
+    frac = np.divide(miss, n, out=np.zeros(len(sizes)), where=n > 0)
+    return float(_cached(test, "s_marginal", test.sts.s_marginal)[frac > gamma].sum())
 
 
 def dist_to_perfect_bruteforce(x, f: Ensemble, gamma: float) -> float:

@@ -397,6 +397,10 @@ def _cmd_decode(args) -> int:
     out = dcmod.global_decode(x, f, cfg)
     report = out.to_json_dict()
     report["dist_exact"] = agmod.dist_gamma(f, out.g_ground, 0.0, x)
+    defined = int((out.g_ground >= 0).sum())
+    if defined < len(out.g_ground):  # a partite instance: g is defined on the v-layer
+        report["dist_exact_compares"] = (f"each set on the {defined} of "
+                                         f"{len(out.g_ground)} vertices where g is defined")
     args.output = args.report
     _emit(args, report, inputs, started)
     return 0

@@ -15,6 +15,13 @@ lexicographic order one column at a time, a row's position is its rank in the
 combinatorial number system, and containment masses are one binomial ratio,
 so large instances never materialize their top level and no complete level is
 sorted or searched.
+
+Distinct values and membership have one implementation each, and none is
+numpy's ``unique`` or a set routine built on it (``union1d``, ``isin``,
+``setdiff1d``), which take a hash path many times slower than a sort on
+integer keys: ``_group`` numbers distinct key tuples by one sort and an
+adjacent compare, ``_member`` is a boolean table indexed by id (colours,
+vertices, t ids), and ``_search`` finds integer codes in a sorted code set.
 """
 
 from __future__ import annotations
@@ -97,12 +104,29 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
     rows that are absent map to -1, and so do rows with an id outside [0, n),
     whose keys could alias a present row."""
     rows = np.asarray(rows, dtype=np.int64)
-    keys = _encode_rows(rows, n)
-    pos = np.clip(np.searchsorted(sorted_keys, keys), 0, len(sorted_keys) - 1)
-    found = sorted_keys[pos] == keys
+    pos = _search(sorted_keys, _encode_rows(rows, n))
     if rows.size and (rows.min() < 0 or rows.max() >= n):
-        found &= ((rows >= 0) & (rows < n)).all(axis=1)
-    return np.where(found, pos, -1)
+        pos[~((rows >= 0) & (rows < n)).all(axis=1)] = -1
+    return pos
+
+
+def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key among the ascending ``sorted_keys``, -1 where it
+    is absent: the one membership test of integer codes in a code set."""
+    if not len(sorted_keys):
+        return np.full(np.shape(keys), -1, dtype=np.intp)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
+def _member(ids, n: int) -> np.ndarray:
+    """Lookup table over the ids [0, n), True at each of ``ids`` (an integer
+    array-like) that lies there: ``_member(ids, n)[x]`` tests ids x in [0, n)
+    for membership with one gather."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    table = np.zeros(n, dtype=bool)
+    table[ids[(ids >= 0) & (ids < n)]] = True
+    return table
 
 
 def _is_subset(rows: np.ndarray, n: int) -> np.ndarray:
@@ -185,19 +209,30 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     base = int(rows.max(initial=0)) + 1
     if base ** rows.shape[1] < 2 ** 62:
         return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    # too many digits for one int64: the rank among the distinct rows
+    order = np.lexsort(rows.T[::-1])
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    codes = np.empty(len(rows), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
 
 
 def _group(*keys):
     """Ids of the distinct tuples of nonnegative integer keys, numbered in
-    lexicographic order, and the index of each group's first member."""
+    lexicographic order, and the index of each group's first member.  One
+    sort and an adjacent compare: numpy's ``unique`` and the set routines
+    built on it take a hash path that is many times slower on these keys, so
+    the package finds distinct values and inverses here and nowhere else."""
     code = _row_codes(np.column_stack(keys))
-    order = np.argsort(code, kind="stable")
-    new = np.arange(len(order)) == 0
-    new[1:] = code[order][1:] != code[order][:-1]
+    order = np.argsort(code)
+    code = code[order]
+    new = np.ones(len(order), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=new[1:])
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    # the sort is not stable: a group's first member is its least index
+    return ids, np.minimum.reduceat(order, np.flatnonzero(new))
 
 
 @dataclass(frozen=True)
@@ -334,8 +369,7 @@ class Complex:
             raise NotAFace("vertex id out of range")
         if np.any(weights <= 0):
             raise ZeroWeight("top-face weights must be strictly positive")
-        keys = _encode_rows(rows, self.n_vertices)
-        if len(np.unique(keys)) != len(keys):
+        if len(_group(_encode_rows(rows, self.n_vertices))[1]) != len(rows):
             raise DuplicateTopFace("duplicate top face")
         seen = np.zeros(self.n_vertices, dtype=bool)
         seen[rows.ravel()] = True
@@ -447,6 +481,11 @@ class Complex:
     def color_set(self, face) -> frozenset:
         return frozenset(self.coloring[v] for v in face)
 
+    def _color_mask(self, colors) -> np.ndarray:
+        """Per vertex, whether its color is one of ``colors``: a lookup table
+        over the colors [0, d], gathered by the coloring."""
+        return _member(sorted(int(c) for c in colors), self.d + 1)[np.asarray(self.coloring)]
+
     def colored_level(self, colors) -> LevelIndex:
         """Faces of exactly the given color set, with the transversal measure,
         indexed like a level (cached).
@@ -459,14 +498,11 @@ class Complex:
         key = frozenset(int(c) for c in colors)
         if key in self._colored_levels:
             return self._colored_levels[key]
-        cols = sorted(key)
-        col_arr = np.asarray(self.coloring)
         tops, weights = self.top_arrays()
-        mask = np.isin(col_arr[tops], cols)
-        sub = tops[mask].reshape(len(tops), len(cols))
+        sub = tops[self._color_mask(key)[tops]].reshape(len(tops), len(key))
         sub = np.sort(sub, axis=1)
         lev = _make_level(sub.astype(np.int64), weights.copy(), self.n_vertices,
-                          len(cols) - 1)
+                          len(key) - 1)
         self._colored_levels[key] = lev
         return lev
 
@@ -497,11 +533,11 @@ class Complex:
                           uniform_complete=True, vertex_labels=labels)
             return out
         tops, weights = self.top_arrays()
-        member = np.isin(tops, list(s))
+        member = _member(s, self.n_vertices)[tops]
         rows_hit = member.sum(axis=1) == len(s)
         sub = tops[rows_hit]
         w = weights[rows_hit]
-        rest = sub[~np.isin(sub, list(s)).reshape(sub.shape)].reshape(len(sub), -1)
+        rest = sub[~member[rows_hit]].reshape(len(sub), -1)
         labels = sorted(set(int(v) for v in rest.ravel()))
         relabel = {v: i for i, v in enumerate(labels)}
         dense = np.vectorize(relabel.__getitem__, otypes=[np.int32])(rest)

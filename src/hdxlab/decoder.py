@@ -4,7 +4,9 @@ diagnostics.
 
 One array state: ``global_decode`` lifts the ensemble once, and its stages
 pass arrays, not dicts: the popular restriction h(a) as one padded row per a,
-whether f_s restricts to it once per (a, s) key (``_keys``), the reach vote
+whether f_s restricts to it once per (a, s) key (``_keys``, each amplification
+row's key gathered from a dense (a, s) table where that table is no larger
+than the amplification table), the reach vote
 g(a, v) as an n_a x n_v table (-1 where no triple votes) and the bad sets as
 masks over a and (a, v).  Each stage returns its own tie and empty-vote
 counts; the dicts of ``DecodeOutput`` are built once, at the end.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, _group, _row_codes
+from .complexes import Complex, _group, _member, _row_codes, _search
 from .errors import (HdxError, MarginalMismatch, NoGoodColors, OrphanA, ParameterRange,
                      SupportMismatch)
 from .agreement import (AgreementTest, Ensemble, _exact_rejection, _layout, _lift, _padded,
@@ -100,17 +102,30 @@ def _vote(seg, key, weight):
 
 def _keys(x: StavInstance):
     """The (a, s) keys (the pairs of ``stav._as_pairs``, then any amplification
-    (a, s) that is no pair) and each amplification row's two keys; cached."""
+    (a, s) that is no pair, ascending) and each amplification row's two keys;
+    cached.  A row's pair is one gather from a dense (a, s) table where the
+    table has no more cells than the amplification table has rows, else a
+    sorted search among the pair codes."""
     def build():
         pa, ps = _as_pairs(x)[:2]
         va, n_s = x.vasa, len(x.s_labels)
         code = pa.astype(np.int64) * n_s + ps
         rows = [a.astype(np.int64) * n_s + va.s_idx for a in (va.a1_idx, va.a2_idx)]
-        extra = np.unique(np.concatenate([r[~np.isin(r, code)] for r in rows]))
+        cells = len(x.a_labels) * n_s
+        if cells <= len(va.s_idx):
+            table = np.full(cells, -1, dtype=np.int32)  # the row keys are cached: 4 bytes each
+            table[code] = np.arange(len(code))
+            keys = [table[r] for r in rows]
+        else:
+            order = np.argsort(code).astype(np.int32)
+            keys = [np.where(pos >= 0, order[pos], -1).astype(np.int32)
+                    for pos in (_search(code[order], r) for r in rows)]
+        missing = np.concatenate([r[k < 0] for r, k in zip(rows, keys)])
+        extra = missing[_group(missing)[1]]
+        for r, k in zip(rows, keys):
+            k[k < 0] = len(code) + np.searchsorted(extra, r[k < 0])
         code = np.concatenate([code, extra])
-        order = np.argsort(code).astype(np.int32)  # the row keys are cached: 4 bytes each
-        return (code // n_s, code % n_s,
-                *(order[np.searchsorted(code[order], r)] for r in rows))
+        return code // n_s, code % n_s, *keys
     return _cached(x, "decoder_keys", build)
 
 
@@ -124,7 +139,7 @@ def local_popularity(x: StavInstance, lifted: np.ndarray):
     """Most popular restriction to each amplification face, as padded rows in
     a order (0 in the padding), and the number of ties."""
     a, s, _, mass = _as_pairs(x)
-    orphan = np.setdiff1d(np.arange(len(x.a_labels)), a)
+    orphan = np.flatnonzero(~_member(a, len(x.a_labels)))
     if orphan.size:
         raise OrphanA(f"amplification face {x.a_labels[orphan[0]]} is in no set")
     rows = _restrict(lifted, s, _padded(x, "a_supports")[a])
@@ -290,11 +305,9 @@ def in_one_set_test(c: Complex, colors_i, colors_j, k: int, l: int) -> Agreement
     both color sets."""
     I = frozenset(int(x) for x in colors_i)
     J = frozenset(int(x) for x in colors_j)
-    col = np.asarray(c.coloring)
     lev_t = c.level(l)
     lev_k = c.level(k)
-    s_keep = np.flatnonzero(
-        np.isin(col[lev_k.faces], sorted(I | J)).sum(axis=1) == len(I | J))
+    s_keep = np.flatnonzero(c._color_mask(I | J)[lev_k.faces].sum(axis=1) == len(I | J))
     s_faces = _face_tuples(lev_k.faces[s_keep])
     sts = STSTable.from_joint(_restricted_joint(c, k, l, s_keep, np.arange(lev_t.size)))
     return AgreementTest(s_faces, s_faces, sts, _face_tuples(lev_t.faces),
@@ -342,8 +355,7 @@ def partite_decode(c: Complex, k: int, l: int, f: Ensemble) -> DecodeOutput:
         if not ok:
             continue
         out1, out2 = (global_decode(inst, f) for inst in insts)
-        g_total = np.where(np.isin(c.coloring, sorted(set(i1) | set(j1))),
-                           out2.g_ground, out1.g_ground)
+        g_total = np.where(c._color_mask(set(i1) | set(j1)), out2.g_ground, out1.g_ground)
         if (g_total < 0).any():
             raise NoGoodColors("glued assignment left vertices uncovered")
         diagnostics = {"epsilon_base": base, "pair_1": stats[0], "pair_2": stats[1]}

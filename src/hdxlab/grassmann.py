@@ -38,7 +38,7 @@ from .errors import (
     ParameterRange,
     SizeCapError,
 )
-from .complexes import _lookup_rows, _row_codes, size_cap_multiplier
+from .complexes import _group, _lookup_rows, _row_codes, _search, size_cap_multiplier
 from .stav import AvTable, STSTable, StavInstance, VasaTable
 from .walks import MarkovOperator, _from_joint, _joint, _walk_joint
 
@@ -474,8 +474,8 @@ def _uniform_operator(left: np.ndarray, right: np.ndarray) -> MarkovOperator:
     elements that some edge touches."""
     if not len(left):
         raise EmptyWalk("walk has no edges")
-    live_l, r = np.unique(left, return_inverse=True)
-    live_r, c = np.unique(right, return_inverse=True)
+    (r, first_l), (c, first_r) = _group(left), _group(right)
+    live_l, live_r = left[first_l], right[first_r]
     vals = np.full(len(left), 1.0 / len(left))
     return _from_joint(live_l[:, None], np.bincount(r, weights=vals),
                        live_r[:, None], np.bincount(c, weights=vals),
@@ -577,7 +577,8 @@ def _av_rows(p: GrassmannPoset, l: int):
     a = np.repeat(t_a.ravel(), m_v)
     v = np.repeat(t_v, m_a, axis=0).ravel()
     n_pts = len(p.level(0))
-    keep = ~np.isin(a * n_pts + v, (np.arange(len(amps))[:, None] * n_pts + a_v).ravel())
+    inside = np.sort((np.arange(len(amps))[:, None] * n_pts + a_v).ravel())
+    keep = _search(inside, a * n_pts + v) < 0
     return t[keep], a[keep], v[keep]
 
 

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .complexes import _GATHER_ENTRIES, Complex, _group, position_subsets
+from .complexes import _GATHER_ENTRIES, Complex, _group, _search, position_subsets
 from .errors import (
     ColorSize,
     HdxError,
@@ -346,8 +346,10 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
     # pattern of position blocks shared by all s; a1 and a2 are ranked
     # through the sub-faces of the distinct l-subsets
     a1_pat, a2_pat, v_pat, _ = position_subsets(d + 1, l, l, 1)
-    a_pat, a_of = np.unique(np.concatenate([a1_pat, a2_pat]), axis=0, return_inverse=True)
-    a1_of, a2_of = np.split(a_of.ravel(), 2)
+    a_pat = np.concatenate([a1_pat, a2_pat])
+    a_of, first = _group(*a_pat.T)
+    a_pat = a_pat[first]
+    a1_of, a2_of = np.split(a_of, 2)
     a_sub = lev_a.sub_faces(lev_s.faces, a_pat)
     vasa = VasaTable(lev_s.faces[:, v_pat[:, 0]].ravel().astype(np.int64),
                      a_sub[a1_of].T.ravel(),
@@ -385,19 +387,19 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     l = len(I)
     if k < 4 * l + 4 or k > c.d:
         raise ParameterRange(f"need 4l+4 <= k <= d, got k={k}, l={l}")
-    col = np.asarray(c.coloring)
-    ij = sorted(I | J)
+    in_i, in_j = c._color_mask(I), c._color_mask(J)
+    in_ij = in_i | in_j
 
     lev_k = c.level(k)
-    s_keep = np.flatnonzero(np.isin(col[lev_k.faces], ij).sum(axis=1) == 2 * l)
+    s_keep = np.flatnonzero(in_ij[lev_k.faces].sum(axis=1) == 2 * l)
     if not len(s_keep):
         raise ParameterRange("no k-face carries both color sets")
     s_rows = lev_k.faces[s_keep]
 
     # t carries one of the two color sets and one color outside both
     lev_t = c.level(l)
-    n_i = np.isin(col[lev_t.faces], sorted(I)).sum(axis=1)
-    n_j = np.isin(col[lev_t.faces], sorted(J)).sum(axis=1)
+    n_i = in_i[lev_t.faces].sum(axis=1)
+    n_j = in_j[lev_t.faces].sum(axis=1)
     t_keep = np.flatnonzero(((n_i == l) & (n_j == 0)) | ((n_j == l) & (n_i == 0)))
     if not len(t_keep):
         raise ParameterRange("no l-face matches the color pattern")
@@ -406,11 +408,10 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     # A: the (l-1)-faces colored I or J; V: the vertices colored outside both.
     # a_rank and v_rank map level positions and vertex ids to layer positions.
     lev_a = c.level(l - 1)
-    a_keep = np.flatnonzero(np.isin(col[lev_a.faces], sorted(I)).all(axis=1)
-                            | np.isin(col[lev_a.faces], sorted(J)).all(axis=1))
+    a_keep = np.flatnonzero(in_i[lev_a.faces].all(axis=1) | in_j[lev_a.faces].all(axis=1))
     a_rank = np.full(lev_a.size, -1, dtype=np.int64)
     a_rank[a_keep] = np.arange(len(a_keep))
-    v_in = ~np.isin(col, ij)
+    v_in = ~in_ij
     v_rank = np.cumsum(v_in) - 1
     v_labels = [int(v) for v in np.flatnonzero(v_in)]
 
@@ -425,7 +426,7 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
         raise ParameterRange("some t-face extends to no valid k-face")
 
     # (a, v) given t is deterministic: a the colored part of t, v the rest
-    inside = np.isin(col[t_rows], ij)
+    inside = in_ij[t_rows]
     av = AvTable(t_idx=np.arange(len(t_rows)),
                  a_idx=a_rank[lev_a.index_rows(t_rows[inside].reshape(-1, l))],
                  v_idx=v_rank[t_rows[~inside]],
@@ -434,13 +435,13 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     # amplification: deterministic colored subfaces, v from the (v | s)
     # marginal, its (s, v) entries in the order the (s, t) entries meet them
     stc = st.tocoo()
-    sv, first, ids = np.unique(stc.row * len(v_labels) + av.v_idx[stc.col],
-                               return_index=True, return_inverse=True)
+    sv = stc.row * len(v_labels) + av.v_idx[stc.col]
+    ids, first = _group(sv)
     order = np.argsort(first)
-    p_sv = np.bincount(ids.ravel(), weights=stc.data)[order] / 2.0
-    s_of, v_of = np.divmod(sv[order], len(v_labels))
-    a_i, a_j = (a_rank[lev_a.index_rows(s_rows[np.isin(col[s_rows], sorted(C))]
-                                        .reshape(-1, l))] for C in (I, J))
+    p_sv = np.bincount(ids, weights=stc.data)[order] / 2.0
+    s_of, v_of = np.divmod(sv[first[order]], len(v_labels))
+    a_i, a_j = (a_rank[lev_a.index_rows(s_rows[in_c[s_rows]].reshape(-1, l))]
+                for in_c in (in_i, in_j))
     vasa = VasaTable(np.repeat(v_of, 2),
                      np.column_stack([a_i[s_of], a_j[s_of]]).ravel(),
                      np.repeat(s_of, 2),
@@ -619,10 +620,9 @@ def _max_gap(dims, idx_a, p_a, idx_b, p_b) -> float:
     order.  With idx_b the entries of P_a with two coordinates swapped, this is
     the largest asymmetry of P_a."""
     key_a = np.ravel_multi_index(idx_a, dims)
-    key_b = np.ravel_multi_index(idx_b, dims)
-    keys = np.union1d(key_a, key_b)
-    mass_a = np.bincount(np.searchsorted(keys, key_a), weights=p_a, minlength=len(keys))
-    mass_b = np.bincount(np.searchsorted(keys, key_b), weights=p_b, minlength=len(keys))
+    ids, first = _group(np.concatenate([key_a, np.ravel_multi_index(idx_b, dims)]))
+    mass_a = np.bincount(ids[:len(key_a)], weights=p_a, minlength=len(first))
+    mass_b = np.bincount(ids[len(key_a):], weights=p_b, minlength=len(first))
     return float(np.max(np.abs(mass_a - mass_b), initial=0.0))
 
 
@@ -1096,7 +1096,7 @@ def _goodness_tabular(x: StavInstance, gamma, r) -> GoodnessReport:
     idx, k = _runs(s_ptr, ps)
     vi = ground_to_v[s_ground[idx]]
     k, vi = k[vi >= 0], vi[vi >= 0]  # outside the v-layer: zero mass
-    hit = np.isin(pa[k] * x.n_v + vi, ra * x.n_v + rv)
+    hit = _search(np.sort(ra * x.n_v + rv), pa[k] * x.n_v + vi) >= 0
     den = np.bincount(k, vm[vi], minlength=len(pa))
     num = np.bincount(k, vm[vi] * hit, minlength=len(pa))
     a5 = np.min(np.divide(num, den, out=np.zeros(len(pa)), where=den > 0), initial=np.inf)

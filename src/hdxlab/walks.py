@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import _GATHER_ENTRIES, Complex, position_subsets
+from .complexes import _GATHER_ENTRIES, Complex, _group, position_subsets
 from .errors import (
     EmptyWalk,
     HdxError,
@@ -91,6 +91,7 @@ def _walk_joint(shape, blocks: int, size: int, entries):
         cells *= shape[1]
         cells += cols
         np.add.at(out.reshape(-1), cells, vals)
+        del rows, cols, vals, cells  # before ``entries`` builds the next block
     return out
 
 
@@ -203,7 +204,8 @@ def _asymmetry(mat, rows, other=None, other_rows=None) -> float:
     canonical = mat.has_canonical_format
     step = max(1, _GATHER_ENTRIES // 4)
     starts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, step), "right") - 1
-    bounds = np.unique(np.concatenate([[0], starts, [mat.shape[0]]]))
+    bounds = np.concatenate([[0], starts, [mat.shape[0]]])
+    bounds = bounds[_group(bounds)[1]]
     worst = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         tr = other[:, lo:hi].T.tocsr()  # rows lo to hi-1 of other^T
@@ -220,8 +222,7 @@ def _asymmetry(mat, rows, other=None, other_rows=None) -> float:
             cells = np.concatenate([np.repeat(np.arange(lo, hi), count) * n + cols
                                     for count, cols in ((n_a, mat.indices[a]),
                                                         (n_b, tr.indices))])
-            cell = np.unique(cells, return_inverse=True)[1].ravel()
-            gap = np.bincount(cell, np.concatenate([gap, -back]))
+            gap = np.bincount(_group(cells)[0], np.concatenate([gap, -back]))
         worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
     return worst
 
@@ -527,7 +528,7 @@ def colored_walk(c: Complex, colors_i, colors_j) -> MarkovOperator:
     if I & J:
         raise OverlappingColors(f"colors overlap: {sorted(I & J)}")
     lev_i, lev_j, lev_u = (c.colored_level(x) for x in (I, J, I | J))
-    in_i = np.isin(np.asarray(c.coloring)[lev_u.faces], sorted(I))
+    in_i = c._color_mask(I)[lev_u.faces]
     # rows of a level are sorted, so each color block of a union face is too
     s_idx = lev_i.index_rows(lev_u.faces[in_i].reshape(lev_u.size, len(I)))
     t_idx = lev_j.index_rows(lev_u.faces[~in_i].reshape(lev_u.size, len(J)))

@@ -12,6 +12,7 @@ for entry, in order.  The per-t expansions of the pair graphs, solved one t
 at a time, must match the one family of ``sts_t_expansions`` within 1e-12.
 """
 
+import dataclasses
 import itertools
 import os
 import tempfile
@@ -39,11 +40,14 @@ from hdxlab.agreement import (
     surprise,
     up2k_distribution,
 )
-from hdxlab.complexes import Complex, complete_complex, partite_complete_complex
-from hdxlab.decoder import DecoderConfig, global_decode, subset_agreement
+from hdxlab.complexes import (Complex, build_from_top_faces, complete_complex,
+                               partite_complete_complex)
+from hdxlab.decoder import DecoderConfig, _keys, global_decode, subset_agreement
 from hdxlab.errors import OrphanA, SupportMismatch
 from hdxlab.spectra import square_lambda
 from hdxlab.stav import (
+    VasaTable,
+    _as_pairs,
     hdx_stav,
     neighborhood_stav,
     partite_ij_stav,
@@ -110,11 +114,15 @@ def rejection_loop(test, f):
 
 
 def dist_gamma_loop(f, global_fn, gamma, test):
+    """Each set compared on its points where the global function is defined
+    (not negative)."""
     g = np.asarray(global_fn, dtype=np.int64)
     weights = test.sts.s_marginal()
     out = 0.0
     for si, (label, sup) in enumerate(zip(test.s_labels, test.s_supports)):
-        if np.mean(f.assignments[label] != g[np.asarray(sup, dtype=np.int64)]) > gamma:
+        want = g[np.asarray(sup, dtype=np.int64)]
+        defined = want >= 0
+        if defined.any() and np.mean(f.assignments[label][defined] != want[defined]) > gamma:
             out += float(weights[si])
     return out
 
@@ -524,7 +532,7 @@ def test_bruteforce_matches_loop(fixed_instances):
 
 @pytest.mark.parametrize("width", [3, 70])
 def test_row_codes_follow_lexicographic_order(width):
-    # 3**70 overflows int64, so the wide rows take the np.unique path
+    # 3**70 overflows int64, so the wide rows are ranked among the distinct rows
     rows = np.random.default_rng(width).integers(0, 3, size=(200, width))
     rows[100:] = rows[:100]
     codes = _row_codes(rows)
@@ -638,3 +646,97 @@ def test_ensemble_json_roundtrip(x, alphabet, seed, alpha):
     assert list(back.assignments) == list(f.assignments)
     assert all(np.array_equal(back.assignments[k], v) for k, v in f.assignments.items())
     assert rejection(x, back).epsilon == rejection(x, f).epsilon
+
+
+# -- the decoder's (a, s) key map ---------------------------------------------------
+
+
+def keys_by_search(x):
+    """``decoder._keys`` as it was built: the extra keys by ``np.isin`` and
+    ``np.unique``, and each amplification row's keys by ``searchsorted``
+    among all the key codes."""
+    pa, ps = _as_pairs(x)[:2]
+    va, n_s = x.vasa, len(x.s_labels)
+    code = pa.astype(np.int64) * n_s + ps
+    rows = [a.astype(np.int64) * n_s + va.s_idx for a in (va.a1_idx, va.a2_idx)]
+    extra = np.unique(np.concatenate([r[~np.isin(r, code)] for r in rows]))
+    code = np.concatenate([code, extra])
+    order = np.argsort(code).astype(np.int32)
+    return (code // n_s, code % n_s,
+            *(order[np.searchsorted(code[order], r)] for r in rows))
+
+
+def _chain_instance():
+    """hdx_stav(l=1) on 30 sets of 6 vertices, each sharing one vertex with
+    the next: 151 a-faces against 30 sets, so the (a, s) table would have
+    4530 cells for 3600 amplification rows."""
+    tops = [tuple(range(5 * i, 5 * i + 6)) for i in range(30)]
+    return hdx_stav(build_from_top_faces(151, [(t, 1 / 30) for t in tops]), 5, 1)
+
+
+def _with_extra_rows(x, rows):
+    """x with zero-mass amplification rows (v, a1, s, a2) appended, whose
+    (a, s) are no (v, a, s) pairs; JSON instances may carry such rows."""
+    va = x.vasa
+    v, a1, s, a2 = np.array(rows, dtype=np.int64).T
+    vasa = VasaTable(*(np.concatenate([old, new]) for old, new in (
+        (va.v_idx, v), (va.a1_idx, a1), (va.s_idx, s), (va.a2_idx, a2),
+        (va.probs, np.zeros(len(v))))))
+    return dataclasses.replace(x, vasa=vasa)
+
+
+def _key_cases(fixed):
+    hdx, chain = fixed["hdx"], _chain_instance()
+    s0 = hdx.s_labels.index((0, 1, 2, 3, 4, 5))
+    s1 = hdx.s_labels.index((1, 2, 3, 4, 5, 6))
+    a = {v: hdx.a_labels.index((v,)) for v in range(9)}
+    # the loaded complete(9,5) instance with three extra keys, listed out of
+    # code order, and one of them repeated
+    data = stav_to_json_dict(hdx)
+    data["vasa"] += [[1, a[8], s0, a[0], 0.0], [1, a[0], s0, a[8], 0.0],
+                     [2, a[7], s1, a[1], 0.0], [2, a[1], s1, a[7], 0.0],
+                     [1, a[6], s0, a[8], 0.0], [1, a[8], s0, a[6], 0.0]]
+    far = chain.a_labels.index((150,))
+    return {**fixed, "json_extra": stav_from_json_dict(data), "chain": chain,
+            "chain_extra": _with_extra_rows(chain, [[3, far, 0, 1], [3, 1, 0, far],
+                                                    [2, 0, 29, far]])}
+
+
+@pytest.fixture(scope="module")
+def key_cases(fixed_instances):
+    return _key_cases(fixed_instances)
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_l2", "partite", "nbhd_independent",
+                                  "nbhd_complement", "all_pairs_tables", "json_extra",
+                                  "chain", "chain_extra"])
+def test_decoder_keys_match_the_search(key_cases, name):
+    x = key_cases[name]
+    got, want = _keys(x), keys_by_search(x)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    n_extra = len(got[0]) - len(_as_pairs(x)[0])
+    assert n_extra == {"json_extra": 3, "chain_extra": 2}.get(name, 0)
+    # the chain instance's (a, s) table would outgrow its amplification table,
+    # so its rows are looked up by the sorted search; every other instance
+    # gathers from the table
+    dense = len(x.a_labels) * len(x.s_labels) <= len(x.vasa)
+    assert dense == (not name.startswith("chain"))
+
+
+def test_dist_gamma_compares_where_the_assignment_is_defined(fixed_instances):
+    # the decoder leaves the partite g undefined (-1) on the colours I and J;
+    # a perfect ensemble agrees with it everywhere else
+    x = fixed_instances["partite"]
+    plant = np.random.default_rng(2).integers(0, 2, size=len(x.ground_labels))
+    f = perfect_ensemble(x, plant, alphabet=2)
+    g = global_decode(x, f).g_ground
+    assert (g < 0).sum() == 4 and np.array_equal(g[g >= 0], plant[g >= 0])
+    assert dist_gamma(f, g, 0.0, x) == 0.0
+    fc = corrupt(f, 0.2, "resample_set", seed=4)
+    for gamma in (0.0, 0.1, 0.5):
+        assert dist_gamma(fc, g, gamma, x) == pytest.approx(
+            dist_gamma_loop(fc, g, gamma, x), abs=TOL)
+    # undefined everywhere: no set differs
+    assert dist_gamma(fc, np.full(len(g), -1), 0.0, x) == 0.0

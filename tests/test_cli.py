@@ -192,6 +192,25 @@ def test_decode_deterministic(tmp_path, complex_file):
     assert rep1 == rep2
 
 
+def test_partite_decode_compares_sets_where_g_is_defined(tmp_path):
+    from hdxlab.agreement import perfect_ensemble, save_ensemble
+    from hdxlab.complexes import load_complex
+    from hdxlab.stav import partite_ij_stav
+    cpath, ens, rep = tmp_path / "p.json", tmp_path / "f.json", tmp_path / "r.json"
+    assert run_cli(["build", "--partite", ",".join(["2"] * 9), "-o", str(cpath)]) == 0
+    x = partite_ij_stav(load_complex(str(cpath)), [0], [1], 8)
+    save_ensemble(perfect_ensemble(x, np.arange(18) % 3 % 2, alphabet=2), str(ens))
+    assert run_cli(["decode", "--complex", str(cpath), "--stav", "partite", "--colors-i", "0",
+                    "--colors-j", "1", "--k", "8", "--ensemble", str(ens),
+                    "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())["report"]
+    # g is undefined on the four vertices of colours 0 and 1, which every set
+    # holds; compared there too, every set would differ
+    assert report["dist_exact"] == 0.0
+    assert report["dist_exact_compares"] == \
+        "each set on the 14 of 18 vertices where g is defined"
+
+
 def test_malformed_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_vertices": 3, "d": 1, "coloring": None,

@@ -655,7 +655,7 @@ def test_lanczos_values_outside_the_unit_interval_raise():
 @pytest.mark.parametrize("build,solve,want,bound", [
     # 780 x 780, 548k entries (90 % full): the Kneser value of 2-sets of
     # [40], 1/19
-    (lambda: complement_walk(complete_complex(40, 3), 1, 1), bipartite_norm, 1 / 19, 15),
+    (lambda: complement_walk(complete_complex(40, 3), 1, 1), bipartite_norm, 1 / 19, 12.5),
     # 33 x 5456, 164k entries (91 % full): the Kneser value of 1-sets and
     # 3-sets of [33], sqrt(5) / 40
     (lambda: complement_walk(complete_complex(33, 3), 0, 2), bipartite_norm,

@@ -36,6 +36,7 @@ from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
 from hdxlab.walks import BipartiteGraph, WeightedGraph, complement_walk
 from hdxlab.spectra import (BRUTE_FORCE_VERTICES, bipartite_lambda, edge_expansion_exact,
                             square_lambda)
+from hdxlab import stav
 from hdxlab.stav import (
     _SPOT_CHECK_SEED,
     _SPOT_CHECKS,
@@ -43,6 +44,7 @@ from hdxlab.stav import (
     _assemble_report,
     _drop_one,
     _local_reach_graphs,
+    _max_gap,
     _reach,
     _sampler_spot_checks,
     _structured_a_graphs,
@@ -436,6 +438,50 @@ def test_invariant_report_matches_dicts(instances, name, perturb):
         if perturb and not (key == "sts_symmetry_dev" and name.startswith(
                 ("hdx", "partite", "nbhd_independent"))):
             assert want > 1e-9, key  # only "pairs" tables can be asymmetric
+
+
+def max_gap_union(dims, idx_a, p_a, idx_b, p_b) -> float:
+    """``stav._max_gap`` as it was built on ``np.union1d``: the sorted union
+    of both sides' keys, each side's entries placed by ``searchsorted``."""
+    key_a = np.ravel_multi_index(idx_a, dims)
+    key_b = np.ravel_multi_index(idx_b, dims)
+    keys = np.union1d(key_a, key_b)
+    mass_a = np.bincount(np.searchsorted(keys, key_a), weights=p_a, minlength=len(keys))
+    mass_b = np.bincount(np.searchsorted(keys, key_b), weights=p_b, minlength=len(keys))
+    return float(np.max(np.abs(mass_a - mass_b), initial=0.0))
+
+
+@st.composite
+def gap_inputs(draw):
+    """Two entry lists over one small key space, with repeated keys and keys
+    on one side only; the masses span several magnitudes, so that adding
+    them in another order would change the bits."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    entry = st.tuples(*(st.integers(0, n - 1) for n in dims),
+                      st.floats(1e-9, 1e3, allow_nan=False))
+
+    def side():
+        rows = draw(st.lists(entry, max_size=40))
+        idx = tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(len(dims)))
+        return idx, np.array([r[-1] for r in rows], dtype=float)
+
+    (idx_a, p_a), (idx_b, p_b) = side(), side()
+    return dims, idx_a, p_a, idx_b, p_b
+
+
+@given(gap_inputs())
+def test_max_gap_matches_union_bit_for_bit(args):
+    assert _max_gap(*args) == max_gap_union(*args)
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip"])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_invariant_gaps_match_union_bit_for_bit(instances, name, perturb, monkeypatch):
+    x = _perturbed(instances[name], 7) if perturb else instances[name]
+    got = invariant_report(x).to_json_dict()
+    monkeypatch.setattr(stav, "_max_gap", max_gap_union)
+    assert got == invariant_report(x).to_json_dict()
 
 
 # -- (S, T) main distribution and its pair tables ----------------------------------
