@@ -57,20 +57,16 @@ class Ensemble:
         return Ensemble(self.alphabet,
                         {k: p[v] for k, v in self.assignments.items()})
 
-    def to_json_dict(self, supports: dict | None = None) -> dict:
-        sets = []
-        for label, vals in self.assignments.items():
-            entry = {"s": list(label) if isinstance(label, tuple) else label,
-                     "values": [int(x) for x in vals]}
-            if supports is not None:
-                entry["support"] = list(supports[label])
-            sets.append(entry)
+    def to_json_dict(self) -> dict:
+        sets = [{"s": list(label) if isinstance(label, tuple) else label,
+                 "values": [int(x) for x in vals]}
+                for label, vals in self.assignments.items()]
         return {"alphabet": self.alphabet, "sets": sets}
 
 
-def save_ensemble(f: Ensemble, path: str, supports: dict | None = None) -> None:
+def save_ensemble(f: Ensemble, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(f.to_json_dict(supports), fh)
+        json.dump(f.to_json_dict(), fh)
         fh.write("\n")
 
 

@@ -19,9 +19,11 @@ sorted or searched.
 Distinct values and membership have one implementation each, and none is
 numpy's ``unique`` or a set routine built on it (``union1d``, ``isin``,
 ``setdiff1d``), which take a hash path many times slower than a sort on
-integer keys: ``_group`` numbers distinct key tuples by one sort and an
-adjacent compare, ``_member`` is a boolean table indexed by id (colours,
-vertices, t ids), and ``_search`` finds integer codes in a sorted code set.
+integer keys: ``_group`` numbers distinct key tuples, ``_member`` is a
+boolean table indexed by id (colours, vertices, t ids), and ``_search`` finds
+integer codes in a sorted code set.  Whether a table or a sort does the work
+is decided inside ``_group`` and ``_search`` alone, from the size of the code
+space against the number of keys, with the same output either way.
 """
 
 from __future__ import annotations
@@ -111,10 +113,21 @@ def _lookup_rows(sorted_keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
 
 
 def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key among the ascending ``sorted_keys``, -1 where it
-    is absent: the one membership test of integer codes in a code set."""
+    """Position of each key among the ascending ``sorted_keys`` (the first of
+    equal ones), -1 where it is absent: the one membership test of integer
+    codes in a code set.  A gather from a table over [0, largest code] where
+    that is no larger than the keys looked up, else a sorted search."""
     if not len(sorted_keys):
-        return np.full(np.shape(keys), -1, dtype=np.intp)
+        return np.full(keys.shape, -1, dtype=np.intp)
+    hi = int(sorted_keys[-1])
+    if sorted_keys[0] >= 0 and hi < keys.size:
+        first = np.ones(len(sorted_keys), dtype=bool)  # the first of equal keys
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        at = np.flatnonzero(first)
+        table = np.full(hi + 2, -1, dtype=np.intp)  # a key outside [0, hi] reads -1
+        table[sorted_keys[at]] = at
+        idx = np.minimum(keys, hi + 1)
+        return table[np.maximum(idx, -1, out=idx)]  # np.clip costs more on small keys
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
@@ -204,11 +217,13 @@ def position_subsets(m: int, *sizes: int) -> tuple[np.ndarray, ...]:
 
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One integer per row, equal for equal rows and ordered as the rows are
-    lexicographically."""
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] < 2 ** 62:
-        return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    """One integer per row of nonnegative ints, equal for equal rows and
+    ordered as the rows are lexicographically: each column a digit in its own
+    radix (its largest value + 1)."""
+    radix = [int(col.max(initial=0)) + 1 for col in rows.T]  # max(axis=0) is slow here
+    if math.prod(radix) < 2 ** 62:
+        weights = [math.prod(radix[j + 1:]) for j in range(len(radix))]
+        return rows @ np.array(weights, dtype=np.int64)
     # too many digits for one int64: the rank among the distinct rows
     order = np.lexsort(rows.T[::-1])
     new = np.ones(len(rows), dtype=bool)
@@ -220,16 +235,25 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
 
 def _group(*keys):
     """Ids of the distinct tuples of nonnegative integer keys, numbered in
-    lexicographic order, and the index of each group's first member.  One
-    sort and an adjacent compare: numpy's ``unique`` and the set routines
-    built on it take a hash path that is many times slower on these keys, so
-    the package finds distinct values and inverses here and nowhere else."""
-    code = _row_codes(np.column_stack(keys))
+    lexicographic order, and each group's first (least) index: counted over
+    the ``_row_codes`` space where it holds no more codes than there are
+    keys, else sorted.  numpy's ``unique`` takes a hash path many times slower
+    on these keys, so the package groups here and nowhere else."""
+    rows = np.column_stack(keys)
+    code = rows[:, 0] if rows.shape[1] == 1 else _row_codes(rows)  # a column is its own code
+    n = len(code)
+    space = int(code.max(initial=-1)) + 1
+    if 0 < space <= n:
+        present = np.bincount(code, minlength=space) > 0
+        ids = (np.cumsum(present) - 1)[code]
+        first = np.full(int(present.sum()), n, dtype=np.intp)
+        np.minimum.at(first, ids, np.arange(n))
+        return ids, first
     order = np.argsort(code)
     code = code[order]
-    new = np.ones(len(order), dtype=bool)
+    new = np.ones(n, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=new[1:])
-    ids = np.empty(len(order), dtype=np.int64)
+    ids = np.empty(n, dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     # the sort is not stable: a group's first member is its least index
     return ids, np.minimum.reduceat(order, np.flatnonzero(new))
@@ -254,11 +278,10 @@ class LevelIndex:
         return len(self.faces)
 
     def face(self, i: int) -> Face:
-        return tuple(int(v) for v in self.faces[i])
+        return tuple(self.faces[i].tolist())
 
     def iter_faces(self):
-        for row in self.faces:
-            yield tuple(int(v) for v in row)
+        return map(tuple, self.faces.tolist())
 
     def index_of(self, face) -> int:
         t = check_face(face)
@@ -306,22 +329,12 @@ class LevelIndex:
 
 
 def _make_level(rows: np.ndarray, weights: np.ndarray, n: int, k: int) -> LevelIndex:
+    """The distinct rows in key order, duplicates' weights added in input order."""
     keys = _encode_rows(rows, n)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    rows = rows[order]
-    weights = weights[order]
-    # collapse duplicates
-    if len(keys) > 1:
-        uniq = np.ones(len(keys), dtype=bool)
-        uniq[1:] = keys[1:] != keys[:-1]
-        if not uniq.all():
-            group = np.cumsum(uniq) - 1
-            agg = np.zeros(int(group[-1]) + 1)
-            np.add.at(agg, group, weights)
-            rows, keys, weights = rows[uniq], keys[uniq], agg
-    return LevelIndex(k=k, faces=rows.astype(np.int32), measure=weights,
-                      n_vertices=n, _keys=keys)
+    ids, first = _group(keys)
+    return LevelIndex(k=k, faces=rows[first].astype(np.int32),
+                      measure=np.bincount(ids, weights, minlength=len(first)),
+                      n_vertices=n, _keys=keys[first])
 
 
 class Complex:
@@ -334,8 +347,7 @@ class Complex:
 
     def __init__(self, n_vertices: int, d: int, top_rows: np.ndarray | None,
                  top_weights: np.ndarray | None, coloring=None,
-                 uniform_complete: bool = False, vertex_labels=None,
-                 _validated: bool = False):
+                 uniform_complete: bool = False, vertex_labels=None):
         self.n_vertices = int(n_vertices)
         self.d = int(d)
         self.coloring = None if coloring is None else tuple(int(c) for c in coloring)
@@ -351,12 +363,8 @@ class Complex:
             self._tops = None
             self._weights = None
             return
-        rows = np.asarray(top_rows, dtype=np.int32)
-        weights = np.asarray(top_weights, dtype=float)
-        if not _validated:
-            rows, weights = self._validate(rows, weights)
-        self._tops = rows
-        self._weights = weights
+        self._tops, self._weights = self._validate(np.asarray(top_rows, dtype=np.int32),
+                                                   np.asarray(top_weights, dtype=float))
 
     # -- construction helpers -------------------------------------------------
 
@@ -424,7 +432,7 @@ class Complex:
             lev = LevelIndex(k=k, faces=rows, measure=np.full(len(rows), 1.0 / len(rows)),
                              n_vertices=self.n_vertices)
         elif k == self.d:
-            lev = _make_level(self._tops.copy(), self._weights.copy(), self.n_vertices, k)
+            lev = _make_level(self._tops, self._weights, self.n_vertices, k)
         else:
             upper = self.level(k + 1)
             if upper.size * (k + 2) > level_cap() * 4:
@@ -501,8 +509,7 @@ class Complex:
         tops, weights = self.top_arrays()
         sub = tops[self._color_mask(key)[tops]].reshape(len(tops), len(key))
         sub = np.sort(sub, axis=1)
-        lev = _make_level(sub.astype(np.int64), weights.copy(), self.n_vertices,
-                          len(key) - 1)
+        lev = _make_level(sub, weights, self.n_vertices, len(key) - 1)
         self._colored_levels[key] = lev
         return lev
 
@@ -538,16 +545,14 @@ class Complex:
         sub = tops[rows_hit]
         w = weights[rows_hit]
         rest = sub[~member[rows_hit]].reshape(len(sub), -1)
-        labels = sorted(set(int(v) for v in rest.ravel()))
-        relabel = {v: i for i, v in enumerate(labels)}
-        dense = np.vectorize(relabel.__getitem__, otypes=[np.int32])(rest)
-        dense.sort(axis=1)
+        # the link's vertices in id order, numbered densely
+        used = _member(rest, self.n_vertices)
+        dense = (np.cumsum(used, dtype=np.int32) - 1)[rest]  # rows stay increasing
+        labels = np.flatnonzero(used).tolist()
         coloring = None
         if self.is_partite:
-            used = self.color_set(s)
-            new_colors = sorted(set(range(self.d + 1)) - used)
-            cmap = {c: i for i, c in enumerate(new_colors)}
-            coloring = [cmap[self.coloring[v]] for v in labels]
+            free = ~_member([self.coloring[v] for v in s], self.d + 1)
+            coloring = (np.cumsum(free) - 1)[np.asarray(self.coloring)[labels]].tolist()
         return Complex(len(labels), self.d - len(s), dense, w / w.sum(),
                        coloring=coloring, vertex_labels=labels)
 

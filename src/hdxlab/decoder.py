@@ -5,11 +5,10 @@ diagnostics.
 One array state: ``global_decode`` lifts the ensemble once, and its stages
 pass arrays, not dicts: the popular restriction h(a) as one padded row per a,
 whether f_s restricts to it once per (a, s) key (``_keys``, each amplification
-row's key gathered from a dense (a, s) table where that table is no larger
-than the amplification table), the reach vote
-g(a, v) as an n_a x n_v table (-1 where no triple votes) and the bad sets as
-masks over a and (a, v).  Each stage returns its own tie and empty-vote
-counts; the dicts of ``DecodeOutput`` are built once, at the end.
+row's key found by ``complexes._search``), the reach vote g(a, v) as an
+n_a x n_v table (-1 where no triple votes) and the bad sets as masks over a
+and (a, v).  Each stage returns its own tie and empty-vote counts; the
+dicts of ``DecodeOutput`` are built once, at the end.
 
 All conditional probabilities come from the instance's exact tables; there is
 no sampling inside the decoder.  Ties are always broken toward the
@@ -102,28 +101,21 @@ def _vote(seg, key, weight):
 
 def _keys(x: StavInstance):
     """The (a, s) keys (the pairs of ``stav._as_pairs``, then any amplification
-    (a, s) that is no pair, ascending) and each amplification row's two keys;
-    cached.  A row's pair is one gather from a dense (a, s) table where the
-    table has no more cells than the amplification table has rows, else a
-    sorted search among the pair codes."""
+    (a, s) that is no pair, ascending) and each amplification row's two keys,
+    int32, found by ``_search`` among the key codes; cached."""
     def build():
         pa, ps = _as_pairs(x)[:2]
         va, n_s = x.vasa, len(x.s_labels)
         code = pa.astype(np.int64) * n_s + ps
+        # the pairs in code order, then -1, which an absent row's position reads
+        order = np.append(np.argsort(code), -1).astype(np.int32)
+        ordered = code[order[:-1]]
         rows = [a.astype(np.int64) * n_s + va.s_idx for a in (va.a1_idx, va.a2_idx)]
-        cells = len(x.a_labels) * n_s
-        if cells <= len(va.s_idx):
-            table = np.full(cells, -1, dtype=np.int32)  # the row keys are cached: 4 bytes each
-            table[code] = np.arange(len(code))
-            keys = [table[r] for r in rows]
-        else:
-            order = np.argsort(code).astype(np.int32)
-            keys = [np.where(pos >= 0, order[pos], -1).astype(np.int32)
-                    for pos in (_search(code[order], r) for r in rows)]
+        keys = [order[_search(ordered, r)] for r in rows]
         missing = np.concatenate([r[k < 0] for r, k in zip(rows, keys)])
         extra = missing[_group(missing)[1]]
         for r, k in zip(rows, keys):
-            k[k < 0] = len(code) + np.searchsorted(extra, r[k < 0])
+            k[k < 0] = len(code) + _search(extra, r[k < 0])
         code = np.concatenate([code, extra])
         return code // n_s, code % n_s, *keys
     return _cached(x, "decoder_keys", build)

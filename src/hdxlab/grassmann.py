@@ -8,11 +8,12 @@ against its basis (zero on the pivot columns).  Levels are built one pivot
 pattern at a time from the free-entry products, in the order the loops over
 ``itertools.combinations``/``product`` would give.  Points of F_q^n are
 base-q integer codes; a subspace is keyed by the codes of its canonical rows
-and looked up with ``complexes._lookup_rows``.  Every rank, canonical form and
-independence test goes through one batched elimination, ``_batched_rref``,
-over (B, rows, n) stacks with the ``gf_tables`` of GF(q), so extension
-fields work as prime fields do.  An affine subspace enters it through its
-homogeneous rows: [1 | offset] above [0 | basis].
+and found in a level by grouping those codes (``complexes._group``).  Every
+rank, canonical form and independence test goes through one batched
+elimination, ``_batched_rref``, over (B, rows, n) stacks with the
+``gf_tables`` of GF(q), so extension fields work as prime fields do.  An
+affine subspace enters it through its homogeneous rows: [1 | offset] above
+[0 | basis].
 
 Level conventions differ by flavor and both are preserved: affine level k
 holds subspaces of dimension k, linear level k holds subspaces of dimension
@@ -38,8 +39,8 @@ from .errors import (
     ParameterRange,
     SizeCapError,
 )
-from .complexes import _group, _lookup_rows, _row_codes, _search, size_cap_multiplier
-from .stav import AvTable, STSTable, StavInstance, VasaTable
+from .complexes import _group, _search, size_cap_multiplier
+from .stav import AvTable, STSTable, StavInstance, VasaTable, _face_tuples
 from .walks import MarkovOperator, _from_joint, _joint, _walk_joint
 
 MAX_Q = 9
@@ -301,11 +302,9 @@ class SubspaceLevel(Sequence):
 
     def positions(self, other: SubspaceLevel) -> np.ndarray:
         """Index in this level of every subspace of ``other``; -1 if absent."""
-        codes = _row_codes(np.concatenate([self.codes, other.codes]))
-        keys = codes[:len(self)]
-        order = np.argsort(keys, kind="stable")
-        pos = _lookup_rows(keys[order], codes[len(self):, None], int(codes.max()) + 1)
-        return np.where(pos >= 0, order[pos], -1)
+        ids, first = _group(np.concatenate([self.codes, other.codes]))
+        pos = first[ids[len(self):]]
+        return np.where(pos < len(self), pos, -1)
 
 
 def make_subspace(gf: GF, flavor: str, vectors: np.ndarray,
@@ -463,7 +462,7 @@ def _contained(p: GrassmannPoset, parents: SubspaceLevel, k: int) -> np.ndarray:
 
 def _supports(p: GrassmannPoset, lev: SubspaceLevel) -> list[tuple]:
     """Sorted level-0 indices of the points of each subspace."""
-    return list(map(tuple, np.sort(_contained(p, lev, 0), axis=1).tolist()))
+    return _face_tuples(np.sort(_contained(p, lev, 0), axis=1))
 
 
 # -- walks ------------------------------------------------------------------------

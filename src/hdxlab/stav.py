@@ -25,7 +25,9 @@ layer is flat, like the (a, v) layer given t, one t-sorted ``AvTable``, and
 the amplification table, one ``VasaTable``; ``STSTable.tables`` is a per-t
 view of it that nothing here reads.  A layer's supports as flat arrays
 (``_flat_supports``) and the (a, s) pairs of the (v, a, s) triples with their
-mass (``_as_pairs``) are built once per instance, for every reader.
+mass (``_as_pairs``) are built once per instance, for every reader.  Keys
+are grouped (``_local`` included) by ``complexes._group`` and codes looked up
+by ``complexes._search``, which alone choose a table or a sort.
 
 Every local graph of the goodness checker belongs to a family
 (``spectra._Graphs``) solved in stacked batches: on the tabular path one per
@@ -51,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .complexes import _GATHER_ENTRIES, Complex, _group, _search, position_subsets
+from .complexes import _GATHER_ENTRIES, Complex, _group, _member, _search, position_subsets
 from .errors import (
     ColorSize,
     HdxError,
@@ -275,7 +277,8 @@ class StructuredHdxStav:
 
 
 def _face_tuples(rows):
-    return [tuple(int(v) for v in row) for row in rows]
+    """Rows of ids as tuples of Python ints."""
+    return list(map(tuple, rows.tolist()))
 
 
 def _segment_pairs(n_a, n_b):
@@ -357,7 +360,7 @@ def hdx_stav(c: Complex, d: int, l: int, force_mode: str | None = None):
                      a_sub[a2_of].T.ravel(),
                      np.repeat(lev_s.measure / per_s_vasa, len(v_pat)))
 
-    v_labels = [int(v) for v in lev_v.faces[:, 0]]
+    v_labels = lev_v.faces[:, 0].tolist()
     a_faces, t_faces, s_faces = (_face_tuples(lev.faces) for lev in (lev_a, lev_t, lev_s))
     return StavInstance(
         provenance="hdx",
@@ -413,7 +416,7 @@ def partite_ij_stav(c: Complex, colors_i, colors_j, k: int) -> StavInstance:
     a_rank[a_keep] = np.arange(len(a_keep))
     v_in = ~in_ij
     v_rank = np.cumsum(v_in) - 1
-    v_labels = [int(v) for v in np.flatnonzero(v_in)]
+    v_labels = np.flatnonzero(v_in).tolist()
 
     # (s, t) joint: P(t) conditional measure, P(s | t) prop to level measure.
     # Each s lists its t by descending position: the amplification table
@@ -725,19 +728,9 @@ def _local_reach_graphs(x: StavInstance) -> _Graphs:
 
 def _pair_graphs(n: int, g, a1, a2, p) -> _Graphs:
     """Per graph g < n, the (a1, a2) joint of entries (g, a1, a2, mass)
-    grouped by graph, on the a of positive mass in id order.  The a are
-    numbered within each graph by sorting, or through a dense (graph, a)
-    table where that has at most as many cells as the a have entries."""
-    n_a = int(max(a1.max(initial=-1), a2.max(initial=-1))) + 1
-    gg, aa, pp = np.concatenate([g, g]), np.concatenate([a1, a2]), np.concatenate([p, p])
-    if n * n_a > len(gg):
-        pos, ptr, a_ids = _local(n, gg, (aa,), pp)
-    else:
-        key = gg * n_a + aa
-        live = np.bincount(key, pp, minlength=n * n_a) > 0
-        ptr = np.concatenate([[0], np.cumsum(live.reshape(n, n_a).sum(axis=1))])
-        pos = np.where(live, np.cumsum(live) - 1 - np.repeat(ptr[:-1], n_a), -1)[key]
-        a_ids = (np.flatnonzero(live) % n_a,)
+    grouped by graph, on the a of positive mass in id order."""
+    pos, ptr, a_ids = _local(n, np.concatenate([g, g]),
+                             (np.concatenate([a1, a2], dtype=np.int64),), np.concatenate([p, p]))
     r, c = np.split(pos, 2)
     keep = (r >= 0) & (c >= 0)
     rows = (ptr, *a_ids)
@@ -878,19 +871,23 @@ def derive_graph(x: StavInstance, kind: str, element=None):
         return BipartiteGraph(x.a_labels, x.v_labels, full)
     if kind == "t_lower":
         ti = _find(x, "t_labels", element)
-        t_sup = set(x.t_supports[ti])
-        a_in = [ai for ai, sup in enumerate(x.a_supports) if set(sup) <= t_sup]
-        if not a_in:
+        (t_ptr, t_flat), (a_ptr, a_flat) = (_flat_supports(x, f"{k}_supports") for k in "ta")
+        n_a, n_g = len(a_ptr) - 1, int(max(t_flat.max(initial=-1), a_flat.max(initial=-1))) + 1
+        in_t = _member(t_flat[t_ptr[ti]:t_ptr[ti + 1]], n_g)
+        a_of = np.repeat(np.arange(n_a), np.diff(a_ptr))
+        inside = np.bincount(a_of[~in_t[a_flat]], minlength=n_a) == 0
+        a_in = np.flatnonzero(inside)
+        if not len(a_in):
             raise ZeroConditioning(f"no A element inside {element}")
         # a drawn by its overall reach mass conditioned inside t, v uniform in a
         reach_mass = np.asarray(x.reach_joint().sum(axis=1)).ravel()
         w = reach_mass[a_in]
         w = w / w.sum()
-        v_ids = sorted(t_sup)
+        v_ids = np.flatnonzero(in_t)
+        hit = inside[a_of]
+        row = (np.cumsum(inside) - 1)[a_of[hit]]
         j = np.zeros((len(a_in), len(v_ids)))
-        for row, ai in enumerate(a_in):
-            sup = x.a_supports[ai]
-            j[row, np.searchsorted(v_ids, sup)] = w[row] / len(sup)
+        j[row, (np.cumsum(in_t) - 1)[a_flat[hit]]] = (w / np.diff(a_ptr)[a_in])[row]
         return BipartiteGraph([x.a_labels[i] for i in a_in],
                               [x.ground_labels[i] for i in v_ids], j)
     raise HdxError(f"unknown graph kind {kind!r}")

@@ -184,10 +184,10 @@ def _asymmetry(mat, rows, other=None, other_rows=None) -> float:
     compared row block by row block (``_row_blocks``) with the matching
     column block of ``other``.  A sparse one is compared in row blocks of
     about ``_GATHER_ENTRIES / 4`` stored entries, each with the same rows of
-    K^T, transposed from a column slice of ``other``, so that its values,
-    scales and gathered positions stay within ``_GATHER_ENTRIES`` numbers and
-    no full-size copy is made: where a block of a canonical matrix stores
-    the same cells as K^T, entry by entry; elsewhere cell by cell, repeated
+    K^T, read through the column order of ``other``'s entries, found once by
+    a CSR-to-CSC conversion of their int32 positions, so that ``other``'s
+    values are not copied: where a block of a canonical matrix stores the
+    same cells as K^T, entry by entry; elsewhere cell by cell, repeated
     entries added up and a cell stored on one side only compared with 0."""
     if other is None:
         other, other_rows = mat, rows
@@ -202,26 +202,30 @@ def _asymmetry(mat, rows, other=None, other_rows=None) -> float:
     mat, other = sp.csr_matrix(mat), sp.csr_matrix(other)
     n = mat.shape[1]
     canonical = mat.has_canonical_format
+    # K^T, listed as other[:, lo:hi].T.tocsr() lists it: the int32 position
+    # in other (data) and row (indices) of each entry
+    tr = sp.csr_matrix((np.arange(other.nnz, dtype=np.int32), other.indices, other.indptr),
+                       shape=other.shape).tocsc()
     step = max(1, _GATHER_ENTRIES // 4)
     starts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, step), "right") - 1
     bounds = np.concatenate([[0], starts, [mat.shape[0]]])
     bounds = bounds[_group(bounds)[1]]
     worst = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        tr = other[:, lo:hi].T.tocsr()  # rows lo to hi-1 of other^T
-        a = slice(mat.indptr[lo], mat.indptr[hi])
-        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr)
+        a, b = slice(mat.indptr[lo], mat.indptr[hi]), slice(tr.indptr[lo], tr.indptr[hi])
+        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr[lo:hi + 1])
+        tr_cols = tr.indices[b]
         gap = np.repeat(rows[lo:hi], n_a)
         gap *= mat.data[a]  # J[i, j]
-        back = other_rows[tr.indices]
-        back *= tr.data  # K[j, i]
+        back = other_rows[tr_cols]
+        back *= other.data[tr.data[b]]  # K[j, i]
         if (canonical and np.array_equal(n_a, n_b)
-                and np.array_equal(mat.indices[a], tr.indices)):
+                and np.array_equal(mat.indices[a], tr_cols)):
             gap -= back
         else:
             cells = np.concatenate([np.repeat(np.arange(lo, hi), count) * n + cols
                                     for count, cols in ((n_a, mat.indices[a]),
-                                                        (n_b, tr.indices))])
+                                                        (n_b, tr_cols))])
             gap = np.bincount(_group(cells)[0], np.concatenate([gap, -back]))
         worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
     return worst
@@ -578,9 +582,9 @@ def neighborhood_system(c: Complex, k: int):
     drop, keep = position_subsets(k + 2, 1)
     faces = lev.sub_faces(upper.faces, keep).ravel()
     verts = upper.faces[:, drop[:, 0]].T.ravel()
-    order = np.lexsort((verts, faces))
-    balls = np.split(verts[order], np.cumsum(np.bincount(faces, minlength=lev.size))[:-1])
-    return {lev.face(i): tuple(int(v) for v in ball) for i, ball in enumerate(balls)}
+    ball = verts[np.lexsort((verts, faces))].tolist()
+    ends = np.cumsum(np.bincount(faces, minlength=lev.size)).tolist()
+    return dict(zip(lev.iter_faces(), (tuple(ball[lo:hi]) for lo, hi in zip([0, *ends], ends))))
 
 
 def underlying_graph(c: Complex) -> WeightedGraph:

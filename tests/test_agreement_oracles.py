@@ -55,7 +55,7 @@ from hdxlab.stav import (
     stav_to_json_dict,
 )
 
-from conftest import pair_arrays, random_weighted_complex
+from conftest import pair_arrays, random_partite_complex, random_weighted_complex
 
 TOL = 1e-12
 
@@ -666,6 +666,27 @@ def keys_by_search(x):
             *(order[np.searchsorted(code[order], r)] for r in rows))
 
 
+def keys_by_table(x):
+    """``decoder._keys`` as it was where a dense (a, s) table has no more
+    cells than the amplification table has rows: the pair of each row is one
+    gather from that int32 table, and the extra keys follow by a search."""
+    pa, ps = _as_pairs(x)[:2]
+    va, n_s = x.vasa, len(x.s_labels)
+    code = pa.astype(np.int64) * n_s + ps
+    rows = [a.astype(np.int64) * n_s + va.s_idx for a in (va.a1_idx, va.a2_idx)]
+    cells = len(x.a_labels) * n_s
+    assert cells <= len(va.s_idx)
+    table = np.full(cells, -1, dtype=np.int32)
+    table[code] = np.arange(len(code))
+    keys = [table[r] for r in rows]
+    missing = np.concatenate([r[k < 0] for r, k in zip(rows, keys)])
+    extra = np.sort(missing)[np.diff(np.sort(missing), prepend=-1) != 0]
+    for r, k in zip(rows, keys):
+        k[k < 0] = len(code) + np.searchsorted(extra, r[k < 0])
+    code = np.concatenate([code, extra])
+    return code // n_s, code % n_s, *keys
+
+
 def _chain_instance():
     """hdx_stav(l=1) on 30 sets of 6 vertices, each sharing one vertex with
     the next: 151 a-faces against 30 sets, so the (a, s) table would have
@@ -719,10 +740,32 @@ def test_decoder_keys_match_the_search(key_cases, name):
     n_extra = len(got[0]) - len(_as_pairs(x)[0])
     assert n_extra == {"json_extra": 3, "chain_extra": 2}.get(name, 0)
     # the chain instance's (a, s) table would outgrow its amplification table,
-    # so its rows are looked up by the sorted search; every other instance
-    # gathers from the table
+    # so ``_search`` looks its rows up by the sorted search; every other
+    # instance's rows are gathered from a table, as the dense (a, s) table of
+    # ``keys_by_table`` gathered them, bit for bit
     dense = len(x.a_labels) * len(x.s_labels) <= len(x.vasa)
     assert dense == (not name.startswith("chain"))
+    if dense:
+        for g, w in zip(got, keys_by_table(x)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["hdx", "partite", "independent"]))
+def test_decoder_keys_of_random_instances_match_the_table(seed, kind):
+    if kind == "hdx":
+        x = hdx_stav(random_weighted_complex(seed % 1000, 7, 4), 4, 1)
+    elif kind == "partite":
+        c = random_partite_complex(seed, [2, 1, 2, 1, 1, 2, 1, 1, 1])
+        x = partite_ij_stav(c, [0], [2], 8)
+    else:
+        x = neighborhood_stav(random_weighted_complex(seed % 1000, 8, 5), 1, 0, "independent")
+    got = _keys(x)
+    wants = [keys_by_search(x)]
+    if len(x.a_labels) * len(x.s_labels) <= len(x.vasa):
+        wants.append(keys_by_table(x))
+    for want in wants:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_dist_gamma_compares_where_the_assignment_is_defined(fixed_instances):

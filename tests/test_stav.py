@@ -19,6 +19,7 @@ from hdxlab import stav
 from hdxlab.stav import (
     StructuredHdxStav,
     _blocks,
+    _face_tuples,
     _pair_graphs,
     _structured_a_graphs,
     _structured_vasa_v_graphs,
@@ -260,8 +261,10 @@ def test_goodness_dual_route_random_dropped_tops(seed, case):
 
 
 def test_pair_graphs_number_alike_by_table_and_by_sort():
-    # 3 graphs on 6 a-ids fit a (graph, a) table of at most twice the 40
-    # entries; the same entries among 50 graphs are numbered by sorting
+    # 3 graphs on 6 a-ids: 18 (graph, a) codes for the 80 entries, which
+    # ``_group`` counts (the sort side of its rule is held to ``np.unique`` in
+    # tests/test_set_primitives.py); the same entries among 50 graphs are
+    # numbered alike
     rng = np.random.default_rng(5)
     g = np.sort(rng.integers(0, 3, 40))
     a1, a2 = rng.integers(0, 6, 40), rng.integers(0, 6, 40)
@@ -271,6 +274,15 @@ def test_pair_graphs_number_alike_by_table_and_by_sort():
     for got, want in zip((table.rows[1], *table.entries[1:]),
                          (by_sort.rows[1], *by_sort.entries[1:])):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_face_tuples_hold_python_ints(dtype):
+    rows = np.array([[0, 3, 7], [1, 2, 126]], dtype=dtype)
+    got = _face_tuples(rows)
+    assert got == [tuple(int(v) for v in row) for row in rows] == [(0, 3, 7), (1, 2, 126)]
+    assert all(type(v) is int for t in got for v in t)
+    assert _face_tuples(np.zeros((0, 3), dtype=dtype)) == []
 
 
 def test_vasa_v_graphs_of_a_sparse_complex_on_many_vertices():

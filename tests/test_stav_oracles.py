@@ -32,9 +32,10 @@ from hdxlab.complexes import build_from_top_faces, complete_complex, \
     partite_complete_complex
 from hdxlab.decoder import in_one_set_test
 from hdxlab.errors import ZeroConditioning
-from hdxlab.grassmann import GrassmannPoset, _sts_from_levels
+from hdxlab.grassmann import GrassmannPoset, _sts_from_levels, grassmann_stav
 from hdxlab.walks import BipartiteGraph, WeightedGraph, complement_walk
-from hdxlab.spectra import (BRUTE_FORCE_VERTICES, bipartite_lambda, edge_expansion_exact,
+from hdxlab.spectra import (BRUTE_FORCE_VERTICES, _entry_graphs, bipartite_lambda,
+                            edge_expansion_exact,
                             square_lambda)
 from hdxlab import stav
 from hdxlab.stav import (
@@ -45,6 +46,8 @@ from hdxlab.stav import (
     _drop_one,
     _local_reach_graphs,
     _max_gap,
+    _pair_graphs,
+    _vasa_v_graphs,
     _reach,
     _sampler_spot_checks,
     _structured_a_graphs,
@@ -1292,3 +1295,86 @@ def test_derived_graphs_match_loop(instances, name):
             if kind == "local_reach":  # the spot checks read it: equal bits
                 np.testing.assert_array_equal(got.joint, want.joint)
             np.testing.assert_allclose(got.joint, want.joint, rtol=0, atol=1e-12)
+
+
+# -- the (graph, a) table of the pair graphs and the t_lower loop -------------------------
+
+
+def pair_graphs_by_table(n, g, a1, a2, p):
+    """``_pair_graphs`` as it was where a dense (graph, a) table has at most
+    as many cells as the a have entries: each cell's mass by one bincount,
+    the live cells numbered within each graph by a cumsum."""
+    n_a = int(max(a1.max(initial=-1), a2.max(initial=-1))) + 1
+    gg, aa, pp = np.concatenate([g, g]), np.concatenate([a1, a2]), np.concatenate([p, p])
+    assert n * n_a <= len(gg)
+    key = gg * n_a + aa
+    live = np.bincount(key, pp, minlength=n * n_a) > 0
+    ptr = np.concatenate([[0], np.cumsum(live.reshape(n, n_a).sum(axis=1))])
+    pos = np.where(live, np.cumsum(live) - 1 - np.repeat(ptr[:-1], n_a), -1)[key]
+    r, c = np.split(pos, 2)
+    keep = (r >= 0) & (c >= 0)
+    rows = (ptr, np.flatnonzero(live) % n_a)
+    return _entry_graphs(n, g[keep], r[keep], c[keep], p[keep], rows, rows)
+
+
+def assert_same_family(got, want):
+    for g, w in zip((*got.rows, *got.cols, *got.entries, got.shapes),
+                    (*want.rows, *want.cols, *want.entries, want.shapes)):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(0, 120))
+def test_pair_graphs_match_the_table(seed, n, n_a, m):
+    # entries grouped by graph, a-ids below n_a, masses of which some are 0
+    rng = np.random.default_rng(seed)
+    g = np.sort(rng.integers(0, n, m))
+    a1, a2 = rng.integers(0, n_a, m), rng.integers(0, n_a, m)
+    p = rng.random(m) * (rng.random(m) < 0.8)
+    assume(n * int(max(a1.max(initial=-1), a2.max(initial=-1)) + 1) <= 2 * m)
+    assert_same_family(_pair_graphs(n, g, a1, a2, p), pair_graphs_by_table(n, g, a1, a2, p))
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip"])
+def test_vasa_v_graphs_match_the_table(instances, name):
+    x = instances[name]
+    va = x.vasa
+    order = np.argsort(va.v_idx, kind="stable")
+    want = pair_graphs_by_table(x.n_v, *(c[order] for c in (va.v_idx, va.a1_idx, va.a2_idx,
+                                                          va.probs)))
+    assert_same_family(_vasa_v_graphs(x), want)
+
+
+def t_lower_loop(x, element):
+    """``derive_graph(x, "t_lower", t)`` as it was: a loop over the a-faces
+    for those inside t, and one over them for their rows."""
+    ti = x.t_labels.index(element)
+    t_sup = set(x.t_supports[ti])
+    a_in = [ai for ai, sup in enumerate(x.a_supports) if set(sup) <= t_sup]
+    if not a_in:
+        raise ZeroConditioning(f"no A element inside {element}")
+    reach_mass = np.asarray(x.reach_joint().sum(axis=1)).ravel()
+    w = reach_mass[a_in]
+    w = w / w.sum()
+    v_ids = sorted(t_sup)
+    j = np.zeros((len(a_in), len(v_ids)))
+    for row, ai in enumerate(a_in):
+        sup = x.a_supports[ai]
+        j[row, np.searchsorted(v_ids, sup)] = w[row] / len(sup)
+    return BipartiteGraph([x.a_labels[i] for i in a_in], [x.ground_labels[i] for i in v_ids], j)
+
+
+@pytest.fixture(scope="module")
+def t_lower_instances(instances):
+    return {**instances, "grassmann": grassmann_stav(GrassmannPoset(2, 6, 6, "affine"), 6, 1)}
+
+
+@pytest.mark.parametrize("name", ["hdx", "hdx_weighted", "partite", "nbhd_independent",
+                                  "nbhd_complement", "json_roundtrip", "grassmann"])
+def test_t_lower_graphs_match_loop(t_lower_instances, name):
+    x = t_lower_instances[name]
+    step = max(1, len(x.t_labels) // 40)
+    for element in x.t_labels[::step]:
+        got, want = derive_graph(x, "t_lower", element), t_lower_loop(x, element)
+        assert (got.left_items, got.right_items) == (want.left_items, want.right_items)
+        assert got.joint.tobytes() == want.joint.tobytes()

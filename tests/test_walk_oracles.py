@@ -256,7 +256,9 @@ def assert_walks_match_loops(c: Complex):
         assert_same_operator(down_operator(c, k), operator_of(hi, lo, joint), f"down{k}")
         assert_same_operator(nonlazy_upper_walk(c, k), fixed_union_walk_loop(c, k, 1),
                              f"nonlazy{k}")
-        assert neighborhood_system(c, k) == neighborhood_system_loop(c, k), k
+        balls = neighborhood_system(c, k)
+        assert balls == neighborhood_system_loop(c, k), k
+        assert all(type(v) is int for item in balls.items() for part in item for v in part)
     for l, k in itertools.combinations(range(-1, d + 1), 2):
         got, want = _containment_joint(c, k, l), containment_joint_loop(c, k, l)
         assert np.array_equal(got.toarray(), want.toarray()), (k, l)

@@ -230,6 +230,70 @@ def test_asymmetry_matches_the_dense_difference(seed, m, canonical, entries):
     assert _asymmetry(mat.toarray(), rows) == want
 
 
+def asymmetry_by_transposed_copy(mat, rows, other=None, other_rows=None) -> float:
+    """``_asymmetry`` of a CSR matrix as it was built on one transposed copy
+    of ``other``, read in the same row blocks of ``mat``."""
+    if other is None:
+        other, other_rows = mat, rows
+    mat, other = sp.csr_matrix(mat), sp.csr_matrix(other)
+    tr_all, n = other.T.tocsr(), mat.shape[1]
+    step = max(1, walks._GATHER_ENTRIES // 4)
+    starts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, step), "right") - 1
+    bounds = sorted(set([0, *starts.tolist(), mat.shape[0]]))
+    worst = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        tr = tr_all[lo:hi]
+        a = slice(mat.indptr[lo], mat.indptr[hi])
+        n_a, n_b = np.diff(mat.indptr[lo:hi + 1]), np.diff(tr.indptr)
+        gap = np.repeat(rows[lo:hi], n_a) * mat.data[a]
+        back = other_rows[tr.indices] * tr.data
+        if (mat.has_canonical_format and np.array_equal(n_a, n_b)
+                and np.array_equal(mat.indices[a], tr.indices)):
+            gap = gap - back
+        else:
+            cells = np.concatenate([np.repeat(np.arange(lo, hi), n_a) * n + mat.indices[a],
+                                    np.repeat(np.arange(lo, hi), n_b) * n + tr.indices])
+            _, ids = np.unique(cells, return_inverse=True)
+            gap = np.bincount(ids.ravel(), np.concatenate([gap, -back]))
+        worst = max(worst, float(np.abs(gap).max(initial=0.0)))
+    return worst
+
+
+def _random_csr(rng, shape, canonical):
+    """A sparse matrix of few distinct values, canonical or with unsorted
+    and repeated entries."""
+    k = int(rng.integers(0, 2 * shape[0] * shape[1] + 1))
+    r, c = rng.integers(0, shape[0], k), rng.integers(0, shape[1], k)
+    vals = rng.choice([0.25, 0.5, 1.0], size=k)
+    if canonical:
+        return sp.csr_matrix((vals, (r, c)), shape=shape)
+    order = np.argsort(r, kind="stable")
+    return sp.csr_matrix((vals[order], c[order], np.searchsorted(r[order],
+                                                                 np.arange(shape[0] + 1))),
+                         shape=shape)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), k=st.integers(1, 9),
+       kind=st.sampled_from(["square", "pair", "reverse"]), canonical=st.booleans(),
+       entries=st.sampled_from([1, 8, 64, 1 << 18]))
+def test_asymmetry_matches_the_transposed_copy(seed, m, k, kind, canonical, entries):
+    # a square matrix against itself; an m x k matrix against an unrelated
+    # k x m one; or against its own transpose, rescaled, so that the blocks
+    # match entry by entry where both are canonical
+    rng = np.random.default_rng(seed)
+    mat = _random_csr(rng, (m, m) if kind == "square" else (m, k), canonical)
+    rows = rng.choice([0.5, 1.0, 2.0], size=m)
+    args = (mat, rows)
+    if kind == "pair":
+        args += (_random_csr(rng, (k, m), not canonical), rng.choice([0.5, 1.0], size=k))
+    elif kind == "reverse":
+        args += (sp.csr_matrix(mat.T), np.ones(k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "_GATHER_ENTRIES", entries)
+        got, want = _asymmetry(*args), asymmetry_by_transposed_copy(*args)
+    assert got == want
+
+
 def test_asymmetry_of_a_cycle_of_equal_entries():
     # every row stores one entry, as does its transpose, in a different cell
     cycle = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
