@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -422,6 +423,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--stav-file")
 
 
+@functools.cache  # built once a process; each parse fills a new namespace
 def build_parser() -> _Parser:
     parser = _Parser(prog="hdxlab")
     subs = parser.add_subparsers(dest="command", required=True)

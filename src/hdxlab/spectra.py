@@ -27,16 +27,21 @@ walks the same way.
 Dense and CSR operators go through the same arithmetic, the scalings,
 marginals and densification of ``walks``, so no solver asks which it holds.
 
-Many small graphs are solved together as one local-graph family, built by
-``_entry_graphs`` from entries grouped by graph.  One loop walks a family:
-``_distinct_batches`` groups the graphs by shape into batches, fills each
-once and keeps its bit-distinct joints (``_distinct`` groups them by a fixed
-weighted sum of their entries and confirms each group bit for bit, so no
-tolerance merges two graphs).  ``_stacked_spectra`` solves each batch as one
-stacked dense eigenproblem (square) or singular value problem (bipartite),
-with the checks and clipping of ``square_lambda`` and ``bipartite_lambda``,
-whose dense path is the same solver on a stack of one; each copy takes the
-values of its first.  A solve, dense or Lanczos, whose eigenvalues or
+Many small graphs are solved together as one local-graph family
+(``_Graphs``), which carries its fill's inputs as entry tables grouped by
+graph: ``_entry_graphs`` builds one from (graph, row, column, mass) entries.
+A graph's fill depends on its shape and its runs in those tables alone, so
+before anything is filled ``_input_classes`` puts graphs of one shape whose
+runs are bit-identical into one class: a fixed position-weighted sum of each
+run picks the candidates (``complexes._group``) and a bit-for-bit comparison
+of the runs confirms them, so no tolerance merges two graphs.  One loop walks
+a family: ``_distinct_batches`` fills the first graph of each class, in
+batches drawn from the whole shape group.  ``_stacked_spectra`` solves each
+batch as one stacked dense eigenproblem (square) or singular value problem
+(bipartite), with the checks and clipping of ``square_lambda`` and
+``bipartite_lambda``, whose dense path is the same solver on a stack of one,
+and a graph past the dense limit once per class; every graph takes the
+values of its class.  A solve, dense or Lanczos, whose eigenvalues or
 singular values lie more than 1e-8 outside [-1, 1] raises ``NotReversible``
 before any value is clipped.  Link spectra are one family per level, read off
 the X(k+1) and X(k+2) arrays, and cached on the complex, so every verifier
@@ -51,11 +56,12 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .complexes import (Complex, _encode_rows, _lookup_rows, complete_complex,
+from .complexes import (Complex, _encode_rows, _group, _lookup_rows, complete_complex,
                         position_subsets)
 from .errors import (
     HypothesisViolated,
@@ -351,92 +357,127 @@ def _scatter(entries, ids: np.ndarray, shape) -> np.ndarray:
                        minlength=len(ids) * r * c).reshape(len(ids), r, c)
 
 
-def _distinct(stack: np.ndarray):
-    """The first of each set of bit-identical matrices of a (B, ...) stack,
-    in stack order, and the position in that list of each matrix's set, so
-    that ``stack[first][group]`` equals ``stack`` bit for bit.
+def _input_classes(shapes: np.ndarray, tables):
+    """Classes of the graphs of a family, from its fill's inputs: graphs of
+    one (rows, cols) shape whose runs are bit-identical in every entry table
+    (ptr, row, col, value) share one.  Returns the class of each graph, the
+    classes numbered in shape order, and the first graph of each class.
 
-    Matrices are grouped by a fixed weighted sum of their entries, and each
-    is compared bit for bit with the first of its group; one whose bits
-    differ stands alone, so no tolerance and no shared sum ever merges two
-    different matrices.
+    The candidates are picked (``complexes._group``) by a fixed sum of each
+    run, in int64 arithmetic mod 2^64: entry i of a run, coded from its row,
+    column and value bits, weighs 2i + 1.  Each graph is then compared bit
+    for bit with the first of its class; one whose bits differ stands alone,
+    so no tolerance and no shared sum ever merges two graphs.
     """
-    flat = stack.reshape(len(stack), -1)
-    # einsum sums each row by one loop, whatever its place in the stack, so
-    # equal rows get equal sums
-    key = np.einsum("ij,j->i", flat, np.sin(np.arange(1, flat.shape[1] + 1)))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.concatenate([[True], key[1:] != key[:-1]])
-    if head.all():  # no two sums are equal, so no two matrices are
-        return np.arange(len(flat)), np.arange(len(flat))
-    rep = np.empty(len(flat), dtype=np.int64)
-    rep[order] = order[head][np.cumsum(head) - 1]
-    dup = np.flatnonzero(rep != np.arange(len(flat)))
-    bits = flat.view(np.uint64)
-    # in slices of about 2^15 entries, whose copies stay in cache
-    step = max(1, (1 << 15) // flat.shape[1])
-    for lo in range(0, len(dup), step):
-        d = dup[lo:lo + step]
-        d = d[(bits[d] != bits[rep[d]]).any(axis=1)]
-        rep[d] = d
-    first = np.flatnonzero(rep == np.arange(len(flat)))
-    return first, np.searchsorted(first, rep)
+    n = len(shapes)
+    if n < 2:
+        return np.zeros(n, dtype=np.intp), np.arange(n)
+    table = _stacked_tables(tables)
+    ptr, row, col, val = table
+    size = np.diff(ptr)
+    weight = (np.arange(len(row)) - np.repeat(ptr[:-1], size)) * 2 + 1
+    code = (np.asarray(row, dtype=np.int64) * 0x2545F4914F6CDD1D
+            + np.asarray(col, dtype=np.int64) * 0x5851F42D4C957F2D + _bits(val))
+    runs = np.add.reduceat(np.append(code * weight, 0), ptr[:-1])
+    runs[size == 0] = 0  # reduceat reads an empty run as its next entry
+    key = runs + size
+    if len(tables) > 1:  # run t * n + k of the stacked table is run k of table t
+        key = (key.reshape(-1, n) * np.arange(1, 2 * len(tables), 2)[:, None]).sum(axis=0)
+    # the top 40 bits of an odd multiple, so that shape and key fit one code
+    key = key * 0x5851F42D4C957F2D >> 24 & (1 << 40) - 1
+    cls, first = _group(shapes[:, 0], shapes[:, 1], key)
+    dup = np.flatnonzero(first[cls] != np.arange(n))
+    if len(dup):
+        at = n * np.arange(len(tables))[:, None]  # the runs of a graph in every table
+        differs = _runs_differ(table, (dup + at).ravel(), (first[cls[dup]] + at).ravel())
+        differs = differs.reshape(-1, len(dup)).any(axis=0)
+        if differs.any():
+            key[dup[differs]] = (1 << 40) + np.arange(int(differs.sum()))  # past every sum
+            cls, first = _group(shapes[:, 0], shapes[:, 1], key)
+    return cls, first
 
 
-def _distinct_batches(shapes, fill):
-    """The batch loop of a family of graphs with these (rows, cols) shapes:
-    graphs grouped by shape into batches whose dense stack stays under
-    ``_LINK_BATCH_BYTES``, each filled once by ``fill(ids, shape)``.  Yields
-    (shape, ids, joints, group) per batch: the bit-distinct joints of the
-    batch (``_distinct``) and the position in them of each graph's.  A graph
-    that ``_solves_dense`` does not admit is a batch of its own and is not
-    compared; its fill, a stack of one or a CSR matrix, is the one joint."""
-    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
-    code = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
-    order = np.argsort(code, kind="stable")
-    bounds = np.flatnonzero(np.diff(code[order], prepend=-1, append=-1)).tolist()
+def _stacked_tables(tables):
+    """The entry tables of n graphs as one, whose run t * n + k is run k of
+    table t."""
+    if len(tables) == 1:
+        return tables[0]
+    ends = np.cumsum([len(t[1]) for t in tables])
+    ptr = np.concatenate([tables[0][0]] + [t[0][1:] + e for t, e in zip(tables[1:], ends)])
+    return (ptr, *(np.concatenate([t[i] for t in tables]) for i in (1, 2, 3)))
+
+
+def _bits(val) -> np.ndarray:
+    return np.ascontiguousarray(val, dtype=np.float64).view(np.int64)
+
+
+def _runs_differ(table, ids: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether runs ``ids`` of an entry table differ from runs ``other`` in
+    length or in any bit."""
+    ptr, row, col, val = table
+    size = np.diff(ptr)
+    differs = size[ids] != size[other]
+    same = np.flatnonzero(~differs)
+    a, b = _runs(ptr, ids[same])
+    o = a + (ptr[other[same]] - ptr[ids[same]])[b]
+    bits = _bits(val)
+    differs[same[b[(row[a] != row[o]) | (col[a] != col[o]) | (bits[a] != bits[o])]]] = True
+    return differs
+
+
+def _distinct_batches(graphs, ids: np.ndarray, fill=None):
+    """The batch loop of the classes of graphs ``ids`` of a family
+    (``_Graphs.classes``): yields (shape, classes, joints), ``joints`` the
+    fill of the first graphs of these classes by ``fill(first, shape)``,
+    the family's own fill by default.  The classes of a shape are filled in
+    batches whose dense stack stays under ``_LINK_BATCH_BYTES``; one that
+    ``_solves_dense`` does not admit is a batch of its own, its fill a
+    stack of one or a CSR matrix.  Every graph of a class has the joint of
+    its first, so a graph of ``ids`` is read off its class's first even
+    where ``ids`` holds only part of the class."""
+    fill = graphs.fill if fill is None else fill
+    cls, first = graphs.classes
+    used = np.flatnonzero(np.bincount(cls[ids], minlength=len(first)))
+    shapes = graphs.shapes[first[used]]
+    # classes are numbered in shape order, so each shape's first class
+    # starts its run
+    _, start = _group(shapes[:, 0], shapes[:, 1])
+    bounds = np.append(start, len(used)).tolist()
     for lo_g, hi_g in zip(bounds[:-1], bounds[1:]):
-        shape = tuple(shapes[order[lo_g]].tolist())
+        shape = tuple(shapes[lo_g].tolist())
         dense = _solves_dense(shape)
         step = max(1, _LINK_BATCH_BYTES // (8 * shape[0] * shape[1])) if dense else 1
         for lo in range(lo_g, hi_g, step):
-            ids = order[lo:min(lo + step, hi_g)]
-            joints = fill(ids, shape)
-            if not dense:
-                yield shape, ids, joints if joints.ndim == 3 else [joints], np.zeros(1, int)
-                continue
-            first, group = _distinct(joints)
-            if len(first) < len(joints):  # the full batch is freed before its use
-                joints = joints[first]
-            yield shape, ids, joints, group
+            batch = used[lo:min(lo + step, hi_g)]
+            joints = fill(first[batch], shape)
+            yield shape, batch, joints if dense or joints.ndim == 3 else [joints]
 
 
-def _stacked_spectra(shapes, fill, bipartite: bool = False) -> np.ndarray:
-    """Spectra of many graphs with few distinct shapes, in graph order: a
-    (2, n) array of (lambda2, lambda_min) for square graphs, the (n,) array
-    of lambda_bip for bipartite ones.
+def _stacked_spectra(graphs, ids: np.ndarray, bipartite: bool = False) -> np.ndarray:
+    """Spectra of graphs ``ids`` of a family with few distinct shapes, in
+    the order of ``ids``: a (2, n) array of (lambda2, lambda_min) for
+    square graphs, the (n,) array of lambda_bip for bipartite ones.
 
-    ``fill(ids, shape)`` gives the joints of graphs ``ids``, all of that
-    (rows, cols) shape, as a dense stack; their measures are the row and
-    column sums.  Each batch of ``_distinct_batches`` is one stacked dense
-    solve of its bit-distinct joints, with every check of ``square_lambda``
-    and ``bipartite_lambda``; each copy gets the values of its first.  A
-    graph that ``_solves_dense`` does not admit is scaled to mass 1 and goes
-    to one of them, and from there to the iterative path; its fill may be a
-    CSR matrix in place of a stack of one.
+    The measures of a joint are its row and column sums.  Each batch of
+    ``_distinct_batches``, the first graphs of as many classes, is one
+    stacked dense solve, with every check of ``square_lambda`` and
+    ``bipartite_lambda``; every graph gets the values of its class.  A graph
+    that ``_solves_dense`` does not admit is scaled to mass 1 and goes to
+    one of them, and from there to the iterative path, once per class.
     """
-    out = np.zeros((len(shapes), 1 if bipartite else 2))
-    for shape, ids, joints, group in _distinct_batches(shapes, fill):
+    cls, first = graphs.classes
+    vals = np.zeros((len(first), 1 if bipartite else 2))
+    for shape, batch, joints in _distinct_batches(graphs, ids):
         if _solves_dense(shape):
-            vals = (_bipartite_stack(joints, joints.sum(axis=2), joints.sum(axis=1))[:, None]
-                    if bipartite else np.column_stack(_square_stack(joints, joints.sum(axis=2))))
+            v = (_bipartite_stack(joints, joints.sum(axis=2), joints.sum(axis=1))[:, None]
+                 if bipartite else np.column_stack(_square_stack(joints, joints.sum(axis=2))))
         else:
             j = joints[0] / joints[0].sum()
             rep = (bipartite_lambda(j, _marginal(j, 1), _marginal(j, 0)) if bipartite
                    else square_lambda(j, _marginal(j, 1)))
-            vals = np.array([[rep.lambda_bip] if bipartite else [rep.lambda2, rep.lambda_min]])
-        out[ids] = vals[group]
+            v = np.array([[rep.lambda_bip] if bipartite else [rep.lambda2, rep.lambda_min]])
+        vals[batch] = v
+    out = vals[cls[ids]]
     return out[:, 0] if bipartite else out.T
 
 
@@ -448,26 +489,36 @@ class _Graphs:
     rows and ``cols`` likewise as columns; a graph without rows has no mass.
     ``fill(ids, shape)`` gives the unscaled joints of graphs ``ids``, all of
     that shape: a dense stack, or a CSR matrix where ``_solves_dense`` does
-    not admit the shape.
-    ``entries`` are the (ptr, row, col, mass) entries grouped by graph, where
-    the family is built from them; a family without them fills joints of mass 1.
-    Bit-identical graphs of a shape batch are solved once (``_distinct_batches``).
+    not admit the shape.  ``tables`` are the fill's inputs, entry tables
+    (ptr, row, col, value) grouped by graph: a graph's joint depends on its
+    shape and its runs in them alone, never on the other graphs filled with
+    it, so graphs whose runs are bit-identical are one class
+    (``_input_classes``), filled and solved once.
+    ``entries`` are the (ptr, row, col, mass) entries, where the family is
+    built from them (its one table); a family without them fills joints of
+    mass 1.
     """
 
     rows: tuple
     cols: tuple
     fill: object
+    tables: tuple
     entries: tuple | None = None
 
     def __post_init__(self):
         self.shapes = np.column_stack([np.diff(self.rows[0]), np.diff(self.cols[0])])
 
+    @cached_property
+    def classes(self) -> tuple:
+        """(class of each graph, first graph of each class), found once
+        from ``tables`` (``_input_classes``)."""
+        return _input_classes(self.shapes, self.tables)
+
     def live(self) -> np.ndarray:
         return np.flatnonzero(self.shapes[:, 0] > 0)
 
     def spectra(self, ids: np.ndarray, bipartite: bool = False) -> np.ndarray:
-        return _stacked_spectra(self.shapes[ids],
-                                lambda b, shape: self.fill(ids[b], shape), bipartite)
+        return _stacked_spectra(self, ids, bipartite)
 
     def joints(self, ids: np.ndarray, shape) -> np.ndarray:
         """The dense (len(ids), rows, cols) stack of the joints of graphs
@@ -494,7 +545,7 @@ def _entry_graphs(n: int, g, r, c, p, rows, cols) -> _Graphs:
         idx, _ = _runs(entries[0], ids)
         return _joint(r[idx], c[idx], p[idx], shape)
 
-    return _Graphs(rows, cols, fill, entries)
+    return _Graphs(rows, cols, fill, (entries,), entries)
 
 
 def square_spectrum(op) -> SpectralReport:

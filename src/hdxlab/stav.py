@@ -34,10 +34,15 @@ Every local graph of the goodness checker belongs to a family
 kind, built from the tables and cached on the instance, which ``derive_graph``
 reads; on the structured path one per block of a-faces (A2a, A3b) or vertices
 (A3a), gathered from X(l+1) and X(2l), so that memory stays bounded.  The
-tabular A2a brute force, and the A4 spot checks of a local reach graph with
-at most ``_EXHAUSTIVE_COLUMNS`` columns, which try every subset and draw
-nothing, run once per bit-distinct joint of a batch of
-``spectra._distinct_batches``; wider graphs draw from one stream in s order.
+A2a and A2b pair graphs (``_sts_graphs``) carry the three tables their fill
+scatters, the conditional entries, slot weights and explicit pairs, so
+graphs equal in all three are found as one class before any fill
+(``spectra._input_classes``); the fill takes one matrix product per slot
+count, so that no graph is padded by another.  The tabular A2a brute force,
+and the A4 spot checks of a local reach graph with at most
+``_EXHAUSTIVE_COLUMNS`` columns, which try every subset and draw nothing,
+run once per class (``spectra._distinct_batches``); wider graphs draw from
+one stream in s order.
 The thresholds, the brute-force cap and the spot-check count and seed are
 constants, not options.
 """
@@ -787,9 +792,11 @@ def _sts_graphs(x: StavInstance, n: int, c_of: np.ndarray, ids: np.ndarray) -> _
 
     The selected t are those with mass that contain the set, weighted by
     their mass.  Their columns of ``sts.cond`` sum to C diag(w) C^T, taken
-    on the live rows (one matrix product per batch); their explicit pairs
-    are added entry by entry.  A set that no t with mass contains has no
-    graph.
+    on the live rows; their explicit pairs are added entry by entry.  The
+    family's tables are the entries of C (live row, slot), the weights w
+    (slot) and the pairs, grouped by set; the fill takes one matrix product
+    per slot count in a batch, so that no graph's bits depend on the graphs
+    beside it.  A set that no t with mass contains has no graph.
     """
     ground_t, cond, (p_t, p_i, p_j, p_p) = _ground_t(x), x.sts.cond, x.sts.pairs
     p_ptr = np.searchsorted(p_t, np.arange(len(x.t_probs) + 1))
@@ -823,14 +830,25 @@ def _sts_graphs(x: StavInstance, n: int, c_of: np.ndarray, ids: np.ndarray) -> _
     slot_e = (ptr(sc), np.zeros(len(sc), dtype=np.int64), slot, w)
     pair_e = (ptr(sc[pb]), pi, pj, w[pb] * p_p[pe])
 
-    def fill(b, shape):
-        m, k = shape[0], int(n_sel[b].max())
+    def product(b, m, k):
         c = _scatter(cond_e, b, (m, k))
-        dense = np.matmul(c * _scatter(slot_e, b, (1, k)), c.transpose(0, 2, 1))
+        return np.matmul(c * _scatter(slot_e, b, (1, k)), c.transpose(0, 2, 1))
+
+    def fill(b, shape):
+        # one product per slot count, so that no graph is padded with the
+        # slots of another and its bits do not depend on the graphs beside it
+        k_id, first = _group(n_sel[b])
+        if len(first) == 1:
+            dense = product(b, shape[0], int(n_sel[b[0]]))
+        else:
+            dense = np.empty((len(b), *shape))
+            for i, k in enumerate(n_sel[b[first]].tolist()):
+                sel = k_id == i
+                dense[sel] = product(b[sel], shape[0], k)
         return dense + _scatter(pair_e, b, shape) if len(pe) else dense
 
     rows = (s_ptr, s_ids)
-    return _Graphs(rows, rows, fill)
+    return _Graphs(rows, rows, fill, (cond_e, slot_e, pair_e))
 
 
 def derive_graph(x: StavInstance, kind: str, element=None):
@@ -1025,9 +1043,8 @@ def _goodness_tabular(x: StavInstance, gamma, r) -> GoodnessReport:
     small = np.flatnonzero((m > 0) & (m <= BRUTE_FORCE_VERTICES))
     large = np.flatnonzero(m > BRUTE_FORCE_VERTICES)
     phis = [np.inf]
-    # the minimum over the distinct graphs is the minimum over all
-    for _, _, stack, _ in _distinct_batches(graphs.shapes[small],
-                                            lambda b, shape: graphs.fill(small[b], shape)):
+    # the minimum over the classes is the minimum over all
+    for _, _, stack in _distinct_batches(graphs, small):
         pi = stack.sum(axis=2)
         _check_square_stack(stack, pi)
         phis += [_min_cut_ratio(j, p)[0] for j, p in zip(stack, pi)]
@@ -1067,17 +1084,18 @@ def _goodness_tabular(x: StavInstance, gamma, r) -> GoodnessReport:
         raise ZeroConditioning(f"s element {x.s_labels[empty[0]]} has no mass")
     a4 = float(np.max(graphs.spectra(np.arange(x.n_s), bipartite=True), initial=0.0))
     # a graph of at most _EXHAUSTIVE_COLUMNS columns is checked on every
-    # subset and draws nothing, so it is checked once per distinct joint;
+    # subset and draws nothing, so it is checked once per class;
     # a wider one draws from the one stream, s by s
     rng = np.random.default_rng(_SPOT_CHECK_SEED)
     delta = r * gamma
     wide = graphs.shapes[:, 1] > _EXHAUSTIVE_COLUMNS
     narrow = np.flatnonzero(~wide)
     spot_failures = 0
-    for _, _, joints, group in _distinct_batches(
-            graphs.shapes[narrow], lambda b, shape: graphs.joints(narrow[b], shape)):
+    cls, first = graphs.classes
+    count = np.bincount(cls[narrow], minlength=len(first))
+    for _, batch, joints in _distinct_batches(graphs, narrow, graphs.joints):
         spot_failures += sum(int(n) * _sampler_spot_checks(j, delta, _SPOT_CHECKS, rng)
-                             for j, n in zip(joints, np.bincount(group)))
+                             for j, n in zip(joints, count[batch]))
     spot_failures += sum(_sampler_spot_checks(graphs.joint(si), delta, _SPOT_CHECKS, rng)
                          for si in np.flatnonzero(wide))
 

@@ -242,6 +242,25 @@ def test_usage_error_exit_code():
     assert run_cli(["build", "-o", "/tmp/x.json"]) == 1
 
 
+def test_consecutive_calls_leak_no_defaults(tmp_path, complex_file):
+    # the parser is built once a process: the flags of one call must not
+    # become the defaults of the next, whatever its subcommand
+    from hdxlab import cli
+    assert cli.build_parser() is cli.build_parser()
+    out = str(tmp_path / "r.json")
+    calls = [["spectrum", complex_file, "--walk", "lower", "--k", "1", "--l", "0", "-o", out],
+             ["verify", complex_file, "--fixed-union", "--l", "2", "--j", "2", "-o", out],
+             ["spectrum", complex_file, "--walk", "complement", "-o", out],
+             ["verify", complex_file, "--complement", "-o", out]]
+    for argv in calls:
+        assert run_cli(argv) == 0
+        with open(out) as fh:
+            flags = json.load(fh)["manifest"]["flags"]
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        del fresh["func"]
+        assert flags == fresh, argv
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "hdxlab.cli", "--help"],
                           capture_output=True, text=True)

@@ -572,8 +572,22 @@ def _random_graphs(rng, shapes, square):
     return out
 
 
-def _fill(graphs):
-    return lambda ids, shape: np.stack([graphs[i] for i in ids])
+def _family(joints, orders=None):
+    """A family whose graph k has every cell of ``joints[k]`` as an entry,
+    row by row or in the flat cell order ``orders[k]``."""
+    import hdxlab.spectra as spectra
+    orders = orders or [np.arange(j.size) for j in joints]
+    g, r, c, p = (np.concatenate(cols) for cols in zip(
+        *[(np.full(j.size, k), *np.divmod(o, j.shape[1]), j.ravel()[o])
+          for k, (j, o) in enumerate(zip(joints, orders))]))
+    rows, cols = ((np.concatenate([[0], np.cumsum(n)]), np.arange(sum(n)))
+                  for n in zip(*(j.shape for j in joints)))
+    return spectra._entry_graphs(len(joints), g, r, c, p, rows, cols)
+
+
+def _stacked(joints, bipartite=False):
+    import hdxlab.spectra as spectra
+    return spectra._stacked_spectra(_family(joints), np.arange(len(joints)), bipartite)
 
 
 @pytest.mark.parametrize("batch_bytes", [1 << 24, 8 * 5 * 5])
@@ -583,14 +597,13 @@ def test_stacked_solver_matches_single_solves(monkeypatch, batch_bytes):
     rng = np.random.default_rng(4)
     sizes = [5, 1, 3, 5, 3, 8, 5, 2]
     graphs = _random_graphs(rng, [(m, m) for m in sizes], square=True)
-    lam2, lam_min = spectra._stacked_spectra(np.array([(m, m) for m in sizes]),
-                                             _fill(graphs))
+    lam2, lam_min = _stacked(graphs)
     for j, l2, lm in zip(graphs, lam2, lam_min):
         rep = square_lambda(j / j.sum(), j.sum(axis=1) / j.sum())
         assert (l2, lm) == pytest.approx((rep.lambda2, rep.lambda_min), abs=1e-12)
     shapes = [(3, 5), (1, 4), (3, 5), (6, 2), (4, 1), (3, 5)]
     graphs = _random_graphs(rng, shapes, square=False)
-    lam = spectra._stacked_spectra(np.array(shapes), _fill(graphs), bipartite=True)
+    lam = _stacked(graphs, bipartite=True)
     for j, got in zip(graphs, lam):
         j = j / j.sum()
         want = spectra.bipartite_lambda(j, j.sum(axis=1), j.sum(axis=0)).lambda_bip
@@ -604,14 +617,13 @@ def test_stacked_solver_raises_on_bad_input():
     lopsided = j.copy()
     lopsided[0, 1] += 0.5
     with pytest.raises(NotReversible):
-        spectra._stacked_spectra(np.array([(4, 4)]), _fill([lopsided]))
+        _stacked([lopsided])
     isolated = j.copy()
     isolated[2, :] = isolated[:, 2] = 0.0
     with pytest.raises(InconsistentMarginals):
-        spectra._stacked_spectra(np.array([(4, 4)]), _fill([isolated]))
+        _stacked([isolated])
     with pytest.raises(InconsistentMarginals):
-        spectra._stacked_spectra(np.array([(4, 4)]), _fill([isolated[:, [0, 1, 3, 2]]]),
-                                 bipartite=True)
+        _stacked([isolated[:, [0, 1, 3, 2]]], bipartite=True)
     b = j[None] / j.sum()
     with pytest.raises(InconsistentMarginals):  # measures that are not the marginals
         spectra._bipartite_stack(b, b.sum(axis=2)[:, ::-1], b.sum(axis=1))
@@ -628,12 +640,12 @@ def test_stacked_values_outside_the_unit_interval_raise():
     with pytest.raises(NotReversible, match="eigenvalue"):
         square_lambda(j, j.sum(axis=1))
     with pytest.raises(NotReversible, match="eigenvalue"):
-        spectra._stacked_spectra(np.array([(2, 2)] * 3), _fill([j / 2, j, j]))
+        _stacked([j / 2, j, j])
     b = j[:, ::-1]
     with pytest.raises(NotReversible, match="singular value"):
         spectra.bipartite_lambda(b, b.sum(axis=1), b.sum(axis=0))
     with pytest.raises(NotReversible, match="singular value"):
-        spectra._stacked_spectra(np.array([(2, 2)]), _fill([b]), bipartite=True)
+        _stacked([b], bipartite=True)
 
 
 def test_lanczos_values_outside_the_unit_interval_raise():
@@ -777,31 +789,46 @@ def test_lanczos_symmetry_check_sees_every_entry(monkeypatch, entries):
             square_spectrum(op)
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_stacked_spectra_solve_each_distinct_graph_once(seed, bipartite):
-    # a family with exact copies of its graphs and copies one ulp apart in
-    # one entry, in random order: each graph's value is that of its solve as
-    # a family of one, bit for bit, so copies share a solve and near-copies
-    # do not
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, 8 * 5 * 5 * 2, 1 << 21]))
+def test_stacked_spectra_solve_each_distinct_graph_once(seed, bipartite, batch_bytes):
+    # a family with exact copies of its graphs, copies one ulp apart in one
+    # entry and copies with their entries in reverse order, in random order,
+    # in batches of one graph, of a few or of all: each graph's value is that
+    # of its solve as a family of one, bit for bit, and graphs with
+    # bit-identical entries share one fill and one solve, whatever batch
+    # they fall in; a reversed copy fills the same joint from other inputs,
+    # so it is a class of its own
+    from unittest import mock
+
     import hdxlab.spectra as spectra
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 6, size=(3, 2))
     shapes = [(r, c) if bipartite else (r, r) for r, c in sizes]
-    joints = []
+    graphs = []  # (joint, order of its cells as entries)
     for j in _random_graphs(rng, shapes, square=not bipartite):
-        joints += [j] * int(rng.integers(1, 4))
+        order = np.arange(j.size)
+        graphs += [(j, order)] * int(rng.integers(1, 4))
         for _ in range(int(rng.integers(1, 3))):
             near = j.copy()
             cell = tuple(rng.integers(j.shape))
             near[cell] = np.nextafter(near[cell], np.inf)
-            joints.append(near)
-    joints = [joints[i] for i in rng.permutation(len(joints))]
-    g, r, c, p = (np.concatenate(cols) for cols in zip(
-        *[(np.full(j.size, k), *np.divmod(np.arange(j.size), j.shape[1]), j.ravel())
-          for k, j in enumerate(joints)]))
-    rows, cols = ((np.concatenate([[0], np.cumsum(n)]), np.arange(sum(n)))
-                  for n in zip(*(j.shape for j in joints)))
-    graphs = spectra._entry_graphs(len(joints), g, r, c, p, rows, cols)
-    got = graphs.spectra(np.arange(len(joints)), bipartite)
-    for k in range(len(joints)):
-        assert np.array_equal(got[..., k], graphs.spectra(np.array([k]), bipartite)[..., 0])
+            graphs.append((near, order))
+        graphs += [(j, order[::-1])] * int(rng.integers(1, 3))
+    graphs = [graphs[i] for i in rng.permutation(len(graphs))]
+    inputs = {(j.shape, o.tobytes(), j.ravel()[o].tobytes()) for j, o in graphs}
+    family = _family(*zip(*graphs))
+    fill, filled, solved = family.fill, [], []
+    family.fill = lambda ids, shape: (filled.extend(ids), fill(ids, shape))[1]
+
+    def counted(solve):
+        return lambda joints, *pi: (solved.append(len(joints)), solve(joints, *pi))[1]
+
+    with mock.patch.object(spectra, "_LINK_BATCH_BYTES", batch_bytes), \
+            mock.patch.object(spectra, "_square_stack", counted(spectra._square_stack)), \
+            mock.patch.object(spectra, "_bipartite_stack", counted(spectra._bipartite_stack)):
+        got = family.spectra(np.arange(len(graphs)), bipartite)
+    assert len(filled) == sum(solved) == len(inputs)
+    for k, (j, o) in enumerate(graphs):
+        alone = _family([j], [o]).spectra(np.array([0]), bipartite)
+        assert np.array_equal(got[..., k], alone[..., 0])
+

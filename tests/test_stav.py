@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -356,3 +357,88 @@ def test_a2a_brute_force_runs_once_per_distinct_pair_graph(monkeypatch):
         assert calls == [(8, 8)], mode
         assert rep.a2a_method == "brute_force"
         assert rep.a2a_min_edge_expansion == want, mode
+
+
+def test_partite_goodness_fills_and_solves_each_class_once(monkeypatch):
+    # partite 2x9, i0/j1, k=8: the 56 A2b pair graphs of 128 vertices, the 4
+    # A2a pair graphs of 256 (past the brute-force cap) and the 512 narrow
+    # local reach graphs are one class each, so each family takes one fill,
+    # one solve, and for A4 one joint and one spot check
+    import hdxlab.spectra as spectra
+    x = partite_ij_stav(partite_complete_complex([2] * 9), [0], [1], 8)
+    fills, solves, joints, checks = [], [], [], []
+    real_sts, real_joints, real_checks = (stav._sts_graphs, spectra._Graphs.joints,
+                                          stav._sampler_spot_checks)
+
+    def sts(*args):
+        graphs = real_sts(*args)
+        fill = graphs.fill
+        graphs.fill = lambda ids, shape: (fills.append((len(graphs.shapes), len(ids))),
+                                          fill(ids, shape))[1]
+        return graphs
+
+    def counted(solve):
+        return lambda j, *pi: (solves.append((len(j), j.shape[1:])), solve(j, *pi))[1]
+
+    monkeypatch.setattr(stav, "_sts_graphs", sts)
+    monkeypatch.setattr(spectra, "_square_stack", counted(spectra._square_stack))
+    monkeypatch.setattr(spectra, "_bipartite_stack", counted(spectra._bipartite_stack))
+    monkeypatch.setattr(spectra._Graphs, "joints", lambda self, ids, shape: (
+        joints.append((len(self.shapes), len(ids))), real_joints(self, ids, shape))[1])
+    monkeypatch.setattr(stav, "_sampler_spot_checks",
+                        lambda *args: (checks.append(args[0].shape), real_checks(*args))[1])
+    rep = goodness_check(x, gamma=0.5)
+    assert fills == [(4, 1), (56, 1)]  # A2a, then A2b
+    assert all(n == 1 for n, _ in solves)
+    assert solves.count((1, (256, 256))) == solves.count((1, (128, 128))) == 1
+    assert joints == [(512, 1)] and checks == [(2, 7)]
+    assert rep.a2a_method == "cheeger_lower_bound" and rep.a2b_method == "dense"
+
+
+@pytest.mark.parametrize("name", ["partite_2x9", "weighted_hdx_9_5", "independent",
+                                  "complement"])
+def test_tabular_goodness_does_not_see_the_batch_size(monkeypatch, name):
+    # a graph's fill does not depend on the graphs filled beside it, so
+    # batches of one graph give every value bit for bit
+    import hdxlab.spectra as spectra
+
+    def check():
+        if name == "partite_2x9":
+            x, gamma = partite_ij_stav(partite_complete_complex([2] * 9), [0], [1], 8), 0.5
+        elif name == "weighted_hdx_9_5":  # every top face of complete(9, 5), weighted
+            tops = list(itertools.combinations(range(9), 6))
+            w = np.random.default_rng(5).gamma(2.0, 1.0, size=len(tops))
+            c = build_from_top_faces(9, [(t, float(p)) for t, p in zip(tops, w / w.sum())])
+            x, gamma = hdx_stav(c, 5, 1, force_mode="tabular"), 0.5
+        else:
+            x, gamma = neighborhood_stav(complete_complex(9, 5), 1, 0, name), 0.6
+        return goodness_check(x, gamma=gamma).to_json_dict()
+
+    want = check()
+    monkeypatch.setattr(spectra, "_LINK_BATCH_BYTES", 1)
+    assert check() == want
+
+
+def test_sts_fill_does_not_pad_a_graph_with_the_slots_of_another(monkeypatch):
+    # complete(9, 5), l=1, with three middle faces given no mass: the 9 A2a
+    # pair graphs keep one shape, 56 x 56, but are conditioned on 5, 7 or 8
+    # middle faces.  Filled together, each graph is one product over its
+    # own faces, with no zero slot padded in, and bit for bit the joint it
+    # gets alone
+    x = hdx_stav(complete_complex(9, 5), 5, 1)
+    x.sts.t_probs = x.sts.t_probs.copy()
+    x.sts.t_probs[:3] = 0.0
+    a_ptr, a_ground = stav._flat_supports(x, "a_supports")
+    n_a = len(x.a_labels)
+    graphs = stav._sts_graphs(x, n_a, np.repeat(np.arange(n_a), np.diff(a_ptr)), a_ground)
+    slots = np.diff(graphs.tables[1][0])
+    assert set(slots.tolist()) == {5, 7, 8} and len(set(map(tuple, graphs.shapes))) == 1
+    products, real = [], np.matmul
+    monkeypatch.setattr(stav.np, "matmul",
+                        lambda a, b: (products.append(a.shape[::2]), real(a, b))[1])
+    ids = np.arange(n_a)
+    together = graphs.fill(ids, (56, 56))
+    assert sorted(k for n, k in products for _ in range(n)) == sorted(slots.tolist())
+    monkeypatch.setattr(stav.np, "matmul", real)
+    alone = np.concatenate([graphs.fill(np.array([k]), (56, 56)) for k in ids])
+    assert np.array_equal(together.view(np.int64), alone.view(np.int64))
